@@ -24,7 +24,7 @@ import numpy as np
 
 from . import chaitin, clock, phase, qpe
 from .dyadic import BitString, Dyadic
-from .tm import MachineParseError, MachineSpec, load_machine
+from .tm import MachineParseError, MachineSpec, check_prefix_free_up_to, load_machine
 from .zoo import ZOO, zoo_machine
 
 EXIT_OK = 0
@@ -111,6 +111,21 @@ def _load_machine_ref(ref: str) -> MachineSpec:
     return load_machine(ref)
 
 
+def _require_prefix_free(machine: MachineSpec, budget: int) -> None:
+    """Refuse a machine with a prefix violation among the inputs that halt
+    within the run's stage budget: its staged sums are not a halting
+    probability (they can exceed 1)."""
+    try:
+        violations = check_prefix_free_up_to(machine, max(budget, 1))
+    except RuntimeError as err:
+        raise ValueError(f"cannot check that {machine.name!r} is prefix-free: {err}") from err
+    if violations:
+        x, y = violations[0]
+        raise ValueError(
+            f"machine {machine.name!r} is not prefix-free: {x!r} and {y!r} both halt"
+        )
+
+
 def _require(params: dict, key: str):
     if key not in params:
         raise ConfigError(f"missing required parameter {key!r}")
@@ -123,6 +138,7 @@ def _require(params: dict, key: str):
 def _run_omega(cfg: RunConfig, out: Path) -> None:
     machine = _load_machine_ref(_require(cfg.params, "machine"))
     stage = int(_require(cfg.params, "stage"))
+    _require_prefix_free(machine, stage)
     approx = chaitin.omega_approx(machine, stage)
     _write_json(out / "omega.json", approx.report())
     if cfg.params.get("include_sequence") or cfg.format == "csv":
@@ -140,6 +156,7 @@ def _run_witness(cfg: RunConfig, out: Path) -> None:
     if mode == "w":
         phi = Dyadic.parse(str(_require(cfg.params, "phi")))
         max_stage = int(_require(cfg.params, "max_stage"))
+        _require_prefix_free(machine, max_stage)
         halted_at = chaitin.witness_w(machine, phi, max_stage)
         payload = {
             "machine": machine.name,
@@ -152,6 +169,7 @@ def _run_witness(cfg: RunConfig, out: Path) -> None:
     elif mode == "wprime":
         phibar = BitString(str(_require(cfg.params, "phibar")))
         m = int(_require(cfg.params, "m"))
+        _require_prefix_free(machine, m)
         halts = chaitin.witness_wprime(machine, phibar, m)
         payload = {
             "machine": machine.name,
@@ -214,48 +232,13 @@ def _run_qpe(cfg: RunConfig, out: Path) -> None:
         )
     elif mode == "rounding":
         n_max = int(cfg.params.get("n_max", 12))
-        checked, violations = rounding_lemma_scan(n_max)
+        checked, violations = qpe.rounding_lemma_scan(n_max)
         _write_json(
             out / "rounding.json",
             {"n_max": n_max, "checked_pairs": checked, "violations": violations},
         )
     else:
         raise ConfigError(f"unknown qpe mode {mode!r}")
-
-
-def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
-    """Exhaustive rounding-lemma check on all dyadic grids up to n_max bits.
-
-    For every n, m < n, every n-bit estimate within 2^-(m+1) (mod 1) of
-    every n-bit phase must round-then-truncate into the phase's best
-    m-bit approximations.  The per-point pipeline goes through the exact
-    dyadic operations once; the pair loop compares precomputed images.
-    """
-    from .dyadic import interval_Im, round_up_mth, truncate
-
-    checked = 0
-    violations = 0
-    for n in range(2, n_max + 1):
-        size = 1 << n
-        for m in range(1, n):
-            images = np.empty(size, dtype=np.int64)
-            for z in range(size):
-                rounded = truncate(round_up_mth(Dyadic(z, n), m, n_bits=n), m)
-                images[z] = rounded.numerator << (m - rounded.exponent)
-            lo = np.empty(size, dtype=np.int64)
-            hi = np.empty(size, dtype=np.int64)
-            for w in range(size):
-                members = interval_Im(Dyadic(w, n), m)
-                scaled = sorted(v.numerator << (m - v.exponent) for v in members)
-                lo[w] = scaled[0]
-                hi[w] = scaled[-1]
-            radius = 1 << (n - m - 1)  # estimates with |z - w| mod 2^n < radius
-            for offset in range(-radius + 1, radius):
-                z_idx = (np.arange(size) + offset) % size
-                ok = (images[z_idx] == lo) | (images[z_idx] == hi)
-                checked += size
-                violations += int(np.count_nonzero(~ok))
-    return checked, violations
 
 
 def _spectral_payload(report: clock.SpectralReport, extra: dict) -> dict:
@@ -350,8 +333,8 @@ def _run_clock(cfg: RunConfig, out: Path) -> None:
         case_counts = {str(k): 0 for k in range(1, 6)}
         for _ in range(trials):
             d = int(rng.integers(2, dim + 1))
-            p = _random_projector(d, int(rng.integers(0, d + 1)), rng)
-            q = _random_projector(d, int(rng.integers(0, d + 1)), rng)
+            p = clock.random_projector(d, int(rng.integers(0, d + 1)), rng)
+            q = clock.random_projector(d, int(rng.integers(0, d + 1)), rng)
             blocks = clock.jordan_decompose(p, q)
             p2, q2 = clock.reconstruct_projectors(blocks, d)
             worst_recon = max(
@@ -382,13 +365,6 @@ def _run_clock(cfg: RunConfig, out: Path) -> None:
         )
     else:
         raise ConfigError(f"unknown clock mode {mode!r}")
-
-
-def _random_projector(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, _ = np.linalg.qr(a)
-    v = q[:, :rank]
-    return v @ v.conj().T
 
 
 def _model_from_params(params: dict) -> phase.SquareEnergyModel:
@@ -442,6 +418,7 @@ def _run_sweep(cfg: RunConfig, out: Path) -> None:
     s_prime = phase.find_s_prime(model)
     budget = cfg.params.get("s_budget", "auto")
     s_budget = s_prime + 1 if budget == "auto" else int(budget)
+    _require_prefix_free(machine, s_budget)
     results = phase.sweep(grid, machine, s_budget, model)
     rows = []
     class_rows = []

@@ -2,7 +2,8 @@
 at desk scale: assembly from unitaries and penalty projectors, rotation to
 the path-Laplacian frame, Jordan decomposition of the penalty pair into
 five canonical cases, closed-form and root-solved block eigenvalues, the
-acceptance amplitude epsilon, and certified extremal eigenvalues.
+acceptance amplitude epsilon, and extremal eigenvalues with their
+residual norms.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "conjugate_rotate",
     "jordan_decompose",
     "reconstruct_projectors",
+    "random_projector",
     "block_hamiltonian",
     "case_eigenvalue",
     "impurity_walk_matrix",
@@ -160,6 +162,43 @@ def _kernel_complement(total: np.ndarray) -> np.ndarray:
     return keep @ keep.conj().T
 
 
+def _input_penalty(spec: ClockSpec, penalty_variant: str) -> np.ndarray:
+    if penalty_variant == "raw":
+        return spec.input_penalty_total
+    if penalty_variant == "kernel_complement":
+        return _kernel_complement(spec.input_penalty_total)
+    raise ValueError(f"unknown penalty variant {penalty_variant!r}")
+
+
+def _assemble(
+    T: int,
+    p_first: np.ndarray,
+    p_last: np.ndarray,
+    hops: tuple[np.ndarray, ...] | None = None,
+) -> sp.csr_matrix:
+    """The clock matrix on a (T+1) x (T+1) grid of d x d blocks: I + p_first
+    and I + p_last at the two end times, 2I on the inner diagonal blocks,
+    -U_t below and -U_t^H above the diagonal, with U_t = I when ``hops``
+    is None.  The dtype is that of the inputs, so real canonical blocks
+    stay real; explicit zeros are not stored."""
+    d = p_first.shape[0]
+    eye = np.eye(d)
+    hop = np.broadcast_to(eye, (T, d, d)) if hops is None else np.stack(hops)
+    diag = np.empty((T + 1, d, d), dtype=np.result_type(p_first, p_last, hop))
+    diag[:] = 2.0 * eye
+    diag[0] = eye + p_first
+    diag[T] = eye + p_last
+    blocks = np.concatenate([diag, -hop, -hop.conj().transpose(0, 2, 1)])
+    t = np.arange(T + 1)
+    block_rows = np.concatenate([t, t[1:], t[:-1]])[:, None, None]
+    block_cols = np.concatenate([t, t[:-1], t[1:]])[:, None, None]
+    k = np.arange(d)
+    rows, cols = np.broadcast_arrays(block_rows * d + k[:, None], block_cols * d + k)
+    keep = blocks != 0
+    dim = (T + 1) * d
+    return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])), shape=(dim, dim))
+
+
 def build_hamiltonian(spec: ClockSpec, penalty_variant: str = "raw") -> np.ndarray:
     """Assemble propagation + input penalty at t=0 + output penalty at t=T.
 
@@ -169,55 +208,8 @@ def build_hamiltonian(spec: ClockSpec, penalty_variant: str = "raw") -> np.ndarr
     whenever the input projectors commute, so the sum has integer
     spectrum).
     """
-    if penalty_variant not in ("raw", "kernel_complement"):
-        raise ValueError(f"unknown penalty variant {penalty_variant!r}")
-    T, d = spec.T, spec.comp_dim
-    dim = spec.dim
-    ham = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-
-    def blk(t: int, s: int) -> slice:
-        return slice(t * d, (t + 1) * d)
-
-    for t in range(T):
-        u = spec.unitaries[t]
-        ham[blk(t, t), blk(t, t)] += eye
-        ham[blk(t + 1, t), blk(t + 1, t)] += eye
-        ham[blk(t + 1, t), blk(t, t)] += -u
-        ham[blk(t, t), blk(t + 1, t)] += -u.conj().T
-
-    if penalty_variant == "raw":
-        ham[blk(0, 0), blk(0, 0)] += spec.input_penalty_total
-    else:
-        ham[blk(0, 0), blk(0, 0)] += _kernel_complement(spec.input_penalty_total)
-    ham[blk(T, T), blk(T, T)] += spec.output_projector
-    return ham
-
-
-def _sparse_hamiltonian(spec: ClockSpec, penalty_variant: str = "raw") -> sp.csr_matrix:
-    T, d = spec.T, spec.comp_dim
-    eye = sp.identity(d, format="csr", dtype=complex)
-    diag = sp.lil_matrix((T + 1, T + 1))
-    for t in range(T):
-        diag[t, t] += 1.0
-        diag[t + 1, t + 1] += 1.0
-    ham = sp.kron(diag.tocsr(), eye, format="lil")
-    for t in range(T):
-        u = sp.csr_matrix(spec.unitaries[t])
-        hop = sp.lil_matrix((T + 1, T + 1))
-        hop[t + 1, t] = 1.0
-        ham -= sp.kron(hop.tocsr(), u, format="lil")
-        ham -= sp.kron(hop.T.tocsr(), u.conj().T, format="lil")
-    corner0 = sp.lil_matrix((T + 1, T + 1))
-    corner0[0, 0] = 1.0
-    cornerT = sp.lil_matrix((T + 1, T + 1))
-    cornerT[T, T] = 1.0
-    p_in = spec.input_penalty_total
-    if penalty_variant == "kernel_complement":
-        p_in = _kernel_complement(p_in)
-    ham += sp.kron(corner0.tocsr(), sp.csr_matrix(p_in), format="lil")
-    ham += sp.kron(cornerT.tocsr(), sp.csr_matrix(spec.output_projector), format="lil")
-    return ham.tocsr()
+    p_in = _input_penalty(spec, penalty_variant)
+    return _assemble(spec.T, p_in, spec.output_projector, spec.unitaries).toarray()
 
 
 @dataclass(frozen=True)
@@ -233,20 +225,13 @@ class RotatedClock:
 
     @property
     def matrix(self) -> np.ndarray:
-        T, d = self.T, self.comp_dim
-        ham = np.kron(path_laplacian(T + 1), np.eye(d, dtype=complex))
-        ham[:d, :d] += self.input_penalty
-        ham[-d:, -d:] += self.output_penalty_rotated
-        return ham
+        return _assemble(self.T, self.input_penalty, self.output_penalty_rotated).toarray()
 
 
 def conjugate_rotate(spec: ClockSpec, penalty_variant: str = "raw") -> RotatedClock:
     u_total = spec.total_unitary
     p_out = u_total.conj().T @ spec.output_projector @ u_total
-    p_in = spec.input_penalty_total
-    if penalty_variant == "kernel_complement":
-        p_in = _kernel_complement(p_in)
-    return RotatedClock(spec.T, spec.comp_dim, p_in, p_out)
+    return RotatedClock(spec.T, spec.comp_dim, _input_penalty(spec, penalty_variant), p_out)
 
 
 # -- Jordan pair decomposition ----------------------------------------
@@ -374,15 +359,20 @@ def reconstruct_projectors(
     return p_in, p_out
 
 
+def random_projector(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Projector onto a random rank-``rank`` subspace of C^d, spanned by
+    the leading columns of the Q factor of a complex Gaussian matrix."""
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, _ = np.linalg.qr(a)
+    v = q[:, :rank]
+    return v @ v.conj().T
+
+
 def block_hamiltonian(block: JordanBlock, T: int) -> np.ndarray:
     """The (T+1)- or 2(T+1)-dimensional restriction of the rotated
     Hamiltonian to one Jordan block, in the block's canonical basis."""
     small_in, small_out = block.projector_pair()
-    b = small_in.shape[0]
-    ham = np.kron(path_laplacian(T + 1), np.eye(b))
-    ham[:b, :b] += small_in
-    ham[-b:, -b:] += small_out
-    return ham
+    return _assemble(T, small_in, small_out).toarray()
 
 
 # -- closed forms and the impurity walk --------------------------------
@@ -478,6 +468,10 @@ def root_solve_case5(T: int, mu: float, tol: float = 1e-13) -> Case5Roots:
     """Roots of cos((T+3/2)k) = -/+ sqrt(1-mu) cos(k/2) on (0, pi), plus
     k = pi which both branches share: 2T+3 momenta in total.
 
+    k = pi satisfies both branches trivially (both sides vanish) but is
+    not a momentum of the chain: its energy 4 is not an eigenvalue.  The
+    other 2T+2 roots give the 2(T+1) eigenvalues 2 - 2cos(k) one to one.
+
     k0, the smallest root, always comes from the minus branch and is
     bracketed inside (0, pi/(2T+3)) before bisection; the ground energy
     of the impurity walk is 2 - 2cos(k0).
@@ -571,39 +565,43 @@ def ground_energy(
     tol: float = 1e-12,
     maxiter: int | None = None,
 ) -> SpectralReport:
-    """Two lowest eigenvalues with a residual certificate.
+    """Two lowest eigenvalues and the residual norm ||H v0 - lambda0 v0||
+    of the ground vector.  The residual is an error estimate, not an
+    enclosure: it does not prove that no eigenvalue lies below lambda0.
 
     Dense diagonalisation is capped at dimension 4000; the iterative
-    path is a Lanczos smallest-algebraic run (no shift-invert) and
-    reports its iteration budget on non-convergence.
+    path is a Lanczos smallest-algebraic run (no shift-invert) from a
+    fixed start vector, so reruns are bit-identical, and it reports its
+    iteration budget on non-convergence.
     """
+    if method not in ("dense", "iterative"):
+        raise ValueError(f"method must be 'dense' or 'iterative', got {method!r}")
+    if method == "dense" and spec.dim > DENSE_DIM_LIMIT:
+        raise ValueError(
+            f"dense path limited to dimension {DENSE_DIM_LIMIT}, got {spec.dim}"
+        )
+    p_in = _input_penalty(spec, penalty_variant)
+    ham = _assemble(spec.T, p_in, spec.output_projector, spec.unitaries)
+    n_iter = None
     if method == "dense":
-        if spec.dim > DENSE_DIM_LIMIT:
-            raise ValueError(
-                f"dense path limited to dimension {DENSE_DIM_LIMIT}, got {spec.dim}"
-            )
-        ham = build_hamiltonian(spec, penalty_variant)
+        ham = ham.toarray()
         evals, evecs = np.linalg.eigh(ham)
-        v0 = evecs[:, 0]
-        residual = float(np.linalg.norm(ham @ v0 - evals[0] * v0))
-        return SpectralReport(float(evals[0]), float(evals[1]), "dense", residual)
-    if method == "iterative":
-        ham = _sparse_hamiltonian(spec, penalty_variant)
+    else:
         n_iter = maxiter if maxiter is not None else 100 * spec.dim
+        start = np.random.default_rng(0).standard_normal(spec.dim)
         try:
-            evals, evecs = spla.eigsh(ham, k=2, which="SA", tol=tol, maxiter=n_iter)
+            evals, evecs = spla.eigsh(
+                ham, k=2, which="SA", tol=tol, maxiter=n_iter, v0=start
+            )
         except spla.ArpackNoConvergence as err:
             raise IterativeConvergenceError(
                 f"Lanczos did not converge for dimension {spec.dim}", n_iter
             ) from err
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
-        v0 = evecs[:, 0]
-        residual = float(np.linalg.norm(ham @ v0 - evals[0] * v0))
-        return SpectralReport(
-            float(evals[0]), float(evals[1]), "iterative", residual, n_iter
-        )
-    raise ValueError(f"method must be 'dense' or 'iterative', got {method!r}")
+    v0 = evecs[:, 0]
+    residual = float(np.linalg.norm(ham @ v0 - evals[0] * v0))
+    return SpectralReport(float(evals[0]), float(evals[1]), method, residual, n_iter)
 
 
 def halting_penalty_bounds(alpha: float, eta: float) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .dyadic import Dyadic, round_up_mth, truncate
+from .dyadic import Dyadic, interval_Im, round_up_mth, truncate
 
 __all__ = [
     "PhaseDistribution",
@@ -27,6 +27,7 @@ __all__ = [
     "rounded_success_probability",
     "sk_error_bound",
     "sk_delta",
+    "rounding_lemma_scan",
 ]
 
 MAX_PRECISION_BITS = 20
@@ -250,3 +251,36 @@ def success_and_tail_grid(
         mask = np.isin(images, np.array(sorted(targets), dtype=np.int64))
         successes[m] = float(dist.probabilities[mask].sum())
     return tails, successes
+
+
+def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
+    """Exhaustive rounding-lemma check on all dyadic grids up to n_max bits.
+
+    For every n, m < n, every n-bit estimate within 2^-(m+1) (mod 1) of
+    every n-bit phase must round-then-truncate into the phase's best
+    m-bit approximations.  The per-point pipeline goes through the exact
+    dyadic operations once; the pair loop compares precomputed images.
+    """
+    checked = 0
+    violations = 0
+    for n in range(2, n_max + 1):
+        size = 1 << n
+        for m in range(1, n):
+            images = np.empty(size, dtype=np.int64)
+            for z in range(size):
+                rounded = truncate(round_up_mth(Dyadic(z, n), m, n_bits=n), m)
+                images[z] = rounded.numerator << (m - rounded.exponent)
+            lo = np.empty(size, dtype=np.int64)
+            hi = np.empty(size, dtype=np.int64)
+            for w in range(size):
+                members = interval_Im(Dyadic(w, n), m)
+                scaled = sorted(v.numerator << (m - v.exponent) for v in members)
+                lo[w] = scaled[0]
+                hi[w] = scaled[-1]
+            radius = 1 << (n - m - 1)  # estimates with |z - w| mod 2^n < radius
+            for offset in range(-radius + 1, radius):
+                z_idx = (np.arange(size) + offset) % size
+                ok = (images[z_idx] == lo) | (images[z_idx] == hi)
+                checked += size
+                violations += int(np.count_nonzero(~ok))
+    return checked, violations

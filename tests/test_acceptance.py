@@ -16,7 +16,6 @@ import numpy as np
 from omegaphase import clock, phase, qpe
 from omegaphase.calibration import GAP_RATIO_BAND, K0_SCALED_BAND
 from omegaphase.chaitin import omega_approx, omega_truncated_sequence, witness_w
-from omegaphase.cli import rounding_lemma_scan
 from omegaphase.dyadic import Dyadic, truncate
 from omegaphase.zoo import ZOO, zoo_machine
 
@@ -147,7 +146,7 @@ def test_criterion_05_qpe_rounding_success_bound():
 
 
 def test_criterion_06_rounding_lemma_exhaustive():
-    checked, violations = rounding_lemma_scan(12)
+    checked, violations = qpe.rounding_lemma_scan(12)
     assert violations == 0
     _report(6, f"rounding lemma exhaustive to 12 bits ({checked} pairs)")
 
@@ -189,19 +188,13 @@ def test_criterion_08_witness_and_sweep_transition():
 
 
 def test_criterion_09_jordan_reconstruction():
-    def random_projector(d, rank):
-        a = RNG.normal(size=(d, d)) + 1j * RNG.normal(size=(d, d))
-        q, _ = np.linalg.qr(a)
-        v = q[:, :rank]
-        return v @ v.conj().T
-
     worst_recon = 0.0
     worst_eps = 0.0
     seen_cases = set()
     for _ in range(60):
         d = int(RNG.integers(2, 9))
-        p = random_projector(d, int(RNG.integers(0, d + 1)))
-        q = random_projector(d, int(RNG.integers(0, d + 1)))
+        p = clock.random_projector(d, int(RNG.integers(0, d + 1)), RNG)
+        q = clock.random_projector(d, int(RNG.integers(0, d + 1)), RNG)
         blocks = clock.jordan_decompose(p, q)
         seen_cases.update(b.case_tag for b in blocks)
         p2, q2 = clock.reconstruct_projectors(blocks, d)

@@ -4,6 +4,7 @@ deterministic artifacts, and exit-code discipline."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,10 +215,11 @@ def test_config_file_flow(tmp_path):
     assert main(["witness", "--config", str(path)]) == EXIT_PARSE  # command mismatch
 
 
-def test_checked_in_configs_resolve(tmp_path):
-    from pathlib import Path
+REPO = Path(__file__).resolve().parent.parent
 
-    config_dir = Path(__file__).resolve().parent.parent / "configs"
+
+def test_checked_in_configs_resolve(tmp_path):
+    config_dir = REPO / "configs"
     paths = sorted(config_dir.glob("acceptance_*.json"))
     assert len(paths) == 12
     for path in paths:
@@ -228,6 +230,55 @@ def test_checked_in_configs_resolve(tmp_path):
         cfg = RunConfig.from_file(config_dir / f"{name}.json")
         cfg.output_dir = str(tmp_path / name)
         assert run(cfg) == EXIT_OK
+
+
+@pytest.mark.parametrize("number", ["01", "07", "08", "09", "10", "11", "12"])
+def test_cheap_configs_reproduce_committed_artifacts(tmp_path, number):
+    (path,) = (REPO / "configs").glob(f"acceptance_{number}_*.json")
+    golden = REPO / "out" / f"acceptance_{number}"
+    cfg = RunConfig.from_file(path)
+    cfg.output_dir = str(tmp_path)
+    assert run(cfg) == EXIT_OK
+    produced = sorted(p.name for p in tmp_path.iterdir())
+    assert produced == sorted(p.name for p in golden.iterdir())
+    for name in produced:
+        if name == "manifest.json":
+            got, want = read_json(tmp_path / name), read_json(golden / name)
+            assert got.pop("output_dir") == str(tmp_path)
+            want.pop("output_dir")
+            assert got == want
+        else:
+            assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["omega", "-p", "stage=20"],
+        ["witness", "-p", "phi=1/2", "-p", "max_stage=20"],
+        ["witness", "-p", "mode=wprime", "-p", "phibar=1000000", "-p", "m=7"],
+        ["sweep", "-p", "grid_denominator=4"],
+    ],
+)
+def test_non_prefix_free_machine_refused(tmp_path, argv):
+    out = tmp_path / "run"
+    command, *params = argv
+    assert (
+        main([command, "--output-dir", str(out), "-p", "machine=zoo:prefix_violator", *params])
+        == EXIT_CONSTRAINT
+    )
+    assert list(out.glob("*")) == []
+
+
+def test_unverifiable_machine_refused(tmp_path):
+    # halts on every input once it reads past the end, so the input
+    # decision tree outgrows the prefix-freeness search at stage 40
+    path = tmp_path / "read_all.tm"
+    path.write_text("start: q\nhalt: h\nq 0 -> q 0 R\nq 1 -> q 1 R\nq _ -> h _ S\n")
+    out = tmp_path / "run"
+    argv = ["omega", "--output-dir", str(out), "-p", f"machine={path}", "-p", "stage=40"]
+    assert main(argv) == EXIT_CONSTRAINT
+    assert list(out.glob("*")) == []
 
 
 def test_console_entry_point(tmp_path):

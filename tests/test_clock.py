@@ -1,5 +1,5 @@
 """Clock-Hamiltonian assembly, rotation, Jordan blocks, the impurity
-walk, epsilon, and certified extremal eigenvalues."""
+walk, epsilon, and extremal eigenvalues with their residuals."""
 
 import math
 
@@ -23,6 +23,7 @@ from omegaphase.clock import (
     impurity_walk_matrix,
     jordan_decompose,
     path_laplacian,
+    random_projector,
     read_clock_spec,
     reconstruct_projectors,
     root_solve_case5,
@@ -42,13 +43,6 @@ def random_unitary(d, rng):
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def random_projector(d, rank, rng):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, _ = np.linalg.qr(a)
-    v = q[:, :rank]
-    return v @ v.conj().T
-
-
 def random_spec(T, d, rng, n_in=1):
     return ClockSpec(
         T,
@@ -57,6 +51,66 @@ def random_spec(T, d, rng, n_in=1):
         tuple(random_projector(d, int(rng.integers(1, d)), rng) for _ in range(n_in)),
         random_projector(d, 1, rng),
     )
+
+
+def reference_hamiltonian(T, p_first, p_last, hops):
+    """Block-by-block slice loop: each time step adds its hop term, then
+    the two penalties land on the end blocks."""
+    d = p_first.shape[0]
+    dtype = np.result_type(p_first, p_last, *hops)
+    ham = np.zeros(((T + 1) * d, (T + 1) * d), dtype=dtype)
+    eye = np.eye(d, dtype=dtype)
+
+    def blk(t):
+        return slice(t * d, (t + 1) * d)
+
+    for t in range(T):
+        u = hops[t]
+        ham[blk(t), blk(t)] += eye
+        ham[blk(t + 1), blk(t + 1)] += eye
+        ham[blk(t + 1), blk(t)] += -u
+        ham[blk(t), blk(t + 1)] += -u.conj().T
+    ham[blk(0), blk(0)] += p_first
+    ham[blk(T), blk(T)] += p_last
+    return ham
+
+
+def test_assembly_matches_reference_loop():
+    # exact equality, dtype included: the direct and rotated forms are
+    # complex, the canonical Jordan blocks stay real
+    rng = np.random.default_rng(7)
+    for T in (1, 2, 5, 30):
+        for d in (1, 2, 3):
+            spec = ClockSpec(
+                T,
+                d,
+                tuple(random_unitary(d, rng) for _ in range(T)),
+                tuple(random_projector(d, int(rng.integers(0, d + 1)), rng) for _ in range(2)),
+                random_projector(d, int(rng.integers(0, d + 1)), rng),
+            )
+            for variant in ("raw", "kernel_complement"):
+                rotated = conjugate_rotate(spec, variant)
+                got = build_hamiltonian(spec, variant)
+                want = reference_hamiltonian(
+                    T, rotated.input_penalty, spec.output_projector, spec.unitaries
+                )
+                assert got.dtype == want.dtype == np.complex128
+                assert np.array_equal(got, want)
+                identity = (np.eye(d, dtype=complex),) * T
+                got = rotated.matrix
+                want = reference_hamiltonian(
+                    T, rotated.input_penalty, rotated.output_penalty_rotated, identity
+                )
+                assert got.dtype == want.dtype == np.complex128
+                assert np.array_equal(got, want)
+    for T in (1, 2, 5, 30, 200):
+        for tag in (1, 2, 3, 4, 5):
+            block = JordanBlock(tag, np.eye(2 if tag == 5 else 1), mu=0.37 if tag == 5 else None)
+            small_in, small_out = block.projector_pair()
+            got = block_hamiltonian(block, T)
+            want = reference_hamiltonian(T, small_in, small_out, (np.eye(block.dim),) * T)
+            assert got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
 
 
 def test_build_examples():
@@ -245,14 +299,14 @@ def test_quantisation_polynomial_roots_on_unit_circle():
 
 
 def test_root_energies_cover_full_spectrum():
-    # every impurity-walk eigenvalue is 2-2cos(k) for one of the 2T+3
-    # momenta; k = pi is the spurious root (vanishing eigenvector)
-    for T, mu in [(3, 0.5), (6, 0.2), (9, 0.85)]:
+    # the 2T+2 momenta other than the degenerate k = pi (energy 4, not an
+    # eigenvalue) reproduce the impurity-walk spectrum one to one
+    for T, mu in [(1, 0.5), (3, 0.5), (5, 0.3), (6, 0.2), (9, 0.85), (64, 0.1), (64, 0.9)]:
         res = root_solve_case5(T, mu)
-        energies = np.array(sorted(2 - 2 * math.cos(k) for k, _ in res.roots))
+        assert res.roots[-1] == (math.pi, "both")
+        energies = np.array(sorted(2 - 2 * math.cos(k) for k, _ in res.roots[:-1]))
         dense = np.linalg.eigvalsh(impurity_walk_matrix(T, mu))
-        for lam in dense:
-            assert np.min(np.abs(energies - lam)) < 1e-9
+        assert np.max(np.abs(energies - dense)) < 1e-12
 
 
 def test_root_solver_rejects_bad_inputs():
@@ -327,6 +381,11 @@ def test_ground_energy_root_cross_check():
     report = ground_energy(spec)
     k0 = root_solve_case5(3, 0.5).k0
     assert abs(report.lambda0 - (2 - 2 * math.cos(k0))) < 1e-9
+
+
+def test_iterative_reruns_are_bit_identical():
+    spec = case5_spec(60, 0.4)
+    assert ground_energy(spec, "iterative") == ground_energy(spec, "iterative")
 
 
 def test_iterative_resolves_thin_gap():
