@@ -1,5 +1,5 @@
 """Batch front end: reproducible experiments from a config file or flags,
-with CSV/JSON artifacts written atomically.
+with CSV/JSON artifacts published together, and only when the run succeeds.
 
 No interactive mode and no environment variables: every run takes a
 fully resolved configuration, echoes it into ``manifest.json``, and
@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chaitin, clock, phase, qpe
-from .dyadic import BitString, Dyadic
+from .dyadic import BitString, Dyadic, truncate
 from .tm import MachineParseError, MachineSpec, check_prefix_free_up_to, load_machine
 from .zoo import ZOO, zoo_machine
 
@@ -31,7 +32,22 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONSTRAINT = 3
 
-COMMANDS = ("omega", "witness", "qpe", "clock", "sweep", "spectrum")
+# The parameter keys each command reads; any other key is a config error.
+PARAM_KEYS = {
+    "omega": {"machine", "stage", "include_sequence"},
+    "witness": {"machine", "mode", "phi", "max_stage", "phibar", "m"},
+    "qpe": {"mode", "phi", "n", "m", "grid_denominator", "n_max"},
+    "clock": {
+        "mode", "method", "spec_file", "T", "mu", "t_min", "t_max",
+        "t_values", "mu_values", "dim", "trials", "seed",
+    },
+    "sweep": {
+        "mode", "machine", "phis", "grid_denominator", "s_budget", "n_max",
+        "xi", "c1", "c2", "comp_upper_k", "poly_degree", "s_max_checked",
+    },
+    "spectrum": {"mode", "lengths", "levels_for", "uu", "dense", "trivial", "beta"},
+}
+COMMANDS = tuple(PARAM_KEYS)
 
 
 class ConfigError(ValueError):
@@ -52,6 +68,8 @@ class RunConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if not self.output_dir:
             raise ConfigError("output_dir is required")
+        if not isinstance(self.params, dict):
+            raise ConfigError("params must be a JSON object")
 
     def manifest(self) -> dict:
         return {
@@ -86,20 +104,14 @@ def _signed_log2(x: Fraction) -> float:
     return mag if x > 0 else -mag
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    _write_atomic(path, "\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _load_machine_ref(ref: str) -> MachineSpec:
@@ -145,8 +157,7 @@ def _run_omega(cfg: RunConfig, out: Path) -> None:
         rows = []
         for s in range(1, stage + 1):
             value = chaitin.omega_approx(machine, s).value
-            truncated = chaitin.omega_truncated_sequence(machine, s)[-1]
-            rows.append([str(s), value.as_ratio_string(), truncated.as_ratio_string()])
+            rows.append([str(s), value.as_ratio_string(), truncate(value, s).as_ratio_string()])
         _write_csv(out / "omega_stages.csv", ["stage", "omega_s", "omega_s_trunc_s"], rows)
 
 
@@ -197,11 +208,12 @@ def _run_qpe(cfg: RunConfig, out: Path) -> None:
         summary: dict = {"phi": str(phi), "n": n, "exact": dist.exact}
         if "m" in cfg.params:
             m = int(cfg.params["m"])
-            if m < n:
-                summary["tail_probability"] = qpe.tail_probability(phi, n, m)
+            tail, success = qpe.tail_and_success(dist, m)
+            if tail is not None:
+                summary["tail_probability"] = tail
                 summary["tail_bound"] = 2.0 ** -(n - m)
             summary["m"] = m
-            summary["success_probability"] = qpe.rounded_success_probability(phi, n, m)
+            summary["success_probability"] = success
             summary["success_bound"] = 1.0 - 2.0 ** -(n - m)
         _write_json(out / "qpe.json", summary)
     elif mode == "grid":
@@ -215,12 +227,13 @@ def _run_qpe(cfg: RunConfig, out: Path) -> None:
             worst_tail = 0.0
             worst_margin = 1.0
             for phi in phis:
-                tails, successes = qpe.success_and_tail_grid(phi, n, ms)
+                dist = qpe.qpe_distribution(phi, n)
                 for m in ms:
+                    tail, success = qpe.tail_and_success(dist, m)
                     bound = 2.0 ** -(n - m)
-                    worst_tail = max(worst_tail, tails[m] / bound)
-                    worst_margin = min(worst_margin, successes[m] - (1.0 - bound))
-                    if tails[m] > bound or successes[m] < 1.0 - bound:
+                    worst_tail = max(worst_tail, tail / bound)
+                    worst_margin = min(worst_margin, success - (1.0 - bound))
+                    if tail > bound or success < 1.0 - bound:
                         violations += 1
             rows.append([str(n), _float_repr(worst_tail), _float_repr(worst_margin)])
         _write_csv(
@@ -446,9 +459,9 @@ def _run_sweep(cfg: RunConfig, out: Path) -> None:
         ["phi", "classification", "witness_scale", "first_negative_s", "energy_lower_bound", "energy_upper_bound"],
         rows,
     )
-    _write_atomic(out / "phi_vs_class.dat", "\n".join(class_rows) + "\n")
-    _write_atomic(out / "s_vs_energy_lower_log2.dat", "\n".join(energy_lo_rows) + "\n")
-    _write_atomic(out / "s_vs_energy_upper_log2.dat", "\n".join(energy_hi_rows) + "\n")
+    (out / "phi_vs_class.dat").write_text("\n".join(class_rows) + "\n", encoding="utf-8")
+    (out / "s_vs_energy_lower_log2.dat").write_text("\n".join(energy_lo_rows) + "\n", encoding="utf-8")
+    (out / "s_vs_energy_upper_log2.dat").write_text("\n".join(energy_hi_rows) + "\n", encoding="utf-8")
     _write_json(
         out / "sweep.json",
         {
@@ -519,11 +532,26 @@ _RUNNERS = {
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a resolved configuration; artifacts land in its output_dir."""
+    """Execute a resolved configuration; artifacts land in its output_dir.
+
+    Every artifact and the manifest are written to a staging directory
+    next to output_dir and moved into it only when the run succeeds, so a
+    failed run creates no output directory and leaves no partial files.
+    """
+    unknown = sorted(set(cfg.params) - PARAM_KEYS[cfg.command])
+    if unknown:
+        raise ConfigError(
+            f"unknown {cfg.command} parameter(s) {unknown}; known: {sorted(PARAM_KEYS[cfg.command])}"
+        )
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _RUNNERS[cfg.command](cfg, out)
-    _write_json(out / "manifest.json", cfg.manifest())
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as staging:
+        staged = Path(staging)
+        _RUNNERS[cfg.command](cfg, staged)
+        _write_json(staged / "manifest.json", cfg.manifest())
+        out.mkdir(exist_ok=True)
+        for path in sorted(staged.iterdir()):
+            os.replace(path, out / path.name)
     return EXIT_OK
 
 

@@ -23,8 +23,7 @@ __all__ = [
     "PhaseDistribution",
     "ErrorBudget",
     "qpe_distribution",
-    "tail_probability",
-    "rounded_success_probability",
+    "tail_and_success",
     "sk_error_bound",
     "sk_delta",
     "rounding_lemma_scan",
@@ -110,56 +109,45 @@ def qpe_distribution(phi: PhaseLike, n: int) -> PhaseDistribution:
     return PhaseDistribution(n, value, probs, exact=False)
 
 
-def tail_probability(phi: PhaseLike, n: int, m: int) -> float:
-    """Probability that the n-bit estimate deviates by at least 2^-(m+1).
+def tail_and_success(dist: PhaseDistribution, m: int) -> tuple[float | None, float]:
+    """Tail and rounding-success probabilities of one distribution at m bits.
 
-    Deviation is measured mod 1; the summation window is decided exactly
-    on the integer grid.  Bounded above by 2^-(n-m).
+    The tail is the probability that the n-bit estimate deviates from phi
+    by at least 2^-(m+1) (mod 1), bounded above by 2^-(n-m); it is None
+    when m == n.  The success is the probability that rounding the
+    estimate to m bits (round-up-then-truncate) hits a best m-bit
+    approximation of phi, wraparound included; bounded below by
+    1 - 2^-(n-m).
+
+    Both are sums over one cyclic arc of the 2^n outcomes, decided exactly
+    on the integer grid.  With w = 2^(n-m) and h = w // 2: the estimates
+    within the deviation window are z in [floor(2^n phi) - h + 1,
+    floor(2^n phi) + h], and outcome z rounds to m-bit value j exactly
+    when z lies in [j w - h, j w + h - 1] (mod 2^n).  Each arc is summed in
+    index order, so the float sum equals that of a boolean mask.
     """
-    if not 0 < m < n:
-        raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
-    dist = qpe_distribution(phi, n)
-    if dist.exact:
-        return 0.0
-    t, _ = _signed_offsets(dist.phi, n)
-    # |t + a| >= 2^(n-m-1) with a in (0,1) <=> t >= B or t <= -B - 1
-    bound = 1 << (n - m - 1)
-    mask = (t >= bound) | (t <= -bound - 1)
-    return float(dist.probabilities[mask].sum())
-
-
-def _rounded_outcomes(n: int, m: int) -> np.ndarray:
-    """Integer image of every n-bit outcome under round-up-then-truncate.
-
-    Mirrors the dyadic pipeline on the scaled grid: outcome z is the
-    fraction z/2^n; add 2^-m when bit m+1 is set (mod 1), keep m bits.
-    """
-    z = np.arange(1 << n, dtype=np.int64)
-    if m == n:
-        return z
-    bit = (z >> (n - m - 1)) & 1
-    rounded = (z + (bit << (n - m))) & ((1 << n) - 1)
-    return rounded >> (n - m)
-
-
-def rounded_success_probability(phi: PhaseLike, n: int, m: int) -> float:
-    """Probability that rounding the estimate to m bits hits a best
-    m-bit approximation of phi (mod-1 wraparound included).
-
-    Bounded below by 1 - 2^-(n-m).
-    """
+    n = dist.n
     if not 0 < m <= n:
         raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
-    dist = qpe_distribution(phi, n)
-    scaled = dist.phi * (1 << m)
-    lo = math.floor(scaled) % (1 << m)
-    if scaled.denominator == 1:
-        targets = {lo}
-    else:
-        targets = {lo, (lo + 1) % (1 << m)}
-    outcome_images = _rounded_outcomes(n, m)
-    mask = np.isin(outcome_images, np.array(sorted(targets), dtype=np.int64))
-    return float(dist.probabilities[mask].sum())
+    probs = dist.probabilities
+    size = 1 << n
+    w = 1 << (n - m)
+    h = w >> 1
+
+    def arc(start: int, length: int) -> float:
+        start %= size
+        end = start + length
+        if end <= size:
+            return float(probs[start:end].sum())
+        return float(np.concatenate((probs[: end - size], probs[start:])).sum())
+
+    num, den = dist.phi.numerator, dist.phi.denominator
+    tail = None
+    if m < n:
+        tail = arc((num << n) // den + h + 1, size - w)
+    lo, rem = divmod(num << m, den)  # one target when 2^m phi is an integer
+    success = arc(lo * w - h, (2 if rem else 1) * w)
+    return tail, success
 
 
 def rounded_value_dyadic(z: int, n: int, m: int) -> Dyadic:
@@ -168,17 +156,6 @@ def rounded_value_dyadic(z: int, n: int, m: int) -> Dyadic:
     if m < n:
         estimate = round_up_mth(estimate, m, n_bits=n)
     return truncate(estimate, m)
-
-
-def best_approximations(phi: PhaseLike, m: int) -> tuple[Dyadic, ...]:
-    """The m-bit targets as exact dyadics (floor/ceil of 2^m phi, mod 1)."""
-    value = as_phase(phi)
-    scaled = value * (1 << m)
-    lo = Dyadic(math.floor(scaled), m)
-    if scaled.denominator == 1:
-        return (lo,)
-    hi = (lo + Dyadic(1, m)).mod1()
-    return (hi, lo) if hi < lo else (lo, hi)
 
 
 @dataclass(frozen=True)
@@ -218,39 +195,6 @@ def sk_error_bound(budget: ErrorBudget) -> float:
     """The modelled synthesis error delta(n); decreasing in n past a
     computable threshold for fixed constants."""
     return budget.delta_n
-
-
-def success_and_tail_grid(
-    phi: PhaseLike, n: int, ms: list[int]
-) -> tuple[dict[int, float], dict[int, float]]:
-    """Tail and success probabilities for one (phi, n) across many m.
-
-    Shares the single 2^n distribution across the m values; used by the
-    exhaustive acceptance grids.
-    """
-    dist = qpe_distribution(phi, n)
-    tails: dict[int, float] = {}
-    successes: dict[int, float] = {}
-    t = a = None
-    if not dist.exact:
-        t, a = _signed_offsets(dist.phi, n)
-    for m in ms:
-        if not 0 < m <= n:
-            raise ValueError(f"need 0 < m <= n, got m={m}, n={n}")
-        if m < n:
-            if dist.exact:
-                tails[m] = 0.0
-            else:
-                bound = 1 << (n - m - 1)
-                mask = (t >= bound) | (t <= -bound - 1)
-                tails[m] = float(dist.probabilities[mask].sum())
-        scaled = dist.phi * (1 << m)
-        lo = math.floor(scaled) % (1 << m)
-        targets = {lo} if scaled.denominator == 1 else {lo, (lo + 1) % (1 << m)}
-        images = _rounded_outcomes(n, m)
-        mask = np.isin(images, np.array(sorted(targets), dtype=np.int64))
-        successes[m] = float(dist.probabilities[mask].sum())
-    return tails, successes
 
 
 def rounding_lemma_scan(n_max: int) -> tuple[int, int]:

@@ -110,21 +110,20 @@ def _qpe_scan():
     mass_floor = 8.0 / math.pi**2 - 1e-9
     for phi in QPE_GRID + QPE_WRAP_EXTRAS:
         for n in range(2, N_MAX + 1):
-            ms = list(range(1, n))
-            tails, successes = qpe.success_and_tail_grid(phi, n, ms)
-            # the two best outcomes jointly carry at least 8/pi^2
             dist = qpe.qpe_distribution(phi, n)
+            # the two best outcomes jointly carry at least 8/pi^2
             if not dist.exact:
                 target = float(phi) * 2**n
                 lo = math.floor(target) % 2**n
                 hi = math.ceil(target) % 2**n
                 assert dist.probabilities[lo] + dist.probabilities[hi] >= mass_floor
-            for m in ms:
+            for m in range(1, n):
+                tail, success = qpe.tail_and_success(dist, m)
                 bound = 2.0 ** -(n - m)
                 points += 1
-                if tails[m] > bound:
+                if tail > bound:
                     tail_violations += 1
-                if successes[m] < 1.0 - bound:
+                if success < 1.0 - bound:
                     success_violations += 1
     _qpe_scan.cache = (tail_violations, success_violations, points)
     return _qpe_scan.cache

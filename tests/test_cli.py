@@ -232,7 +232,7 @@ def test_checked_in_configs_resolve(tmp_path):
         assert run(cfg) == EXIT_OK
 
 
-@pytest.mark.parametrize("number", ["01", "07", "08", "09", "10", "11", "12"])
+@pytest.mark.parametrize("number", ["01", "04", "05", "07", "08", "09", "10", "11", "12"])
 def test_cheap_configs_reproduce_committed_artifacts(tmp_path, number):
     (path,) = (REPO / "configs").glob(f"acceptance_{number}_*.json")
     golden = REPO / "out" / f"acceptance_{number}"
@@ -268,6 +268,28 @@ def test_non_prefix_free_machine_refused(tmp_path, argv):
         == EXIT_CONSTRAINT
     )
     assert list(out.glob("*")) == []
+
+
+def test_unknown_parameter_key_refused(tmp_path):
+    out = tmp_path / "run"
+    argv = ["sweep", "--output-dir", str(out), "-p", "machine=zoo:omega34", "-p", "grid_denominatr=64"]
+    assert main(argv) == EXIT_PARSE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qpe", "-p", "phi=1/3", "-p", "n=8", "-p", "m=9"],
+        ["omega", "-p", "machine=zoo:prefix_violator", "-p", "stage=20"],
+    ],
+)
+def test_failed_run_leaves_no_output_dir(tmp_path, argv):
+    out = tmp_path / "run"
+    command, *params = argv
+    assert main([command, "--output-dir", str(out), *params]) == EXIT_CONSTRAINT
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []  # nor a staging directory
 
 
 def test_unverifiable_machine_refused(tmp_path):

@@ -1,27 +1,70 @@
 """Phase-estimation distribution, tail and rounding-success bounds, and
 the synthesis error model."""
 
+import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from omegaphase.dyadic import Dyadic
+from omegaphase.dyadic import Dyadic, interval_Im
 from omegaphase.qpe import (
     ErrorBudget,
     as_phase,
-    best_approximations,
     qpe_distribution,
-    rounded_success_probability,
     rounded_value_dyadic,
     sk_delta,
     sk_error_bound,
-    success_and_tail_grid,
-    tail_probability,
-    _rounded_outcomes,
+    tail_and_success,
+    _signed_offsets,
 )
 
 SAMPLE_PHASES = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(100, 257)]
+# phases whose windows wrap around 0 at high precision
+WRAP_PHASES = [
+    Fraction(2**14 - 1, 2**14) + Fraction(1, 2**20),
+    Fraction(2**10 - 1, 2**10) + Fraction(1, 2**16),
+    Fraction(1, 2**20),
+]
+
+
+# sized for test_kernel_matches_mask_reference, which walks m outside the
+# phases: the offsets of every distribution at one n, the images of one (n, m)
+_offsets = functools.lru_cache(maxsize=512)(_signed_offsets)
+
+
+@functools.lru_cache(maxsize=1)
+def _rounded_outcomes(n, m):
+    """Integer image of every n-bit outcome under round-up-then-truncate:
+    outcome z is the fraction z/2^n; add 2^-m when bit m+1 is set (mod 1),
+    keep m bits."""
+    z = np.arange(1 << n, dtype=np.int64)
+    if m == n:
+        return z
+    bit = (z >> (n - m - 1)) & 1
+    rounded = (z + (bit << (n - m))) & ((1 << n) - 1)
+    return rounded >> (n - m)
+
+
+def reference_tail_and_success(dist, m):
+    """Boolean-mask sums over the outcomes: the tail from the signed
+    offsets t(z), the success from the rounded image of every outcome."""
+    n = dist.n
+    tail = None
+    if m < n:
+        tail = 0.0
+        if not dist.exact:
+            t, _ = _offsets(dist.phi, n)
+            # |t + a| >= 2^(n-m-1) with a in (0,1) <=> t >= B or t <= -B - 1
+            bound = 1 << (n - m - 1)
+            mask = (t >= bound) | (t <= -bound - 1)
+            tail = float(dist.probabilities[mask].sum())
+    scaled = dist.phi * (1 << m)
+    lo = math.floor(scaled) % (1 << m)
+    targets = {lo} if scaled.denominator == 1 else {lo, (lo + 1) % (1 << m)}
+    mask = np.isin(_rounded_outcomes(n, m), np.array(sorted(targets), dtype=np.int64))
+    return tail, float(dist.probabilities[mask].sum())
 
 
 def test_exact_phases_unit_mass():
@@ -60,38 +103,43 @@ def test_precision_range_enforced():
 
 
 def test_tail_examples():
-    assert tail_probability(Dyadic(1, 2), 8, 4) == 0.0
-    t8 = tail_probability(Fraction(1, 3), 8, 4)
-    t12 = tail_probability(Fraction(1, 3), 12, 4)
+    assert tail_and_success(qpe_distribution(Dyadic(1, 2), 8), 4)[0] == 0.0
+    dist8 = qpe_distribution(Fraction(1, 3), 8)
+    t8, _ = tail_and_success(dist8, 4)
+    t12, _ = tail_and_success(qpe_distribution(Fraction(1, 3), 12), 4)
     assert t8 <= 2**-4
     assert t12 <= 2**-8
     assert t12 < t8
-    with pytest.raises(ValueError):
-        tail_probability(Fraction(1, 3), 8, 8)
+    assert tail_and_success(dist8, 8)[0] is None
+    for m in (0, 9):
+        with pytest.raises(ValueError):
+            tail_and_success(dist8, m)
 
 
 def test_tail_bound_sample_grid():
     for phi in SAMPLE_PHASES:
         for n in (6, 9, 12):
+            dist = qpe_distribution(phi, n)
             for m in range(1, n):
-                assert tail_probability(phi, n, m) <= 2.0 ** -(n - m) + 1e-15
+                assert tail_and_success(dist, m)[0] <= 2.0 ** -(n - m) + 1e-15
 
 
 def test_success_examples():
-    assert rounded_success_probability(Dyadic(5, 3), 3, 3) == 1.0
-    s = rounded_success_probability(Fraction(1, 3), 10, 3)
+    assert tail_and_success(qpe_distribution(Dyadic(5, 3), 3), 3)[1] == 1.0
+    _, s = tail_and_success(qpe_distribution(Fraction(1, 3), 10), 3)
     assert s >= 1 - 2**-7
-    wrap = Fraction(15, 16) + Fraction(1, 2**14)
-    s = rounded_success_probability(wrap, 10, 2)
-    assert 0 in [int(v.numerator) for v in best_approximations(wrap, 2)]
+    wrap = Dyadic(15 * 2**10 + 1, 14)  # 15/16 + 2^-14: the ceiling wraps to 0
+    assert Dyadic(0) in interval_Im(wrap, 2)
+    _, s = tail_and_success(qpe_distribution(wrap, 10), 2)
     assert s >= 1 - 2**-8
 
 
 def test_success_bound_sample_grid():
     for phi in SAMPLE_PHASES:
         for n in (6, 9, 12):
+            dist = qpe_distribution(phi, n)
             for m in range(1, n + 1):
-                s = rounded_success_probability(phi, n, m)
+                _, s = tail_and_success(dist, m)
                 assert s >= 1 - 2.0 ** -(n - m) - 1e-15
 
 
@@ -106,25 +154,15 @@ def test_integer_pipeline_matches_dyadic_ops():
                 assert images[z] == scaled
 
 
-def test_best_approximations_match_interval_examples():
-    assert [v.as_ratio_string() for v in best_approximations(Fraction(1, 3), 2)] == [
-        "1/4",
-        "1/2",
-    ]
-    assert [v.as_ratio_string() for v in best_approximations(Fraction(15, 16), 2)] == [
-        "0",
-        "3/4",
-    ]
-
-
-def test_grid_helper_agrees_with_single_calls():
-    phi = Fraction(1, 3)
-    n = 9
-    tails, successes = success_and_tail_grid(phi, n, list(range(1, n + 1)))
-    for m in range(1, n):
-        assert tails[m] == tail_probability(phi, n, m)
-    for m in range(1, n + 1):
-        assert successes[m] == rounded_success_probability(phi, n, m)
+def test_kernel_matches_mask_reference():
+    # the arc sums are bit-identical to the boolean-mask sums, wraps included
+    for n in list(range(1, 15)) + [20]:
+        phis = WRAP_PHASES + [Fraction(k, 257) for k in range(257) if n <= 10]
+        dists = [qpe_distribution(phi, n) for phi in phis]
+        for m in range(1, n + 1):  # outer, so each outcome-image array is built once
+            for dist in dists:
+                got = tail_and_success(dist, m)
+                assert got == reference_tail_and_success(dist, m), (dist.phi, n, m)
 
 
 def test_nearest_two_mass():
