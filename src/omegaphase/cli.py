@@ -544,6 +544,8 @@ def run(cfg: RunConfig) -> int:
             f"unknown {cfg.command} parameter(s) {unknown}; known: {sorted(PARAM_KEYS[cfg.command])}"
         )
     out = Path(cfg.output_dir)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output_dir {str(out)!r} exists and is not a directory")
     out.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as staging:
         staged = Path(staging)
@@ -607,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
             key, value = _parse_param(item)
             cfg.params[key] = value
         return run(cfg)
-    except (ConfigError, MachineParseError, clock.ClockSpecParseError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (ConfigError, MachineParseError, clock.ClockSpecParseError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, KeyError, phase.SeparationError, clock.BracketError) as err:

@@ -49,6 +49,7 @@ KERNEL_EIG_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 DENSE_DIM_LIMIT = 4000
+ROOT_TOL = 1e-13  # bracket width at which the case-5 bisection stops
 
 
 class ClockSpecParseError(ValueError):
@@ -436,35 +437,7 @@ class Case5Roots:
         return len(self.roots)
 
 
-def _scan_roots(func, lo: float, hi: float, samples: int, tol: float) -> list[float]:
-    grid = np.linspace(lo, hi, samples)
-    vals = func(grid)
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if a * b < 0.0:
-            x0, x1 = float(grid[i]), float(grid[i + 1])
-            f0 = float(a)
-            while x1 - x0 > tol:
-                mid = 0.5 * (x0 + x1)
-                fm = float(func(np.array([mid]))[0])
-                if fm == 0.0:
-                    x0 = x1 = mid
-                    break
-                if f0 * fm < 0.0:
-                    x1 = mid
-                else:
-                    x0, f0 = mid, fm
-            roots.append(0.5 * (x0 + x1))
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return roots
-
-
-def root_solve_case5(T: int, mu: float, tol: float = 1e-13) -> Case5Roots:
+def root_solve_case5(T: int, mu: float) -> Case5Roots:
     """Roots of cos((T+3/2)k) = -/+ sqrt(1-mu) cos(k/2) on (0, pi), plus
     k = pi which both branches share: 2T+3 momenta in total.
 
@@ -472,56 +445,60 @@ def root_solve_case5(T: int, mu: float, tol: float = 1e-13) -> Case5Roots:
     not a momentum of the chain: its energy 4 is not an eigenvalue.  The
     other 2T+2 roots give the 2(T+1) eigenvalues 2 - 2cos(k) one to one.
 
-    k0, the smallest root, always comes from the minus branch and is
-    bracketed inside (0, pi/(2T+3)) before bisection; the ground energy
-    of the impurity walk is 2 - 2cos(k0).
+    Both branches are one function f(k, s) = cos((T+3/2)k) + s sqrt(1-mu)
+    cos(k/2), s = -1 (minus) or +1 (plus).  k0, the smallest root, always
+    comes from the minus branch and is bracketed inside (0, pi/(2T+3));
+    the ground energy of the impurity walk is 2 - 2cos(k0).  The other
+    roots are the exact zeros of f on a grid of 40(T+2)+1 points per
+    branch, plus one root in every grid interval where f changes sign
+    strictly.  All these brackets, k0's first, are bisected in lockstep
+    until each is at most ROOT_TOL wide or its midpoint is an exact zero
+    of f, which is then the root; otherwise the root is the midpoint.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if not 0 < mu < 1:
         raise BracketError(f"mu must lie strictly in (0, 1), got {mu}")
-    if tol < 1e-14:
-        raise ValueError(f"tolerance below 1e-14 is not supported, got {tol}")
     r = math.sqrt(1.0 - mu)
 
-    def f_minus(k: np.ndarray) -> np.ndarray:
-        return np.cos((T + 1.5) * k) - r * np.cos(0.5 * k)
+    def f(k, sr):
+        return np.cos((T + 1.5) * k) + sr * np.cos(0.5 * k)
 
-    def f_plus(k: np.ndarray) -> np.ndarray:
-        return np.cos((T + 1.5) * k) + r * np.cos(0.5 * k)
-
-    # guaranteed bracket for the smallest root (minus branch)
-    lo, hi = tol, math.pi / (2 * T + 3)
-    flo = float(f_minus(np.array([lo]))[0])
-    fhi = float(f_minus(np.array([hi]))[0])
+    lo, hi = ROOT_TOL, math.pi / (2 * T + 3)
+    flo, fhi = f(np.array([lo, hi]), -r).tolist()
     if not (flo > 0.0 > fhi):
         raise BracketError(
             f"no sign change on (0, pi/(2T+3)) for T={T}, mu={mu}: "
             f"f({lo})={flo}, f({hi})={fhi}"
         )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = float(f_minus(np.array([mid]))[0])
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    k0 = 0.5 * (lo + hi)
-
-    samples = 40 * (T + 2) + 1
-    upper = math.pi * (1.0 - 1e-12)
-    minus_roots = _scan_roots(f_minus, tol, upper, samples, tol)
-    plus_roots = _scan_roots(f_plus, tol, upper, samples, tol)
-    if len(minus_roots) != T + 1 or len(plus_roots) != T + 1:
-        raise RuntimeError(
-            f"expected T+1 = {T + 1} roots per branch on (0, pi), found "
-            f"{len(minus_roots)} (minus) and {len(plus_roots)} (plus)"
-        )
-    labelled = [(k, "minus") for k in minus_roots]
-    labelled += [(k, "plus") for k in plus_roots]
-    labelled.append((math.pi, "both"))
+    grid = np.linspace(ROOT_TOL, math.pi * (1.0 - 1e-12), 40 * (T + 2) + 1)
+    branch_sr = np.array([-r, r])
+    vals = f(grid, branch_sr[:, None])  # row 0: minus, row 1: plus
+    signs = np.sign(vals)
+    branch, i = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
+    # bracket 0 is k0's, then every strict sign change on the grid
+    x0 = np.concatenate(([lo], grid[i]))
+    x1 = np.concatenate(([hi], grid[i + 1]))
+    f0 = np.concatenate(([flo], vals[branch, i]))
+    sr = np.concatenate(([-r], branch_sr[branch]))
+    while (act := np.flatnonzero(x1 - x0 > ROOT_TOL)).size:
+        mid = 0.5 * (x0[act] + x1[act])
+        fm = f(mid, sr[act])
+        left = np.sign(f0[act]) * np.sign(fm) < 0.0  # root in (x0, mid)
+        x1[act] = np.where(left | (fm == 0.0), mid, x1[act])
+        x0[act] = np.where(left, x0[act], mid)
+        f0[act] = np.where(left, f0[act], fm)
+    k = 0.5 * (x0 + x1)
+    labelled = [(math.pi, "both")]
+    for b, name in enumerate(("minus", "plus")):
+        ks = np.concatenate((grid[vals[b] == 0.0], k[1:][branch == b])).tolist()
+        if len(ks) != T + 1:
+            raise RuntimeError(
+                f"expected T+1 = {T + 1} {name} roots on (0, pi), found {len(ks)}"
+            )
+        labelled += [(root, name) for root in ks]
     labelled.sort()
-    return Case5Roots(T, mu, k0, tuple(labelled))
+    return Case5Roots(T, mu, float(k[0]), tuple(labelled))
 
 
 # -- epsilon and extremal eigenvalues ----------------------------------

@@ -232,7 +232,7 @@ def test_checked_in_configs_resolve(tmp_path):
         assert run(cfg) == EXIT_OK
 
 
-@pytest.mark.parametrize("number", ["01", "04", "05", "07", "08", "09", "10", "11", "12"])
+@pytest.mark.parametrize("number", [f"{n:02d}" for n in range(1, 13)])
 def test_cheap_configs_reproduce_committed_artifacts(tmp_path, number):
     (path,) = (REPO / "configs").glob(f"acceptance_{number}_*.json")
     golden = REPO / "out" / f"acceptance_{number}"
@@ -290,6 +290,27 @@ def test_failed_run_leaves_no_output_dir(tmp_path, argv):
     assert main([command, "--output-dir", str(out), *params]) == EXIT_CONSTRAINT
     assert not out.exists()
     assert list(tmp_path.iterdir()) == []  # nor a staging directory
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["omega", "--output-dir", "{afile}", "-p", "machine=zoo:omega34", "-p", "stage=3"],
+        ["omega", "--config", "{adir}", "--output-dir", "{run}"],
+        ["omega", "--output-dir", "{run}", "-p", "machine={adir}", "-p", "stage=3"],
+        ["clock", "--output-dir", "{run}", "-p", "spec_file={adir}"],
+    ],
+    ids=["output_dir_is_file", "config_is_dir", "machine_is_dir", "spec_file_is_dir"],
+)
+def test_os_errors_exit_parse(tmp_path, argv):
+    afile, adir = tmp_path / "afile", tmp_path / "adir"
+    afile.write_text("keep\n")
+    adir.mkdir()
+    paths = {"afile": afile, "adir": adir, "run": tmp_path / "run"}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
+    assert afile.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert list(adir.iterdir()) == []
 
 
 def test_unverifiable_machine_refused(tmp_path):

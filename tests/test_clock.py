@@ -8,6 +8,7 @@ import pytest
 
 from omegaphase.clock import (
     BracketError,
+    Case5Roots,
     ClockSpec,
     ClockSpecParseError,
     IterativeConvergenceError,
@@ -315,7 +316,83 @@ def test_root_solver_rejects_bad_inputs():
     with pytest.raises(BracketError):
         root_solve_case5(3, 1.0)
     with pytest.raises(ValueError):
-        root_solve_case5(3, 0.5, tol=1e-15)
+        root_solve_case5(0, 0.5)
+
+
+def reference_root_solve_case5(T, mu, tol=1e-13):
+    """Scalar bisection, one root at a time: k0 on its guaranteed bracket
+    (stepping to the lower half whenever f <= 0), then a scan of each
+    branch with one bisection per sign-change interval.  f is evaluated at
+    a float, which runs the same numpy ufunc loop as a one-element array."""
+    r = math.sqrt(1.0 - mu)
+
+    def f_minus(k):
+        return np.cos((T + 1.5) * k) - r * np.cos(0.5 * k)
+
+    def f_plus(k):
+        return np.cos((T + 1.5) * k) + r * np.cos(0.5 * k)
+
+    def scan(func, lo, hi, samples):
+        grid = np.linspace(lo, hi, samples)
+        vals = func(grid)
+        roots = []
+        for i in range(len(grid) - 1):
+            a, b = vals[i], vals[i + 1]
+            if a == 0.0:
+                roots.append(float(grid[i]))
+                continue
+            if a * b < 0.0:
+                x0, x1 = float(grid[i]), float(grid[i + 1])
+                f0 = float(a)
+                while x1 - x0 > tol:
+                    mid = 0.5 * (x0 + x1)
+                    fm = float(func(mid))
+                    if fm == 0.0:
+                        x0 = x1 = mid
+                        break
+                    if f0 * fm < 0.0:
+                        x1 = mid
+                    else:
+                        x0, f0 = mid, fm
+                roots.append(0.5 * (x0 + x1))
+        if vals[-1] == 0.0:
+            roots.append(float(grid[-1]))
+        return roots
+
+    lo, hi = tol, math.pi / (2 * T + 3)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if float(f_minus(mid)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    samples = 40 * (T + 2) + 1
+    upper = math.pi * (1.0 - 1e-12)
+    labelled = [(k, "minus") for k in scan(f_minus, tol, upper, samples)]
+    labelled += [(k, "plus") for k in scan(f_plus, tol, upper, samples)]
+    labelled.append((math.pi, "both"))
+    labelled.sort()
+    return Case5Roots(T, mu, 0.5 * (lo + hi), tuple(labelled))
+
+
+def test_root_solver_matches_scalar_reference():
+    rng = np.random.default_rng(7)
+    points = [(T, mu) for T in range(1, 65) for mu in (0.1, 0.5, 0.9)]
+    points += [(int(rng.integers(1, 301)), float(rng.uniform(0.001, 0.999))) for _ in range(50)]
+    points.append((600, 0.37))
+    for T, mu in points:
+        assert root_solve_case5(T, mu) == reference_root_solve_case5(T, mu), (T, mu)
+
+
+def test_root_solver_stops_at_exact_zero_of_k0():
+    # a k0 midpoint is an exact zero of the minus branch: the lockstep
+    # bisection stops there, the scalar reference kept halving past it
+    T, mu = 1, 1e-6
+    got, want = root_solve_case5(T, mu), reference_root_solve_case5(T, mu)
+    assert np.cos(2.5 * got.k0) - math.sqrt(1.0 - mu) * np.cos(0.5 * got.k0) == 0.0
+    assert got.k0 != want.k0
+    assert abs(got.k0 - want.k0) <= 1e-13
+    assert got.roots == want.roots
 
 
 def test_epsilon_examples():
