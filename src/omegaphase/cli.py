@@ -154,10 +154,10 @@ def _run_omega(cfg: RunConfig, out: Path) -> None:
     approx = chaitin.omega_approx(machine, stage)
     _write_json(out / "omega.json", approx.report())
     if cfg.params.get("include_sequence") or cfg.format == "csv":
-        rows = []
-        for s in range(1, stage + 1):
-            value = chaitin.omega_approx(machine, s).value
-            rows.append([str(s), value.as_ratio_string(), truncate(value, s).as_ratio_string()])
+        rows = [
+            [str(s), value.as_ratio_string(), truncate(value, s).as_ratio_string()]
+            for s, value in enumerate(chaitin.omega_stage_values(machine, stage), start=1)
+        ]
         _write_csv(out / "omega_stages.csv", ["stage", "omega_s", "omega_s_trunc_s"], rows)
 
 
@@ -535,8 +535,9 @@ def run(cfg: RunConfig) -> int:
     """Execute a resolved configuration; artifacts land in its output_dir.
 
     Every artifact and the manifest are written to a staging directory
-    next to output_dir and moved into it only when the run succeeds, so a
-    failed run creates no output directory and leaves no partial files.
+    in output_dir's nearest existing ancestor and moved into output_dir,
+    created with its missing parents, only when the run succeeds, so a
+    failed run creates no directory and leaves no partial files.
     """
     unknown = sorted(set(cfg.params) - PARAM_KEYS[cfg.command])
     if unknown:
@@ -546,12 +547,14 @@ def run(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     if out.exists() and not out.is_dir():
         raise ConfigError(f"output_dir {str(out)!r} exists and is not a directory")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=out.parent) as staging:
+    anchor = out.parent
+    while not anchor.exists():
+        anchor = anchor.parent
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=anchor) as staging:
         staged = Path(staging)
         _RUNNERS[cfg.command](cfg, staged)
         _write_json(staged / "manifest.json", cfg.manifest())
-        out.mkdir(exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         for path in sorted(staged.iterdir()):
             os.replace(path, out / path.name)
     return EXIT_OK

@@ -191,7 +191,7 @@ class Dyadic:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = Dyadic(other)
+            return self._exp == 0 and self._num == other
         if isinstance(other, Dyadic):
             return self._num == other._num and self._exp == other._exp
         if isinstance(other, Fraction):
@@ -200,7 +200,7 @@ class Dyadic:
 
     def __lt__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = Dyadic(other)
+            return self._num < other << self._exp
         if isinstance(other, Dyadic):
             a, b = self._cmp_key(other)
             return a < b

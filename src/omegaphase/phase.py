@@ -51,12 +51,17 @@ class SeparationError(RuntimeError):
 
 
 def _floor_root(value: int, k: int) -> int:
-    """Largest r with r**k <= value (value >= 1)."""
-    r = max(1, int(round(value ** (1.0 / k))))
-    while r**k > value:
-        r -= 1
-    while (r + 1) ** k <= value:
-        r += 1
+    """Largest r with r**k <= value (value >= 0, k a power of two).
+
+    Nested integer square roots: floor(sqrt(floor(x))) = floor(sqrt(x)),
+    so the result is exact at any size, with no float rounding.
+    """
+    if k < 1 or k & (k - 1):
+        raise ValueError(f"root degree must be a power of two, got {k}")
+    r = value
+    while k > 1:
+        r = math.isqrt(r)
+        k >>= 1
     return r
 
 

@@ -3,16 +3,83 @@ documented halting sets and exact values."""
 
 import pytest
 
+from omegaphase import chaitin
 from omegaphase.chaitin import (
     omega_approx,
+    omega_stage_values,
     omega_truncated_sequence,
     witness_w,
     witness_wprime,
 )
 from omegaphase.dyadic import BitString, Dyadic, interval_Im, truncate
+from omegaphase.tm import enumerate_input, parse_machine, run_bounded
 from omegaphase.zoo import ZOO, zoo_machine
 
 PREFIX_FREE = [name for name, e in ZOO.items() if e.prefix_free]
+
+
+def reference_stage(spec, stage):
+    """The definition of stage s, from scratch: run x_1..x_s for s steps
+    each and add 2^-|x| for every input that halts."""
+    total, halted = Dyadic(0), []
+    for i in range(1, stage + 1):
+        word = enumerate_input(i)
+        if run_bounded(spec, word, stage).halted:
+            total = total + Dyadic(1, len(word))
+            halted.append(str(word))
+    return total, tuple(halted)
+
+
+def late_halter(delay):
+    """Halts only on the empty word, after delay + 1 steps: an input whose
+    halting time exceeds the table's first budget and its own index."""
+    lines = ["start: q0", "halt: h", "q0 _ -> c1 _ S", "q0 0 -> d 0 S", "q0 1 -> d 1 S"]
+    for j in range(1, delay):
+        lines += [f"c{j} {x} -> c{j + 1} {x} S" for x in "01_"]
+    lines += [f"c{delay} _ -> h _ S", f"c{delay} 0 -> d 0 S", f"c{delay} 1 -> d 1 S"]
+    lines += [f"d {x} -> d {x} S" for x in "01_"]
+    return parse_machine("\n".join(lines) + "\n", name=f"late_halter_{delay}")
+
+
+ORACLE_MACHINES = [zoo_machine(name) for name in ZOO] + [late_halter(99)]
+
+
+@pytest.mark.parametrize("spec", ORACLE_MACHINES, ids=lambda spec: spec.name)
+def test_table_matches_from_scratch_stages(spec):
+    chaitin._table.cache_clear()
+    for stage in range(0, 65):
+        approx = omega_approx(spec, stage)
+        assert (approx.value, approx.halting_inputs) == reference_stage(spec, stage), stage
+    # out of order, from a fresh table: a later stage grows the budget and
+    # reruns every input that had not halted
+    chaitin._table.cache_clear()
+    for stage in (50, 10, 200, 3):
+        approx = omega_approx(spec, stage)
+        assert (approx.value, approx.halting_inputs) == reference_stage(spec, stage), stage
+    values = omega_stage_values(spec, 200)
+    assert values == [reference_stage(spec, s)[0] for s in range(1, 201)]
+
+
+def test_late_halter_counts_from_its_halting_time():
+    spec = late_halter(99)
+    assert omega_approx(spec, 99).value == Dyadic(0)
+    assert omega_approx(spec, 100).halting_inputs == ("",)
+    assert witness_w(spec, Dyadic(0), 1000) == 100
+
+
+def test_witness_w_to_stage_1000_makes_at_most_2000_runs(monkeypatch):
+    calls = 0
+
+    def counting_run_bounded(*args):
+        nonlocal calls
+        calls += 1
+        return run_bounded(*args)
+
+    monkeypatch.setattr(chaitin, "run_bounded", counting_run_bounded)
+    chaitin._table.cache_clear()
+    # every stage up to 1000 is visited; from scratch that is 500,500 runs
+    assert witness_w(zoo_machine("omega34"), Dyadic(3, 2), 1000) is None
+    assert calls <= 2000
 
 
 def test_stage_zero_is_zero():

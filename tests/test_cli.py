@@ -292,6 +292,22 @@ def test_failed_run_leaves_no_output_dir(tmp_path, argv):
     assert list(tmp_path.iterdir()) == []  # nor a staging directory
 
 
+def test_failed_run_creates_no_missing_parents(tmp_path):
+    out = tmp_path / "a" / "b" / "c"
+    argv = ["qpe", "--output-dir", str(out), "-p", "phi=1/3", "-p", "n=8", "-p", "m=9"]
+    assert main(argv) == EXIT_CONSTRAINT
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_creates_missing_parents_on_success(tmp_path):
+    out = tmp_path / "a" / "b" / "c"
+    argv = ["omega", "--output-dir", str(out), "-p", "machine=zoo:omega34", "-p", "stage=7"]
+    assert main(argv) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "omega.json"]
+    assert list(tmp_path.iterdir()) == [tmp_path / "a"]
+    assert list((tmp_path / "a" / "b").iterdir()) == [out]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

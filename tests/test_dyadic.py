@@ -2,6 +2,7 @@
 map, and best-approximation intervals."""
 
 import itertools
+import random
 
 import pytest
 
@@ -44,6 +45,21 @@ def test_order_agrees_with_fractions():
     for a, b in itertools.product(values, repeat=2):
         assert (a < b) == (a.as_fraction() < b.as_fraction())
         assert (a == b) == (a.as_fraction() == b.as_fraction())
+
+
+def test_int_comparisons_agree_with_fractions():
+    rng = random.Random(11)
+    ints = [-(10**30), -5, -1, 0, 1, 2, 7, 10**30, False, True]
+    values = [Dyadic(k, 0) for k in ints] + [Dyadic(1, 64), Dyadic(-(2**70) - 1, 3)]
+    for _ in range(300):
+        exp = rng.choice([0, 1, 2, 5, 40, 200])
+        values.append(Dyadic(rng.randrange(-(2**80), 2**80) >> rng.randrange(0, 90), exp))
+    for d, k in itertools.product(values, ints):
+        f = d.as_fraction()
+        assert (d < k, d <= k, d > k, d >= k, d == k, d != k) == (
+            f < k, f <= k, f > k, f >= k, f == k, f != k
+        ), (d, k)
+        assert (k < d, k == d) == (k < f, k == f), (d, k)
 
 
 def test_arithmetic_closure():

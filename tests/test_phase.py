@@ -10,6 +10,8 @@ from omegaphase.dyadic import Dyadic
 from omegaphase.phase import (
     SeparationError,
     SquareEnergyModel,
+    _ceil_root,
+    _floor_root,
     choose_m,
     compose_total_spectrum,
     find_s_prime,
@@ -32,6 +34,35 @@ def test_choose_m_examples():
     assert choose_m(81) == 78
     with pytest.raises(ValueError):
         choose_m(1)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_integer_roots_match_brute_force(k):
+    expected, r = [], 0
+    for value in range(300_000):
+        while (r + 1) ** k <= value:
+            r += 1
+        expected.append(r)
+    assert [_floor_root(v, k) for v in range(300_000)] == expected
+    ceil = [r if r**k == v else r + 1 for v, r in enumerate(expected)]
+    assert [_ceil_root(v, k) for v in range(300_000)] == ceil
+    for value in (10**400, 2**4000 - 1, 2**4000, 3**1000 + 1, (10**60 + 7) ** k, (10**60 + 7) ** k - 1):
+        r = _floor_root(value, k)
+        assert r**k <= value < (r + 1) ** k
+        c = _ceil_root(value, k)
+        assert (c - 1) ** k < value <= c**k
+
+
+def test_integer_roots_reject_other_degrees():
+    for k in (0, 3, 6):
+        with pytest.raises(ValueError):
+            _floor_root(10, k)
+
+
+def test_choose_m_huge_precision():
+    n = 10**400
+    m = choose_m(n)
+    assert m == n - _ceil_root(n, 4) and m == n - 10**100
 
 
 def test_choose_m_constraint_and_monotone_sample():
