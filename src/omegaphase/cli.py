@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -32,20 +33,33 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONSTRAINT = 3
 
-# The parameter keys each command reads; any other key is a config error.
+# The model constants a sweep reads, with their types.
+_MODEL_KINDS = {
+    "xi": int, "c1": float, "c2": float, "comp_upper_k": str, "poly_degree": int,
+    "s_max_checked": int,
+}
+# The parameter keys of each command and mode; a command's first mode is
+# its default, and "" marks a command without modes.  Any other key, one
+# of another mode included, is a config error.
 PARAM_KEYS = {
-    "omega": {"machine", "stage", "include_sequence"},
-    "witness": {"machine", "mode", "phi", "max_stage", "phibar", "m"},
-    "qpe": {"mode", "phi", "n", "m", "grid_denominator", "n_max"},
+    "omega": {"": {"machine", "stage", "include_sequence"}},
+    "witness": {"w": {"machine", "phi", "max_stage"}, "wprime": {"machine", "phibar", "m"}},
+    "qpe": {
+        "distribution": {"phi", "n", "m"},
+        "grid": {"grid_denominator", "n_max"},
+        "rounding": {"n_max"},
+    },
     "clock": {
-        "mode", "method", "spec_file", "T", "mu", "t_min", "t_max",
-        "t_values", "mu_values", "dim", "trials", "seed",
+        "single": {"method", "spec_file", "T", "mu"},
+        "cases": {"t_min", "t_max"},
+        "grid": {"t_values", "mu_values"},
+        "jordan": {"dim", "trials", "seed"},
     },
     "sweep": {
-        "mode", "machine", "phis", "grid_denominator", "s_budget", "n_max",
-        "xi", "c1", "c2", "comp_upper_k", "poly_degree", "s_max_checked",
+        "classify": {"machine", "phis", "grid_denominator", "s_budget", *_MODEL_KINDS},
+        "schedule": {"n_max", *_MODEL_KINDS},
     },
-    "spectrum": {"mode", "lengths", "levels_for", "uu", "dense", "trivial", "beta"},
+    "spectrum": {"xy": {"lengths", "levels_for"}, "compose": {"uu", "dense", "trivial", "beta"}},
 }
 COMMANDS = tuple(PARAM_KEYS)
 
@@ -138,22 +152,55 @@ def _require_prefix_free(machine: MachineSpec, budget: int) -> None:
         )
 
 
-def _require(params: dict, key: str):
+_REQUIRED = object()
+# What each parameter type accepts: a text key also takes a number and
+# reads it as its text (phibar=1000000 arrives as a JSON integer).
+_ACCEPTS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "true or false"),
+    str: ((str, int, float), "a string or a number"),
+}
+
+
+def _checked(key: str, value: object, kind: type):
+    accepts, name = _ACCEPTS[kind]
+    if not isinstance(value, accepts) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"parameter {key!r} must be {name}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer too large for a float key
+        raise ConfigError(f"parameter {key!r} is out of range for {name}") from None
+
+
+def _param(params: dict, key: str, kind, default=_REQUIRED):
+    """The value of one parameter, checked against its type: int, float,
+    bool, str, or list[...] of one of them.  Bools are not numbers here.
+    A missing key returns ``default``, or is a config error without one."""
     if key not in params:
-        raise ConfigError(f"missing required parameter {key!r}")
-    return params[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"missing required parameter {key!r}")
+        return default
+    value = params[key]
+    if typing.get_origin(kind) is not list:
+        return _checked(key, value, kind)
+    if not isinstance(value, list):
+        raise ConfigError(f"parameter {key!r} must be a list, got {value!r}")
+    (item,) = typing.get_args(kind)
+    return [_checked(key, v, item) for v in value]
 
 
 # -- command implementations -------------------------------------------
 
 
-def _run_omega(cfg: RunConfig, out: Path) -> None:
-    machine = _load_machine_ref(_require(cfg.params, "machine"))
-    stage = int(_require(cfg.params, "stage"))
+def _run_omega(cfg: RunConfig, mode: str, out: Path) -> None:
+    p = cfg.params
+    machine = _load_machine_ref(_param(p, "machine", str))
+    stage = _param(p, "stage", int)
     _require_prefix_free(machine, stage)
     approx = chaitin.omega_approx(machine, stage)
     _write_json(out / "omega.json", approx.report())
-    if cfg.params.get("include_sequence") or cfg.format == "csv":
+    if _param(p, "include_sequence", bool, False) or cfg.format == "csv":
         rows = [
             [str(s), value.as_ratio_string(), truncate(value, s).as_ratio_string()]
             for s, value in enumerate(chaitin.omega_stage_values(machine, stage), start=1)
@@ -161,12 +208,12 @@ def _run_omega(cfg: RunConfig, out: Path) -> None:
         _write_csv(out / "omega_stages.csv", ["stage", "omega_s", "omega_s_trunc_s"], rows)
 
 
-def _run_witness(cfg: RunConfig, out: Path) -> None:
-    machine = _load_machine_ref(_require(cfg.params, "machine"))
-    mode = cfg.params.get("mode", "w")
+def _run_witness(cfg: RunConfig, mode: str, out: Path) -> None:
+    p = cfg.params
+    machine = _load_machine_ref(_param(p, "machine", str))
     if mode == "w":
-        phi = Dyadic.parse(str(_require(cfg.params, "phi")))
-        max_stage = int(_require(cfg.params, "max_stage"))
+        phi = Dyadic.parse(_param(p, "phi", str))
+        max_stage = _param(p, "max_stage", int)
         _require_prefix_free(machine, max_stage)
         halted_at = chaitin.witness_w(machine, phi, max_stage)
         payload = {
@@ -177,9 +224,9 @@ def _run_witness(cfg: RunConfig, out: Path) -> None:
             "halted_at": halted_at,
             "budget_exceeded": halted_at is None,
         }
-    elif mode == "wprime":
-        phibar = BitString(str(_require(cfg.params, "phibar")))
-        m = int(_require(cfg.params, "m"))
+    else:
+        phibar = BitString(_param(p, "phibar", str))
+        m = _param(p, "m", int)
         _require_prefix_free(machine, m)
         halts = chaitin.witness_wprime(machine, phibar, m)
         payload = {
@@ -189,16 +236,14 @@ def _run_witness(cfg: RunConfig, out: Path) -> None:
             "m": m,
             "halts": halts,
         }
-    else:
-        raise ConfigError(f"witness mode must be 'w' or 'wprime', got {mode!r}")
     _write_json(out / "witness.json", payload)
 
 
-def _run_qpe(cfg: RunConfig, out: Path) -> None:
-    mode = cfg.params.get("mode", "distribution")
+def _run_qpe(cfg: RunConfig, mode: str, out: Path) -> None:
+    p = cfg.params
     if mode == "distribution":
-        phi = qpe.as_phase(str(_require(cfg.params, "phi")))
-        n = int(_require(cfg.params, "n"))
+        phi = qpe.as_phase(_param(p, "phi", str))
+        n = _param(p, "n", int)
         dist = qpe.qpe_distribution(phi, n)
         rows = []
         for z, prob in enumerate(dist.probabilities):
@@ -206,8 +251,8 @@ def _run_qpe(cfg: RunConfig, out: Path) -> None:
             rows.append([str(z), estimate.as_ratio_string(), _float_repr(prob)])
         _write_csv(out / "qpe.csv", ["z", "estimate", "probability"], rows)
         summary: dict = {"phi": str(phi), "n": n, "exact": dist.exact}
-        if "m" in cfg.params:
-            m = int(cfg.params["m"])
+        if "m" in p:
+            m = _param(p, "m", int)
             tail, success = qpe.tail_and_success(dist, m)
             if tail is not None:
                 summary["tail_probability"] = tail
@@ -217,41 +262,25 @@ def _run_qpe(cfg: RunConfig, out: Path) -> None:
             summary["success_bound"] = 1.0 - 2.0 ** -(n - m)
         _write_json(out / "qpe.json", summary)
     elif mode == "grid":
-        den = int(cfg.params.get("grid_denominator", 257))
-        n_max = int(cfg.params.get("n_max", 14))
-        phis = [Fraction(k, den) for k in range(1, den)]
-        rows = []
-        violations = 0
-        for n in range(2, n_max + 1):
-            ms = list(range(1, n))
-            worst_tail = 0.0
-            worst_margin = 1.0
-            for phi in phis:
-                dist = qpe.qpe_distribution(phi, n)
-                for m in ms:
-                    tail, success = qpe.tail_and_success(dist, m)
-                    bound = 2.0 ** -(n - m)
-                    worst_tail = max(worst_tail, tail / bound)
-                    worst_margin = min(worst_margin, success - (1.0 - bound))
-                    if tail > bound or success < 1.0 - bound:
-                        violations += 1
-            rows.append([str(n), _float_repr(worst_tail), _float_repr(worst_margin)])
+        den = _param(p, "grid_denominator", int, 257)
+        n_max = _param(p, "n_max", int, 14)
+        scan = qpe.bound_scan([Fraction(k, den) for k in range(1, den)], n_max)
         _write_csv(
-            out / "qpe_grid.csv", ["n", "max_tail_over_bound", "min_success_margin"], rows
+            out / "qpe_grid.csv",
+            ["n", "max_tail_over_bound", "min_success_margin"],
+            [[str(n), _float_repr(tail), _float_repr(margin)] for n, tail, margin, _ in scan],
         )
         _write_json(
             out / "qpe_grid.json",
-            {"grid_denominator": den, "n_max": n_max, "violations": violations},
+            {"grid_denominator": den, "n_max": n_max, "violations": sum(row[3] for row in scan)},
         )
-    elif mode == "rounding":
-        n_max = int(cfg.params.get("n_max", 12))
+    else:
+        n_max = _param(p, "n_max", int, 12)
         checked, violations = qpe.rounding_lemma_scan(n_max)
         _write_json(
             out / "rounding.json",
             {"n_max": n_max, "checked_pairs": checked, "violations": violations},
         )
-    else:
-        raise ConfigError(f"unknown qpe mode {mode!r}")
 
 
 def _spectral_payload(report: clock.SpectralReport, extra: dict) -> dict:
@@ -266,16 +295,16 @@ def _spectral_payload(report: clock.SpectralReport, extra: dict) -> dict:
     return payload
 
 
-def _run_clock(cfg: RunConfig, out: Path) -> None:
-    mode = cfg.params.get("mode", "single")
+def _run_clock(cfg: RunConfig, mode: str, out: Path) -> None:
+    p = cfg.params
     if mode == "single":
-        method = cfg.params.get("method", "dense")
-        if "spec_file" in cfg.params:
-            spec = clock.read_clock_spec(cfg.params["spec_file"])
+        method = _param(p, "method", str, "dense")
+        if "spec_file" in p:
+            spec = clock.read_clock_spec(_param(p, "spec_file", str))
             mu = None
         else:
-            T = int(_require(cfg.params, "T"))
-            mu = float(_require(cfg.params, "mu"))
+            T = _param(p, "T", int)
+            mu = _param(p, "mu", float)
             spec = clock.case5_spec(T, mu)
         report = clock.ground_energy(spec, method=method)
         payload = _spectral_payload(
@@ -284,8 +313,10 @@ def _run_clock(cfg: RunConfig, out: Path) -> None:
         )
         _write_json(out / "clock.json", payload)
     elif mode == "cases":
-        t_min = int(cfg.params.get("t_min", 1))
-        t_max = int(cfg.params.get("t_max", 200))
+        t_min = _param(p, "t_min", int, 1)
+        t_max = _param(p, "t_max", int, 200)
+        if t_min > t_max:
+            raise ValueError(f"empty scan: t_min={t_min} > t_max={t_max}")
         rows = []
         worst = 0.0
         for T in range(t_min, t_max + 1):
@@ -302,8 +333,8 @@ def _run_clock(cfg: RunConfig, out: Path) -> None:
         _write_csv(out / "clock_cases.csv", ["T", "case", "closed_form", "dense", "abs_err"], rows)
         _write_json(out / "clock_cases.json", {"t_min": t_min, "t_max": t_max, "max_abs_err": worst})
     elif mode == "grid":
-        t_values = [int(t) for t in cfg.params.get("t_values", list(range(2, 65)))]
-        mu_values = [float(m) for m in cfg.params.get("mu_values", [round(0.1 * k, 1) for k in range(1, 10)])]
+        t_values = _param(p, "t_values", list[int], list(range(2, 65)))
+        mu_values = _param(p, "mu_values", list[float], [round(0.1 * k, 1) for k in range(1, 10)])
         rows_data = clock.gap_law_grid(t_values, mu_values)
         rows = [
             [
@@ -336,92 +367,57 @@ def _run_clock(cfg: RunConfig, out: Path) -> None:
                 "points": len(rows_data),
             },
         )
-    elif mode == "jordan":
-        dim = int(cfg.params.get("dim", 8))
-        trials = int(cfg.params.get("trials", 50))
-        seed = int(cfg.params.get("seed", 0))
-        rng = np.random.default_rng(seed)
-        worst_recon = 0.0
-        worst_eps = 0.0
-        case_counts = {str(k): 0 for k in range(1, 6)}
-        for _ in range(trials):
-            d = int(rng.integers(2, dim + 1))
-            p = clock.random_projector(d, int(rng.integers(0, d + 1)), rng)
-            q = clock.random_projector(d, int(rng.integers(0, d + 1)), rng)
-            blocks = clock.jordan_decompose(p, q)
-            p2, q2 = clock.reconstruct_projectors(blocks, d)
-            worst_recon = max(
-                worst_recon,
-                float(np.max(np.abs(p2 - p))),
-                float(np.max(np.abs(q2 - q))),
-            )
-            for b in blocks:
-                case_counts[str(b.case_tag)] += 1
-                if b.case_tag == 5:
-                    small_in, small_out = b.projector_pair()
-                    two = clock.ClockSpec(
-                        1, 2, (np.eye(2, dtype=complex),),
-                        (small_in.astype(complex),), small_out.astype(complex),
-                    )
-                    eps = clock.compute_epsilon(two)
-                    worst_eps = max(worst_eps, abs(eps - (1.0 - b.mu)))
+    else:
+        dim = _param(p, "dim", int, 8)
+        trials = _param(p, "trials", int, 50)
+        seed = _param(p, "seed", int, 0)
+        case_counts, worst_recon, worst_eps = clock.jordan_scan(
+            dim, trials, np.random.default_rng(seed)
+        )
         _write_json(
             out / "jordan.json",
             {
                 "dim": dim,
                 "trials": trials,
                 "seed": seed,
-                "case_counts": case_counts,
+                "case_counts": {str(k): count for k, count in case_counts.items()},
                 "max_reconstruction_error": worst_recon,
                 "max_epsilon_mu_error": worst_eps,
             },
         )
-    else:
-        raise ConfigError(f"unknown clock mode {mode!r}")
 
 
 def _model_from_params(params: dict) -> phase.SquareEnergyModel:
-    kwargs = {}
-    for key in ("xi", "poly_degree", "s_max_checked"):
-        if key in params:
-            kwargs[key] = int(params[key])
-    for key in ("c1", "c2"):
-        if key in params:
-            kwargs[key] = float(params[key])
-    if "comp_upper_k" in params:
-        kwargs["comp_upper_k"] = Fraction(str(params["comp_upper_k"]))
+    kwargs = {
+        key: _param(params, key, kind) for key, kind in _MODEL_KINDS.items() if key in params
+    }
+    if "comp_upper_k" in kwargs:
+        kwargs["comp_upper_k"] = Fraction(kwargs["comp_upper_k"])
     return phase.SquareEnergyModel(**kwargs)
 
 
-def _run_sweep(cfg: RunConfig, out: Path) -> None:
-    mode = cfg.params.get("mode", "classify")
-    model = _model_from_params(cfg.params)
+def _run_sweep(cfg: RunConfig, mode: str, out: Path) -> None:
+    p = cfg.params
+    model = _model_from_params(p)
     if mode == "schedule":
-        n_max = int(cfg.params.get("n_max", 10_000))
-        ok = all(
-            phase.schedule_constraint_ok(n, phase.choose_m(n)) for n in range(2, n_max + 1)
-        )
-        ms = [phase.choose_m(n) for n in range(2, n_max + 1)]
-        monotone = all(a <= b for a, b in zip(ms, ms[1:]))
-        s_prime = phase.find_s_prime(model)
+        n_max = _param(p, "n_max", int, 10_000)
+        constraint_ok, monotone = phase.schedule_scan(n_max)
         _write_json(
             out / "schedule.json",
             {
                 "n_max": n_max,
-                "constraint_ok": ok,
+                "constraint_ok": constraint_ok,
                 "monotone": monotone,
-                "s_prime": s_prime,
+                "s_prime": phase.find_s_prime(model),
                 "s_max_checked": model.s_max_checked,
             },
         )
         return
-    if mode != "classify":
-        raise ConfigError(f"unknown sweep mode {mode!r}")
-    machine = _load_machine_ref(_require(cfg.params, "machine"))
-    if "phis" in cfg.params:
-        grid = [Dyadic.parse(str(p)) for p in cfg.params["phis"]]
-    elif "grid_denominator" in cfg.params:
-        den = int(cfg.params["grid_denominator"])
+    machine = _load_machine_ref(_param(p, "machine", str))
+    if "phis" in p:
+        grid = [Dyadic.parse(phi) for phi in _param(p, "phis", list[str])]
+    elif "grid_denominator" in p:
+        den = _param(p, "grid_denominator", int)
         if den < 1 or den & (den - 1):
             raise ConfigError("grid_denominator must be a power of two")
         exp = den.bit_length() - 1
@@ -429,8 +425,8 @@ def _run_sweep(cfg: RunConfig, out: Path) -> None:
     else:
         grid = []
     s_prime = phase.find_s_prime(model)
-    budget = cfg.params.get("s_budget", "auto")
-    s_budget = s_prime + 1 if budget == "auto" else int(budget)
+    budget = p.get("s_budget", "auto")
+    s_budget = s_prime + 1 if budget == "auto" else _param(p, "s_budget", int)
     _require_prefix_free(machine, s_budget)
     results = phase.sweep(grid, machine, s_budget, model)
     rows = []
@@ -474,18 +470,16 @@ def _run_sweep(cfg: RunConfig, out: Path) -> None:
     )
 
 
-def _run_spectrum(cfg: RunConfig, out: Path) -> None:
-    mode = cfg.params.get("mode", "xy")
+def _run_spectrum(cfg: RunConfig, mode: str, out: Path) -> None:
+    p = cfg.params
     if mode == "xy":
-        lengths = [int(x) for x in cfg.params.get("lengths", [4, 8, 16, 32, 64])]
         rows = []
-        for L in lengths:
+        for L in _param(p, "lengths", list[int], [4, 8, 16, 32, 64]):
             spec = phase.xy_chain_spectrum(L)
             rows.append([str(L), _float_repr(spec.ground_energy), _float_repr(spec.gap)])
         _write_csv(out / "xy.csv", ["L", "ground_energy", "gap"], rows)
-        levels_for = cfg.params.get("levels_for")
-        if levels_for is not None:
-            L = int(levels_for)
+        if "levels_for" in p:
+            L = _param(p, "levels_for", int)
             spec = phase.xy_chain_spectrum(L)
             levels = spec.many_body() if L <= 16 else spec.many_body(max_levels=64)
             _write_csv(
@@ -493,11 +487,11 @@ def _run_spectrum(cfg: RunConfig, out: Path) -> None:
                 ["index", "energy"],
                 [[str(i), _float_repr(e)] for i, e in enumerate(levels)],
             )
-    elif mode == "compose":
-        uu = [Fraction(str(x)) for x in _require(cfg.params, "uu")]
-        dense = [Fraction(str(x)) for x in _require(cfg.params, "dense")]
-        trivial = [Fraction(str(x)) for x in _require(cfg.params, "trivial")]
-        beta = Fraction(str(_require(cfg.params, "beta")))
+    else:
+        uu, dense, trivial = (
+            [Fraction(x) for x in _param(p, key, list[str])] for key in ("uu", "dense", "trivial")
+        )
+        beta = Fraction(_param(p, "beta", str))
         composed = phase.compose_total_spectrum(uu, dense, trivial, beta)
         _write_csv(
             out / "compose.csv",
@@ -517,8 +511,6 @@ def _run_spectrum(cfg: RunConfig, out: Path) -> None:
                 "order_parameter": phase.order_parameter(sector),
             },
         )
-    else:
-        raise ConfigError(f"unknown spectrum mode {mode!r}")
 
 
 _RUNNERS = {
@@ -539,11 +531,15 @@ def run(cfg: RunConfig) -> int:
     created with its missing parents, only when the run succeeds, so a
     failed run creates no directory and leaves no partial files.
     """
-    unknown = sorted(set(cfg.params) - PARAM_KEYS[cfg.command])
+    modes = PARAM_KEYS[cfg.command]
+    mode = cfg.params.get("mode", next(iter(modes))) if "" not in modes else ""
+    if not isinstance(mode, str) or mode not in modes:
+        raise ConfigError(f"{cfg.command} mode must be one of {list(modes)}, got {mode!r}")
+    known = modes[mode] | ({"mode"} if mode else set())
+    unknown = sorted(set(cfg.params) - known)
     if unknown:
-        raise ConfigError(
-            f"unknown {cfg.command} parameter(s) {unknown}; known: {sorted(PARAM_KEYS[cfg.command])}"
-        )
+        where = f"{cfg.command} mode {mode!r}" if mode else cfg.command
+        raise ConfigError(f"parameter(s) {unknown} not read by {where}; known: {sorted(known)}")
     out = Path(cfg.output_dir)
     if out.exists() and not out.is_dir():
         raise ConfigError(f"output_dir {str(out)!r} exists and is not a directory")
@@ -552,7 +548,7 @@ def run(cfg: RunConfig) -> int:
         anchor = anchor.parent
     with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=anchor) as staging:
         staged = Path(staging)
-        _RUNNERS[cfg.command](cfg, staged)
+        _RUNNERS[cfg.command](cfg, mode, staged)
         _write_json(staged / "manifest.json", cfg.manifest())
         out.mkdir(parents=True, exist_ok=True)
         for path in sorted(staged.iterdir()):

@@ -31,6 +31,7 @@ __all__ = [
     "jordan_decompose",
     "reconstruct_projectors",
     "random_projector",
+    "jordan_scan",
     "block_hamiltonian",
     "case_eigenvalue",
     "impurity_walk_matrix",
@@ -272,15 +273,13 @@ class JordanBlock:
         return p_in, p_out
 
 
-def jordan_decompose(
-    p_in: np.ndarray, p_out: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL
-) -> list[JordanBlock]:
+def jordan_decompose(p_in: np.ndarray, p_out: np.ndarray) -> list[JordanBlock]:
     """Split the space into invariant 1- and 2-dimensional blocks on
     which the pair takes one of its five canonical forms.
 
     Computed from the eigendecomposition of the output projector
     compressed to the range of the input projector; compressed
-    eigenvalues within ``degeneracy_tol`` of 0 or 1 are reclassified
+    eigenvalues within ``DEGENERACY_TOL`` of 0 or 1 are reclassified
     into the adjacent integer cases, since the tilted form requires a
     strictly interior angle.
     """
@@ -308,9 +307,9 @@ def jordan_decompose(
             u = u / np.linalg.norm(u)
             mu = float(min(max(1.0 - overlap, 0.0), 1.0))
             consumed.append(u)
-            if mu <= degeneracy_tol:
+            if mu <= DEGENERACY_TOL:
                 blocks.append(JordanBlock(4, u.reshape(-1, 1)))
-            elif mu >= 1.0 - degeneracy_tol:
+            elif mu >= 1.0 - DEGENERACY_TOL:
                 blocks.append(JordanBlock(2, u.reshape(-1, 1)))
             else:
                 xi = math.sqrt(mu * (1.0 - mu))
@@ -367,6 +366,43 @@ def random_projector(d: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     q, _ = np.linalg.qr(a)
     v = q[:, :rank]
     return v @ v.conj().T
+
+
+def jordan_scan(
+    dim: int, trials: int, rng: np.random.Generator
+) -> tuple[dict[int, int], float, float]:
+    """Decompose ``trials`` random projector pairs and rebuild each.
+
+    Each trial draws a dimension in [2, dim] and a rank for each
+    projector from ``rng``.  Returns how many blocks of each case 1..5
+    occurred, the largest entry error of the rebuilt pairs, and the
+    largest |epsilon - (1 - mu)| over the case-5 blocks, epsilon taken
+    from the block's canonical pair as a one-step clock.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    case_counts = dict.fromkeys(range(1, 6), 0)
+    worst_recon = 0.0
+    worst_eps = 0.0
+    for _ in range(trials):
+        d = int(rng.integers(2, dim + 1))
+        p = random_projector(d, int(rng.integers(0, d + 1)), rng)
+        q = random_projector(d, int(rng.integers(0, d + 1)), rng)
+        blocks = jordan_decompose(p, q)
+        p2, q2 = reconstruct_projectors(blocks, d)
+        worst_recon = max(
+            worst_recon, float(np.max(np.abs(p2 - p))), float(np.max(np.abs(q2 - q)))
+        )
+        for b in blocks:
+            case_counts[b.case_tag] += 1
+            if b.case_tag == 5:
+                small_in, small_out = b.projector_pair()
+                two_level = ClockSpec(
+                    1, 2, (np.eye(2, dtype=complex),),
+                    (small_in.astype(complex),), small_out.astype(complex),
+                )
+                worst_eps = max(worst_eps, abs(compute_epsilon(two_level) - (1.0 - b.mu)))
+    return case_counts, worst_recon, worst_eps
 
 
 def block_hamiltonian(block: JordanBlock, T: int) -> np.ndarray:

@@ -58,13 +58,6 @@ class Dyadic:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, value: Fraction) -> "Dyadic":
-        den = value.denominator
-        if den & (den - 1):
-            raise ValueError(f"{value} is not dyadic (denominator not a power of 2)")
-        return cls(value.numerator, den.bit_length() - 1)
-
-    @classmethod
     def parse(cls, text: str) -> "Dyadic":
         """Parse ``"p/2^q"``, ``"p/q"`` with q a power of two, ``"0.0110"``, or ``"p"``."""
         text = text.strip()
@@ -114,9 +107,6 @@ class Dyadic:
 
     def __float__(self) -> float:
         return self._num / (1 << self._exp)
-
-    def is_integer(self) -> bool:
-        return self._exp == 0
 
     def bit(self, j: int) -> int:
         """The j-th fractional bit (j >= 1) of a value in [0, 1)."""
@@ -219,23 +209,6 @@ class Dyadic:
             return str(self._num)
         return f"{self._num}/{1 << self._exp}"
 
-    def to_binary_string(self, frac_bits: int | None = None) -> str:
-        """Binary expansion ``"b...b.b1b2...bk"``, optionally zero-padded."""
-        if frac_bits is None:
-            frac_bits = self._exp
-        if frac_bits < self._exp:
-            raise ValueError(
-                f"value has {self._exp} fractional bits, cannot print in {frac_bits}"
-            )
-        sign = "-" if self._num < 0 else ""
-        scaled = abs(self._num) << (frac_bits - self._exp)
-        intpart, fracpart = divmod(scaled, 1 << frac_bits)
-        if frac_bits == 0:
-            # trailing point marks the digits as binary (bare digits parse
-            # as a decimal integer)
-            return f"{sign}{intpart:b}."
-        return f"{sign}{intpart:b}.{fracpart:0{frac_bits}b}"
-
     def __repr__(self) -> str:
         return f"Dyadic({self._num}, {self._exp})"
 
@@ -244,7 +217,6 @@ class Dyadic:
 
 
 ZERO = Dyadic(0)
-ONE = Dyadic(1)
 
 
 class BitString:
@@ -313,12 +285,6 @@ class BitString:
 
     def __repr__(self) -> str:
         return f"BitString({self._bits!r})"
-
-    def is_proper_prefix_of(self, other: "BitString") -> bool:
-        return len(self) < len(other) and other._bits.startswith(self._bits)
-
-    def all_zero(self) -> bool:
-        return set(self._bits) <= {"0"}
 
 
 def truncate(x: Dyadic, s: int) -> Dyadic:

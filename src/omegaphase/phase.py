@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .calibration import COMP_UPPER_K
-from .chaitin import witness_wprime
+from .chaitin import omega_stage_values, witness_wprime
 from .dyadic import BitString, Dyadic, interval_Im
 from .tm import MachineSpec
 
@@ -30,6 +30,7 @@ __all__ = [
     "SeparationError",
     "choose_m",
     "schedule_constraint_ok",
+    "schedule_scan",
     "square_energy",
     "find_s_prime",
     "sweep",
@@ -84,6 +85,17 @@ def choose_m(n: int) -> int:
 
 def schedule_constraint_ok(n: int, m: int) -> bool:
     return m < n - (n ** 0.25 - 2.0 * math.log2(n))
+
+
+def schedule_scan(n_max: int) -> tuple[bool, bool]:
+    """Whether m = choose_m(n) meets the schedule constraint for every n
+    in [2, n_max], and whether it is non-decreasing there."""
+    if n_max < 2:
+        raise ValueError(f"empty scan: n_max={n_max} < 2")
+    ms = [choose_m(n) for n in range(2, n_max + 1)]
+    constraint_ok = all(schedule_constraint_ok(n, m) for n, m in enumerate(ms, start=2))
+    monotone = all(a <= b for a, b in zip(ms, ms[1:]))
+    return constraint_ok, monotone
 
 
 def _delta_exponent(n: int, c1: float, c2: float) -> int:
@@ -306,6 +318,10 @@ def sweep(
     s_prime = find_s_prime(model)
     if s_budget < s_prime:
         raise ValueError(f"s_budget={s_budget} below separation scale {s_prime}")
+    if phi_grid:
+        # Reach the last stage the loop can ask for in one extension: the
+        # halting table reruns every pending input each time it grows.
+        omega_stage_values(machine, model.m_of(s_budget))
     results: list[SweepResult] = []
     for phi in phi_grid:
         if not 0 < phi <= 1:

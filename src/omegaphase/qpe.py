@@ -1,6 +1,6 @@
 """Exact simulation of the n-bit phase-estimation output distribution,
 its tail bound, the round-then-truncate success probability, and the
-gate-synthesis error model.
+exhaustive scans that check both bounds and the rounding lemma.
 
 Phases are handled as exact rationals; the only floating point is the
 final sine evaluation, so every window and grid comparison below is
@@ -21,11 +21,9 @@ from .dyadic import Dyadic, interval_Im, round_up_mth, truncate
 
 __all__ = [
     "PhaseDistribution",
-    "ErrorBudget",
     "qpe_distribution",
     "tail_and_success",
-    "sk_error_bound",
-    "sk_delta",
+    "bound_scan",
     "rounding_lemma_scan",
 ]
 
@@ -62,10 +60,6 @@ class PhaseDistribution:
 
     def __post_init__(self) -> None:
         self.probabilities.setflags(write=False)
-
-    @property
-    def outcomes(self) -> np.ndarray:
-        return np.arange(1 << self.n)
 
 
 def _signed_offsets(phi: Fraction, n: int) -> tuple[np.ndarray, Fraction]:
@@ -150,51 +144,33 @@ def tail_and_success(dist: PhaseDistribution, m: int) -> tuple[float | None, flo
     return tail, success
 
 
-def rounded_value_dyadic(z: int, n: int, m: int) -> Dyadic:
-    """Reference path for a single outcome via the exact dyadic ops."""
-    estimate = Dyadic(z, n)
-    if m < n:
-        estimate = round_up_mth(estimate, m, n_bits=n)
-    return truncate(estimate, m)
+def bound_scan(phis: list[PhaseLike], n_max: int) -> list[tuple[int, float, float, int]]:
+    """Check the tail and success bounds for every phase, every n in
+    [2, n_max] and every m < n.
 
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Parameters of the fixed-gate-set synthesis error model.
-
-    delta_n = (n^2 / 2) * 2^(-c2 * n^(1/c1)) with 3 < c1 < 4 and c2 >= 1:
-    n^2/2 approximated rotation gates, each synthesised to the precision
-    reachable in the available workspace.
+    Returns one row (n, max tail / bound, min success margin, violations)
+    per n, where the bound is 2^-(n-m), the margin is success - (1 - bound)
+    and a violation is a tail above or a success below its bound.  One
+    distribution per (phi, n) serves every m.
     """
-
-    n: int
-    m: int
-    c1: float
-    c2: float
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if not 0 < self.m <= self.n:
-            raise ValueError(f"need 0 < m <= n, got m={self.m}")
-        if not 3 < self.c1 < 4:
-            raise ValueError(f"c1 must lie in (3, 4), got {self.c1}")
-        if self.c2 < 1:
-            raise ValueError(f"c2 must be >= 1, got {self.c2}")
-
-    @property
-    def delta_n(self) -> float:
-        return sk_delta(self.n, self.c1, self.c2)
-
-
-def sk_delta(n: int, c1: float, c2: float) -> float:
-    return (n * n / 2.0) * 2.0 ** (-c2 * n ** (1.0 / c1))
-
-
-def sk_error_bound(budget: ErrorBudget) -> float:
-    """The modelled synthesis error delta(n); decreasing in n past a
-    computable threshold for fixed constants."""
-    return budget.delta_n
+    if not phis or n_max < 2:
+        raise ValueError(f"empty scan: {len(phis)} phases, n_max={n_max}")
+    rows = []
+    for n in range(2, n_max + 1):
+        worst_tail = 0.0
+        worst_margin = 1.0
+        violations = 0
+        for phi in phis:
+            dist = qpe_distribution(phi, n)
+            for m in range(1, n):
+                tail, success = tail_and_success(dist, m)
+                bound = 2.0 ** -(n - m)
+                worst_tail = max(worst_tail, tail / bound)
+                worst_margin = min(worst_margin, success - (1.0 - bound))
+                if tail > bound or success < 1.0 - bound:
+                    violations += 1
+        rows.append((n, worst_tail, worst_margin, violations))
+    return rows
 
 
 def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
@@ -205,6 +181,8 @@ def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
     m-bit approximations.  The per-point pipeline goes through the exact
     dyadic operations once; the pair loop compares precomputed images.
     """
+    if n_max < 2:
+        raise ValueError(f"empty scan: n_max={n_max} < 2")
     checked = 0
     violations = 0
     for n in range(2, n_max + 1):

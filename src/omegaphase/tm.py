@@ -24,7 +24,6 @@ __all__ = [
     "load_machine",
     "format_machine",
     "enumerate_input",
-    "input_index",
     "run_bounded",
     "check_prefix_free_up_to",
 ]
@@ -32,6 +31,7 @@ __all__ = [
 BLANK = "_"
 SYMBOLS = ("0", "1", BLANK)
 MOVES = ("L", "R", "S")
+_MAX_BRANCHES = 200_000  # input decision-tree nodes the prefix-freeness search may visit
 
 Rule = tuple[str, str, str, str, str]  # state, read, next_state, write, move
 
@@ -204,11 +204,6 @@ def enumerate_input(i: int) -> BitString:
     return BitString(bin(i)[3:])
 
 
-def input_index(word: BitString) -> int:
-    """Inverse of :func:`enumerate_input`."""
-    return int("1" + str(word), 2)
-
-
 @dataclass(frozen=True)
 class ExecutionResult:
     halted: bool
@@ -265,9 +260,7 @@ def run_bounded(spec: MachineSpec, word: BitString, budget: int) -> ExecutionRes
     return ExecutionResult(state == spec.halt, steps, max_visited + 1)
 
 
-def check_prefix_free_up_to(
-    spec: MachineSpec, budget: int, max_branches: int = 200_000
-) -> list[tuple[str, str]]:
+def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, str]]:
     """Search for prefix violations among inputs halting within ``budget``.
 
     Considers every input of length <= budget by exploring the machine's
@@ -293,9 +286,9 @@ def check_prefix_free_up_to(
 
     while stack:
         branches += 1
-        if branches > max_branches:
+        if branches > _MAX_BRANCHES:
             raise RuntimeError(
-                f"input decision tree exceeded {max_branches} branches; "
+                f"input decision tree exceeded {_MAX_BRANCHES} branches; "
                 "machine reads too much input for this budget"
             )
         state, head, steps, tape, prefix, end = stack.pop()

@@ -2,6 +2,7 @@
 deterministic artifacts, and exit-code discipline."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -275,6 +276,69 @@ def test_unknown_parameter_key_refused(tmp_path):
     argv = ["sweep", "--output-dir", str(out), "-p", "machine=zoo:omega34", "-p", "grid_denominatr=64"]
     assert main(argv) == EXIT_PARSE
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qpe", "-p", "mode=rounding", "-p", "n_max=3", "-p", "phi=1/3", "-p", "n=99"],
+        ["clock", "-p", "mode=single", "-p", "T=3", "-p", "mu=0.5", "-p", "t_values=[1,2]"],
+        ["omega", "-p", "machine=zoo:omega34", "-p", "stage=2.7"],
+        ["omega", "-p", "machine=zoo:omega34", "-p", "stage=2", "-p", "include_sequence=False"],
+        ["witness", "-p", "machine=zoo:omega34", "-p", "phi=1/2", "-p", "max_stage=true"],
+        ["clock", "-p", "T=3.9", "-p", "mu=0.5"],
+        ["clock", "-p", "T=3", "-p", "mu=true"],
+        ["clock", "-p", "T=3", "-p", "mu=1" + "0" * 400],
+        ["clock", "-p", "mode=grid", "-p", "t_values=[2,3.5]"],
+        ["spectrum", "-p", "lengths=5"],
+    ],
+    ids=[
+        "qpe_distribution_keys_in_rounding", "clock_grid_key_in_single", "int_given_float",
+        "bool_given_string", "int_given_bool", "int_given_float_clock", "float_given_bool",
+        "float_given_huge_int",
+        "int_list_given_float", "list_given_int",
+    ],
+)
+def test_other_mode_key_or_wrong_type_refused(tmp_path, argv):
+    out = tmp_path / "run"
+    command, *params = argv
+    assert main([command, "--output-dir", str(out), *params]) == EXIT_PARSE
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qpe", "-p", "mode=grid", "-p", "grid_denominator=1"],
+        ["qpe", "-p", "mode=grid", "-p", "n_max=1"],
+        ["qpe", "-p", "mode=rounding", "-p", "n_max=1"],
+        ["clock", "-p", "mode=cases", "-p", "t_min=5", "-p", "t_max=4"],
+        ["clock", "-p", "mode=jordan", "-p", "trials=0"],
+        ["sweep", "-p", "mode=schedule", "-p", "n_max=1"],
+    ],
+    ids=["qpe_grid_no_phase", "qpe_grid_no_n", "qpe_rounding", "clock_cases", "clock_jordan", "sweep_schedule"],
+)
+def test_empty_scan_refused(tmp_path, argv):
+    out = tmp_path / "run"
+    command, *params = argv
+    assert main([command, "--output-dir", str(out), *params]) == EXIT_CONSTRAINT
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line runs", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("omegaphase ")]
+    assert lines
+    monkeypatch.chdir(REPO)  # the config paths in the README are relative to the repo
+    for i, line in enumerate(lines):
+        argv = shlex.split(line)[1:]
+        out = str(tmp_path / str(i))
+        if "--output-dir" in argv:
+            argv[argv.index("--output-dir") + 1] = out
+        else:
+            argv += ["--output-dir", out]
+        assert main(argv) == EXIT_OK, line
 
 
 @pytest.mark.parametrize(

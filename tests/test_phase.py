@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from omegaphase import chaitin
 from omegaphase.dyadic import Dyadic
 from omegaphase.phase import (
     SeparationError,
@@ -21,7 +22,7 @@ from omegaphase.phase import (
     sweep,
     xy_chain_spectrum,
 )
-from omegaphase.qpe import sk_delta
+from omegaphase.tm import run_bounded
 from omegaphase.zoo import ZOO, zoo_machine
 
 DEFAULT = SquareEnergyModel()
@@ -90,7 +91,9 @@ def test_model_validation():
 
 def test_delta_hat_upper_bounds_model_error():
     for s in (10, 50, 200, 1000):
-        exact = sk_delta(DEFAULT.n_of(s), DEFAULT.c1, DEFAULT.c2)
+        n = DEFAULT.n_of(s)
+        # the float synthesis-error model (n^2 / 2) * 2^(-c2 n^(1/c1))
+        exact = (n * n / 2.0) * 2.0 ** (-DEFAULT.c2 * n ** (1.0 / DEFAULT.c1))
         assert float(DEFAULT.delta_hat(s)) >= exact
         assert float(DEFAULT.delta_hat(s)) <= 2.0 * exact + 1e-300
 
@@ -182,6 +185,24 @@ def test_sweep_never_misclassifies_zoo():
         for result in sweep(grid, spec, sp + 1, DEFAULT):
             expected = result.phi.mod1() < entry.omega and result.phi != Dyadic(1)
             assert result.gapless == expected, (name, str(result.phi))
+
+
+def test_sweep_extends_halting_table_once(monkeypatch):
+    # config 08's sweep asks for stage m(s') = 6,553, then m(s' + 1) = 6,554;
+    # reaching 6,554 in one extension runs each input once, where growing the
+    # table a stage at a time reran all 6,551 pending inputs (13,103 runs)
+    runs = 0
+
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return run_bounded(*args)
+
+    monkeypatch.setattr(chaitin, "run_bounded", counted)
+    chaitin._table.cache_clear()
+    sp = find_s_prime(DEFAULT)
+    sweep([Dyadic(k, 6) for k in range(1, 65)], zoo_machine("omega34"), sp + 1, DEFAULT)
+    assert runs <= 6554, runs
 
 
 def xy_dense_oracle(L):

@@ -1,5 +1,5 @@
-"""Phase-estimation distribution, tail and rounding-success bounds, and
-the synthesis error model."""
+"""Phase-estimation distribution, and its tail and rounding-success
+bounds."""
 
 import functools
 import math
@@ -8,17 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from omegaphase.dyadic import Dyadic, interval_Im
-from omegaphase.qpe import (
-    ErrorBudget,
-    as_phase,
-    qpe_distribution,
-    rounded_value_dyadic,
-    sk_delta,
-    sk_error_bound,
-    tail_and_success,
-    _signed_offsets,
-)
+from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate
+from omegaphase.qpe import as_phase, qpe_distribution, tail_and_success, _signed_offsets
 
 SAMPLE_PHASES = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(100, 257)]
 # phases whose windows wrap around 0 at high precision
@@ -45,6 +36,14 @@ def _rounded_outcomes(n, m):
     bit = (z >> (n - m - 1)) & 1
     rounded = (z + (bit << (n - m))) & ((1 << n) - 1)
     return rounded >> (n - m)
+
+
+def rounded_value_dyadic(z, n, m):
+    """Reference path for a single outcome via the exact dyadic ops."""
+    estimate = Dyadic(z, n)
+    if m < n:
+        estimate = round_up_mth(estimate, m, n_bits=n)
+    return truncate(estimate, m)
 
 
 def reference_tail_and_success(dist, m):
@@ -176,32 +175,6 @@ def test_nearest_two_mass():
             hi = math.ceil(target) % 2**n
             mass = dist.probabilities[lo] + dist.probabilities[hi]
             assert mass >= floor_bound
-
-
-def test_sk_error_bound():
-    budget = ErrorBudget(16, 8, 3.5, 1.0)
-    expected = 128.0 * 2.0 ** (-(16.0 ** (1 / 3.5)))
-    assert abs(sk_error_bound(budget) - expected) < 1e-12
-    assert budget.delta_n == sk_delta(16, 3.5, 1.0)
-    # decreasing past the computable threshold n^(1/c1) > 2 c1 / (c2 ln 2)
-    c1, c2 = 3.5, 2.0
-    threshold = math.ceil((2 * c1 / (c2 * math.log(2))) ** c1)
-    values = [sk_delta(n, c1, c2) for n in range(threshold, threshold + 2048, 64)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert sk_delta(10**6, 3.5, 1.0) < 1e-3
-
-
-def test_error_budget_validation():
-    with pytest.raises(ValueError):
-        ErrorBudget(16, 8, 5.0, 1.0)
-    with pytest.raises(ValueError):
-        ErrorBudget(16, 8, 3.0, 1.0)
-    with pytest.raises(ValueError):
-        ErrorBudget(16, 8, 3.5, 0.5)
-    with pytest.raises(ValueError):
-        ErrorBudget(1, 1, 3.5, 1.0)
-    with pytest.raises(ValueError):
-        ErrorBudget(16, 17, 3.5, 1.0)
 
 
 def test_float_phase_uses_exact_binary_value():

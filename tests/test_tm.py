@@ -11,7 +11,6 @@ from omegaphase.tm import (
     check_prefix_free_up_to,
     enumerate_input,
     format_machine,
-    input_index,
     parse_machine,
     run_bounded,
 )
@@ -46,8 +45,6 @@ def test_enumerate_input_bijection():
         span = [str(enumerate_input(i)) for i in range(1, 2 ** (k + 1))]
         assert len(set(span)) == len(span)
         assert set(span) == {w for w in brute_force_enumeration(2 ** (k + 1) - 1)}
-    for i in range(1, 100):
-        assert input_index(enumerate_input(i)) == i
 
 
 def test_parser_rejects_duplicates_with_line_number():
