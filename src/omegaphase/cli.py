@@ -392,7 +392,12 @@ def _model_from_params(params: dict) -> phase.SquareEnergyModel:
         key: _param(params, key, kind) for key, kind in _MODEL_KINDS.items() if key in params
     }
     if "comp_upper_k" in kwargs:
-        kwargs["comp_upper_k"] = Fraction(kwargs["comp_upper_k"])
+        try:
+            kwargs["comp_upper_k"] = Fraction(kwargs["comp_upper_k"])
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(
+                f"parameter 'comp_upper_k' must be a rational number, got {kwargs['comp_upper_k']!r}"
+            ) from None
     return phase.SquareEnergyModel(**kwargs)
 
 

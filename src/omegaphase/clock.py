@@ -379,6 +379,8 @@ def jordan_scan(
     largest |epsilon - (1 - mu)| over the case-5 blocks, epsilon taken
     from the block's canonical pair as a one-step clock.
     """
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     case_counts = dict.fromkeys(range(1, 6), 0)

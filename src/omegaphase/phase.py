@@ -5,8 +5,8 @@ constants: a square of side s hosts a T(s)-step computation whose
 ground energy is positive unless the finite-precision witness halts,
 plus a marker bonus of magnitude 4^-(C(s + ceil(s^(1/8)))).  Everything
 is exact rational arithmetic; the duration T(s) = s^d * xi^s cancels out
-of the separation predicate, so scanning for the separation scale s' is
-cheap even when the energies themselves are astronomically small.
+of the separation predicate, so checking a side for separation is cheap
+even when the energies themselves are astronomically small.
 """
 
 from __future__ import annotations
@@ -99,6 +99,10 @@ def schedule_scan(n_max: int) -> tuple[bool, bool]:
 
 
 def _delta_exponent(n: int, c1: float, c2: float) -> int:
+    # Non-decreasing in n below 2^48: from n to n + 1 the exact n^(1/c1)
+    # grows by a relative 1/(c1*n) > 2^-50, twice the 2^-51 gap that pow's
+    # rounding (under 1 ulp on each value) can close, and the product with
+    # c2 and the floor are monotone roundings.
     return math.floor(c2 * n ** (1.0 / c1))
 
 
@@ -126,8 +130,8 @@ class SquareEnergyModel:
             )
         if not 3 < self.c1 < 4:
             raise ValueError(f"c1 must lie in (3, 4), got {self.c1}")
-        if self.c2 < 1:
-            raise ValueError(f"c2 must be >= 1, got {self.c2}")
+        if not (math.isfinite(self.c2) and self.c2 >= 1):
+            raise ValueError(f"c2 must be a finite number >= 1, got {self.c2}")
         if self.poly_degree < 0:
             raise ValueError("poly_degree must be >= 0")
         if self.s_max_checked < S_MIN_SCHEDULE:
@@ -178,6 +182,14 @@ class SquareEnergyModel:
             return ((1 - self.tail(s) - self.delta_hat(s)) / t_sq, upper)
         return (Fraction(0), upper)
 
+    def piece(self, s: int) -> tuple[int, int, int]:
+        """What separation_holds reads of side s besides n = s - 5: the
+        tail exponent g = n - m(n), the synthesis exponent b1 and
+        ceil(s^(1/8)).  Each is non-decreasing in s, so the sides sharing
+        one triple form an interval, a piece."""
+        n = s - 5
+        return n - choose_m(n), _delta_exponent(n, self.c1, self.c2) + 1, _ceil_root(s, 8)
+
     def separation_holds(self, s: int) -> bool:
         """Exact check that the marker bonus sits strictly between the
         halting and non-halting computation energies at side s.
@@ -188,11 +200,10 @@ class SquareEnergyModel:
         n = s - 5
         if n < 2:
             return False
-        g = n - choose_m(n)
-        b1 = _delta_exponent(n, self.c1, self.c2) + 1
+        g, b1, root8 = self.piece(s)
         shift = max(g, b1)
         small = (1 << (shift - g)) + n * n * (1 << (shift - b1))  # 2^shift*(tail+delta)
-        two_ct = 2 * self.C * _ceil_root(s, 8)
+        two_ct = 2 * self.C * root8
         poly = s ** (2 * self.poly_degree)
         p, q = self.comp_upper_k.numerator, self.comp_upper_k.denominator
         # upper(halting comp) < -upper(marker):
@@ -204,18 +215,71 @@ class SquareEnergyModel:
         return bool(cond1 and cond2)
 
 
+# Below 2^48 the float synthesis exponent provably never steps down
+# (see _delta_exponent), which the piece walk needs.
+_WALK_LIMIT = 1 << 48
+
+
 @lru_cache(maxsize=64)
 def find_s_prime(model: SquareEnergyModel) -> int:
     """Smallest s such that the regime separation holds for every square
-    side up to the model's checked range.
+    side from s up to the model's checked range.
 
-    Deterministic exhaustive scan; raises SeparationError when the range
-    ends in a violation (constants too loose to ever separate).
+    Raises SeparationError when the range ends in a violation (constants
+    too loose to ever separate).
+
+    For poly_degree = 0 the sides are walked a piece at a time (see
+    SquareEnergyModel.piece), from s_max_checked down.  The walk is exact:
+    inside a piece, shift, 2Ct and C are fixed and poly = 1, while small =
+    2^(shift-g) + n^2 2^(shift-b1) strictly increases with n.  cond1
+    compares a rising left side with a fixed right side; cond2 compares a
+    fixed left side with a falling right side.  So the sides of a piece
+    where separation holds come first and the failing ones last: if side
+    s holds, so does its whole piece up to s, and the walk checks only the
+    side just below that piece.  The first failing side met is the last
+    failing side of the range.  For poly_degree > 0, poly = s^(2d) rises
+    inside a piece and cond1 has no proven shape, so those models (and
+    ranges past _WALK_LIMIT) take the exhaustive scan, _scan_s_prime.
     """
+    if model.poly_degree or model.s_max_checked >= _WALK_LIMIT:
+        return _scan_s_prime(model)
+    s = model.s_max_checked
+    while s >= S_MIN_SCHEDULE and model.separation_holds(s):
+        s = _piece_start(model, s) - 1
+    return _after_last_failure(model, s)
+
+
+def _piece_start(model: SquareEnergyModel, s: int) -> int:
+    """First side of s's piece.  The triple is monotone, so the sides that
+    share it with s form a run ending at s: gallop down from s in doubling
+    steps to a side outside the run, then bisect.  That costs about twice
+    the log of the piece's length, so a piece of one side (large c2) costs
+    two triples, not the log of s."""
+    key = model.piece(s)
+    hi, step = s, 1  # hi shares the triple
+    while hi - step >= S_MIN_SCHEDULE and model.piece(hi - step) == key:
+        hi -= step
+        step *= 2
+    lo = max(hi - step, S_MIN_SCHEDULE - 1)  # outside the run, or below the range
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if model.piece(mid) == key:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _scan_s_prime(model: SquareEnergyModel) -> int:
+    """find_s_prime by checking every side in the range."""
     last_bad = S_MIN_SCHEDULE - 1
     for s in range(S_MIN_SCHEDULE, model.s_max_checked + 1):
         if not model.separation_holds(s):
             last_bad = s
+    return _after_last_failure(model, last_bad)
+
+
+def _after_last_failure(model: SquareEnergyModel, last_bad: int) -> int:
     if last_bad >= model.s_max_checked:
         raise SeparationError(
             f"no separation persisting to s_max_checked={model.s_max_checked}"

@@ -253,7 +253,7 @@ def test_criterion_12_schedule_and_separation():
     constraint_ok, monotone = phase.schedule_scan(10_000)
     assert constraint_ok and monotone
     s_prime = phase.find_s_prime(DEFAULT_MODEL)
-    assert s_prime == 6567  # derived once by this scan, then frozen
+    assert s_prime == 6567  # frozen; the loop below checks every side above it
     for s in range(s_prime, DEFAULT_MODEL.s_max_checked + 1):
         assert DEFAULT_MODEL.separation_holds(s), s
     _report(12, f"schedule valid to n=10^4; separation from s'={s_prime} through {DEFAULT_MODEL.s_max_checked}")

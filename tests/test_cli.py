@@ -314,14 +314,38 @@ def test_other_mode_key_or_wrong_type_refused(tmp_path, argv):
         ["qpe", "-p", "mode=rounding", "-p", "n_max=1"],
         ["clock", "-p", "mode=cases", "-p", "t_min=5", "-p", "t_max=4"],
         ["clock", "-p", "mode=jordan", "-p", "trials=0"],
+        ["clock", "-p", "mode=jordan", "-p", "dim=1"],
         ["sweep", "-p", "mode=schedule", "-p", "n_max=1"],
     ],
-    ids=["qpe_grid_no_phase", "qpe_grid_no_n", "qpe_rounding", "clock_cases", "clock_jordan", "sweep_schedule"],
+    ids=[
+        "qpe_grid_no_phase", "qpe_grid_no_n", "qpe_rounding", "clock_cases", "clock_jordan",
+        "clock_jordan_dim", "sweep_schedule",
+    ],
 )
 def test_empty_scan_refused(tmp_path, argv):
     out = tmp_path / "run"
     command, *params = argv
     assert main([command, "--output-dir", str(out), *params]) == EXIT_CONSTRAINT
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "param,code",
+    [
+        ("c2=Infinity", EXIT_CONSTRAINT),
+        ("c2=1e400", EXIT_CONSTRAINT),
+        ("c2=NaN", EXIT_CONSTRAINT),
+        ("c2=0.5", EXIT_CONSTRAINT),
+        ("comp_upper_k=1/0", EXIT_PARSE),
+        ("comp_upper_k=abc", EXIT_PARSE),
+        ("comp_upper_k=0", EXIT_CONSTRAINT),
+        ("comp_upper_k=-1/3", EXIT_CONSTRAINT),
+    ],
+)
+def test_bad_model_knob_named(tmp_path, capsys, param, code):
+    argv = ["sweep", "--output-dir", str(tmp_path / "run"), "-p", "mode=schedule", "-p", param]
+    assert main(argv) == code
+    assert param.partition("=")[0] in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

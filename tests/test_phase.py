@@ -12,7 +12,9 @@ from omegaphase.phase import (
     SeparationError,
     SquareEnergyModel,
     _ceil_root,
+    _delta_exponent,
     _floor_root,
+    _scan_s_prime,
     choose_m,
     compose_total_spectrum,
     find_s_prime,
@@ -26,7 +28,10 @@ from omegaphase.tm import run_bounded
 from omegaphase.zoo import ZOO, zoo_machine
 
 DEFAULT = SquareEnergyModel()
-S_PRIME_DEFAULT = 6567  # derived once by the exhaustive scan, frozen
+S_PRIME_DEFAULT = 6567  # from the exhaustive scan, which still derives it below
+
+# (c1, c2) pairs of the separation-scale oracle models
+ORACLE_EXPONENTS = [(3.5, 16.0), (3.1, 16.0), (3.9, 16.0), (3.5, 1.0), (3.5, 40.0), (3.1, 40.0), (3.9, 1.0)]
 
 
 def test_choose_m_examples():
@@ -82,8 +87,9 @@ def test_model_validation():
         SquareEnergyModel(xi=6)
     with pytest.raises(ValueError):
         SquareEnergyModel(c1=4.5)
-    with pytest.raises(ValueError):
-        SquareEnergyModel(c2=0.5)
+    for c2 in (0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="c2"):
+            SquareEnergyModel(c2=c2)
     with pytest.raises(ValueError):
         SquareEnergyModel(comp_upper_k=Fraction(-1))
     assert SquareEnergyModel(xi=4).C == 2
@@ -119,6 +125,55 @@ def test_s_prime_monotone_in_marker_constant():
 def test_find_s_prime_rejects_loose_constants():
     with pytest.raises(SeparationError):
         find_s_prime(SquareEnergyModel(comp_upper_k=Fraction(2**200), s_max_checked=4096))
+
+
+def _s_prime_or_error(search, model):
+    try:
+        return search(model)
+    except SeparationError:
+        return "SeparationError"
+
+
+ORACLE_MODELS = {
+    "default": DEFAULT,
+    "k=1/7": SquareEnergyModel(comp_upper_k=Fraction(1, 7)),  # walks all 463 pieces to s' = 8
+    "k=1000": SquareEnergyModel(comp_upper_k=Fraction(1000)),
+    "k=1/1000,top=20000": SquareEnergyModel(comp_upper_k=Fraction(1, 1000), s_max_checked=20_000),  # s' = 7
+    **{
+        f"c1={c1},c2={c2},top=20000": SquareEnergyModel(c1=c1, c2=c2, s_max_checked=20_000)
+        for c1, c2 in ORACLE_EXPONENTS[1:]
+    },
+    **{f"xi={xi},top=20000": SquareEnergyModel(xi=xi, s_max_checked=20_000) for xi in (4, 8)},
+    "c2=1000,top=4096": SquareEnergyModel(c2=1000.0, s_max_checked=4096),  # pieces of one side
+    **{f"top={top}": SquareEnergyModel(s_max_checked=top) for top in (7, 4096, 6566, 6567)},
+    "k=2^200,top=4096": SquareEnergyModel(comp_upper_k=Fraction(2**200), s_max_checked=4096),
+}
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS.values(), ids=ORACLE_MODELS.keys())
+def test_piece_walk_matches_exhaustive_scan(model):
+    assert _s_prime_or_error(find_s_prime.__wrapped__, model) == _s_prime_or_error(_scan_s_prime, model)
+
+
+def test_piece_walk_checks_few_sides(monkeypatch):
+    calls = 0
+    holds = SquareEnergyModel.separation_holds
+
+    def counted(self, s):
+        nonlocal calls
+        calls += 1
+        return holds(self, s)
+
+    monkeypatch.setattr(SquareEnergyModel, "separation_holds", counted)
+    assert find_s_prime.__wrapped__(DEFAULT) == S_PRIME_DEFAULT
+    assert calls <= 1000, calls  # the scan checks all 131,066 sides
+
+
+@pytest.mark.parametrize("c1,c2", ORACLE_EXPONENTS)
+def test_delta_exponent_non_decreasing(c1, c2):
+    # the piece walk's premise for the float exponent, over the full range
+    values = [_delta_exponent(n, c1, c2) for n in range(2, DEFAULT.s_max_checked - 4)]
+    assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 def test_square_energy_signs():
