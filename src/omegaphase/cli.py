@@ -33,33 +33,66 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_CONSTRAINT = 3
 
-# The model constants a sweep reads, with their types.
-_MODEL_KINDS = {
-    "xi": int, "c1": float, "c2": float, "comp_upper_k": str, "poly_degree": int,
-    "s_max_checked": int,
+REQUIRED = object()
+ABSENT = object()
+# SquareEnergyModel's constants, read by both sweep modes; an absent one
+# keeps the model's own default.
+_MODEL_PARAMS = {
+    "xi": (int, ABSENT), "c1": (float, ABSENT), "c2": (float, ABSENT),
+    "comp_upper_k": (Fraction, ABSENT), "poly_degree": (int, ABSENT),
+    "s_max_checked": (int, ABSENT),
 }
-# The parameter keys of each command and mode; a command's first mode is
-# its default, and "" marks a command without modes.  Any other key, one
-# of another mode included, is a config error.
+# The parameters of each command and mode, each as (kind, default), the
+# default being a value, REQUIRED, or ABSENT (the runner gets None).  A
+# command's first mode is its default, and "" marks a command without
+# modes.  Any other key, one of another mode included, is a config error.
 PARAM_KEYS = {
-    "omega": {"": {"machine", "stage", "include_sequence"}},
-    "witness": {"w": {"machine", "phi", "max_stage"}, "wprime": {"machine", "phibar", "m"}},
+    "omega": {
+        "": {"machine": (str, REQUIRED), "stage": (int, REQUIRED), "include_sequence": (bool, False)},
+    },
+    "witness": {
+        "w": {"machine": (str, REQUIRED), "phi": (Dyadic, REQUIRED), "max_stage": (int, REQUIRED)},
+        "wprime": {"machine": (str, REQUIRED), "phibar": (str, REQUIRED), "m": (int, REQUIRED)},
+    },
     "qpe": {
-        "distribution": {"phi", "n", "m"},
-        "grid": {"grid_denominator", "n_max"},
-        "rounding": {"n_max"},
+        "distribution": {"phi": (Fraction, REQUIRED), "n": (int, REQUIRED), "m": (int, ABSENT)},
+        "grid": {"grid_denominator": (int, 257), "n_max": (int, 14)},
+        "rounding": {"n_max": (int, 12)},
     },
     "clock": {
-        "single": {"method", "spec_file", "T", "mu"},
-        "cases": {"t_min", "t_max"},
-        "grid": {"t_values", "mu_values"},
-        "jordan": {"dim", "trials", "seed"},
+        "single": {
+            "method": (str, "dense"), "spec_file": (str, ABSENT),
+            "T": (int, REQUIRED), "mu": (float, REQUIRED),
+        },
+        "cases": {"t_min": (int, 1), "t_max": (int, 200)},
+        "grid": {
+            "t_values": (list[int], list(range(2, 65))),
+            "mu_values": (list[float], [round(0.1 * k, 1) for k in range(1, 10)]),
+        },
+        "jordan": {"dim": (int, 8), "trials": (int, 50), "seed": (int, 0)},
     },
     "sweep": {
-        "classify": {"machine", "phis", "grid_denominator", "s_budget", *_MODEL_KINDS},
-        "schedule": {"n_max", *_MODEL_KINDS},
+        "classify": {
+            "machine": (str, REQUIRED), "phis": (list[Dyadic], ABSENT),
+            "grid_denominator": (int, ABSENT), "s_budget": (typing.Literal["auto"] | int, "auto"),
+            **_MODEL_PARAMS,
+        },
+        "schedule": {"n_max": (int, 10_000), **_MODEL_PARAMS},
     },
-    "spectrum": {"xy": {"lengths", "levels_for"}, "compose": {"uu", "dense", "trivial", "beta"}},
+    "spectrum": {
+        "xy": {"lengths": (list[int], [4, 8, 16, 32, 64]), "levels_for": (int, ABSENT)},
+        "compose": {
+            "uu": (list[Fraction], REQUIRED), "dense": (list[Fraction], REQUIRED),
+            "trivial": (list[Fraction], REQUIRED), "beta": (Fraction, REQUIRED),
+        },
+    },
+}
+# Two groups of keys that a mode reads in place of each other: giving keys
+# of both is a config error, and once one group is given the other's
+# required keys are not required.
+_ALTERNATIVES = {
+    ("clock", "single"): ({"spec_file"}, {"T", "mu"}),
+    ("sweep", "classify"): ({"phis"}, {"grid_denominator"}),
 }
 COMMANDS = tuple(PARAM_KEYS)
 
@@ -152,55 +185,87 @@ def _require_prefix_free(machine: MachineSpec, budget: int) -> None:
         )
 
 
-_REQUIRED = object()
-# What each parameter type accepts: a text key also takes a number and
-# reads it as its text (phibar=1000000 arrives as a JSON integer).
+# What each scalar kind accepts.  A text key also takes a number and reads
+# it as its text (phibar=1000000 arrives as a JSON integer); a rational
+# reads a JSON number as the decimal it prints as (0.11 is 11/100).
 _ACCEPTS = {
     int: (int, "an integer"),
     float: ((int, float), "a number"),
     bool: (bool, "true or false"),
     str: ((str, int, float), "a string or a number"),
+    Fraction: ((str, int, float), "a rational number"),
+    Dyadic: ((str, int, float), "a rational number"),
 }
 
 
-def _checked(key: str, value: object, kind: type):
+def _log2(key: str, den: int) -> int:
+    """The exponent of a power-of-two denominator; any other is out of range."""
+    if den < 1 or den & (den - 1):
+        raise ValueError(f"parameter {key!r} needs a power-of-two denominator, not {den}")
+    return den.bit_length() - 1
+
+
+def _read(key: str, value: object, kind):
+    """One parameter value read as its kind: int, float, bool, str,
+    Fraction, Dyadic (a rational with a power-of-two denominator),
+    list[...] of one of them, or Literal[word] | kind.  Bools are not
+    numbers here.  A value of the wrong type is a config error."""
+    origin = typing.get_origin(kind)
+    if origin is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"parameter {key!r} must be a list, got {value!r}")
+        (item,) = typing.get_args(kind)
+        return [_read(key, v, item) for v in value]
+    if origin is typing.Union:
+        word, other = typing.get_args(kind)
+        return value if value in typing.get_args(word) else _read(key, value, other)
     accepts, name = _ACCEPTS[kind]
     if not isinstance(value, accepts) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"parameter {key!r} must be {name}, got {value!r}")
     try:
-        return kind(value)
-    except OverflowError:  # an integer too large for a float key
-        raise ConfigError(f"parameter {key!r} is out of range for {name}") from None
+        if kind is Fraction or kind is Dyadic:
+            value = Fraction(repr(value) if isinstance(value, float) else value)
+        else:
+            value = kind(value)
+    except (ValueError, ZeroDivisionError, OverflowError):  # "abc", "1/0", 10**400 as a float
+        raise ConfigError(f"parameter {key!r} must be {name}, got {value!r}") from None
+    return Dyadic(value.numerator, _log2(key, value.denominator)) if kind is Dyadic else value
 
 
-def _param(params: dict, key: str, kind, default=_REQUIRED):
-    """The value of one parameter, checked against its type: int, float,
-    bool, str, or list[...] of one of them.  Bools are not numbers here.
-    A missing key returns ``default``, or is a config error without one."""
-    if key not in params:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required parameter {key!r}")
-        return default
-    value = params[key]
-    if typing.get_origin(kind) is not list:
-        return _checked(key, value, kind)
-    if not isinstance(value, list):
-        raise ConfigError(f"parameter {key!r} must be a list, got {value!r}")
-    (item,) = typing.get_args(kind)
-    return [_checked(key, v, item) for v in value]
+def _resolve(command: str, mode: str, params: dict) -> dict:
+    """Every key of the mode mapped to its value read as its kind, to its
+    default, or to None; a missing required key is a config error."""
+    table = PARAM_KEYS[command][mode]
+    given = {key: _read(key, params[key], kind) for key, (kind, _) in table.items() if key in params}
+    first, second = _ALTERNATIVES.get((command, mode), (set(), set()))
+    if first & given.keys() and second & given.keys():
+        raise ConfigError(
+            f"parameters {sorted((first | second) & given.keys())} exclude each other: "
+            f"give {sorted(first)} or {sorted(second)}"
+        )
+    waived = second if first & given.keys() else first if second & given.keys() else set()
+    missing = [
+        key for key, (_, default) in table.items()
+        if default is REQUIRED and key not in given and key not in waived
+    ]
+    if missing:
+        raise ConfigError(f"missing required parameter(s) {missing}")
+    return {
+        key: given[key] if key in given else None if default in (REQUIRED, ABSENT) else default
+        for key, (_, default) in table.items()
+    }
 
 
 # -- command implementations -------------------------------------------
 
 
-def _run_omega(cfg: RunConfig, mode: str, out: Path) -> None:
-    p = cfg.params
-    machine = _load_machine_ref(_param(p, "machine", str))
-    stage = _param(p, "stage", int)
+def _run_omega(p: dict, mode: str, fmt: str, out: Path) -> None:
+    machine = _load_machine_ref(p["machine"])
+    stage = p["stage"]
     _require_prefix_free(machine, stage)
     approx = chaitin.omega_approx(machine, stage)
     _write_json(out / "omega.json", approx.report())
-    if _param(p, "include_sequence", bool, False) or cfg.format == "csv":
+    if p["include_sequence"] or fmt == "csv":
         rows = [
             [str(s), value.as_ratio_string(), truncate(value, s).as_ratio_string()]
             for s, value in enumerate(chaitin.omega_stage_values(machine, stage), start=1)
@@ -208,12 +273,10 @@ def _run_omega(cfg: RunConfig, mode: str, out: Path) -> None:
         _write_csv(out / "omega_stages.csv", ["stage", "omega_s", "omega_s_trunc_s"], rows)
 
 
-def _run_witness(cfg: RunConfig, mode: str, out: Path) -> None:
-    p = cfg.params
-    machine = _load_machine_ref(_param(p, "machine", str))
+def _run_witness(p: dict, mode: str, fmt: str, out: Path) -> None:
+    machine = _load_machine_ref(p["machine"])
     if mode == "w":
-        phi = Dyadic.parse(_param(p, "phi", str))
-        max_stage = _param(p, "max_stage", int)
+        phi, max_stage = p["phi"], p["max_stage"]
         _require_prefix_free(machine, max_stage)
         halted_at = chaitin.witness_w(machine, phi, max_stage)
         payload = {
@@ -225,8 +288,7 @@ def _run_witness(cfg: RunConfig, mode: str, out: Path) -> None:
             "budget_exceeded": halted_at is None,
         }
     else:
-        phibar = BitString(_param(p, "phibar", str))
-        m = _param(p, "m", int)
+        phibar, m = BitString(p["phibar"]), p["m"]
         _require_prefix_free(machine, m)
         halts = chaitin.witness_wprime(machine, phibar, m)
         payload = {
@@ -239,20 +301,17 @@ def _run_witness(cfg: RunConfig, mode: str, out: Path) -> None:
     _write_json(out / "witness.json", payload)
 
 
-def _run_qpe(cfg: RunConfig, mode: str, out: Path) -> None:
-    p = cfg.params
+def _run_qpe(p: dict, mode: str, fmt: str, out: Path) -> None:
     if mode == "distribution":
-        phi = qpe.as_phase(_param(p, "phi", str))
-        n = _param(p, "n", int)
-        dist = qpe.qpe_distribution(phi, n)
+        n, m = p["n"], p["m"]
+        dist = qpe.qpe_distribution(p["phi"], n)
         rows = []
         for z, prob in enumerate(dist.probabilities):
             estimate = Dyadic(z, n)
             rows.append([str(z), estimate.as_ratio_string(), _float_repr(prob)])
         _write_csv(out / "qpe.csv", ["z", "estimate", "probability"], rows)
-        summary: dict = {"phi": str(phi), "n": n, "exact": dist.exact}
-        if "m" in p:
-            m = _param(p, "m", int)
+        summary: dict = {"phi": str(dist.phi), "n": n, "exact": dist.exact}
+        if m is not None:
             tail, success = qpe.tail_and_success(dist, m)
             if tail is not None:
                 summary["tail_probability"] = tail
@@ -262,8 +321,7 @@ def _run_qpe(cfg: RunConfig, mode: str, out: Path) -> None:
             summary["success_bound"] = 1.0 - 2.0 ** -(n - m)
         _write_json(out / "qpe.json", summary)
     elif mode == "grid":
-        den = _param(p, "grid_denominator", int, 257)
-        n_max = _param(p, "n_max", int, 14)
+        den, n_max = p["grid_denominator"], p["n_max"]
         scan = qpe.bound_scan([Fraction(k, den) for k in range(1, den)], n_max)
         _write_csv(
             out / "qpe_grid.csv",
@@ -275,7 +333,7 @@ def _run_qpe(cfg: RunConfig, mode: str, out: Path) -> None:
             {"grid_denominator": den, "n_max": n_max, "violations": sum(row[3] for row in scan)},
         )
     else:
-        n_max = _param(p, "n_max", int, 12)
+        n_max = p["n_max"]
         checked, violations = qpe.rounding_lemma_scan(n_max)
         _write_json(
             out / "rounding.json",
@@ -295,26 +353,20 @@ def _spectral_payload(report: clock.SpectralReport, extra: dict) -> dict:
     return payload
 
 
-def _run_clock(cfg: RunConfig, mode: str, out: Path) -> None:
-    p = cfg.params
+def _run_clock(p: dict, mode: str, fmt: str, out: Path) -> None:
     if mode == "single":
-        method = _param(p, "method", str, "dense")
-        if "spec_file" in p:
-            spec = clock.read_clock_spec(_param(p, "spec_file", str))
-            mu = None
+        if p["spec_file"] is not None:
+            spec = clock.read_clock_spec(p["spec_file"])
         else:
-            T = _param(p, "T", int)
-            mu = _param(p, "mu", float)
-            spec = clock.case5_spec(T, mu)
-        report = clock.ground_energy(spec, method=method)
+            spec = clock.case5_spec(p["T"], p["mu"])
+        report = clock.ground_energy(spec, method=p["method"])
         payload = _spectral_payload(
             report,
-            {"T": spec.T, "mu": mu, "epsilon": clock.compute_epsilon(spec)},
+            {"T": spec.T, "mu": p["mu"], "epsilon": clock.compute_epsilon(spec)},
         )
         _write_json(out / "clock.json", payload)
     elif mode == "cases":
-        t_min = _param(p, "t_min", int, 1)
-        t_max = _param(p, "t_max", int, 200)
+        t_min, t_max = p["t_min"], p["t_max"]
         if t_min > t_max:
             raise ValueError(f"empty scan: t_min={t_min} > t_max={t_max}")
         rows = []
@@ -333,9 +385,7 @@ def _run_clock(cfg: RunConfig, mode: str, out: Path) -> None:
         _write_csv(out / "clock_cases.csv", ["T", "case", "closed_form", "dense", "abs_err"], rows)
         _write_json(out / "clock_cases.json", {"t_min": t_min, "t_max": t_max, "max_abs_err": worst})
     elif mode == "grid":
-        t_values = _param(p, "t_values", list[int], list(range(2, 65)))
-        mu_values = _param(p, "mu_values", list[float], [round(0.1 * k, 1) for k in range(1, 10)])
-        rows_data = clock.gap_law_grid(t_values, mu_values)
+        rows_data = clock.gap_law_grid(p["t_values"], p["mu_values"])
         rows = [
             [
                 str(r["T"]),
@@ -368,9 +418,7 @@ def _run_clock(cfg: RunConfig, mode: str, out: Path) -> None:
             },
         )
     else:
-        dim = _param(p, "dim", int, 8)
-        trials = _param(p, "trials", int, 50)
-        seed = _param(p, "seed", int, 0)
+        dim, trials, seed = p["dim"], p["trials"], p["seed"]
         case_counts, worst_recon, worst_eps = clock.jordan_scan(
             dim, trials, np.random.default_rng(seed)
         )
@@ -387,25 +435,10 @@ def _run_clock(cfg: RunConfig, mode: str, out: Path) -> None:
         )
 
 
-def _model_from_params(params: dict) -> phase.SquareEnergyModel:
-    kwargs = {
-        key: _param(params, key, kind) for key, kind in _MODEL_KINDS.items() if key in params
-    }
-    if "comp_upper_k" in kwargs:
-        try:
-            kwargs["comp_upper_k"] = Fraction(kwargs["comp_upper_k"])
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                f"parameter 'comp_upper_k' must be a rational number, got {kwargs['comp_upper_k']!r}"
-            ) from None
-    return phase.SquareEnergyModel(**kwargs)
-
-
-def _run_sweep(cfg: RunConfig, mode: str, out: Path) -> None:
-    p = cfg.params
-    model = _model_from_params(p)
+def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
+    model = phase.SquareEnergyModel(**{key: p[key] for key in _MODEL_PARAMS if p[key] is not None})
     if mode == "schedule":
-        n_max = _param(p, "n_max", int, 10_000)
+        n_max = p["n_max"]
         constraint_ok, monotone = phase.schedule_scan(n_max)
         _write_json(
             out / "schedule.json",
@@ -418,20 +451,15 @@ def _run_sweep(cfg: RunConfig, mode: str, out: Path) -> None:
             },
         )
         return
-    machine = _load_machine_ref(_param(p, "machine", str))
-    if "phis" in p:
-        grid = [Dyadic.parse(phi) for phi in _param(p, "phis", list[str])]
-    elif "grid_denominator" in p:
-        den = _param(p, "grid_denominator", int)
-        if den < 1 or den & (den - 1):
-            raise ConfigError("grid_denominator must be a power of two")
-        exp = den.bit_length() - 1
+    den = p["grid_denominator"]
+    if den is not None:
+        exp = _log2("grid_denominator", den)
         grid = [Dyadic(k, exp) for k in range(1, den + 1)]
     else:
-        grid = []
+        grid = p["phis"] or []
+    machine = _load_machine_ref(p["machine"])
     s_prime = phase.find_s_prime(model)
-    budget = p.get("s_budget", "auto")
-    s_budget = s_prime + 1 if budget == "auto" else _param(p, "s_budget", int)
+    s_budget = s_prime + 1 if p["s_budget"] == "auto" else p["s_budget"]
     _require_prefix_free(machine, s_budget)
     results = phase.sweep(grid, machine, s_budget, model)
     rows = []
@@ -475,16 +503,15 @@ def _run_sweep(cfg: RunConfig, mode: str, out: Path) -> None:
     )
 
 
-def _run_spectrum(cfg: RunConfig, mode: str, out: Path) -> None:
-    p = cfg.params
+def _run_spectrum(p: dict, mode: str, fmt: str, out: Path) -> None:
     if mode == "xy":
         rows = []
-        for L in _param(p, "lengths", list[int], [4, 8, 16, 32, 64]):
+        for L in p["lengths"]:
             spec = phase.xy_chain_spectrum(L)
             rows.append([str(L), _float_repr(spec.ground_energy), _float_repr(spec.gap)])
         _write_csv(out / "xy.csv", ["L", "ground_energy", "gap"], rows)
-        if "levels_for" in p:
-            L = _param(p, "levels_for", int)
+        L = p["levels_for"]
+        if L is not None:
             spec = phase.xy_chain_spectrum(L)
             levels = spec.many_body() if L <= 16 else spec.many_body(max_levels=64)
             _write_csv(
@@ -493,11 +520,7 @@ def _run_spectrum(cfg: RunConfig, mode: str, out: Path) -> None:
                 [[str(i), _float_repr(e)] for i, e in enumerate(levels)],
             )
     else:
-        uu, dense, trivial = (
-            [Fraction(x) for x in _param(p, key, list[str])] for key in ("uu", "dense", "trivial")
-        )
-        beta = Fraction(_param(p, "beta", str))
-        composed = phase.compose_total_spectrum(uu, dense, trivial, beta)
+        composed = phase.compose_total_spectrum(p["uu"], p["dense"], p["trivial"], p["beta"])
         _write_csv(
             out / "compose.csv",
             ["energy", "origin"],
@@ -540,11 +563,12 @@ def run(cfg: RunConfig) -> int:
     mode = cfg.params.get("mode", next(iter(modes))) if "" not in modes else ""
     if not isinstance(mode, str) or mode not in modes:
         raise ConfigError(f"{cfg.command} mode must be one of {list(modes)}, got {mode!r}")
-    known = modes[mode] | ({"mode"} if mode else set())
+    known = modes[mode].keys() | ({"mode"} if mode else set())
     unknown = sorted(set(cfg.params) - known)
     if unknown:
         where = f"{cfg.command} mode {mode!r}" if mode else cfg.command
         raise ConfigError(f"parameter(s) {unknown} not read by {where}; known: {sorted(known)}")
+    p = _resolve(cfg.command, mode, cfg.params)
     out = Path(cfg.output_dir)
     if out.exists() and not out.is_dir():
         raise ConfigError(f"output_dir {str(out)!r} exists and is not a directory")
@@ -553,7 +577,7 @@ def run(cfg: RunConfig) -> int:
         anchor = anchor.parent
     with tempfile.TemporaryDirectory(prefix=f".{out.name}-", dir=anchor) as staging:
         staged = Path(staging)
-        _RUNNERS[cfg.command](cfg, mode, staged)
+        _RUNNERS[cfg.command](p, mode, cfg.format, staged)
         _write_json(staged / "manifest.json", cfg.manifest())
         out.mkdir(parents=True, exist_ok=True)
         for path in sorted(staged.iterdir()):

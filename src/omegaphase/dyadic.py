@@ -8,7 +8,6 @@ except the explicit ``__float__`` conversions.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Iterator, Union
@@ -22,9 +21,6 @@ __all__ = [
 ]
 
 DyadicLike = Union["Dyadic", int]
-
-_RATIO_RE = re.compile(r"^([+-]?\d+)\s*/\s*(?:2\^(\d+)|(\d+))$")
-_BINARY_RE = re.compile(r"^([+-]?)(\d*)\.([01]*)$")
 
 
 @total_ordering
@@ -54,38 +50,6 @@ class Dyadic:
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Dyadic is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def parse(cls, text: str) -> "Dyadic":
-        """Parse ``"p/2^q"``, ``"p/q"`` with q a power of two, ``"0.0110"``, or ``"p"``."""
-        text = text.strip()
-        m = _RATIO_RE.match(text)
-        if m:
-            num = int(m.group(1))
-            if m.group(2) is not None:
-                return cls(num, int(m.group(2)))
-            den = int(m.group(3))
-            if den <= 0 or den & (den - 1):
-                raise ValueError(f"denominator of {text!r} is not a power of 2")
-            return cls(num, den.bit_length() - 1)
-        m = _BINARY_RE.match(text)
-        if m:
-            sign, intpart, fracpart = m.groups()
-            if not intpart and not fracpart:
-                raise ValueError(f"cannot parse dyadic literal {text!r}")
-            if intpart and set(intpart) - {"0", "1"}:
-                raise ValueError(f"non-binary integer part in {text!r}")
-            num = (int(intpart, 2) if intpart else 0) << len(fracpart)
-            num += int(fracpart, 2) if fracpart else 0
-            if sign == "-":
-                num = -num
-            return cls(num, len(fracpart))
-        try:
-            return cls(int(text))
-        except ValueError:
-            raise ValueError(f"cannot parse dyadic literal {text!r}") from None
 
     # -- accessors ----------------------------------------------------
 

@@ -29,21 +29,13 @@ __all__ = [
 
 MAX_PRECISION_BITS = 20
 
-PhaseLike = Union[Fraction, Dyadic, int, float, str]
+PhaseLike = Union[Fraction, Dyadic, int, float]
 
 
 def as_phase(phi: PhaseLike) -> Fraction:
-    """Coerce to an exact rational in [0, 1).
-
-    Floats are taken at their exact binary value; strings may be "p/q"
-    or decimal literals.
-    """
-    if isinstance(phi, Dyadic):
-        value = phi.as_fraction()
-    elif isinstance(phi, str):
-        value = Fraction(phi)
-    else:
-        value = Fraction(phi)
+    """Coerce to an exact rational in [0, 1); floats are taken at their
+    exact binary value."""
+    value = phi.as_fraction() if isinstance(phi, Dyadic) else Fraction(phi)
     if not 0 <= value < 1:
         raise ValueError(f"phase must lie in [0, 1), got {phi}")
     return value

@@ -5,11 +5,18 @@ import json
 import shlex
 import subprocess
 import sys
+import typing
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from omegaphase.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, RunConfig, main, run
+from omegaphase.cli import (
+    EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, PARAM_KEYS, REQUIRED, ConfigError, RunConfig, _read, main,
+    run,
+)
+from omegaphase.clock import case5_spec, write_clock_spec
+from omegaphase.dyadic import Dyadic
 from omegaphase.tm import format_machine
 from omegaphase.zoo import zoo_machine
 
@@ -347,6 +354,176 @@ def test_bad_model_knob_named(tmp_path, capsys, param, code):
     assert main(argv) == code
     assert param.partition("=")[0] in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+COMPOSE = ["spectrum", "-p", "mode=compose", "-p", 'uu=["0"]', "-p", 'dense=["0"]', "-p", 'trivial=["1"]']
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["qpe", "-p", "n=4", "-p", "phi=1/0"], "phi"),
+        (["qpe", "-p", "n=4", "-p", "phi=abc"], "phi"),
+        ([*COMPOSE, "-p", "beta=1/0"], "beta"),
+        ([*COMPOSE, "-p", "beta=abc"], "beta"),
+        ([*COMPOSE, "-p", "beta=1", "-p", 'uu=["x"]'], "uu"),
+    ],
+    ids=["phi=1/0", "phi=abc", "beta=1/0", "beta=abc", "uu=x"],
+)
+def test_unreadable_rational_named(tmp_path, capsys, argv, key):
+    command, *params = argv
+    assert main([command, "--output-dir", str(tmp_path / "run"), *params]) == EXIT_PARSE
+    assert repr(key) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,artifact,key,want",
+    [
+        (["witness", "-p", "phi=0.25", "-p", "max_stage=50"], "witness.json", "phi", "1/4"),
+        (["witness", "-p", "phi=1/4", "-p", "max_stage=50"], "witness.json", "phi", "1/4"),
+        (["qpe", "-p", "phi=0.11", "-p", "n=4"], "qpe.json", "phi", "11/100"),
+        (["sweep", "-p", "phis=[0.25, 0.875]"], "sweep.csv", "phi", "1/4 7/8"),
+    ],
+    ids=["witness_decimal", "witness_fraction", "qpe_decimal", "sweep_decimal"],
+)
+def test_decimal_phase_is_the_rational_it_denotes(tmp_path, argv, artifact, key, want):
+    command, *params = argv
+    if command != "qpe":
+        params += ["-p", "machine=zoo:omega34"]
+    assert main([command, "--output-dir", str(tmp_path), *params]) == EXIT_OK
+    if artifact.endswith(".json"):
+        assert read_json(tmp_path / artifact)[key] == want
+    else:
+        rows = (tmp_path / artifact).read_text().splitlines()[1:]
+        assert " ".join(row.partition(",")[0] for row in rows) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "-p", "max_stage=50", "-p", "phi=0.11"],
+        ["witness", "-p", "max_stage=50", "-p", "phi=1/3"],
+        ["sweep", "-p", "phis=[0.5, 0.11]"],
+        ["sweep", "-p", "grid_denominator=48"],
+        ["sweep", "-p", "grid_denominator=0"],
+    ],
+    ids=["witness_decimal", "witness_third", "sweep_phis", "sweep_grid_48", "sweep_grid_0"],
+)
+def test_non_dyadic_phase_out_of_range(tmp_path, capsys, argv):
+    command, *params = argv
+    argv = [command, "--output-dir", str(tmp_path / "run"), "-p", "machine=zoo:omega34", *params]
+    assert main(argv) == EXIT_CONSTRAINT
+    assert repr(params[-1].partition("=")[0]) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dyadic_reader_round_trip():
+    for value, num, exp in [
+        ("3/4", 3, 2),
+        ("0.25", 1, 2),
+        (0.25, 1, 2),
+        ("-0.75", -3, 2),
+        ("1.5", 3, 1),
+        ("6/8", 3, 2),
+        ("7", 7, 0),
+        (7, 7, 0),
+        ("0", 0, 0),
+    ]:
+        d = _read("phi", value, Dyadic)
+        assert d == Dyadic(num, exp)
+        assert _read("phi", d.as_ratio_string(), Dyadic) == d
+
+
+def test_dyadic_reader_rejects_non_dyadic():
+    for value in ("1/3", "0.11", 0.1):  # decimals: 0.11 is 11/100, not binary 3/4
+        with pytest.raises(ValueError, match="power-of-two") as err:
+            _read("phi", value, Dyadic)
+        assert not isinstance(err.value, ConfigError)  # out of range: exit 3
+    for value in ("abc", "1/2^3", "1/0", True, [1]):
+        with pytest.raises(ConfigError):
+            _read("phi", value, Dyadic)
+
+
+def test_alternative_keys_refused_together(tmp_path, capsys):
+    spec = tmp_path / "case.clock"
+    write_clock_spec(case5_spec(3, 0.5), spec)
+    runs = [
+        (["sweep", "-p", "machine=zoo:omega34", "-p", "grid_denominator=4", "-p", 'phis=["1/2"]'],
+         ("grid_denominator", "phis")),
+        (["clock", "-p", f"spec_file={spec}", "-p", "T=5", "-p", "mu=0.3"], ("spec_file", "T", "mu")),
+        (["clock", "-p", f"spec_file={spec}", "-p", "mu=0.3"], ("spec_file", "mu")),
+    ]
+    for argv, keys in runs:
+        command, *params = argv
+        assert main([command, "--output-dir", str(tmp_path / "run"), *params]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert all(repr(key) in err for key in keys), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.clock"]
+    # either group alone runs; the spec file's run reports no mu
+    assert main(["clock", "--output-dir", str(tmp_path / "spec"), "-p", f"spec_file={spec}"]) == EXIT_OK
+    assert read_json(tmp_path / "spec" / "clock.json")["mu"] is None
+
+
+# Every (command, mode, key) of the parameter table, so that a key added
+# later is covered here without a new case.
+TABLE = [
+    pytest.param(command, mode, key, kind, default, id=f"{command}-{mode or '-'}-{key}")
+    for command, modes in PARAM_KEYS.items()
+    for mode, table in modes.items()
+    for key, (kind, default) in table.items()
+]
+
+
+def _sample(kind):
+    """A value of the kind's JSON type (its range is not checked before a run)."""
+    if typing.get_origin(kind) is list:
+        return [_sample(typing.get_args(kind)[0])]
+    return {int: 1, float: 0.5, bool: True, str: "x", Fraction: "1/2", Dyadic: "1/2"}[kind]
+
+
+def _wrong_types(kind):
+    if typing.get_origin(kind) is list:
+        return [True, [True]]
+    return [1, "true"] if kind is bool else [True, [1]]
+
+
+def _run_from_file(tmp_path, command, mode, params):
+    if mode:
+        params["mode"] = mode
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps({"command": command, "output_dir": str(tmp_path / "run"), "params": params})
+    )
+    code = main([command, "--config", str(config)])
+    assert list(tmp_path.iterdir()) == [config]
+    return code
+
+
+def _required(command, mode):
+    return {
+        key: _sample(kind)
+        for key, (kind, default) in PARAM_KEYS[command][mode].items()
+        if default is REQUIRED
+    }
+
+
+@pytest.mark.parametrize(
+    "command,mode,key,kind,default", [case for case in TABLE if case.values[4] is REQUIRED]
+)
+def test_table_required_key_missing(tmp_path, capsys, command, mode, key, kind, default):
+    params = _required(command, mode)
+    del params[key]
+    assert _run_from_file(tmp_path, command, mode, params) == EXIT_PARSE
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,mode,key,kind,default", TABLE)
+def test_table_wrong_json_type(tmp_path, capsys, command, mode, key, kind, default):
+    for wrong in _wrong_types(kind):
+        params = {**_required(command, mode), key: wrong}
+        assert _run_from_file(tmp_path, command, mode, params) == EXIT_PARSE, wrong
+        assert repr(key) in capsys.readouterr().err
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch):
