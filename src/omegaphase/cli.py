@@ -268,7 +268,7 @@ def _run_omega(p: dict, mode: str, fmt: str, out: Path) -> None:
     if p["include_sequence"] or fmt == "csv":
         rows = [
             [str(s), value.as_ratio_string(), truncate(value, s).as_ratio_string()]
-            for s, value in enumerate(chaitin.omega_stage_values(machine, stage), start=1)
+            for s, value in enumerate(approx.stage_values, start=1)
         ]
         _write_csv(out / "omega_stages.csv", ["stage", "omega_s", "omega_s_trunc_s"], rows)
 
@@ -505,6 +505,8 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
 
 def _run_spectrum(p: dict, mode: str, fmt: str, out: Path) -> None:
     if mode == "xy":
+        if not p["lengths"]:
+            raise ValueError("empty scan: lengths is empty")
         rows = []
         for L in p["lengths"]:
             spec = phase.xy_chain_spectrum(L)

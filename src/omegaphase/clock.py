@@ -637,6 +637,10 @@ def gap_law_grid(
 ) -> list[dict]:
     """Sweep (T, mu): root-solved and dense ground energies, epsilon,
     and the two scale-free ratios whose envelopes the law freezes."""
+    if not t_values:
+        raise ValueError("empty scan: t_values is empty")
+    if not mu_values:
+        raise ValueError("empty scan: mu_values is empty")
     rows = []
     for T in t_values:
         for mu in mu_values:

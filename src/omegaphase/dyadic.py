@@ -186,8 +186,8 @@ ZERO = Dyadic(0)
 class BitString:
     """An immutable finite word over {0, 1}; the empty word is allowed.
 
-    Words of length k round-trip exactly with dyadic fractions of k
-    fractional bits via ``to_dyadic`` / ``from_dyadic``.
+    A word of length k reads as the dyadic fraction 0.b1...bk via
+    ``to_dyadic``.
     """
 
     __slots__ = ("_bits",)
@@ -203,18 +203,6 @@ class BitString:
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("BitString is immutable")
-
-    @classmethod
-    def from_dyadic(cls, value: Dyadic, length: int) -> "BitString":
-        """The length-``length`` word whose fraction 0.b1...bk equals ``value``."""
-        if not (0 <= value < 1):
-            raise ValueError("from_dyadic requires a value in [0, 1)")
-        if value.fractional_length > length:
-            raise ValueError(
-                f"{value} needs {value.fractional_length} bits, got length {length}"
-            )
-        scaled = value.numerator << (length - value.exponent)
-        return cls(f"{scaled:0{length}b}" if length else "")
 
     def to_dyadic(self) -> Dyadic:
         """The dyadic fraction 0.b1...bk; the empty word maps to 0."""

@@ -19,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .calibration import COMP_UPPER_K
-from .chaitin import omega_stage_values, witness_wprime
-from .dyadic import BitString, Dyadic, interval_Im
+from .chaitin import omega_stage_values, wprime_halts
+from .dyadic import Dyadic, interval_Im
 from .tm import MachineSpec
 
 __all__ = [
@@ -382,10 +382,7 @@ def sweep(
     s_prime = find_s_prime(model)
     if s_budget < s_prime:
         raise ValueError(f"s_budget={s_budget} below separation scale {s_prime}")
-    if phi_grid:
-        # Reach the last stage the loop can ask for in one extension: the
-        # halting table reruns every pending input each time it grows.
-        omega_stage_values(machine, model.m_of(s_budget))
+    stage_values = omega_stage_values(machine, model.m_of(s_budget)) if phi_grid else []
     results: list[SweepResult] = []
     for phi in phi_grid:
         if not 0 < phi <= 1:
@@ -396,10 +393,7 @@ def sweep(
         for s in range(s_prime, s_budget + 1):
             m = model.m_of(s)
             members = interval_Im(reduced, m)
-            verdicts = [
-                witness_wprime(machine, BitString.from_dyadic(v, m), m)
-                for v in members
-            ]
+            verdicts = [wprime_halts(v, stage_values[m - 1], m) for v in members]
             if all(verdicts):
                 regime = "halting"
             elif not any(verdicts):

@@ -50,7 +50,7 @@ class MachineSpec:
     """A deterministic machine: states, start/halt, and a total rule table.
 
     Immutable after construction and hashable, so results keyed on a
-    machine (e.g. cached halting-probability stages) stay coherent.
+    machine stay coherent.
     """
 
     __slots__ = ("name", "start", "halt", "rules", "_rule_map", "_hash")

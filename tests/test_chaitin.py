@@ -3,7 +3,6 @@ documented halting sets and exact values."""
 
 import pytest
 
-from omegaphase import chaitin
 from omegaphase.chaitin import (
     omega_approx,
     omega_stage_values,
@@ -46,13 +45,10 @@ ORACLE_MACHINES = [zoo_machine(name) for name in ZOO] + [late_halter(99)]
 
 @pytest.mark.parametrize("spec", ORACLE_MACHINES, ids=lambda spec: spec.name)
 def test_table_matches_from_scratch_stages(spec):
-    chaitin._table.cache_clear()
     for stage in range(0, 65):
         approx = omega_approx(spec, stage)
         assert (approx.value, approx.halting_inputs) == reference_stage(spec, stage), stage
-    # out of order, from a fresh table: a later stage grows the budget and
-    # reruns every input that had not halted
-    chaitin._table.cache_clear()
+    # out of order: no request depends on the ones before it
     for stage in (50, 10, 200, 3):
         approx = omega_approx(spec, stage)
         assert (approx.value, approx.halting_inputs) == reference_stage(spec, stage), stage
@@ -67,19 +63,16 @@ def test_late_halter_counts_from_its_halting_time():
     assert witness_w(spec, Dyadic(0), 1000) == 100
 
 
-def test_witness_w_to_stage_1000_makes_at_most_2000_runs(monkeypatch):
-    calls = 0
-
-    def counting_run_bounded(*args):
-        nonlocal calls
-        calls += 1
-        return run_bounded(*args)
-
-    monkeypatch.setattr(chaitin, "run_bounded", counting_run_bounded)
-    chaitin._table.cache_clear()
+def test_witness_w_to_stage_1000_makes_at_most_2000_runs(chaitin_runs):
     # every stage up to 1000 is visited; from scratch that is 500,500 runs
     assert witness_w(zoo_machine("omega34"), Dyadic(3, 2), 1000) is None
-    assert calls <= 2000
+    assert len(chaitin_runs) == 1000
+
+
+def test_witness_w_stops_at_its_stage(chaitin_runs):
+    # omega58's stage 12 is the first above 1/2: inputs past x_12 never run
+    assert witness_w(zoo_machine("omega58"), Dyadic(1, 1), 600) == 12
+    assert len(chaitin_runs) == 12
 
 
 def test_stage_zero_is_zero():
@@ -199,7 +192,8 @@ def desk_scale_wprime(spec, phi, m):
     """Halting verdicts of the finite-precision witness on every best
     m-bit approximation of phi."""
     members = interval_Im(phi, m)
-    return [witness_wprime(spec, BitString.from_dyadic(v, m), m) for v in members]
+    words = [f"{v.numerator << (m - v.exponent):0{m}b}" for v in members]
+    return [witness_wprime(spec, BitString(word), m) for word in words]
 
 
 def test_transition_theorem_desk_scale():

@@ -259,6 +259,16 @@ def test_cheap_configs_reproduce_committed_artifacts(tmp_path, number):
             assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
+def test_omega_artifacts_come_from_one_pass(tmp_path, chaitin_runs):
+    cfg = RunConfig.from_file(REPO / "configs" / "acceptance_07_omega_limit.json")
+    cfg.output_dir = str(tmp_path)
+    assert run(cfg) == EXIT_OK
+    # omega.json and omega_stages.csv both read stages 1..32 of one pass
+    produced = sorted(p.name for p in tmp_path.iterdir())
+    assert produced == ["manifest.json", "omega.json", "omega_stages.csv"]
+    assert len(chaitin_runs) == 32
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -323,17 +333,24 @@ def test_other_mode_key_or_wrong_type_refused(tmp_path, argv):
         ["clock", "-p", "mode=jordan", "-p", "trials=0"],
         ["clock", "-p", "mode=jordan", "-p", "dim=1"],
         ["sweep", "-p", "mode=schedule", "-p", "n_max=1"],
+        ["clock", "-p", "mode=grid", "-p", "t_values=[]"],
+        ["clock", "-p", "mode=grid", "-p", "mu_values=[]"],
+        ["spectrum", "-p", "mode=xy", "-p", "lengths=[]"],
     ],
     ids=[
         "qpe_grid_no_phase", "qpe_grid_no_n", "qpe_rounding", "clock_cases", "clock_jordan",
-        "clock_jordan_dim", "sweep_schedule",
+        "clock_jordan_dim", "sweep_schedule", "clock_grid_no_t", "clock_grid_no_mu",
+        "spectrum_xy_no_lengths",
     ],
 )
-def test_empty_scan_refused(tmp_path, argv):
+def test_empty_scan_refused(tmp_path, capsys, argv):
     out = tmp_path / "run"
     command, *params = argv
     assert main([command, "--output-dir", str(out), *params]) == EXIT_CONSTRAINT
     assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    for empty_list in (a for a in params if a.endswith("=[]")):
+        assert empty_list.removesuffix("=[]") in err
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from omegaphase import chaitin
 from omegaphase.dyadic import Dyadic
 from omegaphase.phase import (
     SeparationError,
@@ -24,7 +23,6 @@ from omegaphase.phase import (
     sweep,
     xy_chain_spectrum,
 )
-from omegaphase.tm import run_bounded
 from omegaphase.zoo import ZOO, zoo_machine
 
 DEFAULT = SquareEnergyModel()
@@ -242,22 +240,11 @@ def test_sweep_never_misclassifies_zoo():
             assert result.gapless == expected, (name, str(result.phi))
 
 
-def test_sweep_extends_halting_table_once(monkeypatch):
-    # config 08's sweep asks for stage m(s') = 6,553, then m(s' + 1) = 6,554;
-    # reaching 6,554 in one extension runs each input once, where growing the
-    # table a stage at a time reran all 6,551 pending inputs (13,103 runs)
-    runs = 0
-
-    def counted(*args):
-        nonlocal runs
-        runs += 1
-        return run_bounded(*args)
-
-    monkeypatch.setattr(chaitin, "run_bounded", counted)
-    chaitin._table.cache_clear()
+def test_sweep_runs_each_input_once(chaitin_runs):
+    # config 08's sweep reads stages 1..m(s' + 1) = 6,553 from one pass
     sp = find_s_prime(DEFAULT)
     sweep([Dyadic(k, 6) for k in range(1, 65)], zoo_machine("omega34"), sp + 1, DEFAULT)
-    assert runs <= 6554, runs
+    assert len(chaitin_runs) == 6553
 
 
 def xy_dense_oracle(L):
