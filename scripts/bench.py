@@ -1,0 +1,101 @@
+"""Wall times of the acceptance configs and of the exact estimation hot
+paths, written to one JSON file.
+
+Run from the repository root::
+
+    PYTHONPATH=src python scripts/bench.py BENCH_<n>.json
+
+Every timing is the median of five in-process runs, with all five kept.
+Each acceptance config runs through ``cli.main`` into a temporary
+directory; runs after the first see warm in-process caches (config 12
+reuses the separation scale config 08 found).  The microbenchmarks run on
+fixed inputs:
+
+- ``dyadic_pipeline_n12``: the rounding map truncate(round_up_mth(.)) and
+  ``interval_Im`` of every 12-bit grid point for every m < 12;
+- ``rounding_lemma_scan_12``: ``qpe.rounding_lemma_scan(12)``;
+- ``qpe_distribution_csv_n18``: ``qpe`` distribution mode at phi = 100/257,
+  n = 18, m = 12 through ``cli.main``, the 2^18-row CSV included.
+
+BLAS runs single-threaded unless the environment says otherwise; the file
+records nproc, the BLAS thread variables and the Python and numpy
+versions, since wall times on a shared host drift.
+"""
+
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARS:
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from omegaphase import cli, qpe  # noqa: E402
+from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate  # noqa: E402
+
+REPEATS = 5
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def timed(fn) -> dict:
+    runs = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        runs.append(time.perf_counter() - start)
+    return {"median_s": statistics.median(runs), "runs_s": runs}
+
+
+def run_cli(argv: list[str]) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        if cli.main([*argv, "--output-dir", str(Path(tmp) / "run")]) != cli.EXIT_OK:
+            raise RuntimeError(f"omegaphase {' '.join(argv)} failed")
+
+
+def dyadic_pipeline(n: int = 12) -> None:
+    for m in range(1, n):
+        for z in range(1 << n):
+            x = Dyadic(z, n)
+            truncate(round_up_mth(x, m, n_bits=n), m)
+            interval_Im(x, m)
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: python scripts/bench.py OUTPUT.json")
+    configs = {}
+    for path in sorted(CONFIGS.glob("acceptance_*.json")):
+        command = json.loads(path.read_text(encoding="utf-8"))["command"]
+        configs[path.stem] = timed(lambda: run_cli([command, "--config", str(path)]))
+        print(f"{path.stem}: {configs[path.stem]['median_s']:.3f} s", file=sys.stderr)
+    qpe_argv = ["qpe", "-p", "mode=distribution", "-p", "phi=100/257", "-p", "n=18", "-p", "m=12"]
+    micro = {
+        "dyadic_pipeline_n12": timed(dyadic_pipeline),
+        "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12)),
+        "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv)),
+    }
+    for name, result in micro.items():
+        print(f"{name}: {result['median_s']:.3f} s", file=sys.stderr)
+    report = {
+        "host": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "blas_threads": {var: os.environ[var] for var in BLAS_VARS},
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "repeats": REPEATS,
+        "configs": configs,
+        "micro": micro,
+    }
+    Path(sys.argv[1]).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

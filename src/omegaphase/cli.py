@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 import typing
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -155,10 +156,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _grid_ratio_strings(n: int) -> list[str]:
+    """z/2^n in lowest terms for z = 0 .. 2^n - 1, as Dyadic prints it:
+    at each level k an even z is z/2 of level k - 1 and an odd z is
+    already in lowest terms."""
+    strings = ["0"]
+    for k in range(1, n + 1):
+        den = 1 << k
+        level = [""] * den
+        level[0::2] = strings
+        level[1::2] = [f"{z}/{den}" for z in range(1, den, 2)]
+        strings = level
+    return strings
 
 
 def _load_machine_ref(ref: str) -> MachineSpec:
@@ -305,10 +320,8 @@ def _run_qpe(p: dict, mode: str, fmt: str, out: Path) -> None:
     if mode == "distribution":
         n, m = p["n"], p["m"]
         dist = qpe.qpe_distribution(p["phi"], n)
-        rows = []
-        for z, prob in enumerate(dist.probabilities):
-            estimate = Dyadic(z, n)
-            rows.append([str(z), estimate.as_ratio_string(), _float_repr(prob)])
+        probs = map(_float_repr, dist.probabilities.tolist())
+        rows = zip(map(str, range(1 << n)), _grid_ratio_strings(n), probs)
         _write_csv(out / "qpe.csv", ["z", "estimate", "probability"], rows)
         summary: dict = {"phi": str(dist.phi), "n": n, "exact": dist.exact}
         if m is not None:

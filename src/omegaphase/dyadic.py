@@ -8,9 +8,9 @@ except the explicit ``__float__`` conversions.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import total_ordering
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 __all__ = [
     "Dyadic",
@@ -23,7 +23,24 @@ __all__ = [
 DyadicLike = Union["Dyadic", int]
 
 
-@total_ordering
+def _ordering(op: Callable[[object, object], bool]) -> Callable[["Dyadic", object], bool]:
+    """One order comparison of a Dyadic with a Dyadic, an int or a Fraction."""
+
+    def compare(self: "Dyadic", other: object) -> bool:
+        if isinstance(other, int):
+            return op(self._num, other << self._exp)
+        if isinstance(other, Dyadic):
+            shift = self._exp - other._exp  # bring both to the larger exponent
+            if shift >= 0:
+                return op(self._num, other._num << shift)
+            return op(self._num << -shift, other._num)
+        if isinstance(other, Fraction):
+            return op(self.as_fraction(), other)
+        return NotImplemented
+
+    return compare
+
+
 class Dyadic:
     """An exact dyadic rational ``numerator / 2**exponent``.
 
@@ -38,15 +55,25 @@ class Dyadic:
     def __init__(self, numerator: int, exponent: int = 0) -> None:
         if exponent < 0:
             raise ValueError(f"exponent must be non-negative, got {exponent}")
-        if numerator == 0:
-            exponent = 0
-        else:
-            # strip shared factors of two
-            shift = min(exponent, (numerator & -numerator).bit_length() - 1)
-            numerator >>= shift
-            exponent -= shift
-        object.__setattr__(self, "_num", numerator)
-        object.__setattr__(self, "_exp", exponent)
+        if exponent and not numerator & 1:
+            if numerator == 0:
+                exponent = 0
+            else:
+                # strip shared factors of two
+                shift = min(exponent, (numerator & -numerator).bit_length() - 1)
+                numerator >>= shift
+                exponent -= shift
+        _set_num(self, numerator)
+        _set_exp(self, exponent)
+
+    @staticmethod
+    def _canonical(numerator: int, exponent: int) -> "Dyadic":
+        """A Dyadic from a pair the caller knows is canonical (odd
+        numerator or zero exponent), built without checking it."""
+        value = _new(Dyadic)
+        _set_num(value, numerator)
+        _set_exp(value, exponent)
+        return value
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Dyadic is immutable")
@@ -76,7 +103,7 @@ class Dyadic:
         """The j-th fractional bit (j >= 1) of a value in [0, 1)."""
         if j < 1:
             raise ValueError("bit index must be >= 1")
-        if not (0 <= self < 1):
+        if self.floor():
             raise ValueError("fractional bits are defined for values in [0, 1)")
         if j > self._exp:
             return 0
@@ -89,7 +116,7 @@ class Dyadic:
         if isinstance(value, Dyadic):
             return value
         if isinstance(value, int):
-            return Dyadic(value)
+            return Dyadic._canonical(value, 0)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: DyadicLike) -> "Dyadic":
@@ -124,24 +151,21 @@ class Dyadic:
     __rmul__ = __mul__
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic(-self._num, self._exp)
+        return Dyadic._canonical(-self._num, self._exp)
 
     def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self._num), self._exp)
+        return Dyadic._canonical(abs(self._num), self._exp)
 
     def mod1(self) -> "Dyadic":
         """Reduce into [0, 1); all mod-1 steps in callers are explicit."""
-        frac = self._num - ((self._num >> self._exp) << self._exp)
-        return Dyadic(frac, self._exp)
+        # the mask keeps bit 0, so an odd numerator stays odd, and an
+        # exponent of 0 masks to 0
+        return Dyadic._canonical(self._num & ((1 << self._exp) - 1), self._exp)
 
     def floor(self) -> int:
         return self._num >> self._exp
 
     # -- comparisons ---------------------------------------------------
-
-    def _cmp_key(self, other: "Dyadic") -> tuple[int, int]:
-        e = max(self._exp, other._exp)
-        return self._num << (e - self._exp), other._num << (e - other._exp)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -152,15 +176,10 @@ class Dyadic:
             return self.as_fraction() == other
         return NotImplemented
 
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self._num < other << self._exp
-        if isinstance(other, Dyadic):
-            a, b = self._cmp_key(other)
-            return a < b
-        if isinstance(other, Fraction):
-            return self.as_fraction() < other
-        return NotImplemented
+    __lt__ = _ordering(operator.lt)
+    __le__ = _ordering(operator.le)
+    __gt__ = _ordering(operator.gt)
+    __ge__ = _ordering(operator.ge)
 
     def __hash__(self) -> int:
         return hash((self._num, self._exp))
@@ -179,6 +198,10 @@ class Dyadic:
     def __str__(self) -> str:
         return self.as_ratio_string()
 
+
+_new = object.__new__
+_set_num = Dyadic._num.__set__  # type: ignore[attr-defined]
+_set_exp = Dyadic._exp.__set__  # type: ignore[attr-defined]
 
 ZERO = Dyadic(0)
 
@@ -260,7 +283,7 @@ def round_up_mth(x: Dyadic, m: int, n_bits: int | None = None) -> Dyadic:
     so the (m+1)-th bit is always addressable.  An explicit ``n_bits``
     with ``m >= n_bits`` signals a misconfigured precision schedule.
     """
-    if not (0 <= x < 1):
+    if x.floor():  # the floor is 0 exactly on [0, 1)
         raise ValueError(f"round_up_mth requires x in [0, 1), got {x}")
     if m < 1:
         raise ValueError(f"rounding position must be >= 1, got {m}")
@@ -287,7 +310,7 @@ def interval_Im(phi: Dyadic, m: int) -> tuple[Dyadic, ...]:
     """
     if m < 1:
         raise ValueError(f"precision m must be >= 1, got {m}")
-    if not (0 <= phi < 1):
+    if phi.floor():
         raise ValueError(f"interval_Im requires phi in [0, 1), got {phi}")
     lo = truncate(phi, m)
     if lo == phi:

@@ -43,6 +43,9 @@ __all__ = [
 
 S_MIN_SQUARE = 3  # smallest meaningful square
 S_MIN_SCHEDULE = 7  # smallest square with a precision schedule (n = s - 5 >= 2)
+# Largest synthesis exponent a model may reach over its checked range:
+# separation_holds shifts integers by about that many bits per side.
+MAX_DELTA_EXPONENT = 1 << 16
 REGIMES = ("halting", "nonhalting", "mixed")
 
 
@@ -136,6 +139,16 @@ class SquareEnergyModel:
             raise ValueError("poly_degree must be >= 0")
         if self.s_max_checked < S_MIN_SCHEDULE:
             raise ValueError("s_max_checked too small to ever separate")
+        # _delta_exponent(n, c1, c2) > MAX_DELTA_EXPONENT, compared before the
+        # floor, which would overflow on a c2 near the float limit.  As c1 < 4
+        # and c2 >= 1, every n from 2^65 up exceeds it, and a larger n would
+        # overflow the float power.
+        n = self.s_max_checked - 5
+        if n >= 1 << 65 or self.c2 * n ** (1.0 / self.c1) >= MAX_DELTA_EXPONENT + 1:
+            raise ValueError(
+                f"c2={self.c2} puts the synthesis exponent above {MAX_DELTA_EXPONENT} bits "
+                f"at s_max_checked={self.s_max_checked}"
+            )
         if not isinstance(self.comp_upper_k, Fraction) or self.comp_upper_k <= 0:
             raise ValueError("comp_upper_k must be a positive Fraction")
 

@@ -171,7 +171,9 @@ def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
     For every n, m < n, every n-bit estimate within 2^-(m+1) (mod 1) of
     every n-bit phase must round-then-truncate into the phase's best
     m-bit approximations.  The per-point pipeline goes through the exact
-    dyadic operations once; the pair loop compares precomputed images.
+    dyadic operations once; the pairs are then compared in one pass per
+    (n, m), phase w against the window of estimates z = w - radius + 1 ..
+    w + radius - 1 (mod 2^n) of the wrapped image array.
     """
     if n_max < 2:
         raise ValueError(f"empty scan: n_max={n_max} < 2")
@@ -180,21 +182,20 @@ def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
     for n in range(2, n_max + 1):
         size = 1 << n
         for m in range(1, n):
-            images = np.empty(size, dtype=np.int64)
+            images = []
             for z in range(size):
                 rounded = truncate(round_up_mth(Dyadic(z, n), m, n_bits=n), m)
-                images[z] = rounded.numerator << (m - rounded.exponent)
-            lo = np.empty(size, dtype=np.int64)
-            hi = np.empty(size, dtype=np.int64)
+                images.append(rounded.numerator << (m - rounded.exponent))
+            lo = []
+            hi = []
             for w in range(size):
                 members = interval_Im(Dyadic(w, n), m)
-                scaled = sorted(v.numerator << (m - v.exponent) for v in members)
-                lo[w] = scaled[0]
-                hi[w] = scaled[-1]
+                lo.append(members[0].numerator << (m - members[0].exponent))
+                hi.append(members[-1].numerator << (m - members[-1].exponent))
             radius = 1 << (n - m - 1)  # estimates with |z - w| mod 2^n < radius
-            for offset in range(-radius + 1, radius):
-                z_idx = (np.arange(size) + offset) % size
-                ok = (images[z_idx] == lo) | (images[z_idx] == hi)
-                checked += size
-                violations += int(np.count_nonzero(~ok))
+            wrapped = np.array(images[size - radius + 1 :] + images + images[: radius - 1])
+            windows = np.lib.stride_tricks.sliding_window_view(wrapped, 2 * radius - 1)
+            ok = (windows == np.array(lo)[:, None]) | (windows == np.array(hi)[:, None])
+            checked += ok.size
+            violations += ok.size - int(np.count_nonzero(ok))
     return checked, violations

@@ -17,6 +17,7 @@ from omegaphase.cli import (
 )
 from omegaphase.clock import case5_spec, write_clock_spec
 from omegaphase.dyadic import Dyadic
+from omegaphase.qpe import qpe_distribution
 from omegaphase.tm import format_machine
 from omegaphase.zoo import zoo_machine
 
@@ -360,6 +361,8 @@ def test_empty_scan_refused(tmp_path, capsys, argv):
         ("c2=1e400", EXIT_CONSTRAINT),
         ("c2=NaN", EXIT_CONSTRAINT),
         ("c2=0.5", EXIT_CONSTRAINT),
+        ("c2=1e5", EXIT_CONSTRAINT),  # each check would shift by millions of bits
+        ("c2=1e9", EXIT_CONSTRAINT),
         ("comp_upper_k=1/0", EXIT_PARSE),
         ("comp_upper_k=abc", EXIT_PARSE),
         ("comp_upper_k=0", EXIT_CONSTRAINT),
@@ -371,6 +374,27 @@ def test_bad_model_knob_named(tmp_path, capsys, param, code):
     assert main(argv) == code
     assert param.partition("=")[0] in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "phi,m,exact",
+    [("100/257", "half", False), ("1/2", "half", True), ("2/7", None, False)],
+    ids=["off-grid", "on-grid", "no-m"],
+)
+def test_qpe_distribution_csv_bytes(tmp_path, phi, m, exact):
+    for n in range(1, 13):
+        out = tmp_path / f"n{n}"
+        argv = ["qpe", "--output-dir", str(out), "-p", "mode=distribution", "-p", f"phi={phi}", "-p", f"n={n}"]
+        if m is not None:
+            argv += ["-p", f"m={max(1, n // 2)}"]
+        assert main(argv) == EXIT_OK
+        summary = read_json(out / "qpe.json")
+        assert summary["exact"] is exact
+        assert ("m" in summary) == (m is not None)
+        probs = qpe_distribution(Fraction(phi), n).probabilities
+        lines = ["z,estimate,probability"]
+        lines += [f"{z},{Fraction(z, 2**n)},{format(float(p), '.17g')}" for z, p in enumerate(probs)]
+        assert (out / "qpe.csv").read_bytes() == ("\n".join(lines) + "\n").encode(), n
 
 
 COMPOSE = ["spectrum", "-p", "mode=compose", "-p", 'uu=["0"]', "-p", 'dense=["0"]', "-p", 'trivial=["1"]']

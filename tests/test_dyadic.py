@@ -2,7 +2,9 @@
 map, and best-approximation intervals."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,11 +19,63 @@ def test_canonical_form():
     assert d.numerator == 3 and d.exponent == 2
 
 
+# every numerator -16..16 over every exponent 0..5, duplicates included
+SMALL_GRID = [Dyadic(k, e) for e in range(6) for k in range(-16, 17)]
+
+
+def assert_exact(d, f):
+    """d is canonical (odd numerator or exponent 0) and equals f."""
+    assert d.exponent == 0 or d.numerator % 2 == 1, repr(d)
+    assert (d.numerator, 1 << d.exponent) == (f.numerator, f.denominator), (d, f)
+
+
+def test_results_are_canonical_and_exact():
+    for a in SMALL_GRID:
+        fa = a.as_fraction()
+        assert_exact(a, fa)
+        assert_exact(-a, -fa)
+        assert_exact(abs(a), abs(fa))
+        assert_exact(a.mod1(), fa % 1)
+        for s in range(0, 7):
+            assert_exact(truncate(a, s), Fraction(math.floor(fa * 2**s), 2**s))
+        for b in SMALL_GRID:
+            fb = b.as_fraction()
+            assert_exact(a + b, fa + fb)
+            assert_exact(a - b, fa - fb)
+            assert_exact(a * b, fa * fb)
+        if not 0 <= fa < 1:
+            continue
+        for m in range(1, 7):
+            step = Fraction(1, 2**m)
+            bit = math.floor(fa * 2 ** (m + 1)) % 2
+            assert_exact(round_up_mth(a, m), (fa + step) % 1 if bit else fa)
+            lo = Fraction(math.floor(fa * 2**m), 2**m)
+            want = [lo] if lo == fa else sorted({lo, (lo + step) % 1})
+            members = interval_Im(a, m)
+            assert len(members) == len(want)
+            for d, f in zip(members, want):
+                assert_exact(d, f)
+
+
 def test_order_agrees_with_fractions():
-    values = [Dyadic(k, e) for e in range(0, 5) for k in range(-8, 9)]
-    for a, b in itertools.product(values, repeat=2):
-        assert (a < b) == (a.as_fraction() < b.as_fraction())
-        assert (a == b) == (a.as_fraction() == b.as_fraction())
+    others = SMALL_GRID + list(range(-3, 4)) + [Fraction(1, 3), Fraction(-5, 8), Fraction(33, 2)]
+    for a, b in itertools.product(SMALL_GRID, others):
+        fa = a.as_fraction()
+        fb = b.as_fraction() if isinstance(b, Dyadic) else b
+        assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
+            fa < fb, fa <= fb, fa > fb, fa >= fb, fa == fb, fa != fb
+        ), (a, b)
+        # reflected: the left operand defers to Dyadic
+        assert (b < a, b <= a, b > a, b >= a, b == a) == (
+            fb < fa, fb <= fa, fb > fa, fb >= fa, fb == fa
+        ), (b, a)
+
+
+def test_unordered_operands_raise():
+    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert getattr(Dyadic(1, 1), op)(0.5) is NotImplemented
+    with pytest.raises(TypeError):
+        Dyadic(1, 1) <= 0.5
 
 
 def test_int_comparisons_agree_with_fractions():

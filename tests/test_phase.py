@@ -8,6 +8,7 @@ import pytest
 
 from omegaphase.dyadic import Dyadic
 from omegaphase.phase import (
+    MAX_DELTA_EXPONENT,
     SeparationError,
     SquareEnergyModel,
     _ceil_root,
@@ -85,9 +86,18 @@ def test_model_validation():
         SquareEnergyModel(xi=6)
     with pytest.raises(ValueError):
         SquareEnergyModel(c1=4.5)
-    for c2 in (0.5, float("inf"), float("nan")):
+    # 1e5 and 1e9 would shift by millions and billions of bits per check
+    for c2 in (0.5, float("inf"), float("nan"), 1e5, 1e9, 1e308):
         with pytest.raises(ValueError, match="c2"):
             SquareEnergyModel(c2=c2)
+    # the largest c2 the tests use, over the full range: about 29k bits
+    assert _delta_exponent(DEFAULT.s_max_checked - 5, 3.5, 1000.0) <= MAX_DELTA_EXPONENT
+    SquareEnergyModel(c2=1000.0)
+    for top in (1 << 22, 10**400):
+        with pytest.raises(ValueError, match="c2"):
+            SquareEnergyModel(c2=1000.0, s_max_checked=top)
+    with pytest.raises(ValueError, match="c2"):
+        SquareEnergyModel(s_max_checked=10**400)
     with pytest.raises(ValueError):
         SquareEnergyModel(comp_upper_k=Fraction(-1))
     assert SquareEnergyModel(xi=4).C == 2

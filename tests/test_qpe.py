@@ -8,8 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from omegaphase import qpe
 from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate
-from omegaphase.qpe import as_phase, qpe_distribution, tail_and_success, _signed_offsets
+from omegaphase.qpe import (
+    as_phase, qpe_distribution, rounding_lemma_scan, tail_and_success, _signed_offsets,
+)
 
 SAMPLE_PHASES = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(100, 257)]
 # phases whose windows wrap around 0 at high precision
@@ -182,3 +185,48 @@ def test_float_phase_uses_exact_binary_value():
     phi = as_phase(0.1)
     assert phi == Fraction(0.1)
     assert phi != Fraction(1, 10)
+
+
+def scalar_rounding_counts(n):
+    """(checked, violations) of one grid n, pair by pair: phase w against
+    every estimate z with |z - w| mod 2^n below the radius, through the
+    truncate the scan sees."""
+    size = 1 << n
+    checked = violations = 0
+    for m in range(1, n):
+        radius = 1 << (n - m - 1)
+        for w in range(size):
+            members = set(interval_Im(Dyadic(w, n), m))
+            for off in range(-radius + 1, radius):
+                z = (w + off) % size
+                image = qpe.truncate(round_up_mth(Dyadic(z, n), m, n_bits=n), m)
+                checked += 1
+                violations += image not in members
+    return checked, violations
+
+
+def assert_scan_matches_pair_loop():
+    checked = violations = 0
+    for n in range(2, 8):
+        c, v = scalar_rounding_counts(n)
+        checked, violations = checked + c, violations + v
+        assert rounding_lemma_scan(n) == (checked, violations), n
+
+
+def test_rounding_scan_matches_pair_loop():
+    assert_scan_matches_pair_loop()
+    assert rounding_lemma_scan(7)[1] == 0
+
+
+def test_rounding_scan_counts_broken_truncation(monkeypatch):
+    # a truncation that is wrong on some values, the wrapping top cell
+    # included, so a misaligned or unwrapped window would count differently
+    def broken(x, s):
+        t = truncate(x, s)
+        if x.numerator % 3 == 1 or x == 0:
+            return (t + Dyadic(1, s)).mod1()
+        return t
+
+    monkeypatch.setattr(qpe, "truncate", broken)
+    assert_scan_matches_pair_loop()
+    assert rounding_lemma_scan(7)[1] > 0
