@@ -55,6 +55,9 @@ class Dyadic:
     def __init__(self, numerator: int, exponent: int = 0) -> None:
         if exponent < 0:
             raise ValueError(f"exponent must be non-negative, got {exponent}")
+        if type(numerator) is bool:
+            numerator = int(numerator)
+        # an odd numerator or a zero exponent is already canonical
         if exponent and not numerator & 1:
             if numerator == 0:
                 exponent = 0
@@ -65,15 +68,6 @@ class Dyadic:
                 exponent -= shift
         _set_num(self, numerator)
         _set_exp(self, exponent)
-
-    @staticmethod
-    def _canonical(numerator: int, exponent: int) -> "Dyadic":
-        """A Dyadic from a pair the caller knows is canonical (odd
-        numerator or zero exponent), built without checking it."""
-        value = _new(Dyadic)
-        _set_num(value, numerator)
-        _set_exp(value, exponent)
-        return value
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
         raise AttributeError("Dyadic is immutable")
@@ -116,7 +110,7 @@ class Dyadic:
         if isinstance(value, Dyadic):
             return value
         if isinstance(value, int):
-            return Dyadic._canonical(value, 0)
+            return Dyadic(value)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other: DyadicLike) -> "Dyadic":
@@ -151,16 +145,14 @@ class Dyadic:
     __rmul__ = __mul__
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic._canonical(-self._num, self._exp)
+        return Dyadic(-self._num, self._exp)
 
     def __abs__(self) -> "Dyadic":
-        return Dyadic._canonical(abs(self._num), self._exp)
+        return Dyadic(abs(self._num), self._exp)
 
     def mod1(self) -> "Dyadic":
         """Reduce into [0, 1); all mod-1 steps in callers are explicit."""
-        # the mask keeps bit 0, so an odd numerator stays odd, and an
-        # exponent of 0 masks to 0
-        return Dyadic._canonical(self._num & ((1 << self._exp) - 1), self._exp)
+        return Dyadic(self._num & ((1 << self._exp) - 1), self._exp)
 
     def floor(self) -> int:
         return self._num >> self._exp
@@ -199,7 +191,6 @@ class Dyadic:
         return self.as_ratio_string()
 
 
-_new = object.__new__
 _set_num = Dyadic._num.__set__  # type: ignore[attr-defined]
 _set_exp = Dyadic._exp.__set__  # type: ignore[attr-defined]
 

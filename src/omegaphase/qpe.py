@@ -29,6 +29,10 @@ __all__ = [
 
 MAX_PRECISION_BITS = 20
 
+# pairs compared per numpy pass in rounding_lemma_scan (a block holds at
+# least one whole row)
+SCAN_BLOCK_ELEMENTS = 1 << 22
+
 PhaseLike = Union[Fraction, Dyadic, int, float]
 
 
@@ -171,9 +175,10 @@ def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
     For every n, m < n, every n-bit estimate within 2^-(m+1) (mod 1) of
     every n-bit phase must round-then-truncate into the phase's best
     m-bit approximations.  The per-point pipeline goes through the exact
-    dyadic operations once; the pairs are then compared in one pass per
-    (n, m), phase w against the window of estimates z = w - radius + 1 ..
-    w + radius - 1 (mod 2^n) of the wrapped image array.
+    dyadic operations once; the pairs are then compared per (n, m), phase
+    w against the window of estimates z = w - radius + 1 .. w + radius - 1
+    (mod 2^n) of the wrapped image array, in blocks of whole rows of about
+    SCAN_BLOCK_ELEMENTS pairs, so memory stays flat as n_max grows.
     """
     if n_max < 2:
         raise ValueError(f"empty scan: n_max={n_max} < 2")
@@ -193,9 +198,16 @@ def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
                 lo.append(members[0].numerator << (m - members[0].exponent))
                 hi.append(members[-1].numerator << (m - members[-1].exponent))
             radius = 1 << (n - m - 1)  # estimates with |z - w| mod 2^n < radius
+            width = 2 * radius - 1
             wrapped = np.array(images[size - radius + 1 :] + images + images[: radius - 1])
-            windows = np.lib.stride_tricks.sliding_window_view(wrapped, 2 * radius - 1)
-            ok = (windows == np.array(lo)[:, None]) | (windows == np.array(hi)[:, None])
-            checked += ok.size
-            violations += ok.size - int(np.count_nonzero(ok))
+            windows = np.lib.stride_tricks.sliding_window_view(wrapped, width)
+            lo_col = np.array(lo)[:, None]
+            hi_col = np.array(hi)[:, None]
+            rows = max(1, SCAN_BLOCK_ELEMENTS // width)
+            for start in range(0, size, rows):
+                stop = start + rows
+                block = windows[start:stop]
+                ok = (block == lo_col[start:stop]) | (block == hi_col[start:stop])
+                violations += ok.size - int(np.count_nonzero(ok))
+            checked += size * width
     return checked, violations

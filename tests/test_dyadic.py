@@ -17,6 +17,12 @@ def test_canonical_form():
     assert Dyadic(0, 5).exponent == 0
     d = Dyadic(12, 4)
     assert d.numerator == 3 and d.exponent == 2
+    # bool numerators come out as plain ints, at any exponent and through
+    # int coercion
+    for flag in (False, True):
+        for d in (Dyadic(flag), Dyadic(flag, 3), Dyadic(1, 1) * flag, flag - Dyadic(0)):
+            assert type(d.numerator) is int, repr(d)
+        assert str(Dyadic(flag)) == str(int(flag))
 
 
 # every numerator -16..16 over every exponent 0..5, duplicates included

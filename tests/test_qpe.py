@@ -218,7 +218,7 @@ def test_rounding_scan_matches_pair_loop():
     assert rounding_lemma_scan(7)[1] == 0
 
 
-def test_rounding_scan_counts_broken_truncation(monkeypatch):
+def break_truncate(monkeypatch):
     # a truncation that is wrong on some values, the wrapping top cell
     # included, so a misaligned or unwrapped window would count differently
     def broken(x, s):
@@ -228,5 +228,20 @@ def test_rounding_scan_counts_broken_truncation(monkeypatch):
         return t
 
     monkeypatch.setattr(qpe, "truncate", broken)
+
+
+def test_rounding_scan_counts_broken_truncation(monkeypatch):
+    break_truncate(monkeypatch)
     assert_scan_matches_pair_loop()
     assert rounding_lemma_scan(7)[1] > 0
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_rounding_scan_in_small_blocks(monkeypatch, block):
+    # one-row blocks (block below the window width) and blocks of several
+    # rows whose last block is partial (64 // 3 = 21 rows of 2^n) must
+    # count as one pass does
+    monkeypatch.setattr(qpe, "SCAN_BLOCK_ELEMENTS", block)
+    assert_scan_matches_pair_loop()
+    break_truncate(monkeypatch)
+    assert_scan_matches_pair_loop()
