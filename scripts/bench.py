@@ -15,7 +15,12 @@ fixed inputs:
   ``interval_Im`` of every 12-bit grid point for every m < 12;
 - ``rounding_lemma_scan_12``: ``qpe.rounding_lemma_scan(12)``;
 - ``qpe_distribution_csv_n18``: ``qpe`` distribution mode at phi = 100/257,
-  n = 18, m = 12 through ``cli.main``, the 2^18-row CSV included.
+  n = 18, m = 12 through ``cli.main``, the 2^18-row CSV included;
+- ``clock_single_dense_T600`` and ``clock_single_iterative_T200``: ``clock``
+  single mode at mu = 0.37 through ``cli.main``, dense at T = 600 and
+  Lanczos at T = 200;
+- ``gap_law_grid_default``: ``clock.gap_law_grid`` on the 567-point
+  default grid of ``clock`` grid mode (T = 2..64, mu = 0.1..0.9).
 
 BLAS runs single-threaded unless the environment says otherwise; the file
 records nproc, the BLAS thread variables and the Python and numpy
@@ -37,7 +42,7 @@ for _var in BLAS_VARS:
 
 import numpy as np  # noqa: E402
 
-from omegaphase import cli, qpe  # noqa: E402
+from omegaphase import cli, clock, qpe  # noqa: E402
 from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate  # noqa: E402
 
 REPEATS = 5
@@ -76,10 +81,18 @@ def main() -> None:
         configs[path.stem] = timed(lambda: run_cli([command, "--config", str(path)]))
         print(f"{path.stem}: {configs[path.stem]['median_s']:.3f} s", file=sys.stderr)
     qpe_argv = ["qpe", "-p", "mode=distribution", "-p", "phi=100/257", "-p", "n=18", "-p", "m=12"]
+    clock_argv = ["clock", "-p", "mode=single", "-p", "mu=0.37"]
+    grid = cli.PARAM_KEYS["clock"]["grid"]
+    t_values, mu_values = grid["t_values"][1], grid["mu_values"][1]
     micro = {
         "dyadic_pipeline_n12": timed(dyadic_pipeline),
         "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12)),
         "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv)),
+        "clock_single_dense_T600": timed(lambda: run_cli([*clock_argv, "-p", "T=600"])),
+        "clock_single_iterative_T200": timed(
+            lambda: run_cli([*clock_argv, "-p", "T=200", "-p", "method=iterative"])
+        ),
+        "gap_law_grid_default": timed(lambda: clock.gap_law_grid(t_values, mu_values)),
     }
     for name, result in micro.items():
         print(f"{name}: {result['median_s']:.3f} s", file=sys.stderr)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
+import scipy.linalg as linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -70,10 +71,6 @@ class BracketError(RuntimeError):
     """Root bracketing failed: mu outside (0,1) or numerical pathology."""
 
 
-def _is_unitary(u: np.ndarray) -> bool:
-    return np.allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=UNITARY_ATOL)
-
-
 def _is_projector(p: np.ndarray) -> bool:
     return np.allclose(p, p.conj().T, atol=PROJECTOR_ATOL) and np.allclose(
         p @ p, p, atol=PROJECTOR_ATOL
@@ -101,11 +98,18 @@ class ClockSpec:
             raise ValueError(f"T must be >= 1, got {self.T}")
         if len(self.unitaries) != self.T:
             raise ValueError(f"expected {self.T} unitaries, got {len(self.unitaries)}")
-        for i, u in enumerate(self.unitaries, start=1):
-            if u.shape != (d, d):
-                raise ValueError(f"U_{i} has shape {u.shape}, expected {(d, d)}")
-            if not _is_unitary(u):
+        # U_1..U_n have the right shape; U_{n+1}, if any, does not
+        n = next((i for i, u in enumerate(self.unitaries) if u.shape != (d, d)), self.T)
+        if n:
+            stack = np.stack(self.unitaries[:n])
+            gram = stack @ stack.conj().transpose(0, 2, 1)
+            unitary = np.isclose(gram, np.eye(d), atol=UNITARY_ATOL).all(axis=(1, 2))
+            if not unitary.all():
+                i = int(np.argmin(unitary)) + 1
                 raise ValueError(f"U_{i} is not unitary within {UNITARY_ATOL}")
+        if n < self.T:
+            shape = self.unitaries[n].shape
+            raise ValueError(f"U_{n + 1} has shape {shape}, expected {(d, d)}")
         for i, p in enumerate(self.input_projectors, start=1):
             if p.shape != (d, d):
                 raise ValueError(f"input projector {i} has wrong shape {p.shape}")
@@ -493,50 +497,72 @@ def root_solve_case5(T: int, mu: float) -> Case5Roots:
     until each is at most ROOT_TOL wide or its midpoint is an exact zero
     of f, which is then the root; otherwise the root is the midpoint.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if not 0 < mu < 1:
-        raise BracketError(f"mu must lie strictly in (0, 1), got {mu}")
-    r = math.sqrt(1.0 - mu)
+    return _solve_case5([(T, mu)])[0]
 
-    def f(k, sr):
-        return np.cos((T + 1.5) * k) + sr * np.cos(0.5 * k)
 
-    lo, hi = ROOT_TOL, math.pi / (2 * T + 3)
-    flo, fhi = f(np.array([lo, hi]), -r).tolist()
-    if not (flo > 0.0 > fhi):
-        raise BracketError(
-            f"no sign change on (0, pi/(2T+3)) for T={T}, mu={mu}: "
-            f"f({lo})={flo}, f({hi})={fhi}"
-        )
-    grid = np.linspace(ROOT_TOL, math.pi * (1.0 - 1e-12), 40 * (T + 2) + 1)
-    branch_sr = np.array([-r, r])
-    vals = f(grid, branch_sr[:, None])  # row 0: minus, row 1: plus
-    signs = np.sign(vals)
-    branch, i = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
-    # bracket 0 is k0's, then every strict sign change on the grid
-    x0 = np.concatenate(([lo], grid[i]))
-    x1 = np.concatenate(([hi], grid[i + 1]))
-    f0 = np.concatenate(([flo], vals[branch, i]))
-    sr = np.concatenate(([-r], branch_sr[branch]))
+def _case5_f(k, scale, sr):
+    """f(k, s) at frequency scale = T + 3/2 and sr = s sqrt(1-mu)."""
+    return np.cos(scale * k) + sr * np.cos(0.5 * k)
+
+
+def _solve_case5(points: list[tuple[int, float]]) -> list[Case5Roots]:
+    """``root_solve_case5`` at every (T, mu) point, with the brackets of
+    all points bisected in one lockstep loop.  Each bracket halves on its
+    own, so every result equals the one-point call's."""
+    per_point, offsets = [], [0]
+    x0s, x1s, f0s, srs, scales = [], [], [], [], []
+    for T, mu in points:
+        if T < 1:
+            raise ValueError(f"T must be >= 1, got {T}")
+        if not 0 < mu < 1:
+            raise BracketError(f"mu must lie strictly in (0, 1), got {mu}")
+        r = math.sqrt(1.0 - mu)
+        lo, hi = ROOT_TOL, math.pi / (2 * T + 3)
+        flo, fhi = _case5_f(np.array([lo, hi]), T + 1.5, -r).tolist()
+        if not (flo > 0.0 > fhi):
+            raise BracketError(
+                f"no sign change on (0, pi/(2T+3)) for T={T}, mu={mu}: "
+                f"f({lo})={flo}, f({hi})={fhi}"
+            )
+        grid = np.linspace(ROOT_TOL, math.pi * (1.0 - 1e-12), 40 * (T + 2) + 1)
+        branch_sr = np.array([-r, r])
+        vals = _case5_f(grid, T + 1.5, branch_sr[:, None])  # row 0: minus, row 1: plus
+        signs = np.sign(vals)
+        branch, i = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
+        exact = [grid[vals[b] == 0.0] for b in (0, 1)]
+        for b, name in enumerate(("minus", "plus")):
+            found = exact[b].size + int(np.count_nonzero(branch == b))
+            if found != T + 1:
+                raise RuntimeError(
+                    f"expected T+1 = {T + 1} {name} roots on (0, pi), found {found}"
+                )
+        per_point.append((exact, branch))
+        # the point's bracket 0 is k0's, then every strict sign change on the grid
+        x0s += [[lo], grid[i]]
+        x1s += [[hi], grid[i + 1]]
+        f0s += [[flo], vals[branch, i]]
+        srs += [[-r], branch_sr[branch]]
+        scales.append(np.full(i.size + 1, T + 1.5))
+        offsets.append(offsets[-1] + i.size + 1)
+    x0, x1, f0, sr, scale = map(np.concatenate, (x0s, x1s, f0s, srs, scales))
     while (act := np.flatnonzero(x1 - x0 > ROOT_TOL)).size:
         mid = 0.5 * (x0[act] + x1[act])
-        fm = f(mid, sr[act])
+        fm = _case5_f(mid, scale[act], sr[act])
         left = np.sign(f0[act]) * np.sign(fm) < 0.0  # root in (x0, mid)
         x1[act] = np.where(left | (fm == 0.0), mid, x1[act])
         x0[act] = np.where(left, x0[act], mid)
         f0[act] = np.where(left, f0[act], fm)
     k = 0.5 * (x0 + x1)
-    labelled = [(math.pi, "both")]
-    for b, name in enumerate(("minus", "plus")):
-        ks = np.concatenate((grid[vals[b] == 0.0], k[1:][branch == b])).tolist()
-        if len(ks) != T + 1:
-            raise RuntimeError(
-                f"expected T+1 = {T + 1} {name} roots on (0, pi), found {len(ks)}"
-            )
-        labelled += [(root, name) for root in ks]
-    labelled.sort()
-    return Case5Roots(T, mu, float(k[0]), tuple(labelled))
+    results = []
+    for (T, mu), (exact, branch), start, stop in zip(points, per_point, offsets, offsets[1:]):
+        k_point = k[start:stop]
+        labelled = [(math.pi, "both")]
+        for b, name in enumerate(("minus", "plus")):
+            ks = np.concatenate((exact[b], k_point[1:][branch == b])).tolist()
+            labelled += [(root, name) for root in ks]
+        labelled.sort()
+        results.append(Case5Roots(T, mu, float(k_point[0]), tuple(labelled)))
+    return results
 
 
 # -- epsilon and extremal eigenvalues ----------------------------------
@@ -584,10 +610,15 @@ def ground_energy(
     of the ground vector.  The residual is an error estimate, not an
     enclosure: it does not prove that no eigenvalue lies below lambda0.
 
-    Dense diagonalisation is capped at dimension 4000; the iterative
-    path is a Lanczos smallest-algebraic run (no shift-invert) from a
-    fixed start vector, so reruns are bit-identical, and it reports its
-    iteration budget on non-convergence.
+    The assembled matrix is cast to real when its imaginary part is
+    exactly zero (every ``case5_spec``); genuinely complex unitaries keep
+    it complex.  Dense diagonalisation computes only the two lowest
+    eigenpairs and is capped at dimension 4000; the iterative path is a
+    Lanczos smallest-algebraic run (no shift-invert) from a fixed start
+    vector, so reruns are bit-identical, and it reports its iteration
+    budget on non-convergence.  It needs dimension >= 4, for real and
+    complex matrices alike: ARPACK's complex Arnoldi run needs more than
+    k + 1 = 3 rows for its two eigenpairs.
     """
     if method not in ("dense", "iterative"):
         raise ValueError(f"method must be 'dense' or 'iterative', got {method!r}")
@@ -595,12 +626,16 @@ def ground_energy(
         raise ValueError(
             f"dense path limited to dimension {DENSE_DIM_LIMIT}, got {spec.dim}"
         )
+    if method == "iterative" and spec.dim < 4:
+        raise ValueError(f"iterative path needs dimension >= 4, got {spec.dim}")
     p_in = _input_penalty(spec, penalty_variant)
     ham = _assemble(spec.T, p_in, spec.output_projector, spec.unitaries)
+    if not ham.data.imag.any():
+        ham = ham.real
     n_iter = None
     if method == "dense":
         ham = ham.toarray()
-        evals, evecs = np.linalg.eigh(ham)
+        evals, evecs = linalg.eigh(ham, subset_by_index=[0, 1])
     else:
         n_iter = maxiter if maxiter is not None else 100 * spec.dim
         start = np.random.default_rng(0).standard_normal(spec.dim)
@@ -641,25 +676,24 @@ def gap_law_grid(
         raise ValueError("empty scan: t_values is empty")
     if not mu_values:
         raise ValueError("empty scan: mu_values is empty")
+    points = [(T, mu) for T in t_values for mu in mu_values]
     rows = []
-    for T in t_values:
-        for mu in mu_values:
-            roots = root_solve_case5(T, mu)
-            lam_root = 2.0 - 2.0 * math.cos(roots.k0)
-            row = {
-                "T": T,
-                "mu": mu,
-                "k0": roots.k0,
-                "root_count": roots.count,
-                "lambda0_root": lam_root,
-                "epsilon": 1.0 - mu,
-                "gap_ratio": lam_root * T * T / mu,
-                "k0_scaled": roots.k0 * T / math.sqrt(mu),
-            }
-            if dense:
-                evals = np.linalg.eigvalsh(impurity_walk_matrix(T, mu))
-                row["lambda0_dense"] = float(evals[0])
-            rows.append(row)
+    for (T, mu), roots in zip(points, _solve_case5(points)):
+        lam_root = 2.0 - 2.0 * math.cos(roots.k0)
+        row = {
+            "T": T,
+            "mu": mu,
+            "k0": roots.k0,
+            "root_count": roots.count,
+            "lambda0_root": lam_root,
+            "epsilon": 1.0 - mu,
+            "gap_ratio": lam_root * T * T / mu,
+            "k0_scaled": roots.k0 * T / math.sqrt(mu),
+        }
+        if dense:
+            evals = np.linalg.eigvalsh(impurity_walk_matrix(T, mu))
+            row["lambda0_dense"] = float(evals[0])
+        rows.append(row)
     return rows
 
 

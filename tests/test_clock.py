@@ -2,10 +2,12 @@
 walk, epsilon, and extremal eigenvalues with their residuals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from omegaphase import clock
 from omegaphase.clock import (
     BracketError,
     Case5Roots,
@@ -19,6 +21,7 @@ from omegaphase.clock import (
     case_eigenvalue,
     compute_epsilon,
     conjugate_rotate,
+    gap_law_grid,
     ground_energy,
     halting_penalty_bounds,
     impurity_walk_matrix,
@@ -148,6 +151,21 @@ def test_spec_validation():
         ClockSpec(2, 2, (I2,), (), np.zeros((2, 2)))  # wrong unitary count
     with pytest.raises(ValueError):
         ClockSpec(1, 2, (np.eye(3, dtype=complex),), (), np.zeros((2, 2)))
+
+
+def test_spec_validation_names_first_bad_unitary():
+    bad = 1.1 * I2
+    wide = np.eye(3, dtype=complex)
+    cases = [
+        ((I2, I2, bad, I2, I2), "U_3 is not unitary"),
+        ((I2, I2, bad, I2, wide), "U_3 is not unitary"),  # before a later bad shape
+        ((I2, wide, bad, I2, I2), "U_2 has shape (3, 3)"),  # after an earlier one
+        ((I2, I2, I2, I2, I2 + 1e-9), "U_5 is not unitary"),
+    ]
+    for unitaries, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ClockSpec(5, 2, unitaries, (), np.zeros((2, 2)))
+    ClockSpec(5, 2, (I2, X, I2, X, I2 + 1e-13), (), np.zeros((2, 2)))  # within UNITARY_ATOL
 
 
 def test_conjugate_rotate_identity_and_flip():
@@ -395,6 +413,27 @@ def test_root_solver_stops_at_exact_zero_of_k0():
     assert got.roots == want.roots
 
 
+def test_gap_law_grid_equals_point_solver():
+    # the lockstep solve over every grid point gives each point's own result
+    t_values = list(range(2, 65)) + [1, 65, 300]
+    mu_values = [round(0.1 * k, 1) for k in range(1, 10)]
+    points = [(T, mu) for T in t_values for mu in mu_values]
+    batch = clock._solve_case5(points)
+    rows = gap_law_grid(t_values, mu_values, dense=False)
+    assert len(batch) == len(rows) == len(points)
+    for (T, mu), got, row in zip(points, batch, rows):
+        want = root_solve_case5(T, mu)
+        assert got == want  # dataclass equality: T, mu, k0 and every labelled root
+        assert (row["T"], row["mu"], row["k0"], row["root_count"]) == (T, mu, want.k0, want.count)
+
+
+def test_gap_law_grid_errors_name_the_point():
+    with pytest.raises(BracketError, match="got 1.0"):
+        gap_law_grid([2, 3], [0.5, 1.0])
+    with pytest.raises(ValueError, match="got 0"):
+        gap_law_grid([2, 0], [0.5])
+
+
 def test_epsilon_examples():
     spec = ClockSpec(1, 2, (I2,), (), np.zeros((2, 2), dtype=complex))
     assert abs(compute_epsilon(spec) - 1.0) < 1e-12
@@ -471,6 +510,42 @@ def test_iterative_resolves_thin_gap():
     report = ground_energy(spec, "iterative", tol=1e-10)
     k0 = root_solve_case5(150, 0.4).k0
     assert abs(report.lambda0 - (2 - 2 * math.cos(k0))) < 1e-9
+
+
+def test_dense_two_eigenpairs_match_full_spectrum(monkeypatch):
+    solved = []
+    eigh = clock.linalg.eigh
+    monkeypatch.setattr(
+        clock.linalg, "eigh", lambda a, **kw: solved.append(a.dtype) or eigh(a, **kw)
+    )
+    specs = [case5_spec(T, mu) for T, mu in ((1, 0.5), (7, 0.13), (60, 0.85), (300, 0.4))]
+    rng = np.random.default_rng(11)
+    specs += [random_spec(T, 3, rng) for T in (1, 4, 25)]
+    for spec in specs:
+        report = ground_energy(spec, "dense")
+        want = np.linalg.eigvalsh(build_hamiltonian(spec))[:2]
+        assert abs(report.lambda0 - want[0]) <= 1e-12
+        assert abs(report.lambda1 - want[1]) <= 1e-12
+    # case-5 specs are cast to real; random complex unitaries stay complex
+    assert solved == [np.float64] * 4 + [np.complex128] * 3
+
+
+def test_iterative_matches_root_solver_at_T200():
+    for mu in (0.13, 0.4, 0.85):
+        report = ground_energy(case5_spec(200, mu), "iterative")
+        assert abs(report.lambda0 - case_eigenvalue(5, 200, mu)) <= 1e-9
+
+
+def test_iterative_needs_dimension_four():
+    spec = ClockSpec(2, 1, (I1, I1), (I1,), np.zeros((1, 1), dtype=complex))
+    with pytest.raises(ValueError, match="dimension >= 4, got 3"):
+        ground_energy(spec, "iterative")
+    with pytest.raises(ValueError, match="got 2"):
+        ground_energy(ClockSpec(1, 1, (I1,), (I1,), np.zeros((1, 1))), "iterative")
+    smallest = ClockSpec(3, 1, (I1,) * 3, (I1,), np.zeros((1, 1), dtype=complex))
+    iterative, dense = ground_energy(smallest, "iterative"), ground_energy(smallest, "dense")
+    assert abs(iterative.lambda0 - dense.lambda0) < 1e-12
+    assert abs(iterative.lambda1 - dense.lambda1) < 1e-12
 
 
 def test_ground_energy_errors():
