@@ -16,11 +16,13 @@ fixed inputs:
 - ``rounding_lemma_scan_12``: ``qpe.rounding_lemma_scan(12)``;
 - ``qpe_distribution_csv_n18``: ``qpe`` distribution mode at phi = 100/257,
   n = 18, m = 12 through ``cli.main``, the 2^18-row CSV included;
-- ``clock_single_dense_T600`` and ``clock_single_iterative_T200``: ``clock``
-  single mode at mu = 0.37 through ``cli.main``, dense at T = 600 and
-  Lanczos at T = 200;
+- ``clock_single_dense_T600``, ``clock_single_iterative_T200`` and
+  ``clock_single_iterative_T400``: ``clock`` single mode at mu = 0.37
+  through ``cli.main``, dense at T = 600 and Lanczos at T = 200 and 400;
 - ``gap_law_grid_default``: ``clock.gap_law_grid`` on the 567-point
-  default grid of ``clock`` grid mode (T = 2..64, mu = 0.1..0.9).
+  default grid of ``clock`` grid mode (T = 2..64, mu = 0.1..0.9);
+- ``chain_oracle_grid``: the 567 oracle ground energies of that grid,
+  ``chain_ground_energy(*case_chain(5, T, mu))``, alone.
 
 BLAS runs single-threaded unless the environment says otherwise; the file
 records nproc, the BLAS thread variables and the Python and numpy
@@ -84,6 +86,7 @@ def main() -> None:
     clock_argv = ["clock", "-p", "mode=single", "-p", "mu=0.37"]
     grid = cli.PARAM_KEYS["clock"]["grid"]
     t_values, mu_values = grid["t_values"][1], grid["mu_values"][1]
+    points = [(T, mu) for T in t_values for mu in mu_values]
     micro = {
         "dyadic_pipeline_n12": timed(dyadic_pipeline),
         "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12)),
@@ -92,7 +95,13 @@ def main() -> None:
         "clock_single_iterative_T200": timed(
             lambda: run_cli([*clock_argv, "-p", "T=200", "-p", "method=iterative"])
         ),
+        "clock_single_iterative_T400": timed(
+            lambda: run_cli([*clock_argv, "-p", "T=400", "-p", "method=iterative"])
+        ),
         "gap_law_grid_default": timed(lambda: clock.gap_law_grid(t_values, mu_values)),
+        "chain_oracle_grid": timed(
+            lambda: [clock.chain_ground_energy(*clock.case_chain(5, T, mu)) for T, mu in points]
+        ),
     }
     for name, result in micro.items():
         print(f"{name}: {result['median_s']:.3f} s", file=sys.stderr)

@@ -380,6 +380,8 @@ def _run_clock(p: dict, mode: str, fmt: str, out: Path) -> None:
         _write_json(out / "clock.json", payload)
     elif mode == "cases":
         t_min, t_max = p["t_min"], p["t_max"]
+        if t_min < 1:
+            raise ValueError(f"t_min must be >= 1, got {t_min}")
         if t_min > t_max:
             raise ValueError(f"empty scan: t_min={t_min} > t_max={t_max}")
         rows = []
@@ -387,11 +389,7 @@ def _run_clock(p: dict, mode: str, fmt: str, out: Path) -> None:
         for T in range(t_min, t_max + 1):
             for tag in (2, 4):
                 closed = clock.case_eigenvalue(tag, T)
-                dense = float(
-                    np.linalg.eigvalsh(
-                        clock.block_hamiltonian(clock.JordanBlock(tag, np.eye(1)), T)
-                    )[0]
-                )
+                dense = clock.chain_ground_energy(*clock.case_chain(tag, T))
                 err = abs(closed - dense)
                 worst = max(worst, err)
                 rows.append([str(T), str(tag), _float_repr(closed), _float_repr(dense), _float_repr(err)])

@@ -35,6 +35,8 @@ __all__ = [
     "jordan_scan",
     "block_hamiltonian",
     "case_eigenvalue",
+    "case_chain",
+    "chain_ground_energy",
     "impurity_walk_matrix",
     "root_solve_case5",
     "compute_epsilon",
@@ -51,6 +53,7 @@ KERNEL_EIG_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 DENSE_DIM_LIMIT = 4000
+LANCZOS_BASIS = 64  # Lanczos vectors kept by the iterative path (ARPACK's ncv)
 ROOT_TOL = 1e-13  # bracket width at which the case-5 bisection stops
 
 
@@ -439,30 +442,71 @@ def case_eigenvalue(case_tag: int, T: int, mu: float | None = None) -> float:
     raise ValueError(f"case_tag must be 1..5, got {case_tag}")
 
 
-def impurity_walk_matrix(T: int, mu: float) -> np.ndarray:
-    """Tridiagonal 2(T+1) chain with a tilted bond in the middle.
+def case_chain(case_tag: int, T: int, mu: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of a block's Hamiltonian as a tridiagonal
+    chain.
 
-    Two pinned path segments joined by the coupling -sqrt(mu(1-mu)),
-    with on-site terms 2-mu and 1+mu at the junction; same spectrum as
-    the two-level tilted-penalty clock after reordering.
+    Tags 1..4 give the (T+1)-site path of ``block_hamiltonian``: 2 inside,
+    1 + p_in and 1 + p_out at the two ends, -1 between neighbours.  Tag 5
+    gives the 2(T+1)-site impurity walk: two pinned path segments joined
+    by the coupling -sqrt(mu(1-mu)), with on-site terms 2-mu and 1+mu at
+    the junction; same spectrum as the two-level tilted-penalty clock
+    after reordering.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    if case_tag in (1, 2, 3, 4):
+        diag = np.full(T + 1, 2.0)
+        diag[0] = 1.0 + (case_tag in (2, 4))
+        diag[T] = 1.0 + (case_tag in (3, 4))
+        return diag, np.full(T, -1.0)
+    if case_tag != 5:
+        raise ValueError(f"case_tag must be 1..5, got {case_tag}")
+    if mu is None:
+        raise ValueError("case 5 requires mu")
     if not 0 < mu < 1:
         raise ValueError(f"mu must lie strictly in (0, 1), got {mu}")
-    xi = math.sqrt(mu * (1.0 - mu))
     n = 2 * (T + 1)
     diag = np.full(n, 2.0)
     diag[T] = 2.0 - mu
     diag[T + 1] = 1.0 + mu
     diag[n - 1] = 1.0
     off = np.full(n - 1, -1.0)
-    off[T] = -xi
-    ham = np.diag(diag)
-    idx = np.arange(n - 1)
-    ham[idx, idx + 1] = off
-    ham[idx + 1, idx] = off
-    return ham
+    off[T] = -math.sqrt(mu * (1.0 - mu))
+    return diag, off
+
+
+def chain_ground_energy(diag: np.ndarray, off: np.ndarray) -> float:
+    """Lowest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    ``diag`` and off-diagonal ``off``, by LAPACK ``dsterf`` (root-free QL
+    iteration, eigenvalues only).
+
+    ``np.linalg.eigvalsh`` of the dense matrix runs ``dsytrd`` and then
+    ``dsterf``; on a matrix that is already tridiagonal every Householder
+    reflector is the identity, so this returns the same float without
+    forming the matrix.  It is independent of the momentum root solve.
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    if diag.ndim != 1 or not diag.size:
+        raise ValueError("chain needs a non-empty one-dimensional diagonal")
+    if off.shape != (diag.size - 1,):
+        raise ValueError(
+            f"off-diagonal must have {diag.size - 1} entries, got shape {off.shape}"
+        )
+    if diag.size == 1:  # dsterf's wrapper refuses an empty off-diagonal
+        return float(diag[0])
+    evals, info = linalg.lapack.dsterf(diag, off)
+    if info != 0:
+        raise RuntimeError(f"dsterf failed to converge (info={info})")
+    return float(evals[0])
+
+
+def impurity_walk_matrix(T: int, mu: float) -> np.ndarray:
+    """Dense form of ``case_chain(5, T, mu)``, the tridiagonal 2(T+1)
+    impurity walk with a tilted bond in the middle."""
+    diag, off = case_chain(5, T, mu)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @dataclass(frozen=True)
@@ -616,9 +660,12 @@ def ground_energy(
     eigenpairs and is capped at dimension 4000; the iterative path is a
     Lanczos smallest-algebraic run (no shift-invert) from a fixed start
     vector, so reruns are bit-identical, and it reports its iteration
-    budget on non-convergence.  It needs dimension >= 4, for real and
-    complex matrices alike: ARPACK's complex Arnoldi run needs more than
-    k + 1 = 3 rows for its two eigenpairs.
+    budget on non-convergence.  It keeps min(dim, LANCZOS_BASIS) Lanczos
+    vectors: the clock's low end is a cluster of eigenvalues about 1/T^2
+    apart, which ARPACK's default basis of 20 separates only after many
+    restarts (at T = 200 the basis of 64 halves the run time).  It needs
+    dimension >= 4, for real and complex matrices alike: ARPACK's complex
+    Arnoldi run needs more than k + 1 = 3 rows for its two eigenpairs.
     """
     if method not in ("dense", "iterative"):
         raise ValueError(f"method must be 'dense' or 'iterative', got {method!r}")
@@ -641,7 +688,8 @@ def ground_energy(
         start = np.random.default_rng(0).standard_normal(spec.dim)
         try:
             evals, evecs = spla.eigsh(
-                ham, k=2, which="SA", tol=tol, maxiter=n_iter, v0=start
+                ham, k=2, which="SA", tol=tol, maxiter=n_iter, v0=start,
+                ncv=min(spec.dim, LANCZOS_BASIS),
             )
         except spla.ArpackNoConvergence as err:
             raise IterativeConvergenceError(
@@ -671,11 +719,20 @@ def gap_law_grid(
     t_values: list[int], mu_values: list[float], dense: bool = True
 ) -> list[dict]:
     """Sweep (T, mu): root-solved and dense ground energies, epsilon,
-    and the two scale-free ratios whose envelopes the law freezes."""
+    and the two scale-free ratios whose envelopes the law freezes.
+
+    ``lambda0_root`` is 2 - 2cos(k0) from the momentum bisection of all
+    points at once.  ``lambda0_dense``, present when ``dense`` is true, is
+    the independent oracle: ``chain_ground_energy`` (QL iteration) on the
+    impurity-walk chain ``case_chain(5, T, mu)``, the same float that
+    ``np.linalg.eigvalsh`` of the dense chain gives.
+    """
     if not t_values:
         raise ValueError("empty scan: t_values is empty")
     if not mu_values:
         raise ValueError("empty scan: mu_values is empty")
+    if min(t_values) < 1:
+        raise ValueError(f"t_values must all be >= 1, got {min(t_values)}")
     points = [(T, mu) for T in t_values for mu in mu_values]
     rows = []
     for (T, mu), roots in zip(points, _solve_case5(points)):
@@ -691,8 +748,7 @@ def gap_law_grid(
             "k0_scaled": roots.k0 * T / math.sqrt(mu),
         }
         if dense:
-            evals = np.linalg.eigvalsh(impurity_walk_matrix(T, mu))
-            row["lambda0_dense"] = float(evals[0])
+            row["lambda0_dense"] = chain_ground_energy(*case_chain(5, T, mu))
         rows.append(row)
     return rows
 

@@ -355,6 +355,18 @@ def test_empty_scan_refused(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "mode,param",
+    [("cases", "t_min=0"), ("cases", "t_min=-3"), ("grid", "t_values=[0]"), ("grid", "t_values=[4,0,2]")],
+)
+def test_clock_length_below_one_named(tmp_path, capsys, mode, param):
+    argv = ["clock", "--output-dir", str(tmp_path / "run"), "-p", f"mode={mode}", "-p", param]
+    assert main(argv) == EXIT_CONSTRAINT
+    key = param.partition("=")[0]
+    assert f"{key} must" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "param,code",
     [
         ("c2=Infinity", EXIT_CONSTRAINT),

@@ -18,7 +18,9 @@ from omegaphase.clock import (
     block_hamiltonian,
     build_hamiltonian,
     case5_spec,
+    case_chain,
     case_eigenvalue,
+    chain_ground_energy,
     compute_epsilon,
     conjugate_rotate,
     gap_law_grid,
@@ -286,6 +288,59 @@ def test_impurity_mu_limits():
     assert abs(near_one - case_eigenvalue(2, 5)) < 1e-6
 
 
+def test_case_chains_are_the_assembled_blocks_bit_for_bit():
+    # dsterf on the chain gives the very float eigvalsh gives on the
+    # assembled block, which ties case_chain to _assemble
+    for T in range(1, 201):
+        for tag in (1, 2, 3, 4):
+            diag, off = case_chain(tag, T)
+            ham = block_hamiltonian(JordanBlock(tag, np.eye(1)), T)
+            assert np.array_equal(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), ham)
+            assert chain_ground_energy(diag, off) == np.linalg.eigvalsh(ham)[0]
+
+
+def test_impurity_chain_oracle_matches_eigvalsh_on_the_default_grid():
+    t_values = list(range(2, 65))
+    mu_values = [round(0.1 * k, 1) for k in range(1, 10)]
+    rows = gap_law_grid(t_values, mu_values)
+    assert len(rows) == 567
+    for row in rows:
+        want = np.linalg.eigvalsh(impurity_walk_matrix(row["T"], row["mu"]))[0]
+        assert chain_ground_energy(*case_chain(5, row["T"], row["mu"])) == want
+        assert row["lambda0_dense"] == want
+
+
+def test_chain_ground_energy_matches_eigvalsh_on_random_chains():
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        n = int(rng.integers(1, 300))
+        diag = rng.standard_normal(n) * rng.choice([1e-3, 1.0, 1e3])
+        off = rng.standard_normal(n - 1)
+        off[rng.random(n - 1) < 0.1] = 0.0  # split the chain here and there
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert chain_ground_energy(diag, off) == np.linalg.eigvalsh(dense)[0]
+
+
+def test_chain_ground_energy_edge_cases():
+    assert chain_ground_energy(np.array([0.25]), np.array([])) == 0.25
+    assert chain_ground_energy([3.0, 3.0], [0.0]) == 3.0
+    with pytest.raises(ValueError, match="2 entries, got shape"):
+        chain_ground_energy(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="non-empty"):
+        chain_ground_energy(np.array([]), np.array([]))
+
+
+def test_case_chain_errors():
+    with pytest.raises(ValueError, match="T must be >= 1, got 0"):
+        case_chain(2, 0)
+    with pytest.raises(ValueError, match="requires mu"):
+        case_chain(5, 3)
+    with pytest.raises(ValueError, match="strictly in"):
+        case_chain(5, 3, 1.0)
+    with pytest.raises(ValueError, match="1..5, got 6"):
+        case_chain(6, 3)
+
+
 def test_root_solver_counts_and_matches_dense():
     roots = root_solve_case5(3, 0.5)
     assert roots.count == 9
@@ -528,6 +583,17 @@ def test_dense_two_eigenpairs_match_full_spectrum(monkeypatch):
         assert abs(report.lambda1 - want[1]) <= 1e-12
     # case-5 specs are cast to real; random complex unitaries stay complex
     assert solved == [np.float64] * 4 + [np.complex128] * 3
+
+
+def test_iterative_basis_is_lanczos_basis(monkeypatch):
+    ncvs = []
+    eigsh = clock.spla.eigsh
+    monkeypatch.setattr(
+        clock.spla, "eigsh", lambda a, **kw: ncvs.append((a.shape[0], kw["ncv"])) or eigsh(a, **kw)
+    )
+    ground_energy(case5_spec(1, 0.5), "iterative")
+    ground_energy(case5_spec(200, 0.5), "iterative")
+    assert ncvs == [(4, 4), (402, clock.LANCZOS_BASIS)]
 
 
 def test_iterative_matches_root_solver_at_T200():
