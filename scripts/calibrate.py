@@ -19,7 +19,7 @@ from omegaphase.clock import gap_law_grid
 def main() -> None:
     t_values = sorted(set(list(range(2, 65)) + [96, 128, 192, 256]))
     mu_values = [round(0.05 * k, 2) for k in range(1, 20)]
-    rows = gap_law_grid(t_values, mu_values, dense=False)
+    rows = gap_law_grid(t_values, mu_values)
     ratios = [r["gap_ratio"] for r in rows]
     scaled = [r["k0_scaled"] for r in rows]
     print(f"grid points: {len(rows)}")

@@ -21,7 +21,6 @@ __all__ = [
     "OmegaApproximation",
     "omega_approx",
     "omega_stage_values",
-    "omega_truncated_sequence",
     "witness_w",
     "witness_wprime",
     "wprime_halts",
@@ -91,18 +90,6 @@ def omega_stage_values(spec: MachineSpec, s_max: int) -> list[Dyadic]:
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
     return [value for value, _ in _stages(spec, s_max)]
-
-
-def omega_truncated_sequence(spec: MachineSpec, s_max: int) -> list[Dyadic]:
-    """The diagonal sequence [stage-1 value to 1 bit, ..., stage-s to s bits].
-
-    For toy machines the tail equals the exact value truncated, once the
-    halting set is exhausted within the stage budget.
-    """
-    if s_max < 1:
-        raise ValueError(f"s_max must be >= 1, got {s_max}")
-    values = omega_stage_values(spec, s_max)
-    return [truncate(v, s) for s, v in enumerate(values, start=1)]
 
 
 def witness_w(spec: MachineSpec, phi: Dyadic, max_stage: int) -> int | None:

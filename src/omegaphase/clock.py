@@ -1,9 +1,8 @@
 """History-state (clock) Hamiltonians and their complete spectral theory
-at desk scale: assembly from unitaries and penalty projectors, rotation to
-the path-Laplacian frame, Jordan decomposition of the penalty pair into
-five canonical cases, closed-form and root-solved block eigenvalues, the
-acceptance amplitude epsilon, and extremal eigenvalues with their
-residual norms.
+at desk scale: one assembler from unitaries and penalty projectors, Jordan
+decomposition of the penalty pair into five canonical cases, closed-form
+and root-solved block eigenvalues, the acceptance amplitude epsilon, and
+extremal eigenvalues with their residual norms.
 """
 
 from __future__ import annotations
@@ -26,25 +25,19 @@ __all__ = [
     "IterativeConvergenceError",
     "BracketError",
     "case5_spec",
-    "path_laplacian",
-    "build_hamiltonian",
-    "conjugate_rotate",
+    "assemble",
     "jordan_decompose",
     "reconstruct_projectors",
     "random_projector",
     "jordan_scan",
-    "block_hamiltonian",
     "case_eigenvalue",
     "case_chain",
     "chain_ground_energy",
-    "impurity_walk_matrix",
     "root_solve_case5",
     "compute_epsilon",
     "ground_energy",
-    "halting_penalty_bounds",
     "gap_law_grid",
     "read_clock_spec",
-    "write_clock_spec",
 ]
 
 UNITARY_ATOL = 1e-12
@@ -145,23 +138,10 @@ def case5_spec(T: int, mu: float) -> ClockSpec:
     output penalty the mu-tilted rank-one projector."""
     if not 0 < mu < 1:
         raise ValueError(f"mu must lie strictly in (0, 1), got {mu}")
-    xi = math.sqrt(mu * (1.0 - mu))
-    p_in = np.diag([1.0, 0.0]).astype(complex)
-    p_out = np.array([[1.0 - mu, -xi], [-xi, mu]], dtype=complex)
+    pair = JordanBlock(5, np.eye(2), mu=mu).projector_pair()
+    p_in, p_out = (p.astype(complex) for p in pair)
     eye = np.eye(2, dtype=complex)
     return ClockSpec(T, 2, (eye,) * T, (p_in,), p_out)
-
-
-def path_laplacian(n_vertices: int) -> np.ndarray:
-    """Laplacian of the path graph: positive semidefinite, tridiagonal."""
-    if n_vertices < 2:
-        raise ValueError("path needs at least 2 vertices")
-    lap = 2.0 * np.eye(n_vertices)
-    lap[0, 0] = lap[-1, -1] = 1.0
-    idx = np.arange(n_vertices - 1)
-    lap[idx, idx + 1] = -1.0
-    lap[idx + 1, idx] = -1.0
-    return lap
 
 
 def _kernel_complement(total: np.ndarray) -> np.ndarray:
@@ -171,15 +151,7 @@ def _kernel_complement(total: np.ndarray) -> np.ndarray:
     return keep @ keep.conj().T
 
 
-def _input_penalty(spec: ClockSpec, penalty_variant: str) -> np.ndarray:
-    if penalty_variant == "raw":
-        return spec.input_penalty_total
-    if penalty_variant == "kernel_complement":
-        return _kernel_complement(spec.input_penalty_total)
-    raise ValueError(f"unknown penalty variant {penalty_variant!r}")
-
-
-def _assemble(
+def assemble(
     T: int,
     p_first: np.ndarray,
     p_last: np.ndarray,
@@ -189,7 +161,13 @@ def _assemble(
     and I + p_last at the two end times, 2I on the inner diagonal blocks,
     -U_t below and -U_t^H above the diagonal, with U_t = I when ``hops``
     is None.  The dtype is that of the inputs, so real canonical blocks
-    stay real; explicit zeros are not stored."""
+    stay real; explicit zeros are not stored.
+
+    Every clock matrix is built here.  A spec's direct form passes its
+    summed input penalty, output projector and unitaries; its rotated
+    (path-Laplacian) form passes ``hops=None`` and the output penalty
+    conjugated through the whole evolution, U^H P_out U; a Jordan block
+    passes its canonical pair."""
     d = p_first.shape[0]
     eye = np.eye(d)
     hop = np.broadcast_to(eye, (T, d, d)) if hops is None else np.stack(hops)
@@ -206,41 +184,6 @@ def _assemble(
     keep = blocks != 0
     dim = (T + 1) * d
     return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])), shape=(dim, dim))
-
-
-def build_hamiltonian(spec: ClockSpec, penalty_variant: str = "raw") -> np.ndarray:
-    """Assemble propagation + input penalty at t=0 + output penalty at t=T.
-
-    ``penalty_variant="kernel_complement"`` replaces the summed input
-    penalty with the projector complementary to its kernel (the
-    lower-bound surrogate used by the block analysis; a true lower bound
-    whenever the input projectors commute, so the sum has integer
-    spectrum).
-    """
-    p_in = _input_penalty(spec, penalty_variant)
-    return _assemble(spec.T, p_in, spec.output_projector, spec.unitaries).toarray()
-
-
-@dataclass(frozen=True)
-class RotatedClock:
-    """Control-unitary-rotated form: Laplacian in time, penalties pinned
-    at the two boundary times, output penalty conjugated through the
-    whole evolution.  Unitarily equivalent to the direct assembly."""
-
-    T: int
-    comp_dim: int
-    input_penalty: np.ndarray
-    output_penalty_rotated: np.ndarray
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return _assemble(self.T, self.input_penalty, self.output_penalty_rotated).toarray()
-
-
-def conjugate_rotate(spec: ClockSpec, penalty_variant: str = "raw") -> RotatedClock:
-    u_total = spec.total_unitary
-    p_out = u_total.conj().T @ spec.output_projector @ u_total
-    return RotatedClock(spec.T, spec.comp_dim, _input_penalty(spec, penalty_variant), p_out)
 
 
 # -- Jordan pair decomposition ----------------------------------------
@@ -405,20 +348,9 @@ def jordan_scan(
         for b in blocks:
             case_counts[b.case_tag] += 1
             if b.case_tag == 5:
-                small_in, small_out = b.projector_pair()
-                two_level = ClockSpec(
-                    1, 2, (np.eye(2, dtype=complex),),
-                    (small_in.astype(complex),), small_out.astype(complex),
-                )
-                worst_eps = max(worst_eps, abs(compute_epsilon(two_level) - (1.0 - b.mu)))
+                eps = compute_epsilon(case5_spec(1, b.mu))
+                worst_eps = max(worst_eps, abs(eps - (1.0 - b.mu)))
     return case_counts, worst_recon, worst_eps
-
-
-def block_hamiltonian(block: JordanBlock, T: int) -> np.ndarray:
-    """The (T+1)- or 2(T+1)-dimensional restriction of the rotated
-    Hamiltonian to one Jordan block, in the block's canonical basis."""
-    small_in, small_out = block.projector_pair()
-    return _assemble(T, small_in, small_out).toarray()
 
 
 # -- closed forms and the impurity walk --------------------------------
@@ -446,12 +378,12 @@ def case_chain(case_tag: int, T: int, mu: float | None = None) -> tuple[np.ndarr
     """Diagonal and off-diagonal of a block's Hamiltonian as a tridiagonal
     chain.
 
-    Tags 1..4 give the (T+1)-site path of ``block_hamiltonian``: 2 inside,
-    1 + p_in and 1 + p_out at the two ends, -1 between neighbours.  Tag 5
-    gives the 2(T+1)-site impurity walk: two pinned path segments joined
-    by the coupling -sqrt(mu(1-mu)), with on-site terms 2-mu and 1+mu at
-    the junction; same spectrum as the two-level tilted-penalty clock
-    after reordering.
+    Tags 1..4 give the (T+1)-site path that ``assemble`` builds from the
+    block's canonical pair: 2 inside, 1 + p_in and 1 + p_out at the two
+    ends, -1 between neighbours.  Tag 5 gives the 2(T+1)-site impurity
+    walk: two pinned path segments joined by the coupling -sqrt(mu(1-mu)),
+    with on-site terms 2-mu and 1+mu at the junction; same spectrum as the
+    two-level tilted-penalty clock after reordering.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -500,13 +432,6 @@ def chain_ground_energy(diag: np.ndarray, off: np.ndarray) -> float:
     if info != 0:
         raise RuntimeError(f"dsterf failed to converge (info={info})")
     return float(evals[0])
-
-
-def impurity_walk_matrix(T: int, mu: float) -> np.ndarray:
-    """Dense form of ``case_chain(5, T, mu)``, the tridiagonal 2(T+1)
-    impurity walk with a tilted bond in the middle."""
-    diag, off = case_chain(5, T, mu)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @dataclass(frozen=True)
@@ -646,7 +571,6 @@ class SpectralReport:
 def ground_energy(
     spec: ClockSpec,
     method: str = "dense",
-    penalty_variant: str = "raw",
     tol: float = 1e-12,
     maxiter: int | None = None,
 ) -> SpectralReport:
@@ -675,8 +599,7 @@ def ground_energy(
         )
     if method == "iterative" and spec.dim < 4:
         raise ValueError(f"iterative path needs dimension >= 4, got {spec.dim}")
-    p_in = _input_penalty(spec, penalty_variant)
-    ham = _assemble(spec.T, p_in, spec.output_projector, spec.unitaries)
+    ham = assemble(spec.T, spec.input_penalty_total, spec.output_projector, spec.unitaries)
     if not ham.data.imag.any():
         ham = ham.real
     n_iter = None
@@ -702,30 +625,15 @@ def ground_energy(
     return SpectralReport(float(evals[0]), float(evals[1]), method, residual, n_iter)
 
 
-def halting_penalty_bounds(alpha: float, eta: float) -> tuple[float, float]:
-    """Closed-form sandwich on the final output penalty of the wrapped
-    computation, as a function of initialisation overlap alpha and
-    halting probability eta."""
-    if not 0 <= alpha <= 1 or not 0 <= eta <= 1:
-        raise ValueError("alpha and eta must lie in [0, 1]")
-    lower = 1.0 - (1.0 + alpha * math.sqrt(eta)) ** 2 / 4.0
-    upper = 0.75 * abs(
-        alpha * math.sqrt(1.0 - eta) + math.sqrt(1.0 - alpha * alpha)
-    ) ** 2
-    return lower, upper
-
-
-def gap_law_grid(
-    t_values: list[int], mu_values: list[float], dense: bool = True
-) -> list[dict]:
+def gap_law_grid(t_values: list[int], mu_values: list[float]) -> list[dict]:
     """Sweep (T, mu): root-solved and dense ground energies, epsilon,
     and the two scale-free ratios whose envelopes the law freezes.
 
     ``lambda0_root`` is 2 - 2cos(k0) from the momentum bisection of all
-    points at once.  ``lambda0_dense``, present when ``dense`` is true, is
-    the independent oracle: ``chain_ground_energy`` (QL iteration) on the
-    impurity-walk chain ``case_chain(5, T, mu)``, the same float that
-    ``np.linalg.eigvalsh`` of the dense chain gives.
+    points at once.  ``lambda0_dense`` is the independent oracle:
+    ``chain_ground_energy`` (QL iteration) on the impurity-walk chain
+    ``case_chain(5, T, mu)``, the same float that ``np.linalg.eigvalsh`` of
+    the dense chain gives.
     """
     if not t_values:
         raise ValueError("empty scan: t_values is empty")
@@ -733,6 +641,9 @@ def gap_law_grid(
         raise ValueError("empty scan: mu_values is empty")
     if min(t_values) < 1:
         raise ValueError(f"t_values must all be >= 1, got {min(t_values)}")
+    bad_mu = next((mu for mu in mu_values if not 0 < mu < 1), None)
+    if bad_mu is not None:
+        raise ValueError(f"mu_values must lie strictly in (0, 1), got {bad_mu}")
     points = [(T, mu) for T in t_values for mu in mu_values]
     rows = []
     for (T, mu), roots in zip(points, _solve_case5(points)):
@@ -746,41 +657,13 @@ def gap_law_grid(
             "epsilon": 1.0 - mu,
             "gap_ratio": lam_root * T * T / mu,
             "k0_scaled": roots.k0 * T / math.sqrt(mu),
+            "lambda0_dense": chain_ground_energy(*case_chain(5, T, mu)),
         }
-        if dense:
-            row["lambda0_dense"] = chain_ground_energy(*case_chain(5, T, mu))
         rows.append(row)
     return rows
 
 
 # -- plain-text spec files ---------------------------------------------
-
-
-def _format_matrix(matrix: np.ndarray) -> list[str]:
-    lines = []
-    for row in np.atleast_2d(matrix):
-        parts = []
-        for entry in row:
-            z = complex(entry)
-            parts.append(f"{z.real!r} {z.imag!r}")
-        lines.append("  ".join(parts))
-    return lines
-
-
-def write_clock_spec(spec: ClockSpec, path) -> None:
-    """Plain-text layout: dimensions, then row-major "re im" pairs for
-    each unitary, each input projector, and the output projector."""
-    lines = [f"T {spec.T}", f"dim {spec.comp_dim}"]
-    for t, u in enumerate(spec.unitaries, start=1):
-        lines.append(f"U {t}")
-        lines.extend(_format_matrix(u))
-    for k, p in enumerate(spec.input_projectors, start=1):
-        lines.append(f"PI_IN {k}")
-        lines.extend(_format_matrix(p))
-    lines.append("PI_OUT")
-    lines.extend(_format_matrix(spec.output_projector))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def read_clock_spec(path) -> ClockSpec:

@@ -22,7 +22,6 @@ __all__ = [
     "ExecutionResult",
     "parse_machine",
     "load_machine",
-    "format_machine",
     "enumerate_input",
     "run_bounded",
     "check_prefix_free_up_to",
@@ -184,13 +183,6 @@ def load_machine(path) -> MachineSpec:
         text = fh.read()
     name = str(path).rsplit("/", 1)[-1].removesuffix(".tm")
     return parse_machine(text, name=name)
-
-
-def format_machine(spec: MachineSpec) -> str:
-    lines = [f"name: {spec.name}", f"start: {spec.start}", f"halt: {spec.halt}"]
-    for state, read, nxt, write, move in spec.rules:
-        lines.append(f"{state} {read} -> {nxt} {write} {move}")
-    return "\n".join(lines) + "\n"
 
 
 def enumerate_input(i: int) -> BitString:

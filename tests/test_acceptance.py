@@ -15,7 +15,7 @@ import numpy as np
 
 from omegaphase import clock, phase, qpe
 from omegaphase.calibration import GAP_RATIO_BAND, K0_SCALED_BAND
-from omegaphase.chaitin import omega_approx, omega_truncated_sequence, witness_w
+from omegaphase.chaitin import omega_approx, witness_w
 from omegaphase.dyadic import Dyadic, truncate
 from omegaphase.zoo import ZOO, zoo_machine
 
@@ -28,27 +28,13 @@ def _report(num: int, name: str) -> None:
     print(f"ACCEPTANCE {num:02d} {name}: PASS")
 
 
-def tridiag(diag, off):
-    ham = np.diag(diag).astype(float)
-    idx = np.arange(len(diag) - 1)
-    ham[idx, idx + 1] = off
-    ham[idx + 1, idx] = off
-    return ham
-
-
 def test_criterion_01_closed_form_spectra():
     started = time.time()
     worst = 0.0
+    on, off = np.eye(1), np.zeros((1, 1))
     for T in range(1, 201):
-        lap = clock.path_laplacian(T + 1)
-        one_end = lap.copy()
-        one_end[0, 0] += 1.0
-        other_end = lap.copy()
-        other_end[T, T] += 1.0
-        both = one_end.copy()
-        both[T, T] += 1.0
-        for ham, tag in ((one_end, 2), (other_end, 3), (both, 4)):
-            dense = np.linalg.eigvalsh(ham)[0]
+        for p_first, p_last, tag in ((on, off, 2), (off, on, 3), (on, on, 4)):
+            dense = np.linalg.eigvalsh(clock.assemble(T, p_first, p_last).toarray())[0]
             worst = max(worst, abs(dense - clock.case_eigenvalue(tag, T)))
     elapsed = time.time() - started
     assert worst <= 1e-10, worst
@@ -62,7 +48,7 @@ GRID_MU = [round(0.1 * k, 1) for k in range(1, 10)]
 
 def _gap_law_rows():
     if not hasattr(_gap_law_rows, "cache"):
-        _gap_law_rows.cache = clock.gap_law_grid(GRID_T, GRID_MU, dense=True)
+        _gap_law_rows.cache = clock.gap_law_grid(GRID_T, GRID_MU)
     return _gap_law_rows.cache
 
 
@@ -152,7 +138,8 @@ def test_criterion_07_monotone_and_limit():
         assert all(a <= b for a, b in zip(values, values[1:])), name
         assert all(values[s] == entry.omega for s in range(entry.settle_budget, horizon + 1))
         assert all(values[s] < entry.omega or entry.omega == Dyadic(0) for s in range(entry.settle_budget))
-        diagonal = omega_truncated_sequence(spec, horizon)
+        stages = omega_approx(spec, horizon).stage_values
+        diagonal = [truncate(v, s) for s, v in enumerate(stages, start=1)]
         settle = max(entry.settle_budget, entry.omega.fractional_length)
         for s in range(settle, horizon):
             assert diagonal[s] == truncate(entry.omega, s + 1) == entry.omega
@@ -257,3 +244,25 @@ def test_criterion_12_schedule_and_separation():
     for s in range(s_prime, DEFAULT_MODEL.s_max_checked + 1):
         assert DEFAULT_MODEL.separation_holds(s), s
     _report(12, f"schedule valid to n=10^4; separation from s'={s_prime} through {DEFAULT_MODEL.s_max_checked}")
+
+
+def halting_penalty_bounds(alpha: float, eta: float) -> tuple[float, float]:
+    """The paper's closed-form sandwich on the final output penalty of the
+    wrapped computation, from the initialisation overlap alpha and the
+    halting probability eta."""
+    lower = 1.0 - (1.0 + alpha * math.sqrt(eta)) ** 2 / 4.0
+    upper = 0.75 * abs(alpha * math.sqrt(1.0 - eta) + math.sqrt(1.0 - alpha * alpha)) ** 2
+    return lower, upper
+
+
+def test_halting_penalty_sandwich_examples_and_order():
+    assert halting_penalty_bounds(1, 1) == (0.0, 0.0)
+    lo, up = halting_penalty_bounds(1, 0)
+    assert abs(lo - 0.75) < 1e-15 and abs(up - 0.75) < 1e-15
+    lo, up = halting_penalty_bounds(0, 0.37)
+    assert abs(lo - 0.75) < 1e-15 and abs(up - 0.75) < 1e-15
+    grid = np.linspace(0, 1, 41)
+    for alpha in grid:
+        for eta in grid:
+            lo, up = halting_penalty_bounds(alpha, eta)
+            assert lo <= up + 1e-12

@@ -6,7 +6,6 @@ import pytest
 from omegaphase.chaitin import (
     omega_approx,
     omega_stage_values,
-    omega_truncated_sequence,
     witness_w,
     witness_wprime,
 )
@@ -118,24 +117,31 @@ def test_monotone_and_settles_at_exact_value():
             assert values[s] == entry.omega
 
 
+def truncated_diagonal(spec, horizon):
+    """[stage-1 value to 1 bit, ..., stage-s value to s bits], as the
+    omega command's CSV writes it."""
+    stages = omega_approx(spec, horizon).stage_values
+    return [truncate(v, s) for s, v in enumerate(stages, start=1)]
+
+
 def test_truncated_sequence_stabilises():
     for name in PREFIX_FREE:
         entry = ZOO[name]
         spec = zoo_machine(name)
         horizon = max(entry.settle_budget, entry.omega.fractional_length) + 10
-        seq = omega_truncated_sequence(spec, horizon)
+        seq = truncated_diagonal(spec, horizon)
         for s in range(entry.settle_budget, horizon):
             assert seq[s] == truncate(entry.omega, s + 1)
         assert seq[-1] == entry.omega
 
 
 def test_truncated_sequence_looper_all_zero():
-    seq = omega_truncated_sequence(zoo_machine("looper"), 12)
+    seq = truncated_diagonal(zoo_machine("looper"), 12)
     assert all(v == Dyadic(0) for v in seq)
 
 
 def test_slow_halter_threshold():
-    seq = omega_truncated_sequence(zoo_machine("slow_halter"), 7)
+    seq = truncated_diagonal(zoo_machine("slow_halter"), 7)
     assert seq[:4] == [Dyadic(0)] * 4
     assert seq[4:] == [Dyadic(1, 1)] * 3
 

@@ -15,11 +15,9 @@ from omegaphase.cli import (
     EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, PARAM_KEYS, REQUIRED, ConfigError, RunConfig, _read, main,
     run,
 )
-from omegaphase.clock import case5_spec, write_clock_spec
 from omegaphase.dyadic import Dyadic
 from omegaphase.qpe import qpe_distribution
-from omegaphase.tm import format_machine
-from omegaphase.zoo import zoo_machine
+from omegaphase.zoo import zoo_machine_text
 
 
 def read_json(path):
@@ -93,7 +91,7 @@ def test_witness_modes(tmp_path):
 
 def test_machine_file_path(tmp_path):
     path = tmp_path / "m.tm"
-    path.write_text(format_machine(zoo_machine("halt_on_zero")))
+    path.write_text(zoo_machine_text("halt_on_zero"))
     cfg = RunConfig(
         command="omega",
         output_dir=str(tmp_path / "out"),
@@ -356,7 +354,10 @@ def test_empty_scan_refused(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "mode,param",
-    [("cases", "t_min=0"), ("cases", "t_min=-3"), ("grid", "t_values=[0]"), ("grid", "t_values=[4,0,2]")],
+    [
+        ("cases", "t_min=0"), ("cases", "t_min=-3"), ("grid", "t_values=[0]"), ("grid", "t_values=[4,0,2]"),
+        ("grid", "mu_values=[1.0]"), ("grid", "mu_values=[0.5,0]"),
+    ],
 )
 def test_clock_length_below_one_named(tmp_path, capsys, mode, param):
     argv = ["clock", "--output-dir", str(tmp_path / "run"), "-p", f"mode={mode}", "-p", param]
@@ -500,7 +501,7 @@ def test_dyadic_reader_rejects_non_dyadic():
 
 def test_alternative_keys_refused_together(tmp_path, capsys):
     spec = tmp_path / "case.clock"
-    write_clock_spec(case5_spec(3, 0.5), spec)
+    spec.write_text("T 2\ndim 1\nU 1\n1 0\nU 2\n1 0\nPI_IN 1\n1 0\nPI_OUT\n0 0\n")
     runs = [
         (["sweep", "-p", "machine=zoo:omega34", "-p", "grid_denominator=4", "-p", 'phis=["1/2"]'],
          ("grid_denominator", "phis")),

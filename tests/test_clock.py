@@ -15,25 +15,19 @@ from omegaphase.clock import (
     ClockSpecParseError,
     IterativeConvergenceError,
     JordanBlock,
-    block_hamiltonian,
-    build_hamiltonian,
+    assemble,
     case5_spec,
     case_chain,
     case_eigenvalue,
     chain_ground_energy,
     compute_epsilon,
-    conjugate_rotate,
     gap_law_grid,
     ground_energy,
-    halting_penalty_bounds,
-    impurity_walk_matrix,
     jordan_decompose,
-    path_laplacian,
     random_projector,
     read_clock_spec,
     reconstruct_projectors,
     root_solve_case5,
-    write_clock_spec,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -57,6 +51,38 @@ def random_spec(T, d, rng, n_in=1):
         tuple(random_projector(d, int(rng.integers(1, d)), rng) for _ in range(n_in)),
         random_projector(d, 1, rng),
     )
+
+
+def direct_matrix(spec, p_in=None):
+    """The dense clock matrix of ``spec``; ``p_in`` replaces the summed
+    input penalty when given."""
+    p_in = spec.input_penalty_total if p_in is None else p_in
+    return assemble(spec.T, p_in, spec.output_projector, spec.unitaries).toarray()
+
+
+def rotated_output(spec):
+    """U^H P_out U: the output penalty conjugated through the whole
+    evolution, which moves the clock to the path-Laplacian frame."""
+    u = spec.total_unitary
+    return u.conj().T @ spec.output_projector @ u
+
+
+def kernel_complement(total):
+    """Projector onto the orthogonal complement of ker(total)."""
+    evals, evecs = np.linalg.eigh(total)
+    keep = evecs[:, evals > 1e-10]
+    return keep @ keep.conj().T
+
+
+def block_matrix(block, T):
+    """The dense restriction of the rotated clock to one Jordan block."""
+    return assemble(T, *block.projector_pair()).toarray()
+
+
+def walk_matrix(T, mu):
+    """Dense form of the impurity-walk chain ``case_chain(5, T, mu)``."""
+    diag, off = case_chain(5, T, mu)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def reference_hamiltonian(T, p_first, p_last, hops):
@@ -94,26 +120,22 @@ def test_assembly_matches_reference_loop():
                 tuple(random_projector(d, int(rng.integers(0, d + 1)), rng) for _ in range(2)),
                 random_projector(d, int(rng.integers(0, d + 1)), rng),
             )
-            for variant in ("raw", "kernel_complement"):
-                rotated = conjugate_rotate(spec, variant)
-                got = build_hamiltonian(spec, variant)
-                want = reference_hamiltonian(
-                    T, rotated.input_penalty, spec.output_projector, spec.unitaries
-                )
+            p_out_rotated = rotated_output(spec)
+            for p_in in (spec.input_penalty_total, kernel_complement(spec.input_penalty_total)):
+                got = direct_matrix(spec, p_in)
+                want = reference_hamiltonian(T, p_in, spec.output_projector, spec.unitaries)
                 assert got.dtype == want.dtype == np.complex128
                 assert np.array_equal(got, want)
                 identity = (np.eye(d, dtype=complex),) * T
-                got = rotated.matrix
-                want = reference_hamiltonian(
-                    T, rotated.input_penalty, rotated.output_penalty_rotated, identity
-                )
+                got = assemble(T, p_in, p_out_rotated).toarray()
+                want = reference_hamiltonian(T, p_in, p_out_rotated, identity)
                 assert got.dtype == want.dtype == np.complex128
                 assert np.array_equal(got, want)
     for T in (1, 2, 5, 30, 200):
         for tag in (1, 2, 3, 4, 5):
             block = JordanBlock(tag, np.eye(2 if tag == 5 else 1), mu=0.37 if tag == 5 else None)
             small_in, small_out = block.projector_pair()
-            got = block_hamiltonian(block, T)
+            got = block_matrix(block, T)
             want = reference_hamiltonian(T, small_in, small_out, (np.eye(block.dim),) * T)
             assert got.dtype == want.dtype == np.float64
             assert np.array_equal(got, want)
@@ -121,11 +143,11 @@ def test_assembly_matches_reference_loop():
 
 def test_build_examples():
     spec = ClockSpec(1, 1, (I1,), (), np.zeros((1, 1), dtype=complex))
-    assert np.allclose(build_hamiltonian(spec), [[1, -1], [-1, 1]])
+    assert np.allclose(direct_matrix(spec), [[1, -1], [-1, 1]])
     assert abs(ground_energy(spec).lambda0) < 1e-12
 
     spec = ClockSpec(1, 1, (I1,), (I1,), np.zeros((1, 1), dtype=complex))
-    ham = build_hamiltonian(spec)
+    ham = direct_matrix(spec)
     assert np.allclose(ham, [[2, -1], [-1, 1]])
     assert abs(ground_energy(spec).lambda0 - (3 - math.sqrt(5)) / 2) < 1e-12
 
@@ -139,7 +161,7 @@ def test_build_is_hermitian_and_psd_without_penalties():
             (),
             np.zeros((d, d), dtype=complex),
         )
-        ham = build_hamiltonian(spec)
+        ham = direct_matrix(spec)
         assert np.allclose(ham, ham.conj().T, atol=1e-12)
         assert np.linalg.eigvalsh(ham)[0] > -1e-12
 
@@ -170,21 +192,19 @@ def test_spec_validation_names_first_bad_unitary():
     ClockSpec(5, 2, (I2, X, I2, X, I2 + 1e-13), (), np.zeros((2, 2)))  # within UNITARY_ATOL
 
 
-def test_conjugate_rotate_identity_and_flip():
+def test_rotated_output_penalty_identity_and_flip():
     spec = ClockSpec(2, 2, (I2, I2), (), np.diag([1.0, 0]).astype(complex))
-    rotated = conjugate_rotate(spec)
-    assert np.allclose(rotated.output_penalty_rotated, np.diag([1.0, 0]))
+    assert np.allclose(rotated_output(spec), np.diag([1.0, 0]))
     spec = ClockSpec(1, 2, (X,), (), np.diag([1.0, 0]).astype(complex))
-    rotated = conjugate_rotate(spec)
-    assert np.allclose(rotated.output_penalty_rotated, np.diag([0, 1.0]))
+    assert np.allclose(rotated_output(spec), np.diag([0, 1.0]))
 
 
-def test_conjugate_rotate_preserves_spectrum():
+def test_rotation_preserves_spectrum():
     for T, d in [(4, 2), (8, 3), (32, 2), (6, 4)]:
         spec = random_spec(T, d, RNG)
-        direct = np.linalg.eigvalsh(build_hamiltonian(spec))
-        rotated = np.linalg.eigvalsh(conjugate_rotate(spec).matrix)
-        assert np.max(np.abs(direct - rotated)) < 1e-10
+        direct = np.linalg.eigvalsh(direct_matrix(spec))
+        rotated = assemble(T, spec.input_penalty_total, rotated_output(spec)).toarray()
+        assert np.max(np.abs(direct - np.linalg.eigvalsh(rotated))) < 1e-10
 
 
 def test_jordan_examples():
@@ -246,16 +266,16 @@ def test_case_eigenvalue_closed_forms():
         case_eigenvalue(6, 3)
 
 
-def test_block_hamiltonians_match_closed_forms():
+def test_block_matrices_match_closed_forms():
     for T in (1, 2, 5, 11):
         for tag in (1, 2, 3, 4):
-            ham = block_hamiltonian(JordanBlock(tag, np.eye(1)), T)
+            ham = block_matrix(JordanBlock(tag, np.eye(1)), T)
             lam = np.linalg.eigvalsh(ham)[0]
             assert abs(lam - case_eigenvalue(tag, T)) < 1e-10
 
 
 def test_impurity_matrix_matches_reference_display():
-    ham = impurity_walk_matrix(3, 0.5)
+    ham = walk_matrix(3, 0.5)
     xi = 0.5
     expected = np.array(
         [
@@ -274,27 +294,27 @@ def test_impurity_matrix_matches_reference_display():
 
 def test_impurity_matrix_is_case5_clock_in_disguise():
     for T, mu in [(1, 0.5), (3, 0.5), (6, 0.25), (10, 0.9)]:
-        walk = np.linalg.eigvalsh(impurity_walk_matrix(T, mu))
-        assembled = np.linalg.eigvalsh(build_hamiltonian(case5_spec(T, mu)))
+        walk = np.linalg.eigvalsh(walk_matrix(T, mu))
+        assembled = np.linalg.eigvalsh(direct_matrix(case5_spec(T, mu)))
         assert np.max(np.abs(walk - assembled)) < 1e-12
 
 
 def test_impurity_mu_limits():
-    lows = [np.linalg.eigvalsh(impurity_walk_matrix(5, mu))[0] for mu in (1e-4, 1e-2, 0.5)]
+    lows = [np.linalg.eigvalsh(walk_matrix(5, mu))[0] for mu in (1e-4, 1e-2, 0.5)]
     assert 0 < lows[0] < lows[1] < lows[2]
     # at mu -> 1 the tilted pair commutes and the chain splits into two
     # singly-pinned halves, so the single-endpoint closed form is the limit
-    near_one = np.linalg.eigvalsh(impurity_walk_matrix(5, 1 - 1e-10))[0]
+    near_one = np.linalg.eigvalsh(walk_matrix(5, 1 - 1e-10))[0]
     assert abs(near_one - case_eigenvalue(2, 5)) < 1e-6
 
 
 def test_case_chains_are_the_assembled_blocks_bit_for_bit():
     # dsterf on the chain gives the very float eigvalsh gives on the
-    # assembled block, which ties case_chain to _assemble
+    # assembled block, which ties case_chain to assemble
     for T in range(1, 201):
         for tag in (1, 2, 3, 4):
             diag, off = case_chain(tag, T)
-            ham = block_hamiltonian(JordanBlock(tag, np.eye(1)), T)
+            ham = block_matrix(JordanBlock(tag, np.eye(1)), T)
             assert np.array_equal(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), ham)
             assert chain_ground_energy(diag, off) == np.linalg.eigvalsh(ham)[0]
 
@@ -305,7 +325,7 @@ def test_impurity_chain_oracle_matches_eigvalsh_on_the_default_grid():
     rows = gap_law_grid(t_values, mu_values)
     assert len(rows) == 567
     for row in rows:
-        want = np.linalg.eigvalsh(impurity_walk_matrix(row["T"], row["mu"]))[0]
+        want = np.linalg.eigvalsh(walk_matrix(row["T"], row["mu"]))[0]
         assert chain_ground_energy(*case_chain(5, row["T"], row["mu"])) == want
         assert row["lambda0_dense"] == want
 
@@ -344,7 +364,7 @@ def test_case_chain_errors():
 def test_root_solver_counts_and_matches_dense():
     roots = root_solve_case5(3, 0.5)
     assert roots.count == 9
-    dense = np.linalg.eigvalsh(impurity_walk_matrix(3, 0.5))
+    dense = np.linalg.eigvalsh(walk_matrix(3, 0.5))
     assert abs(2 - 2 * math.cos(roots.k0) - dense[0]) < 1e-9
     assert roots.k0 < math.pi / 9
     branches = {b for _, b in roots.roots}
@@ -379,7 +399,7 @@ def test_root_energies_cover_full_spectrum():
         res = root_solve_case5(T, mu)
         assert res.roots[-1] == (math.pi, "both")
         energies = np.array(sorted(2 - 2 * math.cos(k) for k, _ in res.roots[:-1]))
-        dense = np.linalg.eigvalsh(impurity_walk_matrix(T, mu))
+        dense = np.linalg.eigvalsh(walk_matrix(T, mu))
         assert np.max(np.abs(energies - dense)) < 1e-12
 
 
@@ -474,7 +494,7 @@ def test_gap_law_grid_equals_point_solver():
     mu_values = [round(0.1 * k, 1) for k in range(1, 10)]
     points = [(T, mu) for T in t_values for mu in mu_values]
     batch = clock._solve_case5(points)
-    rows = gap_law_grid(t_values, mu_values, dense=False)
+    rows = gap_law_grid(t_values, mu_values)
     assert len(batch) == len(rows) == len(points)
     for (T, mu), got, row in zip(points, batch, rows):
         want = root_solve_case5(T, mu)
@@ -483,7 +503,7 @@ def test_gap_law_grid_equals_point_solver():
 
 
 def test_gap_law_grid_errors_name_the_point():
-    with pytest.raises(BracketError, match="got 1.0"):
+    with pytest.raises(ValueError, match=re.escape("mu_values must lie strictly in (0, 1), got 1.0")):
         gap_law_grid([2, 3], [0.5, 1.0])
     with pytest.raises(ValueError, match="got 0"):
         gap_law_grid([2, 0], [0.5])
@@ -541,7 +561,7 @@ def test_ground_energy_methods_agree():
     iterative = ground_energy(spec, "iterative", tol=1e-12)
     assert abs(dense.lambda0 - iterative.lambda0) < 1e-9
     assert abs(dense.lambda1 - iterative.lambda1) < 1e-8
-    norm = float(np.linalg.norm(build_hamiltonian(spec), 2))
+    norm = float(np.linalg.norm(direct_matrix(spec), 2))
     assert dense.residual <= 1e-8 * norm
     assert iterative.residual <= 1e-8 * norm
     assert dense.gap == dense.lambda1 - dense.lambda0
@@ -578,7 +598,7 @@ def test_dense_two_eigenpairs_match_full_spectrum(monkeypatch):
     specs += [random_spec(T, 3, rng) for T in (1, 4, 25)]
     for spec in specs:
         report = ground_energy(spec, "dense")
-        want = np.linalg.eigvalsh(build_hamiltonian(spec))[:2]
+        want = np.linalg.eigvalsh(direct_matrix(spec))[:2]
         assert abs(report.lambda0 - want[0]) <= 1e-12
         assert abs(report.lambda1 - want[1]) <= 1e-12
     # case-5 specs are cast to real; random complex unitaries stay complex
@@ -638,11 +658,12 @@ def test_block_completeness():
             (random_projector(d, 1, RNG), random_projector(d, 2, RNG)),
             random_projector(d, 1, RNG),
         )
-        rotated = conjugate_rotate(spec, penalty_variant="kernel_complement")
-        blocks = jordan_decompose(rotated.input_penalty, rotated.output_penalty_rotated)
-        full = np.linalg.eigvalsh(rotated.matrix)
+        p_in = kernel_complement(spec.input_penalty_total)
+        p_out = rotated_output(spec)
+        blocks = jordan_decompose(p_in, p_out)
+        full = np.linalg.eigvalsh(assemble(T, p_in, p_out).toarray())
         per_block = np.sort(
-            np.concatenate([np.linalg.eigvalsh(block_hamiltonian(b, T)) for b in blocks])
+            np.concatenate([np.linalg.eigvalsh(block_matrix(b, T)) for b in blocks])
         )
         assert np.max(np.abs(full - per_block)) < 1e-9
 
@@ -650,7 +671,7 @@ def test_block_completeness():
 def test_case5_block_ground_matches_root_solver():
     for T, mu in [(2, 0.3), (7, 0.62)]:
         block = JordanBlock(5, np.eye(2), mu=mu)
-        lam_dense = np.linalg.eigvalsh(block_hamiltonian(block, T))[0]
+        lam_dense = np.linalg.eigvalsh(block_matrix(block, T))[0]
         assert abs(lam_dense - case_eigenvalue(5, T, mu)) < 1e-9
 
 
@@ -668,34 +689,27 @@ def test_kernel_complement_variant_lower_bounds():
             (diag_a, diag_b),
             random_projector(d, 1, RNG),
         )
-        raw = np.linalg.eigvalsh(build_hamiltonian(spec))[0]
-        surrogate = np.linalg.eigvalsh(build_hamiltonian(spec, "kernel_complement"))[0]
+        surrogate_in = kernel_complement(spec.input_penalty_total)
+        raw = np.linalg.eigvalsh(direct_matrix(spec))[0]
+        surrogate = np.linalg.eigvalsh(direct_matrix(spec, surrogate_in))[0]
         assert surrogate <= raw + 1e-12
-
-
-def test_halting_penalty_bounds_examples_and_order():
-    assert halting_penalty_bounds(1, 1) == (0.0, 0.0)
-    lo, up = halting_penalty_bounds(1, 0)
-    assert abs(lo - 0.75) < 1e-15 and abs(up - 0.75) < 1e-15
-    lo, up = halting_penalty_bounds(0, 0.37)
-    assert abs(lo - 0.75) < 1e-15 and abs(up - 0.75) < 1e-15
-    grid = np.linspace(0, 1, 41)
-    for alpha in grid:
-        for eta in grid:
-            lo, up = halting_penalty_bounds(alpha, eta)
-            assert lo <= up + 1e-12
-    with pytest.raises(ValueError):
-        halting_penalty_bounds(1.5, 0)
 
 
 def test_spec_file_round_trip(tmp_path):
     spec = random_spec(3, 2, RNG)
     path = tmp_path / "case.clock"
-    write_clock_spec(spec, path)
+    sections = [(f"U {t}", u) for t, u in enumerate(spec.unitaries, start=1)]
+    sections += [(f"PI_IN {k}", p) for k, p in enumerate(spec.input_projectors, start=1)]
+    sections.append(("PI_OUT", spec.output_projector))
+    lines = [f"T {spec.T}", f"dim {spec.comp_dim}"]
+    for head, matrix in sections:
+        lines.append(head)
+        lines += ["  ".join(f"{z.real!r} {z.imag!r}" for z in row.tolist()) for row in matrix]
+    path.write_text("\n".join(lines) + "\n")
     again = read_clock_spec(path)
     assert again.T == spec.T and again.comp_dim == spec.comp_dim
-    e1 = np.linalg.eigvalsh(build_hamiltonian(spec))
-    e2 = np.linalg.eigvalsh(build_hamiltonian(again))
+    e1 = np.linalg.eigvalsh(direct_matrix(spec))
+    e2 = np.linalg.eigvalsh(direct_matrix(again))
     assert np.max(np.abs(e1 - e2)) < 1e-12
 
 
@@ -707,12 +721,3 @@ def test_spec_file_errors(tmp_path):
     path.write_text("T 1\ndim 1\nU 1\n1 0 0\nPI_OUT\n0 0\n")  # odd token count
     with pytest.raises(ClockSpecParseError):
         read_clock_spec(path)
-
-
-def test_path_laplacian_shape():
-    lap = path_laplacian(4)
-    assert np.array_equal(
-        lap,
-        [[1, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 1]],
-    )
-    assert np.linalg.eigvalsh(lap)[0] > -1e-14

@@ -10,11 +10,10 @@ from omegaphase.tm import (
     MachineParseError,
     check_prefix_free_up_to,
     enumerate_input,
-    format_machine,
     parse_machine,
     run_bounded,
 )
-from omegaphase.zoo import ZOO, zoo_machine
+from omegaphase.zoo import ZOO, zoo_machine, zoo_machine_text
 
 
 def brute_force_enumeration(count):
@@ -77,10 +76,10 @@ def test_parser_requires_headers_and_totality():
 
 
 def test_format_round_trip():
-    spec = zoo_machine("omega34")
-    again = parse_machine(format_machine(spec), name=spec.name)
-    assert again == spec
-    assert hash(again) == hash(spec)
+    for name in ZOO:
+        again = parse_machine(zoo_machine_text(name), name=name)
+        assert again == zoo_machine(name)
+        assert hash(again) == hash(zoo_machine(name))
 
 
 def test_run_bounded_examples():
