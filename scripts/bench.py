@@ -16,6 +16,8 @@ fixed inputs:
 - ``rounding_lemma_scan_12``: ``qpe.rounding_lemma_scan(12)``;
 - ``qpe_distribution_csv_n18``: ``qpe`` distribution mode at phi = 100/257,
   n = 18, m = 12 through ``cli.main``, the 2^18-row CSV included;
+- ``sweep_omega58_256``: ``sweep`` of zoo machine omega58 on the grid
+  k/256 through ``cli.main``, as the benchmark's sweep run makes it;
 - ``clock_single_dense_T600``, ``clock_single_iterative_T200`` and
   ``clock_single_iterative_T400``: ``clock`` single mode at mu = 0.37
   through ``cli.main``, dense at T = 600 and Lanczos at T = 200 and 400;
@@ -83,6 +85,7 @@ def main() -> None:
         configs[path.stem] = timed(lambda: run_cli([command, "--config", str(path)]))
         print(f"{path.stem}: {configs[path.stem]['median_s']:.3f} s", file=sys.stderr)
     qpe_argv = ["qpe", "-p", "mode=distribution", "-p", "phi=100/257", "-p", "n=18", "-p", "m=12"]
+    sweep_argv = ["sweep", "-p", "machine=zoo:omega58", "-p", "grid_denominator=256"]
     clock_argv = ["clock", "-p", "mode=single", "-p", "mu=0.37"]
     grid = cli.PARAM_KEYS["clock"]["grid"]
     t_values, mu_values = grid["t_values"][1], grid["mu_values"][1]
@@ -91,6 +94,7 @@ def main() -> None:
         "dyadic_pipeline_n12": timed(dyadic_pipeline),
         "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12)),
         "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv)),
+        "sweep_omega58_256": timed(lambda: run_cli(sweep_argv)),
         "clock_single_dense_T600": timed(lambda: run_cli([*clock_argv, "-p", "T=600"])),
         "clock_single_iterative_T200": timed(
             lambda: run_cli([*clock_argv, "-p", "T=200", "-p", "method=iterative"])

@@ -152,6 +152,18 @@ def _signed_log2(x: Fraction) -> float:
     return mag if x > 0 else -mag
 
 
+def _exact_strings(values: Iterable[Fraction]) -> dict[Fraction, str]:
+    """str() of each distinct rational, formatted once.  The interpreter's
+    limit on int-to-str digits is lifted around the conversion and then
+    restored: an energy bound passes 4,300 digits at large square sides."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return {value: str(value) for value in set(values)}
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -174,6 +186,24 @@ def _grid_ratio_strings(n: int) -> list[str]:
         level[1::2] = [f"{z}/{den}" for z in range(1, den, 2)]
         strings = level
     return strings
+
+
+def _write_qpe_csv(path: Path, n: int, probabilities: np.ndarray) -> None:
+    """The rows z, z/2^n and Pr[z] of a distribution, written in blocks of
+    2^min(n, 12) rows, each formatted by one %-format of the whole block;
+    a probability prints as _float_repr does."""
+    strings = _grid_ratio_strings(n)
+    rows = 1 << min(n, 12)
+    template = "%d,%s,%.17g\n" * rows
+    fields: list = [None] * (3 * rows)
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("z,estimate,probability\n")
+        for start in range(0, 1 << n, rows):
+            stop = start + rows
+            fields[0::3] = range(start, stop)
+            fields[1::3] = strings[start:stop]
+            fields[2::3] = probabilities[start:stop].tolist()
+            fh.write(template % tuple(fields))
 
 
 def _load_machine_ref(ref: str) -> MachineSpec:
@@ -320,9 +350,7 @@ def _run_qpe(p: dict, mode: str, fmt: str, out: Path) -> None:
     if mode == "distribution":
         n, m = p["n"], p["m"]
         dist = qpe.qpe_distribution(p["phi"], n)
-        probs = map(_float_repr, dist.probabilities.tolist())
-        rows = zip(map(str, range(1 << n)), _grid_ratio_strings(n), probs)
-        _write_csv(out / "qpe.csv", ["z", "estimate", "probability"], rows)
+        _write_qpe_csv(out / "qpe.csv", n, dist.probabilities)
         summary: dict = {"phi": str(dist.phi), "n": n, "exact": dist.exact}
         if m is not None:
             tail, success = qpe.tail_and_success(dist, m)
@@ -473,6 +501,7 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
     s_budget = s_prime + 1 if p["s_budget"] == "auto" else p["s_budget"]
     _require_prefix_free(machine, s_budget)
     results = phase.sweep(grid, machine, s_budget, model)
+    bounds = _exact_strings(b for r in results for b in (r.energy.lo, r.energy.hi))
     rows = []
     class_rows = []
     energy_lo_rows: list[list[str]] = []
@@ -484,8 +513,8 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
                 r.classification,
                 "" if r.witness_scale is None else str(r.witness_scale),
                 "" if r.first_negative_s is None else str(r.first_negative_s),
-                str(r.energy.lo),
-                str(r.energy.hi),
+                bounds[r.energy.lo],
+                bounds[r.energy.hi],
             ]
         )
         class_rows.append(

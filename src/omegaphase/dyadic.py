@@ -260,9 +260,10 @@ def truncate(x: Dyadic, s: int) -> Dyadic:
     """
     if s < 0:
         raise ValueError(f"truncation length must be >= 0, got {s}")
-    if x.exponent <= s:
+    e = x._exp
+    if e <= s:
         return x
-    return Dyadic(x.numerator >> (x.exponent - s), s)
+    return Dyadic(x._num >> (e - s), s)
 
 
 def round_up_mth(x: Dyadic, m: int, n_bits: int | None = None) -> Dyadic:
@@ -274,22 +275,22 @@ def round_up_mth(x: Dyadic, m: int, n_bits: int | None = None) -> Dyadic:
     so the (m+1)-th bit is always addressable.  An explicit ``n_bits``
     with ``m >= n_bits`` signals a misconfigured precision schedule.
     """
-    if x.floor():  # the floor is 0 exactly on [0, 1)
+    num, e = x._num, x._exp
+    if num >> e:  # the floor is 0 exactly on [0, 1)
         raise ValueError(f"round_up_mth requires x in [0, 1), got {x}")
     if m < 1:
         raise ValueError(f"rounding position must be >= 1, got {m}")
     if n_bits is None:
-        n_bits = max(x.fractional_length, m + 1)
-    elif x.fractional_length > n_bits:
-        raise ValueError(
-            f"{x} has {x.fractional_length} fractional bits, more than n={n_bits}"
-        )
+        n_bits = max(e, m + 1)
+    elif e > n_bits:
+        raise ValueError(f"{x} has {e} fractional bits, more than n={n_bits}")
     if m >= n_bits:
         raise ValueError(
             f"rounding position m={m} must be < fractional length n={n_bits}"
         )
-    if x.bit(m + 1):
-        return (x + Dyadic(1, m)).mod1()
+    if e > m and (num >> (e - m - 1)) & 1:
+        # bit m+1 is set, so x + 2^-m keeps exponent e; the mask reduces mod 1
+        return Dyadic((num + (1 << (e - m))) & ((1 << e) - 1), e)
     return x
 
 
@@ -301,10 +302,14 @@ def interval_Im(phi: Dyadic, m: int) -> tuple[Dyadic, ...]:
     """
     if m < 1:
         raise ValueError(f"precision m must be >= 1, got {m}")
-    if phi.floor():
+    num, e = phi._num, phi._exp
+    if num >> e:
         raise ValueError(f"interval_Im requires phi in [0, 1), got {phi}")
-    lo = truncate(phi, m)
-    if lo == phi:
-        return (lo,)
-    hi = (lo + Dyadic(1, m)).mod1()
-    return (hi, lo) if hi < lo else (lo, hi)
+    if e <= m:
+        return (phi,)
+    k = num >> (e - m)  # floor(2^m phi)
+    lo = Dyadic(k, m)
+    k += 1
+    if k >> m:  # the ceiling wraps to 0
+        return (ZERO, lo)
+    return (lo, Dyadic(k, m))

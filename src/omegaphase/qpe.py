@@ -175,10 +175,11 @@ def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
     For every n, m < n, every n-bit estimate within 2^-(m+1) (mod 1) of
     every n-bit phase must round-then-truncate into the phase's best
     m-bit approximations.  The per-point pipeline goes through the exact
-    dyadic operations once; the pairs are then compared per (n, m), phase
-    w against the window of estimates z = w - radius + 1 .. w + radius - 1
-    (mod 2^n) of the wrapped image array, in blocks of whole rows of about
-    SCAN_BLOCK_ELEMENTS pairs, so memory stays flat as n_max grows.
+    dyadic operations once per (n, m, z), on grid points built once per n;
+    the pairs are then compared per (n, m), phase w against the window of
+    estimates z = w - radius + 1 .. w + radius - 1 (mod 2^n) of the wrapped
+    image array, in blocks of whole rows of about SCAN_BLOCK_ELEMENTS
+    pairs, so memory stays flat as n_max grows.
     """
     if n_max < 2:
         raise ValueError(f"empty scan: n_max={n_max} < 2")
@@ -186,15 +187,16 @@ def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
     violations = 0
     for n in range(2, n_max + 1):
         size = 1 << n
+        points = [Dyadic(z, n) for z in range(size)]
         for m in range(1, n):
             images = []
-            for z in range(size):
-                rounded = truncate(round_up_mth(Dyadic(z, n), m, n_bits=n), m)
+            for x in points:
+                rounded = truncate(round_up_mth(x, m, n_bits=n), m)
                 images.append(rounded.numerator << (m - rounded.exponent))
             lo = []
             hi = []
-            for w in range(size):
-                members = interval_Im(Dyadic(w, n), m)
+            for phi in points:
+                members = interval_Im(phi, m)
                 lo.append(members[0].numerator << (m - members[0].exponent))
                 hi.append(members[-1].numerator << (m - members[-1].exponent))
             radius = 1 << (n - m - 1)  # estimates with |z - w| mod 2^n < radius

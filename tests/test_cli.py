@@ -1,6 +1,7 @@
 """Front-end behaviour: config resolution, manifest round-trip,
 deterministic artifacts, and exit-code discipline."""
 
+import csv
 import json
 import shlex
 import subprocess
@@ -16,6 +17,7 @@ from omegaphase.cli import (
     run,
 )
 from omegaphase.dyadic import Dyadic
+from omegaphase.phase import SquareEnergyModel, square_energy
 from omegaphase.qpe import qpe_distribution
 from omegaphase.zoo import zoo_machine_text
 
@@ -169,6 +171,33 @@ def test_sweep_small_grid(tmp_path):
     summary = read_json(tmp_path / "sw" / "sweep.json")
     assert summary["gapless"] == 2  # 1/4 and 1/2; 3/4 and 1 stay gapped
     assert (tmp_path / "sw" / "phi_vs_class.dat").exists()
+
+
+def test_sweep_bounds_past_the_int_digit_limit(tmp_path):
+    # at s_budget=7500 the no-evidence rows' energy bounds have over 4,300
+    # digits, past the interpreter's default limit for int-to-str
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "sw"
+    argv = ["sweep", "--output-dir", str(out), "-p", "machine=zoo:omega34",
+            "-p", "grid_denominator=4", "-p", "s_budget=7500"]
+    assert main(argv) == EXIT_OK
+    assert sys.get_int_max_str_digits() == limit
+    model = SquareEnergyModel()
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["classification"] for row in rows] == [
+        "gapless_evidence(6567)", "gapless_evidence(6567)", "no_evidence(7500)", "no_evidence(7500)",
+    ]
+    assert max(len(row["energy_upper_bound"]) for row in rows) > 4300
+    for row in rows:
+        s = int(row["witness_scale"] or 7500)
+        want = square_energy(s, "halting" if row["witness_scale"] else "nonhalting", model)
+        sys.set_int_max_str_digits(0)
+        try:
+            got = Fraction(row["energy_lower_bound"]), Fraction(row["energy_upper_bound"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == (want.lo, want.hi), row["phi"]
 
 
 def test_main_exit_codes(tmp_path):
@@ -395,7 +424,9 @@ def test_bad_model_knob_named(tmp_path, capsys, param, code):
     ids=["off-grid", "on-grid", "no-m"],
 )
 def test_qpe_distribution_csv_bytes(tmp_path, phi, m, exact):
-    for n in range(1, 13):
+    # the CSV is written in blocks of 2^min(n, 12) rows: n = 13 is the
+    # first size with more than one block
+    for n in range(1, 14):
         out = tmp_path / f"n{n}"
         argv = ["qpe", "--output-dir", str(out), "-p", "mode=distribution", "-p", f"phi={phi}", "-p", f"n={n}"]
         if m is not None:
@@ -405,6 +436,8 @@ def test_qpe_distribution_csv_bytes(tmp_path, phi, m, exact):
         assert summary["exact"] is exact
         assert ("m" in summary) == (m is not None)
         probs = qpe_distribution(Fraction(phi), n).probabilities
+        if exact:
+            assert sorted(probs.tolist())[-2:] == [0.0, 1.0] and probs.sum() == 1.0, n
         lines = ["z,estimate,probability"]
         lines += [f"{z},{Fraction(z, 2**n)},{format(float(p), '.17g')}" for z, p in enumerate(probs)]
         assert (out / "qpe.csv").read_bytes() == ("\n".join(lines) + "\n").encode(), n

@@ -204,3 +204,82 @@ def test_bitstring_round_trip():
 def test_fractional_bits():
     x = Dyadic(0b1011, 4)
     assert [x.bit(j) for j in range(1, 7)] == [1, 0, 1, 1, 0, 0]
+
+
+def _outcome(fn, *args):
+    """A result as its canonical (numerator, exponent) pairs, or a
+    ValueError as its message."""
+    try:
+        result = fn(*args)
+    except ValueError as err:
+        return str(err)
+    members = result if isinstance(result, tuple) else (result,)
+    return [(d.numerator, d.exponent) for d in members]
+
+
+def _pairs(*values):
+    """Canonical (numerator, exponent) pairs of dyadic Fractions."""
+    return [(f.numerator, f.denominator.bit_length() - 1) for f in values]
+
+
+def test_rounding_ops_exhaustive_against_fractions():
+    # every k/2^e with e <= 9 is some k'/512; the range covers [-1, 2)
+    for k in range(-512, 1024):
+        x = Dyadic(k, 9)
+        f = x.as_fraction()
+        e = x.exponent
+        in_unit = 0 <= f < 1
+        for m in range(-1, 12):
+            if m < 0:
+                want = f"truncation length must be >= 0, got {m}"
+            else:
+                want = _pairs(Fraction(math.floor(f * 2**m), 2**m))
+            assert _outcome(truncate, x, m) == want, (x, m)
+
+            step = Fraction(1, 2**m) if m >= 0 else None
+            for n_bits in (None, e, e + 2, m):
+                n = max(e, m + 1) if n_bits is None else n_bits
+                if not in_unit:
+                    want = f"round_up_mth requires x in [0, 1), got {f}"
+                elif m < 1:
+                    want = f"rounding position must be >= 1, got {m}"
+                elif n_bits is not None and e > n_bits:
+                    want = f"{f} has {e} fractional bits, more than n={n_bits}"
+                elif m >= n:
+                    want = f"rounding position m={m} must be < fractional length n={n}"
+                elif math.floor(f * 2 ** (m + 1)) % 2:
+                    want = _pairs((f + step) % 1)
+                else:
+                    want = _pairs(f)
+                assert _outcome(round_up_mth, x, m, n_bits) == want, (x, m, n_bits)
+
+            if m < 1:
+                want = f"precision m must be >= 1, got {m}"
+            elif not in_unit:
+                want = f"interval_Im requires phi in [0, 1), got {f}"
+            else:
+                lo = Fraction(math.floor(f * 2**m), 2**m)
+                want = _pairs(*([lo] if lo == f else sorted({lo, (lo + step) % 1})))
+            assert _outcome(interval_Im, x, m) == want, (x, m)
+
+
+def test_rounding_lemma_scan_goes_through_the_rounding_ops(monkeypatch):
+    # one round_up_mth and one interval_Im call per (n, m, z):
+    # sum over n = 2..12 of (n - 1) * 2^n = 81,924
+    from omegaphase import qpe
+
+    calls = {"round_up_mth": 0, "interval_Im": 0}
+
+    def counted(name):
+        real = getattr(qpe, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(qpe, name, counted(name))
+    assert qpe.rounding_lemma_scan(12)[1] == 0
+    assert calls == {"round_up_mth": 81_924, "interval_Im": 81_924}
