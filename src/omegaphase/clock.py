@@ -47,6 +47,8 @@ DEGENERACY_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 DENSE_DIM_LIMIT = 4000
 LANCZOS_BASIS = 64  # Lanczos vectors kept by the iterative path (ARPACK's ncv)
+LANCZOS_TOL = 1e-12  # relative accuracy asked of the Lanczos eigenvalues
+LANCZOS_MAXITER_PER_DIM = 100  # Lanczos iteration budget per matrix dimension
 ROOT_TOL = 1e-13  # bracket width at which the case-5 bisection stops
 
 
@@ -370,7 +372,7 @@ def case_eigenvalue(case_tag: int, T: int, mu: float | None = None) -> float:
     if case_tag == 5:
         if mu is None:
             raise ValueError("case 5 requires mu")
-        return 2.0 - 2.0 * math.cos(root_solve_case5(T, mu).k0)
+        return 2.0 - 2.0 * math.cos(root_solve_case5([(T, mu)])[0].k0)
     raise ValueError(f"case_tag must be 1..5, got {case_tag}")
 
 
@@ -436,37 +438,13 @@ def chain_ground_energy(diag: np.ndarray, off: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Case5Roots:
-    """All momentum roots of the tilted block's quantisation condition."""
+    """The tilted block's ground momentum k0 and how many momentum roots
+    its quantisation condition has on (0, pi]."""
 
     T: int
     mu: float
     k0: float
-    roots: tuple[tuple[float, str], ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.roots)
-
-
-def root_solve_case5(T: int, mu: float) -> Case5Roots:
-    """Roots of cos((T+3/2)k) = -/+ sqrt(1-mu) cos(k/2) on (0, pi), plus
-    k = pi which both branches share: 2T+3 momenta in total.
-
-    k = pi satisfies both branches trivially (both sides vanish) but is
-    not a momentum of the chain: its energy 4 is not an eigenvalue.  The
-    other 2T+2 roots give the 2(T+1) eigenvalues 2 - 2cos(k) one to one.
-
-    Both branches are one function f(k, s) = cos((T+3/2)k) + s sqrt(1-mu)
-    cos(k/2), s = -1 (minus) or +1 (plus).  k0, the smallest root, always
-    comes from the minus branch and is bracketed inside (0, pi/(2T+3));
-    the ground energy of the impurity walk is 2 - 2cos(k0).  The other
-    roots are the exact zeros of f on a grid of 40(T+2)+1 points per
-    branch, plus one root in every grid interval where f changes sign
-    strictly.  All these brackets, k0's first, are bisected in lockstep
-    until each is at most ROOT_TOL wide or its midpoint is an exact zero
-    of f, which is then the root; otherwise the root is the midpoint.
-    """
-    return _solve_case5([(T, mu)])[0]
+    count: int
 
 
 def _case5_f(k, scale, sr):
@@ -474,12 +452,27 @@ def _case5_f(k, scale, sr):
     return np.cos(scale * k) + sr * np.cos(0.5 * k)
 
 
-def _solve_case5(points: list[tuple[int, float]]) -> list[Case5Roots]:
-    """``root_solve_case5`` at every (T, mu) point, with the brackets of
-    all points bisected in one lockstep loop.  Each bracket halves on its
-    own, so every result equals the one-point call's."""
-    per_point, offsets = [], [0]
-    x0s, x1s, f0s, srs, scales = [], [], [], [], []
+def root_solve_case5(points: list[tuple[int, float]]) -> list[Case5Roots]:
+    """k0 and the root count of cos((T+3/2)k) = -/+ sqrt(1-mu) cos(k/2) at
+    every (T, mu) point.
+
+    Both branches are one function f(k, s) = cos((T+3/2)k) + s sqrt(1-mu)
+    cos(k/2), s = -1 (minus) or +1 (plus).  Each has T+1 roots on (0, pi),
+    and k = pi satisfies both trivially (both sides vanish; its energy 4
+    is not an eigenvalue of the chain): 2T+3 momenta in total, the other
+    2T+2 giving the 2(T+1) eigenvalues 2 - 2cos(k) one to one.  The count
+    is checked, not assumed: on a grid of 40(T+2)+1 points per branch,
+    the exact zeros of f plus the strict sign changes must number T+1.
+
+    k0, the smallest root, always comes from the minus branch and is
+    bracketed inside (0, pi/(2T+3)); the ground energy of the impurity
+    walk is 2 - 2cos(k0).  The k0 brackets of all points are bisected in
+    one lockstep loop until each is at most ROOT_TOL wide or its midpoint
+    is an exact zero of f, which is then k0; otherwise k0 is the midpoint.
+    Each bracket halves on its own, so a point's k0 does not depend on
+    the other points.
+    """
+    brackets, counts = [], []  # per point: k0's bracket (lo, hi, f(lo)), s sqrt(1-mu), T + 3/2
     for T, mu in points:
         if T < 1:
             raise ValueError(f"T must be >= 1, got {T}")
@@ -494,26 +487,17 @@ def _solve_case5(points: list[tuple[int, float]]) -> list[Case5Roots]:
                 f"f({lo})={flo}, f({hi})={fhi}"
             )
         grid = np.linspace(ROOT_TOL, math.pi * (1.0 - 1e-12), 40 * (T + 2) + 1)
-        branch_sr = np.array([-r, r])
-        vals = _case5_f(grid, T + 1.5, branch_sr[:, None])  # row 0: minus, row 1: plus
+        vals = _case5_f(grid, T + 1.5, np.array([[-r], [r]]))  # row 0: minus, row 1: plus
         signs = np.sign(vals)
-        branch, i = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
-        exact = [grid[vals[b] == 0.0] for b in (0, 1)]
-        for b, name in enumerate(("minus", "plus")):
-            found = exact[b].size + int(np.count_nonzero(branch == b))
-            if found != T + 1:
-                raise RuntimeError(
-                    f"expected T+1 = {T + 1} {name} roots on (0, pi), found {found}"
-                )
-        per_point.append((exact, branch))
-        # the point's bracket 0 is k0's, then every strict sign change on the grid
-        x0s += [[lo], grid[i]]
-        x1s += [[hi], grid[i + 1]]
-        f0s += [[flo], vals[branch, i]]
-        srs += [[-r], branch_sr[branch]]
-        scales.append(np.full(i.size + 1, T + 1.5))
-        offsets.append(offsets[-1] + i.size + 1)
-    x0, x1, f0, sr, scale = map(np.concatenate, (x0s, x1s, f0s, srs, scales))
+        found = np.count_nonzero(vals == 0.0, axis=1) + np.count_nonzero(
+            signs[:, :-1] * signs[:, 1:] < 0.0, axis=1
+        )
+        for name, n in zip(("minus", "plus"), found.tolist()):
+            if n != T + 1:
+                raise RuntimeError(f"expected T+1 = {T + 1} {name} roots on (0, pi), found {n}")
+        brackets.append((lo, hi, flo, -r, T + 1.5))
+        counts.append(1 + int(found.sum()))
+    x0, x1, f0, sr, scale = np.array(brackets).T
     while (act := np.flatnonzero(x1 - x0 > ROOT_TOL)).size:
         mid = 0.5 * (x0[act] + x1[act])
         fm = _case5_f(mid, scale[act], sr[act])
@@ -521,17 +505,8 @@ def _solve_case5(points: list[tuple[int, float]]) -> list[Case5Roots]:
         x1[act] = np.where(left | (fm == 0.0), mid, x1[act])
         x0[act] = np.where(left, x0[act], mid)
         f0[act] = np.where(left, f0[act], fm)
-    k = 0.5 * (x0 + x1)
-    results = []
-    for (T, mu), (exact, branch), start, stop in zip(points, per_point, offsets, offsets[1:]):
-        k_point = k[start:stop]
-        labelled = [(math.pi, "both")]
-        for b, name in enumerate(("minus", "plus")):
-            ks = np.concatenate((exact[b], k_point[1:][branch == b])).tolist()
-            labelled += [(root, name) for root in ks]
-        labelled.sort()
-        results.append(Case5Roots(T, mu, float(k_point[0]), tuple(labelled)))
-    return results
+    k0 = (0.5 * (x0 + x1)).tolist()
+    return [Case5Roots(T, mu, k, n) for (T, mu), k, n in zip(points, k0, counts)]
 
 
 # -- epsilon and extremal eigenvalues ----------------------------------
@@ -557,7 +532,6 @@ class SpectralReport:
     lambda1: float
     method: str
     residual: float
-    iterations: int | None = None
 
     def __post_init__(self) -> None:
         if self.lambda1 < self.lambda0:
@@ -568,12 +542,7 @@ class SpectralReport:
         return self.lambda1 - self.lambda0
 
 
-def ground_energy(
-    spec: ClockSpec,
-    method: str = "dense",
-    tol: float = 1e-12,
-    maxiter: int | None = None,
-) -> SpectralReport:
+def ground_energy(spec: ClockSpec, method: str = "dense") -> SpectralReport:
     """Two lowest eigenvalues and the residual norm ||H v0 - lambda0 v0||
     of the ground vector.  The residual is an error estimate, not an
     enclosure: it does not prove that no eigenvalue lies below lambda0.
@@ -602,16 +571,15 @@ def ground_energy(
     ham = assemble(spec.T, spec.input_penalty_total, spec.output_projector, spec.unitaries)
     if not ham.data.imag.any():
         ham = ham.real
-    n_iter = None
     if method == "dense":
         ham = ham.toarray()
         evals, evecs = linalg.eigh(ham, subset_by_index=[0, 1])
     else:
-        n_iter = maxiter if maxiter is not None else 100 * spec.dim
+        n_iter = LANCZOS_MAXITER_PER_DIM * spec.dim
         start = np.random.default_rng(0).standard_normal(spec.dim)
         try:
             evals, evecs = spla.eigsh(
-                ham, k=2, which="SA", tol=tol, maxiter=n_iter, v0=start,
+                ham, k=2, which="SA", tol=LANCZOS_TOL, maxiter=n_iter, v0=start,
                 ncv=min(spec.dim, LANCZOS_BASIS),
             )
         except spla.ArpackNoConvergence as err:
@@ -622,7 +590,7 @@ def ground_energy(
         evals, evecs = evals[order], evecs[:, order]
     v0 = evecs[:, 0]
     residual = float(np.linalg.norm(ham @ v0 - evals[0] * v0))
-    return SpectralReport(float(evals[0]), float(evals[1]), method, residual, n_iter)
+    return SpectralReport(float(evals[0]), float(evals[1]), method, residual)
 
 
 def gap_law_grid(t_values: list[int], mu_values: list[float]) -> list[dict]:
@@ -644,9 +612,9 @@ def gap_law_grid(t_values: list[int], mu_values: list[float]) -> list[dict]:
     bad_mu = next((mu for mu in mu_values if not 0 < mu < 1), None)
     if bad_mu is not None:
         raise ValueError(f"mu_values must lie strictly in (0, 1), got {bad_mu}")
-    points = [(T, mu) for T in t_values for mu in mu_values]
     rows = []
-    for (T, mu), roots in zip(points, _solve_case5(points)):
+    for roots in root_solve_case5([(T, mu) for T in t_values for mu in mu_values]):
+        T, mu = roots.T, roots.mu
         lam_root = 2.0 - 2.0 * math.cos(roots.k0)
         row = {
             "T": T,

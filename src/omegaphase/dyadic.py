@@ -82,26 +82,11 @@ class Dyadic:
     def exponent(self) -> int:
         return self._exp
 
-    @property
-    def fractional_length(self) -> int:
-        """Number of binary fractional digits of the canonical form."""
-        return self._exp
-
     def as_fraction(self) -> Fraction:
         return Fraction(self._num, 1 << self._exp)
 
     def __float__(self) -> float:
         return self._num / (1 << self._exp)
-
-    def bit(self, j: int) -> int:
-        """The j-th fractional bit (j >= 1) of a value in [0, 1)."""
-        if j < 1:
-            raise ValueError("bit index must be >= 1")
-        if self.floor():
-            raise ValueError("fractional bits are defined for values in [0, 1)")
-        if j > self._exp:
-            return 0
-        return (self._num >> (self._exp - j)) & 1
 
     # -- arithmetic ---------------------------------------------------
 
@@ -153,9 +138,6 @@ class Dyadic:
     def mod1(self) -> "Dyadic":
         """Reduce into [0, 1); all mod-1 steps in callers are explicit."""
         return Dyadic(self._num & ((1 << self._exp) - 1), self._exp)
-
-    def floor(self) -> int:
-        return self._num >> self._exp
 
     # -- comparisons ---------------------------------------------------
 
@@ -271,7 +253,7 @@ def round_up_mth(x: Dyadic, m: int, n_bits: int | None = None) -> Dyadic:
 
     ``n_bits`` declares the working precision: ``x`` must fit in
     ``n_bits`` fractional bits and ``m`` must be strictly smaller.  When
-    omitted, the precision defaults to ``max(fractional_length, m + 1)``
+    omitted, the precision defaults to ``max(x.exponent, m + 1)``
     so the (m+1)-th bit is always addressable.  An explicit ``n_bits``
     with ``m >= n_bits`` signals a misconfigured precision schedule.
     """

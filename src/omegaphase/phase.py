@@ -139,12 +139,17 @@ class SquareEnergyModel:
             raise ValueError("poly_degree must be >= 0")
         if self.s_max_checked < S_MIN_SCHEDULE:
             raise ValueError("s_max_checked too small to ever separate")
+        # Below 2^48 the float synthesis exponent provably never steps down
+        # (see _delta_exponent), which find_s_prime's piece walk needs.
+        if self.s_max_checked >= 1 << 48:
+            raise ValueError(
+                f"s_max_checked must be below 2^48, where the synthesis exponent "
+                f"is proven monotone, got {self.s_max_checked}"
+            )
         # _delta_exponent(n, c1, c2) > MAX_DELTA_EXPONENT, compared before the
-        # floor, which would overflow on a c2 near the float limit.  As c1 < 4
-        # and c2 >= 1, every n from 2^65 up exceeds it, and a larger n would
-        # overflow the float power.
+        # floor, which would overflow on a c2 near the float limit.
         n = self.s_max_checked - 5
-        if n >= 1 << 65 or self.c2 * n ** (1.0 / self.c1) >= MAX_DELTA_EXPONENT + 1:
+        if self.c2 * n ** (1.0 / self.c1) >= MAX_DELTA_EXPONENT + 1:
             raise ValueError(
                 f"c2={self.c2} puts the synthesis exponent above {MAX_DELTA_EXPONENT} bits "
                 f"at s_max_checked={self.s_max_checked}"
@@ -228,11 +233,6 @@ class SquareEnergyModel:
         return bool(cond1 and cond2)
 
 
-# Below 2^48 the float synthesis exponent provably never steps down
-# (see _delta_exponent), which the piece walk needs.
-_WALK_LIMIT = 1 << 48
-
-
 @lru_cache(maxsize=64)
 def find_s_prime(model: SquareEnergyModel) -> int:
     """Smallest s such that the regime separation holds for every square
@@ -251,10 +251,10 @@ def find_s_prime(model: SquareEnergyModel) -> int:
     s holds, so does its whole piece up to s, and the walk checks only the
     side just below that piece.  The first failing side met is the last
     failing side of the range.  For poly_degree > 0, poly = s^(2d) rises
-    inside a piece and cond1 has no proven shape, so those models (and
-    ranges past _WALK_LIMIT) take the exhaustive scan, _scan_s_prime.
+    inside a piece and cond1 has no proven shape, so those models take
+    the exhaustive scan, _scan_s_prime.
     """
-    if model.poly_degree or model.s_max_checked >= _WALK_LIMIT:
+    if model.poly_degree:
         return _scan_s_prime(model)
     s = model.s_max_checked
     while s >= S_MIN_SCHEDULE and model.separation_holds(s):

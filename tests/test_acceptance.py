@@ -140,7 +140,7 @@ def test_criterion_07_monotone_and_limit():
         assert all(values[s] < entry.omega or entry.omega == Dyadic(0) for s in range(entry.settle_budget))
         stages = omega_approx(spec, horizon).stage_values
         diagonal = [truncate(v, s) for s, v in enumerate(stages, start=1)]
-        settle = max(entry.settle_budget, entry.omega.fractional_length)
+        settle = max(entry.settle_budget, entry.omega.exponent)
         for s in range(settle, horizon):
             assert diagonal[s] == truncate(entry.omega, s + 1) == entry.omega
     _report(7, "staged values monotone, settle at exact omega, diagonal stabilises")

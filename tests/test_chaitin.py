@@ -128,7 +128,7 @@ def test_truncated_sequence_stabilises():
     for name in PREFIX_FREE:
         entry = ZOO[name]
         spec = zoo_machine(name)
-        horizon = max(entry.settle_budget, entry.omega.fractional_length) + 10
+        horizon = max(entry.settle_budget, entry.omega.exponent) + 10
         seq = truncated_diagonal(spec, horizon)
         for s in range(entry.settle_budget, horizon):
             assert seq[s] == truncate(entry.omega, s + 1)

@@ -117,7 +117,7 @@ def test_clock_single_report(tmp_path):
     payload = read_json(tmp_path / "c" / "clock.json")
     assert set(payload) >= {"T", "mu", "epsilon", "lambda0", "lambda1", "residual", "method"}
     assert abs(payload["epsilon"] - 0.5) < 1e-9
-    k0 = root_solve_case5(3, 0.5).k0
+    k0 = root_solve_case5([(3, 0.5)])[0].k0
     assert abs(payload["lambda0"] - (2 - 2 * math.cos(k0))) < 1e-9
 
 
@@ -415,6 +415,15 @@ def test_bad_model_knob_named(tmp_path, capsys, param, code):
     argv = ["sweep", "--output-dir", str(tmp_path / "run"), "-p", "mode=schedule", "-p", param]
     assert main(argv) == code
     assert param.partition("=")[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_s_max_checked_past_monotone_range_refused(tmp_path, capsys):
+    # at 2^48 the piece walk would give way to a scan of 2^48 sides
+    argv = ["sweep", "--output-dir", str(tmp_path / "run"), "-p", "mode=schedule",
+            "-p", f"s_max_checked={1 << 48}", "-p", "c2=1"]
+    assert main(argv) == EXIT_CONSTRAINT
+    assert "s_max_checked must be below 2^48" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

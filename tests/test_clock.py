@@ -10,7 +10,6 @@ import pytest
 from omegaphase import clock
 from omegaphase.clock import (
     BracketError,
-    Case5Roots,
     ClockSpec,
     ClockSpecParseError,
     IterativeConvergenceError,
@@ -362,12 +361,12 @@ def test_case_chain_errors():
 
 
 def test_root_solver_counts_and_matches_dense():
-    roots = root_solve_case5(3, 0.5)
+    [roots] = root_solve_case5([(3, 0.5)])
     assert roots.count == 9
     dense = np.linalg.eigvalsh(walk_matrix(3, 0.5))
     assert abs(2 - 2 * math.cos(roots.k0) - dense[0]) < 1e-9
     assert roots.k0 < math.pi / 9
-    branches = {b for _, b in roots.roots}
+    branches = {b for _, b in reference_root_solve_case5(3, 0.5)[1]}
     assert branches == {"minus", "plus", "both"}
 
 
@@ -376,7 +375,7 @@ def test_quantisation_polynomial_roots_on_unit_circle():
     # z^(2T+3) + 1 +/- sqrt(1-mu) z^(T+1) (z+1) have every root on the
     # unit circle, and the trig roots found on (0, pi) are among them
     for T, mu in [(3, 0.5), (5, 0.25), (8, 0.7)]:
-        res = root_solve_case5(T, mu)
+        _, labelled = reference_root_solve_case5(T, mu)
         r = math.sqrt(1 - mu)
         for sign, branch in [(+1.0, "plus"), (-1.0, "minus")]:
             coeffs = np.zeros(2 * T + 4)
@@ -387,7 +386,7 @@ def test_quantisation_polynomial_roots_on_unit_circle():
             zs = np.roots(coeffs)
             assert len(zs) == 2 * T + 3
             assert np.max(np.abs(np.abs(zs) - 1.0)) < 1e-10
-            for k, b in res.roots:
+            for k, b in labelled:
                 if b in (branch, "both"):
                     assert np.min(np.abs(zs - np.exp(1j * k))) < 1e-8
 
@@ -396,24 +395,25 @@ def test_root_energies_cover_full_spectrum():
     # the 2T+2 momenta other than the degenerate k = pi (energy 4, not an
     # eigenvalue) reproduce the impurity-walk spectrum one to one
     for T, mu in [(1, 0.5), (3, 0.5), (5, 0.3), (6, 0.2), (9, 0.85), (64, 0.1), (64, 0.9)]:
-        res = root_solve_case5(T, mu)
-        assert res.roots[-1] == (math.pi, "both")
-        energies = np.array(sorted(2 - 2 * math.cos(k) for k, _ in res.roots[:-1]))
+        _, labelled = reference_root_solve_case5(T, mu)
+        assert labelled[-1] == (math.pi, "both")
+        energies = np.array(sorted(2 - 2 * math.cos(k) for k, _ in labelled[:-1]))
         dense = np.linalg.eigvalsh(walk_matrix(T, mu))
         assert np.max(np.abs(energies - dense)) < 1e-12
 
 
 def test_root_solver_rejects_bad_inputs():
     with pytest.raises(BracketError):
-        root_solve_case5(3, 0.0)
+        root_solve_case5([(3, 0.0)])
     with pytest.raises(BracketError):
-        root_solve_case5(3, 1.0)
+        root_solve_case5([(2, 0.5), (3, 1.0)])
     with pytest.raises(ValueError):
-        root_solve_case5(0, 0.5)
+        root_solve_case5([(0, 0.5)])
 
 
 def reference_root_solve_case5(T, mu, tol=1e-13):
-    """Scalar bisection, one root at a time: k0 on its guaranteed bracket
+    """k0 and every labelled momentum root, (k, branch) sorted by k, by
+    scalar bisection, one root at a time: k0 on its guaranteed bracket
     (stepping to the lower half whenever f <= 0), then a scan of each
     branch with one bisection per sign-change interval.  f is evaluated at
     a float, which runs the same numpy ufunc loop as a one-element array."""
@@ -465,7 +465,7 @@ def reference_root_solve_case5(T, mu, tol=1e-13):
     labelled += [(k, "plus") for k in scan(f_plus, tol, upper, samples)]
     labelled.append((math.pi, "both"))
     labelled.sort()
-    return Case5Roots(T, mu, 0.5 * (lo + hi), tuple(labelled))
+    return 0.5 * (lo + hi), tuple(labelled)
 
 
 def test_root_solver_matches_scalar_reference():
@@ -473,19 +473,20 @@ def test_root_solver_matches_scalar_reference():
     points = [(T, mu) for T in range(1, 65) for mu in (0.1, 0.5, 0.9)]
     points += [(int(rng.integers(1, 301)), float(rng.uniform(0.001, 0.999))) for _ in range(50)]
     points.append((600, 0.37))
-    for T, mu in points:
-        assert root_solve_case5(T, mu) == reference_root_solve_case5(T, mu), (T, mu)
+    for (T, mu), got in zip(points, root_solve_case5(points)):
+        k0, labelled = reference_root_solve_case5(T, mu)
+        assert (got.T, got.mu, got.k0, got.count) == (T, mu, k0, len(labelled))
 
 
 def test_root_solver_stops_at_exact_zero_of_k0():
     # a k0 midpoint is an exact zero of the minus branch: the lockstep
     # bisection stops there, the scalar reference kept halving past it
     T, mu = 1, 1e-6
-    got, want = root_solve_case5(T, mu), reference_root_solve_case5(T, mu)
+    [got], (k0, labelled) = root_solve_case5([(T, mu)]), reference_root_solve_case5(T, mu)
     assert np.cos(2.5 * got.k0) - math.sqrt(1.0 - mu) * np.cos(0.5 * got.k0) == 0.0
-    assert got.k0 != want.k0
-    assert abs(got.k0 - want.k0) <= 1e-13
-    assert got.roots == want.roots
+    assert got.k0 != k0
+    assert abs(got.k0 - k0) <= 1e-13
+    assert got.count == len(labelled)
 
 
 def test_gap_law_grid_equals_point_solver():
@@ -493,12 +494,12 @@ def test_gap_law_grid_equals_point_solver():
     t_values = list(range(2, 65)) + [1, 65, 300]
     mu_values = [round(0.1 * k, 1) for k in range(1, 10)]
     points = [(T, mu) for T in t_values for mu in mu_values]
-    batch = clock._solve_case5(points)
+    batch = root_solve_case5(points)
     rows = gap_law_grid(t_values, mu_values)
     assert len(batch) == len(rows) == len(points)
     for (T, mu), got, row in zip(points, batch, rows):
-        want = root_solve_case5(T, mu)
-        assert got == want  # dataclass equality: T, mu, k0 and every labelled root
+        [want] = root_solve_case5([(T, mu)])
+        assert got == want  # dataclass equality: T, mu, k0 and the root count
         assert (row["T"], row["mu"], row["k0"], row["root_count"]) == (T, mu, want.k0, want.count)
 
 
@@ -558,7 +559,7 @@ def test_epsilon_against_random_search():
 def test_ground_energy_methods_agree():
     spec = case5_spec(20, 0.35)
     dense = ground_energy(spec, "dense")
-    iterative = ground_energy(spec, "iterative", tol=1e-12)
+    iterative = ground_energy(spec, "iterative")
     assert abs(dense.lambda0 - iterative.lambda0) < 1e-9
     assert abs(dense.lambda1 - iterative.lambda1) < 1e-8
     norm = float(np.linalg.norm(direct_matrix(spec), 2))
@@ -570,7 +571,7 @@ def test_ground_energy_methods_agree():
 def test_ground_energy_root_cross_check():
     spec = case5_spec(3, 0.5)
     report = ground_energy(spec)
-    k0 = root_solve_case5(3, 0.5).k0
+    k0 = root_solve_case5([(3, 0.5)])[0].k0
     assert abs(report.lambda0 - (2 - 2 * math.cos(k0))) < 1e-9
 
 
@@ -582,8 +583,8 @@ def test_iterative_reruns_are_bit_identical():
 def test_iterative_resolves_thin_gap():
     # Lanczos without shift-invert still pins a ~1e-5 ground energy
     spec = case5_spec(150, 0.4)
-    report = ground_energy(spec, "iterative", tol=1e-10)
-    k0 = root_solve_case5(150, 0.4).k0
+    report = ground_energy(spec, "iterative")
+    k0 = root_solve_case5([(150, 0.4)])[0].k0
     assert abs(report.lambda0 - (2 - 2 * math.cos(k0))) < 1e-9
 
 
@@ -634,13 +635,19 @@ def test_iterative_needs_dimension_four():
     assert abs(iterative.lambda1 - dense.lambda1) < 1e-12
 
 
-def test_ground_energy_errors():
+def test_ground_energy_errors(monkeypatch):
     spec = case5_spec(3, 0.5)
     with pytest.raises(ValueError):
         ground_energy(spec, "magic")
+
+    def no_convergence(a, **kw):
+        raise clock.spla.ArpackNoConvergence("stopped", np.empty(0), np.empty((a.shape[0], 0)))
+
+    monkeypatch.setattr(clock.spla, "eigsh", no_convergence)
+    spec = case5_spec(40, 0.5)
     with pytest.raises(IterativeConvergenceError) as err:
-        ground_energy(case5_spec(40, 0.5), "iterative", tol=1e-14, maxiter=2)
-    assert err.value.iterations == 2
+        ground_energy(spec, "iterative")
+    assert err.value.iterations == clock.LANCZOS_MAXITER_PER_DIM * spec.dim
     big = case5_spec(2100, 0.5)
     with pytest.raises(ValueError):
         ground_energy(big, "dense")

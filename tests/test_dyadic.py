@@ -192,18 +192,11 @@ def test_bitstring_round_trip():
         b = BitString(text)
         assert str(b) == text
         assert len(b) == len(text)
-        value = b.to_dyadic()
-        assert value.fractional_length <= len(text)
-        assert [value.bit(j) for j in range(1, len(text) + 1)] == list(b)
+        assert b.to_dyadic() == Dyadic(int(text or "0", 2), len(text))
     assert BitString("").to_dyadic() == Dyadic(0)
     assert BitString("00100").to_dyadic() == Dyadic(1, 3)
     with pytest.raises(ValueError):
         BitString("012")
-
-
-def test_fractional_bits():
-    x = Dyadic(0b1011, 4)
-    assert [x.bit(j) for j in range(1, 7)] == [1, 0, 1, 1, 0, 0]
 
 
 def _outcome(fn, *args):

@@ -93,11 +93,13 @@ def test_model_validation():
     # the largest c2 the tests use, over the full range: about 29k bits
     assert _delta_exponent(DEFAULT.s_max_checked - 5, 3.5, 1000.0) <= MAX_DELTA_EXPONENT
     SquareEnergyModel(c2=1000.0)
-    for top in (1 << 22, 10**400):
-        with pytest.raises(ValueError, match="c2"):
-            SquareEnergyModel(c2=1000.0, s_max_checked=top)
     with pytest.raises(ValueError, match="c2"):
-        SquareEnergyModel(s_max_checked=10**400)
+        SquareEnergyModel(c2=1000.0, s_max_checked=1 << 22)
+    # the float synthesis exponent is proven monotone only below 2^48
+    SquareEnergyModel(c2=1.0, s_max_checked=(1 << 48) - 1)
+    for top in (1 << 48, 10**400):
+        with pytest.raises(ValueError, match=r"s_max_checked must be below 2\^48"):
+            SquareEnergyModel(c2=1.0, s_max_checked=top)
     with pytest.raises(ValueError):
         SquareEnergyModel(comp_upper_k=Fraction(-1))
     assert SquareEnergyModel(xi=4).C == 2

@@ -1,7 +1,7 @@
-"""Every public function of the clock, chaitin and tm layers has a caller
-in the program (``src/``, ``scripts/`` or ``perfbench/``), so API that
-only the tests use does not grow back.  Classes, exceptions and
-constants are exempt."""
+"""Every public function of the library layers (every module but ``cli``
+and ``calibration``) has a caller in the program (``src/``, ``scripts/``
+or ``perfbench/``), so API that only the tests use does not grow back.
+Classes, exceptions and constants are exempt."""
 
 import ast
 import inspect
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from omegaphase import chaitin, clock, tm
+from omegaphase import chaitin, clock, dyadic, phase, qpe, tm, zoo
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM_DIRS = ("src", "scripts", "perfbench")
@@ -29,7 +29,9 @@ def referenced_names():
     return names
 
 
-@pytest.mark.parametrize("module", [clock, chaitin, tm], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [clock, chaitin, tm, dyadic, qpe, phase, zoo], ids=lambda m: m.__name__
+)
 def test_public_functions_have_program_callers(module):
     functions = [n for n in module.__all__ if inspect.isfunction(getattr(module, n))]
     assert functions
