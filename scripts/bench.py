@@ -20,7 +20,7 @@ fixed inputs:
   k/256 through ``cli.main``, as the benchmark's sweep run makes it;
 - ``clock_single_dense_T600``, ``clock_single_iterative_T200`` and
   ``clock_single_iterative_T400``: ``clock`` single mode at mu = 0.37
-  through ``cli.main``, dense at T = 600 and Lanczos at T = 200 and 400;
+  through ``cli.main``, dense at T = 600 and banded at T = 200 and 400;
 - ``gap_law_grid_default``: ``clock.gap_law_grid`` on the 567-point
   default grid of ``clock`` grid mode (T = 2..64, mu = 0.1..0.9);
 - ``chain_oracle_grid``: the 567 oracle ground energies of that grid,

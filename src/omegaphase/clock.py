@@ -14,7 +14,6 @@ from functools import reduce
 import numpy as np
 import scipy.linalg as linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "ClockSpec",
@@ -22,7 +21,6 @@ __all__ = [
     "JordanBlock",
     "SpectralReport",
     "Case5Roots",
-    "IterativeConvergenceError",
     "BracketError",
     "case5_spec",
     "assemble",
@@ -46,9 +44,7 @@ KERNEL_EIG_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 CLUSTER_TOL = 1e-8
 DENSE_DIM_LIMIT = 4000
-LANCZOS_BASIS = 64  # Lanczos vectors kept by the iterative path (ARPACK's ncv)
-LANCZOS_TOL = 1e-12  # relative accuracy asked of the Lanczos eigenvalues
-LANCZOS_MAXITER_PER_DIM = 100  # Lanczos iteration budget per matrix dimension
+SHIFT_BELOW_GROUND = 1e-12  # inverse-iteration shift under lambda0, relative to the max row sum
 ROOT_TOL = 1e-13  # bracket width at which the case-5 bisection stops
 
 
@@ -57,12 +53,6 @@ class ClockSpecParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class IterativeConvergenceError(RuntimeError):
-    def __init__(self, message: str, iterations: int) -> None:
-        super().__init__(f"{message} (after {iterations} iterations)")
-        self.iterations = iterations
 
 
 class BracketError(RuntimeError):
@@ -550,15 +540,16 @@ def ground_energy(spec: ClockSpec, method: str = "dense") -> SpectralReport:
     The assembled matrix is cast to real when its imaginary part is
     exactly zero (every ``case5_spec``); genuinely complex unitaries keep
     it complex.  Dense diagonalisation computes only the two lowest
-    eigenpairs and is capped at dimension 4000; the iterative path is a
-    Lanczos smallest-algebraic run (no shift-invert) from a fixed start
-    vector, so reruns are bit-identical, and it reports its iteration
-    budget on non-convergence.  It keeps min(dim, LANCZOS_BASIS) Lanczos
-    vectors: the clock's low end is a cluster of eigenvalues about 1/T^2
-    apart, which ARPACK's default basis of 20 separates only after many
-    restarts (at T = 200 the basis of 64 halves the run time).  It needs
-    dimension >= 4, for real and complex matrices alike: ARPACK's complex
-    Arnoldi run needs more than k + 1 = 3 rows for its two eigenpairs.
+    eigenpairs and is capped at dimension 4000.  The iterative path works
+    on the matrix's upper band, of half-bandwidth at most 2d - 1, in
+    O(n d^2) time and O(n d) memory: LAPACK's banded driver gives the two
+    lowest eigenvalues without eigenvectors, and two steps of inverse
+    iteration (Wilkinson, The Algebraic Eigenvalue Problem, 1965) from a
+    fixed start vector give the ground vector, so reruns are
+    bit-identical.  The shift lies SHIFT_BELOW_GROUND times the max
+    row sum (a bound on ||H||) below lambda0, so H minus the shift is
+    positive definite and its Cholesky factorisation exists even when
+    lambda0 is an exact eigenvalue, as 0 is for zero penalties.
     """
     if method not in ("dense", "iterative"):
         raise ValueError(f"method must be 'dense' or 'iterative', got {method!r}")
@@ -566,29 +557,24 @@ def ground_energy(spec: ClockSpec, method: str = "dense") -> SpectralReport:
         raise ValueError(
             f"dense path limited to dimension {DENSE_DIM_LIMIT}, got {spec.dim}"
         )
-    if method == "iterative" and spec.dim < 4:
-        raise ValueError(f"iterative path needs dimension >= 4, got {spec.dim}")
     ham = assemble(spec.T, spec.input_penalty_total, spec.output_projector, spec.unitaries)
     if not ham.data.imag.any():
         ham = ham.real
     if method == "dense":
         ham = ham.toarray()
         evals, evecs = linalg.eigh(ham, subset_by_index=[0, 1])
+        v0 = evecs[:, 0]
     else:
-        n_iter = LANCZOS_MAXITER_PER_DIM * spec.dim
-        start = np.random.default_rng(0).standard_normal(spec.dim)
-        try:
-            evals, evecs = spla.eigsh(
-                ham, k=2, which="SA", tol=LANCZOS_TOL, maxiter=n_iter, v0=start,
-                ncv=min(spec.dim, LANCZOS_BASIS),
-            )
-        except spla.ArpackNoConvergence as err:
-            raise IterativeConvergenceError(
-                f"Lanczos did not converge for dimension {spec.dim}", n_iter
-            ) from err
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
-    v0 = evecs[:, 0]
+        upper = sp.triu(ham).tocoo()
+        u = int((upper.col - upper.row).max())
+        band = np.zeros((u + 1, spec.dim), dtype=ham.dtype)
+        band[u + upper.row - upper.col, upper.col] = upper.data
+        evals = linalg.eig_banded(band, eigvals_only=True, select="i", select_range=(0, 1))
+        band[u] -= evals[0] - SHIFT_BELOW_GROUND * abs(ham).sum(axis=1).max()
+        v0 = np.random.default_rng(0).standard_normal(spec.dim)
+        for _ in range(2):
+            v0 = linalg.solveh_banded(band, v0)
+            v0 /= np.linalg.norm(v0)
     residual = float(np.linalg.norm(ham @ v0 - evals[0] * v0))
     return SpectralReport(float(evals[0]), float(evals[1]), method, residual)
 

@@ -1,8 +1,9 @@
 """Suite-wide settings, applied before any test module imports numpy.
 
-The eigensolver tests make many small BLAS calls inside ARPACK, which
-gain nothing from BLAS threads and slow down sharply when another
-process holds a core; run BLAS single-threaded, as the benchmark does.
+The eigensolver tests call LAPACK's dense and banded drivers on small
+matrices, which gain nothing from BLAS threads and slow down sharply when
+another process holds a core; run BLAS single-threaded, as the benchmark
+does.
 """
 
 import os

@@ -561,14 +561,16 @@ def test_alternative_keys_refused_together(tmp_path, capsys):
     assert read_json(tmp_path / "spec" / "clock.json")["mu"] is None
 
 
-def test_iterative_clock_below_dimension_four_exits_3(tmp_path, capsys):
+def test_iterative_clock_at_dimension_three_matches_dense(tmp_path):
     spec = tmp_path / "tiny.clock"
     spec.write_text("T 2\ndim 1\nU 1\n1 0\nU 2\n1 0\nPI_IN 1\n1 0\nPI_OUT\n0 0\n")
-    out = tmp_path / "run"
-    argv = ["clock", "--output-dir", str(out), "-p", "mode=single", "-p", "method=iterative"]
-    assert main([*argv, "-p", f"spec_file={spec}"]) == EXIT_CONSTRAINT
-    assert "dimension >= 4, got 3" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.clock"]
+    lambda0 = {}
+    for method in ("iterative", "dense"):
+        out = tmp_path / method
+        argv = ["clock", "--output-dir", str(out), "-p", "mode=single", "-p", f"method={method}"]
+        assert main([*argv, "-p", f"spec_file={spec}"]) == EXIT_OK
+        lambda0[method] = read_json(out / "clock.json")["lambda0"]
+    assert abs(lambda0["iterative"] - lambda0["dense"]) <= 1e-12
 
 
 # Every (command, mode, key) of the parameter table, so that a key added

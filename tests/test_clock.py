@@ -12,7 +12,6 @@ from omegaphase.clock import (
     BracketError,
     ClockSpec,
     ClockSpecParseError,
-    IterativeConvergenceError,
     JordanBlock,
     assemble,
     case5_spec,
@@ -581,7 +580,7 @@ def test_iterative_reruns_are_bit_identical():
 
 
 def test_iterative_resolves_thin_gap():
-    # Lanczos without shift-invert still pins a ~1e-5 ground energy
+    # the banded solve pins a ~1e-5 ground energy to the root solver's
     spec = case5_spec(150, 0.4)
     report = ground_energy(spec, "iterative")
     k0 = root_solve_case5([(150, 0.4)])[0].k0
@@ -590,31 +589,29 @@ def test_iterative_resolves_thin_gap():
 
 def test_dense_two_eigenpairs_match_full_spectrum(monkeypatch):
     solved = []
-    eigh = clock.linalg.eigh
-    monkeypatch.setattr(
-        clock.linalg, "eigh", lambda a, **kw: solved.append(a.dtype) or eigh(a, **kw)
-    )
+    for name in ("eigh", "eig_banded"):
+        solver = getattr(clock.linalg, name)
+        monkeypatch.setattr(
+            clock.linalg,
+            name,
+            lambda a, *args, _solver=solver, **kw: solved.append(a.dtype) or _solver(a, *args, **kw),
+        )
     specs = [case5_spec(T, mu) for T, mu in ((1, 0.5), (7, 0.13), (60, 0.85), (300, 0.4))]
     rng = np.random.default_rng(11)
     specs += [random_spec(T, 3, rng) for T in (1, 4, 25)]
-    for spec in specs:
-        report = ground_energy(spec, "dense")
-        want = np.linalg.eigvalsh(direct_matrix(spec))[:2]
-        assert abs(report.lambda0 - want[0]) <= 1e-12
-        assert abs(report.lambda1 - want[1]) <= 1e-12
+    specs += [random_spec(T, d, rng, n_in=2) for T, d in ((2, 2), (40, 3))]
+    for method in ("dense", "iterative"):
+        for spec in specs:
+            report = ground_energy(spec, method)
+            ham = direct_matrix(spec)
+            want = np.linalg.eigvalsh(ham)[:2]
+            assert abs(report.lambda0 - want[0]) <= 1e-12
+            assert abs(report.lambda1 - want[1]) <= 1e-12
+            assert report.residual <= 1e-8 * np.linalg.norm(ham, 2)
     # case-5 specs are cast to real; random complex unitaries stay complex
-    assert solved == [np.float64] * 4 + [np.complex128] * 3
-
-
-def test_iterative_basis_is_lanczos_basis(monkeypatch):
-    ncvs = []
-    eigsh = clock.spla.eigsh
-    monkeypatch.setattr(
-        clock.spla, "eigsh", lambda a, **kw: ncvs.append((a.shape[0], kw["ncv"])) or eigsh(a, **kw)
-    )
-    ground_energy(case5_spec(1, 0.5), "iterative")
-    ground_energy(case5_spec(200, 0.5), "iterative")
-    assert ncvs == [(4, 4), (402, clock.LANCZOS_BASIS)]
+    assert solved == ([np.float64] * 4 + [np.complex128] * 5) * 2
+    for spec in specs[-2:]:
+        assert ground_energy(spec, "iterative") == ground_energy(spec, "iterative")
 
 
 def test_iterative_matches_root_solver_at_T200():
@@ -623,31 +620,40 @@ def test_iterative_matches_root_solver_at_T200():
         assert abs(report.lambda0 - case_eigenvalue(5, 200, mu)) <= 1e-9
 
 
-def test_iterative_needs_dimension_four():
-    spec = ClockSpec(2, 1, (I1, I1), (I1,), np.zeros((1, 1), dtype=complex))
-    with pytest.raises(ValueError, match="dimension >= 4, got 3"):
-        ground_energy(spec, "iterative")
-    with pytest.raises(ValueError, match="got 2"):
-        ground_energy(ClockSpec(1, 1, (I1,), (I1,), np.zeros((1, 1))), "iterative")
-    smallest = ClockSpec(3, 1, (I1,) * 3, (I1,), np.zeros((1, 1), dtype=complex))
-    iterative, dense = ground_energy(smallest, "iterative"), ground_energy(smallest, "dense")
-    assert abs(iterative.lambda0 - dense.lambda0) < 1e-12
-    assert abs(iterative.lambda1 - dense.lambda1) < 1e-12
+def test_iterative_matches_dense_at_dimensions_two_and_three():
+    specs = [
+        ClockSpec(1, 1, (I1,), (I1,), np.zeros((1, 1))),
+        ClockSpec(2, 1, (I1, I1), (I1,), np.zeros((1, 1), dtype=complex)),
+    ]
+    for spec in specs:
+        iterative, dense = ground_energy(spec, "iterative"), ground_energy(spec, "dense")
+        assert abs(iterative.lambda0 - dense.lambda0) <= 1e-12
+        assert abs(iterative.lambda1 - dense.lambda1) <= 1e-12
+        assert iterative.residual <= 1e-12
 
 
-def test_ground_energy_errors(monkeypatch):
+def test_iterative_exactly_singular_ground_energy():
+    # zero penalties: the uniform history of each basis state has energy
+    # exactly 0, so a shift at lambda0 would make the shifted matrix singular
+    specs = [
+        ClockSpec(5, 1, (I1,) * 5, (), np.zeros((1, 1))),  # lambda0 = 0 < lambda1
+        ClockSpec(4, 2, (X,) * 4, (), np.zeros((2, 2), dtype=complex)),  # lambda0 = lambda1 = 0
+    ]
+    for spec in specs:
+        iterative, dense = ground_energy(spec, "iterative"), ground_energy(spec, "dense")
+        values = (iterative.lambda0, iterative.lambda1, iterative.residual)
+        assert all(math.isfinite(v) for v in values)
+        assert abs(iterative.lambda0 - dense.lambda0) <= 1e-12
+        assert abs(iterative.lambda1 - dense.lambda1) <= 1e-12
+        assert iterative.residual <= 1e-12
+        assert ground_energy(spec, "iterative") == iterative
+    assert abs(iterative.lambda1) <= 1e-12
+
+
+def test_ground_energy_errors():
     spec = case5_spec(3, 0.5)
     with pytest.raises(ValueError):
         ground_energy(spec, "magic")
-
-    def no_convergence(a, **kw):
-        raise clock.spla.ArpackNoConvergence("stopped", np.empty(0), np.empty((a.shape[0], 0)))
-
-    monkeypatch.setattr(clock.spla, "eigsh", no_convergence)
-    spec = case5_spec(40, 0.5)
-    with pytest.raises(IterativeConvergenceError) as err:
-        ground_energy(spec, "iterative")
-    assert err.value.iterations == clock.LANCZOS_MAXITER_PER_DIM * spec.dim
     big = case5_spec(2100, 0.5)
     with pytest.raises(ValueError):
         ground_energy(big, "dense")
