@@ -6,6 +6,9 @@ Run from the repository root::
     PYTHONPATH=src python scripts/bench.py BENCH_<n>.json
 
 Every timing is the median of five in-process runs, with all five kept.
+``rounding_lemma_scan_12`` and ``qpe_distribution_csv_n18`` also record
+``peak_traced_mb``: the ``tracemalloc`` peak, in MB, of one more run made
+after the timed ones (numpy reports its buffers to ``tracemalloc``).
 Each acceptance config runs through ``cli.main`` into a temporary
 directory; runs after the first see warm in-process caches (config 12
 reuses the separation scale config 08 found).  The microbenchmarks run on
@@ -38,6 +41,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -53,13 +57,21 @@ REPEATS = 5
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def timed(fn) -> dict:
+def timed(fn, trace_memory: bool = False) -> dict:
     runs = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         runs.append(time.perf_counter() - start)
-    return {"median_s": statistics.median(runs), "runs_s": runs}
+    result = {"median_s": statistics.median(runs), "runs_s": runs}
+    if trace_memory:
+        tracemalloc.start()
+        try:
+            fn()
+            result["peak_traced_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return result
 
 
 def run_cli(argv: list[str]) -> None:
@@ -92,8 +104,8 @@ def main() -> None:
     points = [(T, mu) for T in t_values for mu in mu_values]
     micro = {
         "dyadic_pipeline_n12": timed(dyadic_pipeline),
-        "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12)),
-        "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv)),
+        "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12), trace_memory=True),
+        "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv), trace_memory=True),
         "sweep_omega58_256": timed(lambda: run_cli(sweep_argv)),
         "clock_single_dense_T600": timed(lambda: run_cli([*clock_argv, "-p", "T=600"])),
         "clock_single_iterative_T200": timed(
@@ -108,7 +120,8 @@ def main() -> None:
         ),
     }
     for name, result in micro.items():
-        print(f"{name}: {result['median_s']:.3f} s", file=sys.stderr)
+        peak = f", {result['peak_traced_mb']:.2f} MB traced" if "peak_traced_mb" in result else ""
+        print(f"{name}: {result['median_s']:.3f} s{peak}", file=sys.stderr)
     report = {
         "host": {
             "nproc": len(os.sched_getaffinity(0)),

@@ -174,34 +174,32 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence[str]]) -> 
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _grid_ratio_strings(n: int) -> list[str]:
-    """z/2^n in lowest terms for z = 0 .. 2^n - 1, as Dyadic prints it:
-    at each level k an even z is z/2 of level k - 1 and an odd z is
-    already in lowest terms."""
-    strings = ["0"]
-    for k in range(1, n + 1):
-        den = 1 << k
-        level = [""] * den
-        level[0::2] = strings
-        level[1::2] = [f"{z}/{den}" for z in range(1, den, 2)]
-        strings = level
-    return strings
-
-
 def _write_qpe_csv(path: Path, n: int, probabilities: np.ndarray) -> None:
     """The rows z, z/2^n and Pr[z] of a distribution, written in blocks of
     2^min(n, 12) rows, each formatted by one %-format of the whole block;
-    a probability prints as _float_repr does."""
-    strings = _grid_ratio_strings(n)
+    z/2^n prints in lowest terms as Dyadic prints it, and a probability as
+    _float_repr does.
+
+    The estimates are built per block.  A block starts at a multiple of
+    its length, so z = start + i with 0 < i < rows shares with 2^n the
+    power of two in i, taken from one table; the first row reduces by the
+    power of two in start, and z = 0 prints 0.
+    """
     rows = 1 << min(n, 12)
+    shifts = [(i & -i).bit_length() - 1 for i in range(1, rows)]
+    denominators = [1 << (n - k) for k in shifts]
     template = "%d,%s,%.17g\n" * rows
     fields: list = [None] * (3 * rows)
     with path.open("w", encoding="utf-8") as fh:
         fh.write("z,estimate,probability\n")
         for start in range(0, 1 << n, rows):
             stop = start + rows
+            shift = (start & -start).bit_length() - 1
             fields[0::3] = range(start, stop)
-            fields[1::3] = strings[start:stop]
+            fields[1] = f"{start >> shift}/{1 << (n - shift)}" if start else "0"
+            fields[4::3] = [
+                f"{z >> k}/{d}" for z, k, d in zip(range(start + 1, stop), shifts, denominators)
+            ]
             fields[2::3] = probabilities[start:stop].tolist()
             fh.write(template % tuple(fields))
 

@@ -31,7 +31,7 @@ MAX_PRECISION_BITS = 20
 
 # pairs compared per numpy pass in rounding_lemma_scan (a block holds at
 # least one whole row)
-SCAN_BLOCK_ELEMENTS = 1 << 22
+SCAN_BLOCK_ELEMENTS = 1 << 18
 
 PhaseLike = Union[Fraction, Dyadic, int, float]
 
@@ -58,28 +58,18 @@ class PhaseDistribution:
         self.probabilities.setflags(write=False)
 
 
-def _signed_offsets(phi: Fraction, n: int) -> tuple[np.ndarray, Fraction]:
-    """Integer parts t(z) and fractional part a of 2^n*delta(z) = t + a.
-
-    delta(z) = phi - z/2^n reduced mod 1 so that |delta| <= 1/2; with
-    a = frac(2^n phi) in (0, 1) fixed, t(z) runs over the integers in
-    [-2^(n-1), 2^(n-1) - 1].
-    """
-    size = 1 << n
-    scaled = phi * size
-    base = math.floor(scaled)
-    a = scaled - base
-    t = (base - np.arange(size)) % size
-    t = np.where(t >= size // 2, t - size, t)
-    return t, a
-
-
 def qpe_distribution(phi: PhaseLike, n: int) -> PhaseDistribution:
     """Exact output distribution of n-bit phase estimation.
 
     A phase on the 2^n grid gives unit mass on its own outcome; otherwise
     Pr[z] = sin^2(pi 2^n delta(z)) / (2^(2n) sin^2(pi delta(z))) with
     delta(z) the mod-1 deviation reduced to |delta| <= 1/2, normalised.
+    2^n delta(z) = t + a with a = frac(2^n phi) and the signed offset
+    t = floor(2^n phi) - z (mod 2^n) in [-2^(n-1), 2^(n-1) - 1].  The
+    amplitudes are built in place over t in ascending order; z runs down
+    that array cyclically from index b0, the index of t(0), so one copy
+    reads them out in z order, and that row is squared and normalised in
+    place.
     """
     if not 1 <= n <= MAX_PRECISION_BITS:
         raise ValueError(f"precision n must be in [1, {MAX_PRECISION_BITS}], got {n}")
@@ -90,13 +80,33 @@ def qpe_distribution(phi: PhaseLike, n: int) -> PhaseDistribution:
         probs = np.zeros(size)
         probs[int(scaled) % size] = 1.0
         return PhaseDistribution(n, value, probs, exact=True)
-    t, a = _signed_offsets(value, n)
-    af = float(a)
-    # numerator sin^2(pi * 2^n * delta) = sin^2(pi * a) for every outcome
-    amp = np.sin(math.pi * af) / (size * np.sin(math.pi * (t + af) / size))
-    probs = amp * amp
+    base = math.floor(scaled)
+    af = float(scaled - base)
+    half = size >> 1
+    x = np.arange(-half, half, dtype=np.float64)
+    x += af
+    x *= math.pi
+    x /= size
+    np.sin(x, out=x)
+    x *= size
+    # numerator sin(pi * 2^n * delta) = sin(pi * a) for every outcome
+    np.divide(np.sin(math.pi * af), x, out=x)
+    b0 = (base + half) % size
+    probs = np.concatenate((x[b0::-1], x[:b0:-1]))
+    probs *= probs
     probs /= probs.sum()
     return PhaseDistribution(n, value, probs, exact=False)
+
+
+def _arc_sum(probs: np.ndarray, start: int, length: int) -> float:
+    """Sum of the cyclic arc of `length` entries from index `start`, in
+    index order (the pairwise sum of the same values a mask would pick)."""
+    size = probs.size
+    start %= size
+    end = start + length
+    if end <= size:
+        return float(np.add.reduce(probs[start:end]))
+    return float(np.add.reduce(np.concatenate((probs[: end - size], probs[start:]))))
 
 
 def tail_and_success(dist: PhaseDistribution, m: int) -> tuple[float | None, float]:
@@ -123,20 +133,12 @@ def tail_and_success(dist: PhaseDistribution, m: int) -> tuple[float | None, flo
     size = 1 << n
     w = 1 << (n - m)
     h = w >> 1
-
-    def arc(start: int, length: int) -> float:
-        start %= size
-        end = start + length
-        if end <= size:
-            return float(probs[start:end].sum())
-        return float(np.concatenate((probs[: end - size], probs[start:])).sum())
-
     num, den = dist.phi.numerator, dist.phi.denominator
     tail = None
     if m < n:
-        tail = arc((num << n) // den + h + 1, size - w)
+        tail = _arc_sum(probs, (num << n) // den + h + 1, size - w)
     lo, rem = divmod(num << m, den)  # one target when 2^m phi is an integer
-    success = arc(lo * w - h, (2 if rem else 1) * w)
+    success = _arc_sum(probs, lo * w - h, (2 if rem else 1) * w)
     return tail, success
 
 
@@ -179,7 +181,8 @@ def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
     the pairs are then compared per (n, m), phase w against the window of
     estimates z = w - radius + 1 .. w + radius - 1 (mod 2^n) of the wrapped
     image array, in blocks of whole rows of about SCAN_BLOCK_ELEMENTS
-    pairs, so memory stays flat as n_max grows.
+    (2^18) pairs, so the comparison masks stay near 1 MB however large
+    n_max grows.
     """
     if n_max < 2:
         raise ValueError(f"empty scan: n_max={n_max} < 2")

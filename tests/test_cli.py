@@ -428,14 +428,15 @@ def test_s_max_checked_past_monotone_range_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "phi,m,exact",
-    [("100/257", "half", False), ("1/2", "half", True), ("2/7", None, False)],
+    "phi,m,exact,n_max",
+    [("100/257", "half", False, 16), ("1/2", "half", True, 13), ("2/7", None, False, 13)],
     ids=["off-grid", "on-grid", "no-m"],
 )
-def test_qpe_distribution_csv_bytes(tmp_path, phi, m, exact):
+def test_qpe_distribution_csv_bytes(tmp_path, phi, m, exact, n_max):
     # the CSV is written in blocks of 2^min(n, 12) rows: n = 13 is the
-    # first size with more than one block
-    for n in range(1, 14):
+    # first size with more than one block, and at n = 16 the blocks start
+    # at multiples of 2^12 .. 2^15, each reduced by its own power of two
+    for n in range(1, n_max + 1):
         out = tmp_path / f"n{n}"
         argv = ["qpe", "--output-dir", str(out), "-p", "mode=distribution", "-p", f"phi={phi}", "-p", f"n={n}"]
         if m is not None:

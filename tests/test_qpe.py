@@ -3,16 +3,15 @@ bounds."""
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from omegaphase import qpe
+from omegaphase import cli, qpe
 from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate
-from omegaphase.qpe import (
-    as_phase, qpe_distribution, rounding_lemma_scan, tail_and_success, _signed_offsets,
-)
+from omegaphase.qpe import as_phase, qpe_distribution, rounding_lemma_scan, tail_and_success
 
 SAMPLE_PHASES = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(100, 257)]
 # phases whose windows wrap around 0 at high precision
@@ -21,6 +20,23 @@ WRAP_PHASES = [
     Fraction(2**10 - 1, 2**10) + Fraction(1, 2**16),
     Fraction(1, 2**20),
 ]
+
+
+def _signed_offsets(phi, n):
+    """Integer parts t(z) and fractional part a of 2^n*delta(z) = t + a,
+    in z order.
+
+    delta(z) = phi - z/2^n reduced mod 1 so that |delta| <= 1/2; with
+    a = frac(2^n phi) in (0, 1) fixed, t(z) runs over the integers in
+    [-2^(n-1), 2^(n-1) - 1].
+    """
+    size = 1 << n
+    scaled = phi * size
+    base = math.floor(scaled)
+    a = scaled - base
+    t = (base - np.arange(size)) % size
+    t = np.where(t >= size // 2, t - size, t)
+    return t, a
 
 
 # sized for test_kernel_matches_mask_reference, which walks m outside the
@@ -88,6 +104,42 @@ def test_distribution_normalised_and_peaked():
             target = float(phi) * 2**n
             peak = dist.probabilities.argmax()
             assert peak in (math.floor(target) % 2**n, math.ceil(target) % 2**n)
+
+
+def test_distribution_matches_offset_formula():
+    # the in-place row is, bit for bit, the z-order formula
+    # sin(pi a) / (2^n sin(pi (t + a) / 2^n)), squared and normalised
+    for n in range(1, 21):
+        phis = WRAP_PHASES + SAMPLE_PHASES + [Fraction(k, 257) for k in range(1, 257) if n <= 10]
+        for phi in phis:
+            t, a = _signed_offsets(phi, n)
+            if a == 0:  # on the grid: unit mass, test_exact_phases_unit_mass
+                continue
+            af = float(a)
+            size = 1 << n
+            amp = np.sin(math.pi * af) / (size * np.sin(math.pi * (t + af) / size))
+            expected = amp * amp
+            expected /= expected.sum()
+            got = qpe_distribution(phi, n).probabilities
+            assert got.tobytes() == expected.tobytes(), (phi, n)
+
+
+def traced_peak_mb(fn):
+    """tracemalloc peak of one call, in MB; numpy reports its buffers."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_estimation_memory_stays_flat(tmp_path):
+    # the CSV strings are built per block, not for all 2^16 rows at once,
+    # and the lemma scan compares pairs in 2^18-pair blocks
+    probs = qpe_distribution(Fraction(100, 257), 16).probabilities
+    assert traced_peak_mb(lambda: cli._write_qpe_csv(tmp_path / "qpe.csv", 16, probs)) < 2.0
+    assert traced_peak_mb(lambda: rounding_lemma_scan(12)) < 4.0
 
 
 def test_third_at_three_bits_example():
