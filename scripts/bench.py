@@ -5,7 +5,11 @@ Run from the repository root::
 
     PYTHONPATH=src python scripts/bench.py BENCH_<n>.json
 
-Every timing is the median of five in-process runs, with all five kept.
+Every timing is the median of eleven in-process runs, with all eleven
+kept, next to their minimum (``min_s``) and interquartile spread
+(``iqr_s``, the third quartile less the first): on a shared host one run
+can stray by a quarter, so compare medians only where they differ by more
+than the spread.
 ``rounding_lemma_scan_12`` and ``qpe_distribution_csv_n18`` also record
 ``peak_traced_mb``: the ``tracemalloc`` peak, in MB, of one more run made
 after the timed ones (numpy reports its buffers to ``tracemalloc``).
@@ -27,7 +31,10 @@ fixed inputs:
 - ``gap_law_grid_default``: ``clock.gap_law_grid`` on the 567-point
   default grid of ``clock`` grid mode (T = 2..64, mu = 0.1..0.9);
 - ``chain_oracle_grid``: the 567 oracle ground energies of that grid,
-  ``chain_ground_energy(*case_chain(5, T, mu))``, alone.
+  ``chain_ground_energy(*case_chain(5, T, mu))``, alone;
+- ``separation_walk_default`` and ``separation_walk_xi16_d1``: the
+  separation walk ``phase.find_s_prime`` without its cache, on the
+  default model and on ``xi=16, poly_degree=1``.
 
 BLAS runs single-threaded unless the environment says otherwise; the file
 records nproc, the BLAS thread variables and the Python and numpy
@@ -50,10 +57,10 @@ for _var in BLAS_VARS:
 
 import numpy as np  # noqa: E402
 
-from omegaphase import cli, clock, qpe  # noqa: E402
+from omegaphase import cli, clock, phase, qpe  # noqa: E402
 from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate  # noqa: E402
 
-REPEATS = 5
+REPEATS = 11
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -63,7 +70,13 @@ def timed(fn, trace_memory: bool = False) -> dict:
         start = time.perf_counter()
         fn()
         runs.append(time.perf_counter() - start)
-    result = {"median_s": statistics.median(runs), "runs_s": runs}
+    quartiles = statistics.quantiles(runs, n=4)
+    result = {
+        "median_s": statistics.median(runs),
+        "min_s": min(runs),
+        "iqr_s": quartiles[2] - quartiles[0],
+        "runs_s": runs,
+    }
     if trace_memory:
         tracemalloc.start()
         try:
@@ -94,8 +107,8 @@ def main() -> None:
     configs = {}
     for path in sorted(CONFIGS.glob("acceptance_*.json")):
         command = json.loads(path.read_text(encoding="utf-8"))["command"]
-        configs[path.stem] = timed(lambda: run_cli([command, "--config", str(path)]))
-        print(f"{path.stem}: {configs[path.stem]['median_s']:.3f} s", file=sys.stderr)
+        configs[path.stem] = result = timed(lambda: run_cli([command, "--config", str(path)]))
+        print(f"{path.stem}: {result['median_s']:.3f} s (iqr {result['iqr_s']:.3f})", file=sys.stderr)
     qpe_argv = ["qpe", "-p", "mode=distribution", "-p", "phi=100/257", "-p", "n=18", "-p", "m=12"]
     sweep_argv = ["sweep", "-p", "machine=zoo:omega58", "-p", "grid_denominator=256"]
     clock_argv = ["clock", "-p", "mode=single", "-p", "mu=0.37"]
@@ -118,10 +131,16 @@ def main() -> None:
         "chain_oracle_grid": timed(
             lambda: [clock.chain_ground_energy(*clock.case_chain(5, T, mu)) for T, mu in points]
         ),
+        "separation_walk_default": timed(
+            lambda: phase.find_s_prime.__wrapped__(phase.SquareEnergyModel())
+        ),
+        "separation_walk_xi16_d1": timed(
+            lambda: phase.find_s_prime.__wrapped__(phase.SquareEnergyModel(xi=16, poly_degree=1))
+        ),
     }
     for name, result in micro.items():
         peak = f", {result['peak_traced_mb']:.2f} MB traced" if "peak_traced_mb" in result else ""
-        print(f"{name}: {result['median_s']:.3f} s{peak}", file=sys.stderr)
+        print(f"{name}: {result['median_s']:.4f} s (iqr {result['iqr_s']:.4f}){peak}", file=sys.stderr)
     report = {
         "host": {
             "nproc": len(os.sched_getaffinity(0)),

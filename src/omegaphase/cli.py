@@ -380,18 +380,6 @@ def _run_qpe(p: dict, mode: str, fmt: str, out: Path) -> None:
         )
 
 
-def _spectral_payload(report: clock.SpectralReport, extra: dict) -> dict:
-    payload = {
-        "lambda0": report.lambda0,
-        "lambda1": report.lambda1,
-        "gap": report.gap,
-        "residual": report.residual,
-        "method": report.method,
-    }
-    payload.update(extra)
-    return payload
-
-
 def _run_clock(p: dict, mode: str, fmt: str, out: Path) -> None:
     if mode == "single":
         if p["spec_file"] is not None:
@@ -399,11 +387,19 @@ def _run_clock(p: dict, mode: str, fmt: str, out: Path) -> None:
         else:
             spec = clock.case5_spec(p["T"], p["mu"])
         report = clock.ground_energy(spec, method=p["method"])
-        payload = _spectral_payload(
-            report,
-            {"T": spec.T, "mu": p["mu"], "epsilon": clock.compute_epsilon(spec)},
+        _write_json(
+            out / "clock.json",
+            {
+                "lambda0": report.lambda0,
+                "lambda1": report.lambda1,
+                "gap": report.gap,
+                "residual": report.residual,
+                "method": report.method,
+                "T": spec.T,
+                "mu": p["mu"],
+                "epsilon": clock.compute_epsilon(spec),
+            },
         )
-        _write_json(out / "clock.json", payload)
     elif mode == "cases":
         t_min, t_max = p["t_min"], p["t_max"]
         if t_min < 1:

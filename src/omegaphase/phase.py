@@ -241,55 +241,86 @@ def find_s_prime(model: SquareEnergyModel) -> int:
     Raises SeparationError when the range ends in a violation (constants
     too loose to ever separate).
 
-    For poly_degree = 0 the sides are walked a piece at a time (see
-    SquareEnergyModel.piece), from s_max_checked down.  The walk is exact:
-    inside a piece, shift, 2Ct and C are fixed and poly = 1, while small =
-    2^(shift-g) + n^2 2^(shift-b1) strictly increases with n.  cond1
-    compares a rising left side with a fixed right side; cond2 compares a
-    fixed left side with a falling right side.  So the sides of a piece
-    where separation holds come first and the failing ones last: if side
-    s holds, so does its whole piece up to s, and the walk checks only the
-    side just below that piece.  The first failing side met is the last
-    failing side of the range.  For poly_degree > 0, poly = s^(2d) rises
-    inside a piece and cond1 has no proven shape, so those models take
-    the exhaustive scan, _scan_s_prime.
+    The sides are walked a monotone run at a time, from s_max_checked
+    down, and the walk is exact.  Inside a piece (see
+    SquareEnergyModel.piece) shift, 2Ct and C are fixed, small = A + B n^2
+    with A = 2^(shift-g), B = 2^(shift-b1), and poly = (n+5)^(2d) rises.
+    cond2 compares a rising left side with a falling right side, so it
+    holds on a prefix of the piece.  cond1 reads small/poly < const, and
+    the sign of (small/poly)' is the sign of the integer quadratic
+    (1-d) B n^2 + 5B n - d A, whose roots cut the piece into at most three
+    runs on which small/poly is monotone (_run_bounds).  On a rising run
+    the sides where separation holds come first, so if the top side holds
+    the whole run does.  On a falling run they form an interval ending at
+    the top: if the bottom side holds too the whole run does, and
+    otherwise a gallop-and-bisect finds the interval's first side.  The
+    first failing side met is the last failing side of the range.  For
+    d = 0 each piece is one rising run, so the walk checks one side per
+    piece.
     """
-    if model.poly_degree:
-        return _scan_s_prime(model)
+    holds = model.separation_holds
     s = model.s_max_checked
-    while s >= S_MIN_SCHEDULE and model.separation_holds(s):
-        s = _piece_start(model, s) - 1
+    while s >= S_MIN_SCHEDULE and holds(s):
+        lo, rising = _run_bounds(model, s)
+        if not rising and lo < s and not holds(lo):
+            return _after_last_failure(model, _run_start(holds, s, lo + 1) - 1)
+        s = lo - 1
     return _after_last_failure(model, s)
 
 
-def _piece_start(model: SquareEnergyModel, s: int) -> int:
-    """First side of s's piece.  The triple is monotone, so the sides that
-    share it with s form a run ending at s: gallop down from s in doubling
-    steps to a side outside the run, then bisect.  That costs about twice
-    the log of the piece's length, so a piece of one side (large c2) costs
-    two triples, not the log of s."""
+def _run_bounds(model: SquareEnergyModel, s: int) -> tuple[int, bool]:
+    """First side of the run of s's piece that ends at s and on which
+    small/poly is monotone, and whether it rises there.
+
+    The runs are cut after floor(r) for each real root r of
+    Q(n) = (1-d) B n^2 + 5B n - d A, the numerator of (small/poly)' up to
+    a positive factor.  No root lies in [lo, s), so Q(lo) is nonzero and
+    gives the direction whenever the run has more than one side.
+    """
     key = model.piece(s)
-    hi, step = s, 1  # hi shares the triple
-    while hi - step >= S_MIN_SCHEDULE and model.piece(hi - step) == key:
+    g, b1, _ = key
+    shift, d = max(g, b1), model.poly_degree
+    q2, q1, q0 = (1 - d) << (shift - b1), 5 << (shift - b1), -d << (shift - g)
+    lo = _run_start(lambda x: model.piece(x) == key, s, S_MIN_SCHEDULE)
+    for root in _root_floors(q2, q1, q0):
+        if root + 5 < s:
+            lo = max(lo, root + 6)
+    n = lo - 5
+    return lo, q2 * n * n + q1 * n + q0 >= 0
+
+
+def _root_floors(a2: int, a1: int, a0: int) -> list[int]:
+    """floor(r) for each real root r of a2 n^2 + a1 n + a0 (a1 > 0 when
+    a2 = 0), exactly: floor(x / k) = floor(floor(x) / k) for k > 0."""
+    if a2 == 0:
+        return [-a0 // a1]
+    if a2 < 0:
+        a2, a1, a0 = -a2, -a1, -a0
+    disc = a1 * a1 - 4 * a2 * a0
+    if disc < 0:
+        return []
+    return [(-a1 - _ceil_root(disc, 2)) // (2 * a2), (-a1 + _floor_root(disc, 2)) // (2 * a2)]
+
+
+def _run_start(inside, s: int, floor: int) -> int:
+    """First side of the run of sides in [floor, s] that ends at s and on
+    which inside holds (inside(s) holds, and the sides of [floor, s] where
+    it holds form an interval).  Gallop down from s in doubling steps to a
+    side outside the run, then bisect.  That costs about twice the log of
+    the run's length, so a run of one side costs two calls, not the log
+    of s."""
+    hi, step = s, 1  # hi is inside the run
+    while hi - step >= floor and inside(hi - step):
         hi -= step
         step *= 2
-    lo = max(hi - step, S_MIN_SCHEDULE - 1)  # outside the run, or below the range
+    lo = max(hi - step, floor - 1)  # outside the run, or below the range
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if model.piece(mid) == key:
+        if inside(mid):
             hi = mid
         else:
             lo = mid
     return hi
-
-
-def _scan_s_prime(model: SquareEnergyModel) -> int:
-    """find_s_prime by checking every side in the range."""
-    last_bad = S_MIN_SCHEDULE - 1
-    for s in range(S_MIN_SCHEDULE, model.s_max_checked + 1):
-        if not model.separation_holds(s):
-            last_bad = s
-    return _after_last_failure(model, last_bad)
 
 
 def _after_last_failure(model: SquareEnergyModel, last_bad: int) -> int:

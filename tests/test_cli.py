@@ -418,8 +418,23 @@ def test_bad_model_knob_named(tmp_path, capsys, param, code):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_schedule_with_poly_degree(tmp_path):
+    out = tmp_path / "run"
+    argv = ["sweep", "--output-dir", str(out), "-p", "mode=schedule", "-p", "xi=16", "-p", "poly_degree=1"]
+    assert main(argv) == EXIT_OK
+    assert read_json(out / "schedule.json")["s_prime"] == 65537
+
+
+def test_poly_degree_without_separation_refused(tmp_path, capsys):
+    argv = ["sweep", "--output-dir", str(tmp_path / "run"), "-p", "mode=schedule", "-p", "poly_degree=1"]
+    assert main(argv) == EXIT_CONSTRAINT
+    assert "no separation persisting" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_s_max_checked_past_monotone_range_refused(tmp_path, capsys):
-    # at 2^48 the piece walk would give way to a scan of 2^48 sides
+    # from 2^48 on, the float synthesis exponent may step down, and the
+    # separation walk needs it monotone
     argv = ["sweep", "--output-dir", str(tmp_path / "run"), "-p", "mode=schedule",
             "-p", f"s_max_checked={1 << 48}", "-p", "c2=1"]
     assert main(argv) == EXIT_CONSTRAINT

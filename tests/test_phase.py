@@ -1,6 +1,9 @@
 """Precision schedule, per-square energy model, phase sweep, and the
 reference spectra used for the composed model."""
 
+import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +12,14 @@ import pytest
 from omegaphase.dyadic import Dyadic
 from omegaphase.phase import (
     MAX_DELTA_EXPONENT,
+    S_MIN_SCHEDULE,
     SeparationError,
     SquareEnergyModel,
     _ceil_root,
     _delta_exponent,
     _floor_root,
-    _scan_s_prime,
+    _root_floors,
+    _run_bounds,
     choose_m,
     compose_total_spectrum,
     find_s_prime,
@@ -28,6 +33,7 @@ from omegaphase.zoo import ZOO, zoo_machine
 
 DEFAULT = SquareEnergyModel()
 S_PRIME_DEFAULT = 6567  # from the exhaustive scan, which still derives it below
+XI16_D1 = SquareEnergyModel(xi=16, poly_degree=1)
 
 # (c1, c2) pairs of the separation-scale oracle models
 ORACLE_EXPONENTS = [(3.5, 16.0), (3.1, 16.0), (3.9, 16.0), (3.5, 1.0), (3.5, 40.0), (3.1, 40.0), (3.9, 1.0)]
@@ -137,6 +143,15 @@ def test_find_s_prime_rejects_loose_constants():
         find_s_prime(SquareEnergyModel(comp_upper_k=Fraction(2**200), s_max_checked=4096))
 
 
+def _scan_s_prime(model):
+    """The oracle for find_s_prime: check every side in the range."""
+    sides = range(S_MIN_SCHEDULE, model.s_max_checked + 1)
+    last_bad = max((s for s in sides if not model.separation_holds(s)), default=S_MIN_SCHEDULE - 1)
+    if last_bad == model.s_max_checked:
+        raise SeparationError("the last side fails")
+    return last_bad + 1
+
+
 def _s_prime_or_error(search, model):
     try:
         return search(model)
@@ -157,6 +172,17 @@ ORACLE_MODELS = {
     "c2=1000,top=4096": SquareEnergyModel(c2=1000.0, s_max_checked=4096),  # pieces of one side
     **{f"top={top}": SquareEnergyModel(s_max_checked=top) for top in (7, 4096, 6566, 6567)},
     "k=2^200,top=4096": SquareEnergyModel(comp_upper_k=Fraction(2**200), s_max_checked=4096),
+    "xi=16,d=1": XI16_D1,  # s' = 65,537
+    "xi=256,d=2": SquareEnergyModel(xi=256, poly_degree=2),  # s' = 72,528
+    **{f"xi=2,d={d}": SquareEnergyModel(poly_degree=d) for d in (1, 2)},  # SeparationError
+    # the d = 2 and 3 models, and the d = 1 model at top 500, end in a
+    # falling run whose bottom side fails
+    "xi=16,d=1,top=20000": SquareEnergyModel(xi=16, poly_degree=1, s_max_checked=20_000),
+    "xi=256,d=2,top=20000": SquareEnergyModel(xi=256, poly_degree=2, s_max_checked=20_000),
+    "xi=4096,d=3,top=20000": SquareEnergyModel(xi=4096, poly_degree=3, s_max_checked=20_000),
+    "xi=16,d=1,c2=5,k=1/7,top=500": SquareEnergyModel(
+        xi=16, poly_degree=1, c2=5.0, comp_upper_k=Fraction(1, 7), s_max_checked=500
+    ),
 }
 
 
@@ -165,7 +191,7 @@ def test_piece_walk_matches_exhaustive_scan(model):
     assert _s_prime_or_error(find_s_prime.__wrapped__, model) == _s_prime_or_error(_scan_s_prime, model)
 
 
-def test_piece_walk_checks_few_sides(monkeypatch):
+def _separation_checks(monkeypatch, model):
     calls = 0
     holds = SquareEnergyModel.separation_holds
 
@@ -175,8 +201,66 @@ def test_piece_walk_checks_few_sides(monkeypatch):
         return holds(self, s)
 
     monkeypatch.setattr(SquareEnergyModel, "separation_holds", counted)
-    assert find_s_prime.__wrapped__(DEFAULT) == S_PRIME_DEFAULT
+    return find_s_prime.__wrapped__(model), calls
+
+
+def test_piece_walk_checks_few_sides(monkeypatch):
+    s_prime, calls = _separation_checks(monkeypatch, DEFAULT)
+    assert s_prime == S_PRIME_DEFAULT
     assert calls <= 1000, calls  # the scan checks all 131,066 sides
+
+
+def test_walk_checks_few_sides_with_poly_degree(monkeypatch):
+    s_prime, calls = _separation_checks(monkeypatch, XI16_D1)
+    assert s_prime == 65_537
+    assert calls <= 1000, calls  # the scan checks all 131,066 sides
+
+
+@pytest.mark.parametrize(
+    "model,inside_cuts",
+    [
+        (SquareEnergyModel(c1=3.1, c2=2.0, poly_degree=1, s_max_checked=1000), 1),  # at s = 766
+        (SquareEnergyModel(c1=3.1, c2=3.0, poly_degree=1, s_max_checked=1000), 1),  # at s = 47
+        (SquareEnergyModel(poly_degree=2, s_max_checked=300), 0),
+        (SquareEnergyModel(xi=4096, poly_degree=3, s_max_checked=300), 0),
+        (SquareEnergyModel(c2=1000.0, poly_degree=1, s_max_checked=300), 0),  # pieces of one side
+    ],
+    ids=["d=1,cut766", "d=1,cut47", "d=2", "d=3", "d=1,c2=1000"],
+)
+def test_runs_are_monotone(model, inside_cuts):
+    # every run _run_bounds cuts is monotone in its stated direction,
+    # checked on the exact ratio small/poly of each side
+    def ratio(s):
+        g, b1, _ = model.piece(s)
+        n, shift = s - 5, max(g, b1)
+        return Fraction((1 << (shift - g)) + n * n * (1 << (shift - b1)), s ** (2 * model.poly_degree))
+
+    s, cuts = model.s_max_checked, 0
+    while s >= S_MIN_SCHEDULE:
+        lo, rising = _run_bounds(model, s)
+        values = [ratio(x) for x in range(lo, s + 1)]
+        pairs = list(zip(values, values[1:]))
+        assert all(a <= b for a, b in pairs) if rising else all(a >= b for a, b in pairs), (lo, s)
+        cuts += lo > S_MIN_SCHEDULE and model.piece(lo - 1) == model.piece(lo)
+        s = lo - 1
+    assert cuts == inside_cuts
+
+
+def test_root_floors_exact():
+    rng = random.Random(0)
+    cases = [(0, 5, -7), (0, 5 << 80, -(1 << 90)), (1, -4, 4), (-3, 15, -6), (2, 0, 1)]
+    cases += [(rng.randint(-50, 50), rng.randint(1, 60), rng.randint(-900, 900)) for _ in range(300)]
+    cases += [(-(1 << 70) * 3, 5 << 70, -(3 << 64)), ((1 << 200) + 1, 7 << 150, -(1 << 300))]
+    for a2, a1, a0 in cases:
+        with localcontext() as ctx:
+            ctx.prec = 200
+            if a2 == 0:
+                roots = [Decimal(-a0) / a1]
+            else:
+                disc = Decimal(a1 * a1 - 4 * a2 * a0)
+                roots = [] if disc < 0 else sorted((-a1 + sign * disc.sqrt()) / (2 * a2) for sign in (-1, 1))
+            expected = [math.floor(r) for r in roots]
+        assert sorted(_root_floors(a2, a1, a0)) == expected, (a2, a1, a0)
 
 
 @pytest.mark.parametrize("c1,c2", ORACLE_EXPONENTS)
