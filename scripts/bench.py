@@ -34,7 +34,14 @@ fixed inputs:
   ``chain_ground_energy(*case_chain(5, T, mu))``, alone;
 - ``separation_walk_default`` and ``separation_walk_xi16_d1``: the
   separation walk ``phase.find_s_prime`` without its cache, on the
-  default model and on ``xi=16, poly_degree=1``.
+  default model and on ``xi=16, poly_degree=1``;
+- ``stages_omega34_1000``: ``chaitin.omega_stage_values`` of zoo machine
+  omega34 at stage 1000, which makes 1,000 ``run_bounded`` calls at
+  budget 1,000;
+- ``prefix_walk_reader``: ``tm.check_prefix_free_up_to`` at budget 14 on
+  a machine that reads its input up to the first blank and then loops in
+  place; the walk visits 49,150 branches (2^15 - 1 with the input still
+  open, 2^14 - 1 where it ended).
 
 BLAS runs single-threaded unless the environment says otherwise; the file
 records nproc, the BLAS thread variables and the Python and numpy
@@ -57,11 +64,16 @@ for _var in BLAS_VARS:
 
 import numpy as np  # noqa: E402
 
-from omegaphase import cli, clock, phase, qpe  # noqa: E402
+from omegaphase import chaitin, cli, clock, phase, qpe  # noqa: E402
 from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate  # noqa: E402
+from omegaphase.tm import check_prefix_free_up_to, parse_machine  # noqa: E402
+from omegaphase.zoo import zoo_machine  # noqa: E402
 
 REPEATS = 11
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+READER = parse_machine(
+    "start: a\nhalt: h\na 0 -> a 0 R\na 1 -> a 1 R\na _ -> a _ S", name="reader"
+)
 
 
 def timed(fn, trace_memory: bool = False) -> dict:
@@ -137,6 +149,8 @@ def main() -> None:
         "separation_walk_xi16_d1": timed(
             lambda: phase.find_s_prime.__wrapped__(phase.SquareEnergyModel(xi=16, poly_degree=1))
         ),
+        "stages_omega34_1000": timed(lambda: chaitin.omega_stage_values(zoo_machine("omega34"), 1000)),
+        "prefix_walk_reader": timed(lambda: check_prefix_free_up_to(READER, 14)),
     }
     for name, result in micro.items():
         peak = f", {result['peak_traced_mb']:.2f} MB traced" if "peak_traced_mb" in result else ""

@@ -141,10 +141,6 @@ class RunConfig:
         )
 
 
-def _float_repr(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _signed_log2(x: Fraction) -> float:
     if x == 0:
         return 0.0
@@ -168,17 +164,29 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+def _cell(value: object) -> str:
+    """One table cell: a float to 17 significant digits, None as an empty
+    field, anything else as str() prints it."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return "" if value is None else str(value)
+
+
+def _write_table(path: Path, rows: Iterable[Sequence], sep: str = ",") -> None:
+    """One line of cells per row, streamed, every line ended by a newline;
+    a CSV's first row is its header, and no rows at all leave one empty
+    line."""
+    lines = (sep.join(map(_cell, row)) for row in rows)
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.write(next(lines, "") + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _write_qpe_csv(path: Path, n: int, probabilities: np.ndarray) -> None:
     """The rows z, z/2^n and Pr[z] of a distribution, written in blocks of
     2^min(n, 12) rows, each formatted by one %-format of the whole block;
     z/2^n prints in lowest terms as Dyadic prints it, and a probability as
-    _float_repr does.
+    _cell does.
 
     The estimates are built per block.  A block starts at a multiple of
     its length, so z = start + i with 0 < i < rows shares with 2^n the
@@ -309,11 +317,8 @@ def _run_omega(p: dict, mode: str, fmt: str, out: Path) -> None:
     approx = chaitin.omega_approx(machine, stage)
     _write_json(out / "omega.json", approx.report())
     if p["include_sequence"] or fmt == "csv":
-        rows = [
-            [str(s), value.as_ratio_string(), truncate(value, s).as_ratio_string()]
-            for s, value in enumerate(approx.stage_values, start=1)
-        ]
-        _write_csv(out / "omega_stages.csv", ["stage", "omega_s", "omega_s_trunc_s"], rows)
+        rows = [(s, value, truncate(value, s)) for s, value in enumerate(approx.stage_values, start=1)]
+        _write_table(out / "omega_stages.csv", [("stage", "omega_s", "omega_s_trunc_s"), *rows])
 
 
 def _run_witness(p: dict, mode: str, fmt: str, out: Path) -> None:
@@ -362,10 +367,9 @@ def _run_qpe(p: dict, mode: str, fmt: str, out: Path) -> None:
     elif mode == "grid":
         den, n_max = p["grid_denominator"], p["n_max"]
         scan = qpe.bound_scan([Fraction(k, den) for k in range(1, den)], n_max)
-        _write_csv(
+        _write_table(
             out / "qpe_grid.csv",
-            ["n", "max_tail_over_bound", "min_success_margin"],
-            [[str(n), _float_repr(tail), _float_repr(margin)] for n, tail, margin, _ in scan],
+            [("n", "max_tail_over_bound", "min_success_margin"), *(row[:3] for row in scan)],
         )
         _write_json(
             out / "qpe_grid.json",
@@ -406,7 +410,7 @@ def _run_clock(p: dict, mode: str, fmt: str, out: Path) -> None:
             raise ValueError(f"t_min must be >= 1, got {t_min}")
         if t_min > t_max:
             raise ValueError(f"empty scan: t_min={t_min} > t_max={t_max}")
-        rows = []
+        rows: list[tuple] = [("T", "case", "closed_form", "dense", "abs_err")]
         worst = 0.0
         for T in range(t_min, t_max + 1):
             for tag in (2, 4):
@@ -414,30 +418,13 @@ def _run_clock(p: dict, mode: str, fmt: str, out: Path) -> None:
                 dense = clock.chain_ground_energy(*clock.case_chain(tag, T))
                 err = abs(closed - dense)
                 worst = max(worst, err)
-                rows.append([str(T), str(tag), _float_repr(closed), _float_repr(dense), _float_repr(err)])
-        _write_csv(out / "clock_cases.csv", ["T", "case", "closed_form", "dense", "abs_err"], rows)
+                rows.append((T, tag, closed, dense, err))
+        _write_table(out / "clock_cases.csv", rows)
         _write_json(out / "clock_cases.json", {"t_min": t_min, "t_max": t_max, "max_abs_err": worst})
     elif mode == "grid":
         rows_data = clock.gap_law_grid(p["t_values"], p["mu_values"])
-        rows = [
-            [
-                str(r["T"]),
-                _float_repr(r["mu"]),
-                str(r["root_count"]),
-                _float_repr(r["k0"]),
-                _float_repr(r["lambda0_root"]),
-                _float_repr(r["lambda0_dense"]),
-                _float_repr(r["epsilon"]),
-                _float_repr(r["gap_ratio"]),
-                _float_repr(r["k0_scaled"]),
-            ]
-            for r in rows_data
-        ]
-        _write_csv(
-            out / "clock_grid.csv",
-            ["T", "mu", "root_count", "k0", "lambda0_root", "lambda0_dense", "epsilon", "gap_ratio", "k0_scaled"],
-            rows,
-        )
+        header = ("T", "mu", "root_count", "k0", "lambda0_root", "lambda0_dense", "epsilon", "gap_ratio", "k0_scaled")
+        _write_table(out / "clock_grid.csv", [header, *([r[key] for key in header] for r in rows_data)])
         ratios = [r["gap_ratio"] for r in rows_data]
         scaled = [r["k0_scaled"] for r in rows_data]
         _write_json(
@@ -496,35 +483,24 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
     _require_prefix_free(machine, s_budget)
     results = phase.sweep(grid, machine, s_budget, model)
     bounds = _exact_strings(b for r in results for b in (r.energy.lo, r.energy.hi))
-    rows = []
-    class_rows = []
-    energy_lo_rows: list[list[str]] = []
-    energy_hi_rows: list[list[str]] = []
-    for r in results:
-        rows.append(
-            [
-                r.phi.as_ratio_string(),
-                r.classification,
-                "" if r.witness_scale is None else str(r.witness_scale),
-                "" if r.first_negative_s is None else str(r.first_negative_s),
-                bounds[r.energy.lo],
-                bounds[r.energy.hi],
-            ]
-        )
-        class_rows.append(
-            f"{_float_repr(float(r.phi))} {phase.order_parameter('gapless_sector' if r.gapless else 'trivial_sector')}"
-        )
-        for s, interval in r.trace:
-            energy_lo_rows.append(f"{s} {_float_repr(_signed_log2(interval.lo))}")
-            energy_hi_rows.append(f"{s} {_float_repr(_signed_log2(interval.hi))}")
-    _write_csv(
+    _write_table(
         out / "sweep.csv",
-        ["phi", "classification", "witness_scale", "first_negative_s", "energy_lower_bound", "energy_upper_bound"],
-        rows,
+        [
+            ("phi", "classification", "witness_scale", "first_negative_s", "energy_lower_bound", "energy_upper_bound"),
+            *(
+                (r.phi, r.classification, r.witness_scale, r.first_negative_s, bounds[r.energy.lo], bounds[r.energy.hi])
+                for r in results
+            ),
+        ],
     )
-    (out / "phi_vs_class.dat").write_text("\n".join(class_rows) + "\n", encoding="utf-8")
-    (out / "s_vs_energy_lower_log2.dat").write_text("\n".join(energy_lo_rows) + "\n", encoding="utf-8")
-    (out / "s_vs_energy_upper_log2.dat").write_text("\n".join(energy_hi_rows) + "\n", encoding="utf-8")
+    sectors = [
+        (float(r.phi), phase.order_parameter("gapless_sector" if r.gapless else "trivial_sector"))
+        for r in results
+    ]
+    _write_table(out / "phi_vs_class.dat", sectors, sep=" ")
+    trace = [(s, interval) for r in results for s, interval in r.trace]
+    _write_table(out / "s_vs_energy_lower_log2.dat", [(s, _signed_log2(i.lo)) for s, i in trace], sep=" ")
+    _write_table(out / "s_vs_energy_upper_log2.dat", [(s, _signed_log2(i.hi)) for s, i in trace], sep=" ")
     _write_json(
         out / "sweep.json",
         {
@@ -541,27 +517,19 @@ def _run_spectrum(p: dict, mode: str, fmt: str, out: Path) -> None:
     if mode == "xy":
         if not p["lengths"]:
             raise ValueError("empty scan: lengths is empty")
-        rows = []
+        rows: list[tuple] = [("L", "ground_energy", "gap")]
         for L in p["lengths"]:
             spec = phase.xy_chain_spectrum(L)
-            rows.append([str(L), _float_repr(spec.ground_energy), _float_repr(spec.gap)])
-        _write_csv(out / "xy.csv", ["L", "ground_energy", "gap"], rows)
+            rows.append((L, spec.ground_energy, spec.gap))
+        _write_table(out / "xy.csv", rows)
         L = p["levels_for"]
         if L is not None:
             spec = phase.xy_chain_spectrum(L)
             levels = spec.many_body() if L <= 16 else spec.many_body(max_levels=64)
-            _write_csv(
-                out / "xy_levels.csv",
-                ["index", "energy"],
-                [[str(i), _float_repr(e)] for i, e in enumerate(levels)],
-            )
+            _write_table(out / "xy_levels.csv", [("index", "energy"), *enumerate(levels)])
     else:
         composed = phase.compose_total_spectrum(p["uu"], p["dense"], p["trivial"], p["beta"])
-        _write_csv(
-            out / "compose.csv",
-            ["energy", "origin"],
-            [[str(e), origin] for e, origin in composed.entries],
-        )
+        _write_table(out / "compose.csv", [("energy", "origin"), *composed.entries])
         sector = (
             "gapless_sector" if composed.ground_origin == "uu_dense" else "trivial_sector"
         )

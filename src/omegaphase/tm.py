@@ -4,8 +4,9 @@ and step-bounded execution on a one-way-infinite tape.
 Machines are deterministic, use the alphabet {0, 1, blank}, and live on a
 single right-infinite tape filled with blanks beyond the input.  Budgets
 are explicit everywhere: a bounded run can certify halting, never
-non-halting (two provably-infinite loop shapes are short-circuited, which
-changes nothing observable).
+non-halting.  One step loop, ``_advance``, serves both ``run_bounded``
+and the prefix-freeness search; it stops early on two provably infinite
+loop shapes, which changes nothing either caller reports.
 """
 
 from __future__ import annotations
@@ -200,56 +201,63 @@ def enumerate_input(i: int) -> BitString:
 class ExecutionResult:
     halted: bool
     steps_used: int
-    cells_used: int
+
+
+def _advance(
+    spec: MachineSpec, state: str, head: int, steps: int, tape: list[str], budget: int, open_end: bool
+) -> tuple[str, str, int, int]:
+    """Step from (state, head, steps) until the machine halts, ``steps``
+    reaches ``budget`` or a provable loop shows, updating ``tape`` in
+    place; returns (outcome, state, head, steps) with outcome "halts",
+    "undecided" or "loops".
+
+    Cells past the end of ``tape`` are blank; with ``open_end`` they are
+    input not yet fixed instead, and the run stops with outcome "reads"
+    before a step would read one.  The loops are a stay-in-place self
+    loop and running right past the end of ``tape``.  A left move at
+    cell 0 leaves the head in place (one-way tape).
+    """
+    while state != spec.halt:
+        if steps >= budget:
+            return "undecided", state, head, steps
+        if head < len(tape):
+            read = tape[head]
+        elif open_end:
+            return "reads", state, head, steps
+        else:
+            read = BLANK
+        nxt, write, move = spec.step(state, read)
+        if nxt == state and (
+            (move == "S" and write == read) or (move == "R" and head >= len(tape))
+        ):
+            return "loops", state, head, steps
+        if head < len(tape):
+            tape[head] = write
+        elif write != BLANK:
+            tape.extend(BLANK * (head - len(tape)))
+            tape.append(write)
+        if move == "R":
+            head += 1
+        elif move == "L" and head:
+            head -= 1
+        steps += 1
+        state = nxt
+    return "halts", state, head, steps
 
 
 def run_bounded(spec: MachineSpec, word: BitString, budget: int) -> ExecutionResult:
     """Run ``spec`` on ``word`` for at most ``budget`` steps.
 
     Applying one transition costs one step; the run reports halted=True
-    iff the halt state is entered within the budget.  Two provably
-    non-terminating shapes (a stay-in-place self loop, and running right
-    forever over fresh blanks) are detected and short-circuited; the
-    reported step/cell counts equal those of the full simulation.
-
-    A left move at cell 0 leaves the head in place (one-way tape).
+    iff the halt state is entered within the budget, and steps_used is
+    the number of steps applied.  A run that does not halt reports the
+    whole budget as used, also when ``_advance`` stops it early on a
+    provable loop.
     """
     if budget < 0:
         raise ValueError(f"step budget must be >= 0, got {budget}")
-    tape = list(str(word))
-    head = 0
-    state = spec.start
-    max_visited = 0
-    steps = 0
-    frontier = len(tape)  # cells >= frontier were never written
-    while steps < budget and state != spec.halt:
-        read = tape[head] if head < len(tape) else BLANK
-        nxt, write, move = spec.step(state, read)
-        if nxt == state and move == "S" and write == read:
-            # self loop: identical configuration next step, never halts
-            return ExecutionResult(False, budget, max_visited + 1)
-        if (
-            nxt == state
-            and move == "R"
-            and read == BLANK
-            and head >= frontier
-        ):
-            # runs right over fresh blanks forever; one new cell per step
-            last_cell = head + (budget - steps)
-            return ExecutionResult(False, budget, max(max_visited, last_cell) + 1)
-        while head >= len(tape):
-            tape.append(BLANK)
-        tape[head] = write
-        if write != BLANK:
-            frontier = max(frontier, head + 1)
-        if move == "R":
-            head += 1
-        elif move == "L":
-            head = max(0, head - 1)
-        max_visited = max(max_visited, head)
-        steps += 1
-        state = nxt
-    return ExecutionResult(state == spec.halt, steps, max_visited + 1)
+    outcome, _, _, steps = _advance(spec, spec.start, 0, 0, list(str(word)), budget, False)
+    return ExecutionResult(outcome == "halts", budget if outcome == "loops" else steps)
 
 
 def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, str]]:
@@ -269,9 +277,8 @@ def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, s
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
-    # config: (state, head, steps, tape overlay, fixed input prefix, input_end)
-    start = (spec.start, 0, 0, {}, "", None)
-    stack = [start]
+    # branch: (state, head, steps, tape, fixed input prefix, input still open)
+    stack = [(spec.start, 0, 0, [], "", True)]
     halting_exact: set[str] = set()
     halting_cylinder: set[str] = set()
     branches = 0
@@ -283,42 +290,17 @@ def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, s
                 f"input decision tree exceeded {_MAX_BRANCHES} branches; "
                 "machine reads too much input for this budget"
             )
-        state, head, steps, tape, prefix, end = stack.pop()
-        while True:
-            if state == spec.halt:
-                if end is None:
-                    halting_cylinder.add(prefix)
-                else:
-                    halting_exact.add(prefix)
-                break
-            if steps >= budget:
-                break
-            if head in tape:
-                read = tape[head]
-            elif end is not None and head >= end:
-                read = BLANK
-            elif head < len(prefix):
-                read = prefix[head]
-            else:
-                # fresh input cell: branch on its contents / end of input
-                assert head == len(prefix)
-                if head < budget:  # inputs longer than the budget are out of scope
-                    stack.append((state, head, steps, dict(tape), prefix + "0", None))
-                    stack.append((state, head, steps, dict(tape), prefix + "1", None))
-                stack.append((state, head, steps, dict(tape), prefix, head))
-                break
-            nxt, write, move = spec.step(state, read)
-            if nxt == state and move == "S" and write == read:
-                break  # provable loop
-            new_tape = dict(tape)
-            new_tape[head] = write
-            tape = new_tape
-            if move == "R":
-                head += 1
-            elif move == "L":
-                head = max(0, head - 1)
-            steps += 1
-            state = nxt
+        state, head, steps, tape, prefix, open_end = stack.pop()
+        outcome, state, head, steps = _advance(spec, state, head, steps, tape, budget, open_end)
+        if outcome == "halts":
+            (halting_cylinder if open_end else halting_exact).add(prefix)
+        elif outcome == "reads":
+            # the head is on the first unfixed cell: branch on its contents
+            # or on the input ending there
+            if head < budget:  # inputs longer than the budget are out of scope
+                stack.append((state, head, steps, tape + ["0"], prefix + "0", True))
+                stack.append((state, head, steps, tape + ["1"], prefix + "1", True))
+            stack.append((state, head, steps, tape, prefix, False))
 
     violations: set[tuple[str, str]] = set()
     found = sorted(halting_exact | halting_cylinder, key=lambda w: (len(w), w))

@@ -157,6 +157,8 @@ def test_sweep_empty_grid_header_only(tmp_path):
     assert lines == [
         "phi,classification,witness_scale,first_negative_s,energy_lower_bound,energy_upper_bound"
     ]
+    for name in ("phi_vs_class.dat", "s_vs_energy_lower_log2.dat", "s_vs_energy_upper_log2.dat"):
+        assert (tmp_path / "sw" / name).read_bytes() == b"\n"
 
 
 def test_sweep_small_grid(tmp_path):

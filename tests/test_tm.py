@@ -1,13 +1,17 @@
 """Machine format, canonical enumeration, bounded execution, and the
-prefix-freeness scan, checked against the bundled zoo's ground truth."""
+prefix-freeness search, checked against the bundled zoo's ground truth
+and, on seeded random machines, against a naive simulator."""
 
 import itertools
+import random
 
 import pytest
 
 from omegaphase.dyadic import BitString
 from omegaphase.tm import (
+    BLANK,
     MachineParseError,
+    MachineSpec,
     check_prefix_free_up_to,
     enumerate_input,
     parse_machine,
@@ -24,6 +28,36 @@ def brute_force_enumeration(count):
         words.extend("".join(bits) for bits in itertools.product("01", repeat=length))
         length += 1
     return words[:count]
+
+
+def naive_run(spec, word, budget):
+    """Independent oracle: apply transitions one at a time on a dict tape,
+    with no loop shortcuts; returns (halted, steps applied)."""
+    tape = dict(enumerate(word))
+    state, head, steps = spec.start, 0, 0
+    while state != spec.halt and steps < budget:
+        state, tape[head], move = spec.step(state, tape.get(head, BLANK))
+        head = head + 1 if move == "R" else max(head - 1, 0) if move == "L" else head
+        steps += 1
+    return state == spec.halt, steps
+
+
+def random_machines(count, seed=0):
+    """Seeded machines with 1-3 working states and every rule drawn at random."""
+    rng = random.Random(seed)
+    machines = []
+    for k in range(count):
+        states = [f"q{i}" for i in range(rng.randint(1, 3))]
+        rules = tuple(
+            (state, read, rng.choice(states + ["h"]), rng.choice("01_"), rng.choice("LRS"))
+            for state in states
+            for read in "01_"
+        )
+        machines.append(MachineSpec(f"random{k}", "q0", "h", rules))
+    return machines
+
+
+WORDS_UP_TO_6 = ["".join(bits) for n in range(7) for bits in itertools.product("01", repeat=n)]
 
 
 def test_enumerate_input_examples():
@@ -101,25 +135,24 @@ def test_run_bounded_monotone_in_budget():
             assert (not early) or late
 
 
-def test_cells_bound():
+def test_steps_within_budget():
     for name in ZOO:
         spec = zoo_machine(name)
         for word in ["", "0", "11", "0101"]:
             for budget in (0, 3, 17):
                 res = run_bounded(spec, BitString(word), budget)
                 assert res.steps_used <= budget
-                assert res.cells_used <= res.steps_used + len(word) + 1
 
 
 def test_blank_runner_semantics():
     # a machine that scans right forever over blanks: never halts,
-    # consumes the whole budget, visits one new cell per step
+    # consumes the whole budget
     text = "\n".join(
         ["start: a", "halt: h", "a 0 -> a 0 R", "a 1 -> a 1 R", "a _ -> a _ R"]
     )
     spec = parse_machine(text, name="runner")
     res = run_bounded(spec, BitString("10"), 1000)
-    assert not res.halted and res.steps_used == 1000 and res.cells_used == 1001
+    assert not res.halted and res.steps_used == 1000
 
 
 def test_zoo_ground_truth_halting_sets():
@@ -166,3 +199,26 @@ def test_prefix_check_detects_cylinders():
 def test_prefix_check_rejects_bad_budget():
     with pytest.raises(ValueError):
         check_prefix_free_up_to(zoo_machine("looper"), 0)
+
+
+def test_run_bounded_matches_naive_oracle():
+    words = [w for w in WORDS_UP_TO_6 if len(w) <= 4]
+    for spec in random_machines(200):
+        for word in words:
+            for budget in (0, 1, 2, 5, 9, 40):
+                res = run_bounded(spec, BitString(word), budget)
+                assert (res.halted, res.steps_used) == naive_run(spec, word, budget), (spec.rules, word)
+
+
+def test_prefix_check_matches_naive_oracle():
+    # a word halts within b steps iff its oracle halting time is <= b
+    for spec in random_machines(300, seed=1):
+        times = {}
+        for word in WORDS_UP_TO_6:
+            halted, steps = naive_run(spec, word, 6)
+            if halted:
+                times[word] = steps
+        for budget in range(1, 7):
+            halting = [w for w, t in times.items() if len(w) <= budget and t <= budget]
+            prefix_free = not any(x != y and y.startswith(x) for x in halting for y in halting)
+            assert (check_prefix_free_up_to(spec, budget) == []) == prefix_free, (spec.rules, budget)
