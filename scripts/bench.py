@@ -28,6 +28,9 @@ fixed inputs:
 - ``clock_single_dense_T600``, ``clock_single_iterative_T200`` and
   ``clock_single_iterative_T400``: ``clock`` single mode at mu = 0.37
   through ``cli.main``, dense at T = 600 and banded at T = 200 and 400;
+- ``clock_assemble_T1500`` and ``ground_energy_iterative_T1500``:
+  ``clock.assemble`` of ``case5_spec(1500, 0.37)``, and
+  ``clock.ground_energy`` of that spec by the banded path, in process;
 - ``gap_law_grid_default``: ``clock.gap_law_grid`` on the 567-point
   default grid of ``clock`` grid mode (T = 2..64, mu = 0.1..0.9);
 - ``chain_oracle_grid``: the 567 oracle ground energies of that grid,
@@ -127,6 +130,7 @@ def main() -> None:
     grid = cli.PARAM_KEYS["clock"]["grid"]
     t_values, mu_values = grid["t_values"][1], grid["mu_values"][1]
     points = [(T, mu) for T in t_values for mu in mu_values]
+    spec = clock.case5_spec(1500, 0.37)
     micro = {
         "dyadic_pipeline_n12": timed(dyadic_pipeline),
         "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12), trace_memory=True),
@@ -139,6 +143,12 @@ def main() -> None:
         "clock_single_iterative_T400": timed(
             lambda: run_cli([*clock_argv, "-p", "T=400", "-p", "method=iterative"])
         ),
+        "clock_assemble_T1500": timed(
+            lambda: clock.assemble(
+                spec.T, spec.input_penalty_total, spec.output_projector, spec.unitaries
+            )
+        ),
+        "ground_energy_iterative_T1500": timed(lambda: clock.ground_energy(spec, "iterative")),
         "gap_law_grid_default": timed(lambda: clock.gap_law_grid(t_values, mu_values)),
         "chain_oracle_grid": timed(
             lambda: [clock.chain_ground_energy(*clock.case_chain(5, T, mu)) for T, mu in points]

@@ -13,7 +13,6 @@ from functools import reduce
 
 import numpy as np
 import scipy.linalg as linalg
-import scipy.sparse as sp
 
 __all__ = [
     "ClockSpec",
@@ -24,6 +23,7 @@ __all__ = [
     "BracketError",
     "case5_spec",
     "assemble",
+    "expand_band",
     "jordan_decompose",
     "reconstruct_projectors",
     "random_projector",
@@ -148,12 +148,18 @@ def assemble(
     p_first: np.ndarray,
     p_last: np.ndarray,
     hops: tuple[np.ndarray, ...] | None = None,
-) -> sp.csr_matrix:
-    """The clock matrix on a (T+1) x (T+1) grid of d x d blocks: I + p_first
-    and I + p_last at the two end times, 2I on the inner diagonal blocks,
-    -U_t below and -U_t^H above the diagonal, with U_t = I when ``hops``
-    is None.  The dtype is that of the inputs, so real canonical blocks
-    stay real; explicit zeros are not stored.
+) -> np.ndarray:
+    """The upper band of the clock matrix on a (T+1) x (T+1) grid of d x d
+    blocks: I + p_first and I + p_last at the two end times, 2I on the
+    inner diagonal blocks, -U_t below and -U_t^H above the diagonal, with
+    U_t = I when ``hops`` is None.
+
+    The band is in LAPACK's upper form, ``band[u + i - j, j] = H[i, j]``
+    for i <= j, with u the largest offset j - i that holds a nonzero
+    entry (at most 2d - 1); ``expand_band`` gives the full Hermitian
+    matrix.  The dtype is that of the inputs, so real canonical blocks
+    stay real; the diagonal keeps only its real part, so the band stands
+    for one exactly Hermitian matrix, and no zero entry is -0.0.
 
     Every clock matrix is built here.  A spec's direct form passes its
     summed input penalty, output projector and unitaries; its rotated
@@ -163,19 +169,45 @@ def assemble(
     d = p_first.shape[0]
     eye = np.eye(d)
     hop = np.broadcast_to(eye, (T, d, d)) if hops is None else np.stack(hops)
-    diag = np.empty((T + 1, d, d), dtype=np.result_type(p_first, p_last, hop))
-    diag[:] = 2.0 * eye
-    diag[0] = eye + p_first
-    diag[T] = eye + p_last
-    blocks = np.concatenate([diag, -hop, -hop.conj().transpose(0, 2, 1)])
-    t = np.arange(T + 1)
-    block_rows = np.concatenate([t, t[1:], t[:-1]])[:, None, None]
-    block_cols = np.concatenate([t, t[:-1], t[1:]])[:, None, None]
-    k = np.arange(d)
-    rows, cols = np.broadcast_arrays(block_rows * d + k[:, None], block_cols * d + k)
-    keep = blocks != 0
-    dim = (T + 1) * d
-    return sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])), shape=(dim, dim))
+    # block row t is [D_t | -U_{t+1}^H]: entry (a, c) is H[t d + a, t d + c]
+    rows = np.zeros((T + 1, d, 2 * d), dtype=np.result_type(p_first, p_last, hop))
+    rows[:, :, :d] = 2.0 * eye
+    rows[0, :, :d] = eye + p_first
+    rows[T, :, :d] = eye + p_last
+    rows[:T, :, d:] = -hop.conj().transpose(0, 2, 1)
+    t, a, c = np.ogrid[: T + 1, :d, : 2 * d]
+    keep = (c >= a) & (t * d + c < (T + 1) * d)  # upper triangle, inside the matrix
+    band_row, col = np.broadcast_arrays(2 * d - 1 + a - c, t * d + c)
+    band = np.zeros((2 * d, (T + 1) * d), dtype=rows.dtype)
+    band[band_row[keep], col[keep]] = rows[keep]
+    band[-1] = band[-1].real  # LAPACK reads only the real part of the diagonal
+    band[band == 0] = 0  # -U^H of a zero entry is -0.0, whose sign LAPACK would read
+    return band[np.argmax(band.any(axis=1)) :]
+
+
+def expand_band(band: np.ndarray) -> np.ndarray:
+    """The full Hermitian matrix whose upper band is ``band``: the upper
+    triangle as stored, mirrored by ``conj`` below the diagonal."""
+    u, n = band.shape[0] - 1, band.shape[1]
+    lower = band.conj() + 0.0  # conj makes -0.0 imaginary parts; adding 0.0 turns each into +0.0
+    full = np.zeros((n, n), dtype=band.dtype)
+    i = np.arange(n)
+    for k in range(u + 1):  # the diagonal is written last from the upper band
+        full[i[k:], i[: n - k]] = lower[u - k, k:]
+        full[i[: n - k], i[k:]] = band[u - k, k:]
+    return full
+
+
+def _band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H v for the Hermitian H whose upper band is ``band``; each row's
+    terms are summed in ascending column order, offsets -u .. u."""
+    u, n = band.shape[0] - 1, band.shape[1]
+    out = np.zeros(n, dtype=np.result_type(band, v))
+    for k in range(-u, 0):  # H[i, i + k] = conj(band[u + k, i]) for i >= -k
+        out[-k:] += band[u + k, -k:].conj() * v[: n + k]
+    for k in range(u + 1):  # H[i, i + k] = band[u - k, i + k]
+        out[: n - k] += band[u - k, k:] * v[k:]
+    return out
 
 
 # -- Jordan pair decomposition ----------------------------------------
@@ -537,19 +569,22 @@ def ground_energy(spec: ClockSpec, method: str = "dense") -> SpectralReport:
     of the ground vector.  The residual is an error estimate, not an
     enclosure: it does not prove that no eigenvalue lies below lambda0.
 
-    The assembled matrix is cast to real when its imaginary part is
-    exactly zero (every ``case5_spec``); genuinely complex unitaries keep
-    it complex.  Dense diagonalisation computes only the two lowest
+    Both methods start from the upper band ``assemble`` returns, so both
+    diagonalise one exactly Hermitian matrix.  The band is cast to real
+    when its imaginary part is exactly zero (every ``case5_spec``);
+    genuinely complex unitaries keep it complex.  Dense diagonalisation
+    expands the band (``expand_band``), computes only the two lowest
     eigenpairs and is capped at dimension 4000.  The iterative path works
-    on the matrix's upper band, of half-bandwidth at most 2d - 1, in
-    O(n d^2) time and O(n d) memory: LAPACK's banded driver gives the two
-    lowest eigenvalues without eigenvectors, and two steps of inverse
-    iteration (Wilkinson, The Algebraic Eigenvalue Problem, 1965) from a
-    fixed start vector give the ground vector, so reruns are
-    bit-identical.  The shift lies SHIFT_BELOW_GROUND times the max
-    row sum (a bound on ||H||) below lambda0, so H minus the shift is
-    positive definite and its Cholesky factorisation exists even when
-    lambda0 is an exact eigenvalue, as 0 is for zero penalties.
+    on the band itself, of half-bandwidth at most 2d - 1, in O(n d^2) time
+    and O(n d) memory: LAPACK's banded driver gives the two lowest
+    eigenvalues without eigenvectors, and two steps of inverse iteration
+    (Wilkinson, The Algebraic Eigenvalue Problem, 1965) from a fixed
+    start vector give the ground vector, so reruns are bit-identical.
+    The shift lies SHIFT_BELOW_GROUND times the max row sum (a bound on
+    ||H||) below lambda0, so H minus the shift is positive definite and
+    its Cholesky factorisation exists even when lambda0 is an exact
+    eigenvalue, as 0 is for zero penalties.  The row sums and the
+    residual come from one band-times-vector product.
     """
     if method not in ("dense", "iterative"):
         raise ValueError(f"method must be 'dense' or 'iterative', got {method!r}")
@@ -557,25 +592,25 @@ def ground_energy(spec: ClockSpec, method: str = "dense") -> SpectralReport:
         raise ValueError(
             f"dense path limited to dimension {DENSE_DIM_LIMIT}, got {spec.dim}"
         )
-    ham = assemble(spec.T, spec.input_penalty_total, spec.output_projector, spec.unitaries)
-    if not ham.data.imag.any():
-        ham = ham.real
+    band = assemble(spec.T, spec.input_penalty_total, spec.output_projector, spec.unitaries)
+    if not band.imag.any():
+        band = band.real
     if method == "dense":
-        ham = ham.toarray()
+        ham = expand_band(band)
         evals, evecs = linalg.eigh(ham, subset_by_index=[0, 1])
         v0 = evecs[:, 0]
+        hv0 = ham @ v0
     else:
-        upper = sp.triu(ham).tocoo()
-        u = int((upper.col - upper.row).max())
-        band = np.zeros((u + 1, spec.dim), dtype=ham.dtype)
-        band[u + upper.row - upper.col, upper.col] = upper.data
         evals = linalg.eig_banded(band, eigvals_only=True, select="i", select_range=(0, 1))
-        band[u] -= evals[0] - SHIFT_BELOW_GROUND * abs(ham).sum(axis=1).max()
+        norm_bound = _band_matvec(abs(band), np.ones(spec.dim)).max()
+        shifted = band.copy()
+        shifted[-1] -= evals[0] - SHIFT_BELOW_GROUND * norm_bound
         v0 = np.random.default_rng(0).standard_normal(spec.dim)
         for _ in range(2):
-            v0 = linalg.solveh_banded(band, v0)
+            v0 = linalg.solveh_banded(shifted, v0)
             v0 /= np.linalg.norm(v0)
-    residual = float(np.linalg.norm(ham @ v0 - evals[0] * v0))
+        hv0 = _band_matvec(band, v0)
+    residual = float(np.linalg.norm(hv0 - evals[0] * v0))
     return SpectralReport(float(evals[0]), float(evals[1]), method, residual)
 
 
@@ -623,9 +658,9 @@ def gap_law_grid(t_values: list[int], mu_values: list[float]) -> list[dict]:
 def read_clock_spec(path) -> ClockSpec:
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
-    T = dim = None
-    sections: list[tuple[str, int, list[list[complex]]]] = []
-    current: list[list[complex]] | None = None
+    header: dict[str, int] = {}
+    sections: list[tuple[str, int, list[tuple[int, list[complex]]]]] = []
+    current: list[tuple[int, list[complex]]] | None = None
     for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -633,10 +668,10 @@ def read_clock_spec(path) -> ClockSpec:
         tokens = line.split()
         head = tokens[0]
         if head in ("T", "dim") and len(tokens) == 2:
-            if head == "T":
-                T = int(tokens[1])
-            else:
-                dim = int(tokens[1])
+            try:
+                header[head] = int(tokens[1])
+            except ValueError:
+                raise ClockSpecParseError(f"{head} must be an integer: {line!r}", lineno) from None
             continue
         if head in ("U", "PI_IN", "PI_OUT"):
             current = []
@@ -651,15 +686,21 @@ def read_clock_spec(path) -> ClockSpec:
         if len(values) % 2:
             raise ClockSpecParseError("expected re/im pairs", lineno)
         current.append(
-            [complex(values[2 * i], values[2 * i + 1]) for i in range(len(values) // 2)]
+            (lineno, [complex(values[2 * i], values[2 * i + 1]) for i in range(len(values) // 2)])
         )
+    T, dim = header.get("T"), header.get("dim")
     if T is None or dim is None:
         raise ClockSpecParseError("missing T or dim header")
     unitaries: list[np.ndarray] = []
     input_projectors: list[np.ndarray] = []
     output: np.ndarray | None = None
     for head, lineno, rows in sections:
-        matrix = np.array(rows, dtype=complex)
+        for row_line, row in rows:
+            if len(row) != dim:
+                raise ClockSpecParseError(
+                    f"{head} row has {len(row)} entries, expected {dim}", row_line
+                )
+        matrix = np.array([row for _, row in rows], dtype=complex)
         if matrix.shape != (dim, dim):
             raise ClockSpecParseError(
                 f"{head} block has shape {matrix.shape}, expected {(dim, dim)}", lineno

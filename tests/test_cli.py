@@ -579,6 +579,22 @@ def test_alternative_keys_refused_together(tmp_path, capsys):
     assert read_json(tmp_path / "spec" / "clock.json")["mu"] is None
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "T abc\ndim 1\nU 1\n1 0\nPI_OUT\n0 0\n",
+        "T 1\ndim 2\nU 1\n1 0 0 0\n0 0\nPI_OUT\n0 0 0 0\n0 0 0 0\n",
+    ],
+    ids=["non_integer_header", "ragged_rows"],
+)
+def test_malformed_spec_file_exits_parse(tmp_path, capsys, text):
+    spec = tmp_path / "broken.clock"
+    spec.write_text(text)
+    assert main(["clock", "--output-dir", str(tmp_path / "run"), "-p", f"spec_file={spec}"]) == EXIT_PARSE
+    assert "line " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["broken.clock"]
+
+
 def test_iterative_clock_at_dimension_three_matches_dense(tmp_path):
     spec = tmp_path / "tiny.clock"
     spec.write_text("T 2\ndim 1\nU 1\n1 0\nU 2\n1 0\nPI_IN 1\n1 0\nPI_OUT\n0 0\n")
@@ -750,3 +766,12 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert read_json(tmp_path / "proc" / "omega.json")["omega_s"] == "1/2"
+
+
+def test_cli_import_loads_no_scipy_sparse():
+    # the clock layer keeps its matrices as LAPACK bands, so no process
+    # pays for importing scipy.sparse
+    code = "import sys, omegaphase.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -19,6 +19,7 @@ from omegaphase.clock import (
     case_eigenvalue,
     chain_ground_energy,
     compute_epsilon,
+    expand_band,
     gap_law_grid,
     ground_energy,
     jordan_decompose,
@@ -55,7 +56,7 @@ def direct_matrix(spec, p_in=None):
     """The dense clock matrix of ``spec``; ``p_in`` replaces the summed
     input penalty when given."""
     p_in = spec.input_penalty_total if p_in is None else p_in
-    return assemble(spec.T, p_in, spec.output_projector, spec.unitaries).toarray()
+    return expand_band(assemble(spec.T, p_in, spec.output_projector, spec.unitaries))
 
 
 def rotated_output(spec):
@@ -74,7 +75,7 @@ def kernel_complement(total):
 
 def block_matrix(block, T):
     """The dense restriction of the rotated clock to one Jordan block."""
-    return assemble(T, *block.projector_pair()).toarray()
+    return expand_band(assemble(T, *block.projector_pair()))
 
 
 def walk_matrix(T, mu):
@@ -106,8 +107,24 @@ def reference_hamiltonian(T, p_first, p_last, hops):
 
 
 def test_assembly_matches_reference_loop():
-    # exact equality, dtype included: the direct and rotated forms are
-    # complex, the canonical Jordan blocks stay real
+    # the band holds the upper triangle: it equals the reference loop's
+    # exactly, dtype included, off the diagonal and in the diagonal's real
+    # part.  The rotated penalty U^H P_out U is not exactly Hermitian in
+    # most of these cases, so the reference's lower triangle (and the
+    # imaginary part of its diagonal) is not the mirror of the upper one;
+    # the expansion always is.  The direct and rotated forms are complex,
+    # the canonical Jordan blocks stay real.  The band has one row per
+    # offset up to the largest that holds a nonzero entry.
+    def check(band, want, dtype):
+        got = expand_band(band)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(np.triu(got, 1), np.triu(want, 1))
+        assert np.array_equal(got.diagonal(), want.diagonal().real)
+        assert np.array_equal(got, got.conj().T)
+        rows, cols = np.nonzero(np.triu(want))
+        assert band.shape[0] == (cols - rows).max() + 1
+        return got
+
     rng = np.random.default_rng(7)
     for T in (1, 2, 5, 30):
         for d in (1, 2, 3):
@@ -120,23 +137,17 @@ def test_assembly_matches_reference_loop():
             )
             p_out_rotated = rotated_output(spec)
             for p_in in (spec.input_penalty_total, kernel_complement(spec.input_penalty_total)):
-                got = direct_matrix(spec, p_in)
                 want = reference_hamiltonian(T, p_in, spec.output_projector, spec.unitaries)
-                assert got.dtype == want.dtype == np.complex128
-                assert np.array_equal(got, want)
+                check(assemble(T, p_in, spec.output_projector, spec.unitaries), want, np.complex128)
                 identity = (np.eye(d, dtype=complex),) * T
-                got = assemble(T, p_in, p_out_rotated).toarray()
                 want = reference_hamiltonian(T, p_in, p_out_rotated, identity)
-                assert got.dtype == want.dtype == np.complex128
-                assert np.array_equal(got, want)
+                check(assemble(T, p_in, p_out_rotated), want, np.complex128)
     for T in (1, 2, 5, 30, 200):
         for tag in (1, 2, 3, 4, 5):
             block = JordanBlock(tag, np.eye(2 if tag == 5 else 1), mu=0.37 if tag == 5 else None)
             small_in, small_out = block.projector_pair()
-            got = block_matrix(block, T)
             want = reference_hamiltonian(T, small_in, small_out, (np.eye(block.dim),) * T)
-            assert got.dtype == want.dtype == np.float64
-            assert np.array_equal(got, want)
+            assert np.array_equal(check(assemble(T, small_in, small_out), want, np.float64), want)
 
 
 def test_build_examples():
@@ -201,7 +212,7 @@ def test_rotation_preserves_spectrum():
     for T, d in [(4, 2), (8, 3), (32, 2), (6, 4)]:
         spec = random_spec(T, d, RNG)
         direct = np.linalg.eigvalsh(direct_matrix(spec))
-        rotated = assemble(T, spec.input_penalty_total, rotated_output(spec)).toarray()
+        rotated = expand_band(assemble(T, spec.input_penalty_total, rotated_output(spec)))
         assert np.max(np.abs(direct - np.linalg.eigvalsh(rotated))) < 1e-10
 
 
@@ -304,6 +315,27 @@ def test_impurity_mu_limits():
     # singly-pinned halves, so the single-endpoint closed form is the limit
     near_one = np.linalg.eigvalsh(walk_matrix(5, 1 - 1e-10))[0]
     assert abs(near_one - case_eigenvalue(2, 5)) < 1e-6
+
+
+def test_band_holds_no_negative_zeros():
+    # -U^H of an identity hop is -0.0 off the diagonal, and conj makes
+    # -0.0 imaginary parts; LAPACK's Householder step reads those signs,
+    # so they would move the dense ground vector and its residual
+    bands = [assemble(T, *JordanBlock(tag, np.eye(1)).projector_pair()) for tag in (1, 2, 3, 4)
+             for T in (1, 2, 7)]
+    bands += [assemble(T, *JordanBlock(5, np.eye(2), mu=mu).projector_pair())
+              for T in (1, 2, 7) for mu in (0.1, 0.5)]
+    for T in (1, 2, 7, 40):
+        for mu in (0.1, 0.37, 0.9):
+            spec = case5_spec(T, mu)
+            bands.append(assemble(T, spec.input_penalty_total, spec.output_projector, spec.unitaries))
+    for band in bands:
+        zeros = band[band == 0]
+        assert zeros.size
+        assert not np.signbit(zeros.real).any() and not np.signbit(zeros.imag).any()
+        full = expand_band(band)
+        for part in (full.real, full.imag):
+            assert not np.signbit(part[part == 0]).any()
 
 
 def test_case_chains_are_the_assembled_blocks_bit_for_bit():
@@ -674,7 +706,7 @@ def test_block_completeness():
         p_in = kernel_complement(spec.input_penalty_total)
         p_out = rotated_output(spec)
         blocks = jordan_decompose(p_in, p_out)
-        full = np.linalg.eigvalsh(assemble(T, p_in, p_out).toarray())
+        full = np.linalg.eigvalsh(expand_band(assemble(T, p_in, p_out)))
         per_block = np.sort(
             np.concatenate([np.linalg.eigvalsh(block_matrix(b, T)) for b in blocks])
         )
@@ -733,4 +765,10 @@ def test_spec_file_errors(tmp_path):
         read_clock_spec(path)
     path.write_text("T 1\ndim 1\nU 1\n1 0 0\nPI_OUT\n0 0\n")  # odd token count
     with pytest.raises(ClockSpecParseError):
+        read_clock_spec(path)
+    path.write_text("T abc\ndim 1\nU 1\n1 0\nPI_OUT\n0 0\n")  # non-integer header
+    with pytest.raises(ClockSpecParseError, match=r"^line 1: T must be an integer"):
+        read_clock_spec(path)
+    path.write_text("T 1\ndim 2\nU 1\n1 0 0 0\n0 0\nPI_OUT\n0 0 0 0\n0 0 0 0\n")  # ragged rows
+    with pytest.raises(ClockSpecParseError, match=r"^line 5: U row has 1 entries, expected 2"):
         read_clock_spec(path)
