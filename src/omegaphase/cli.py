@@ -39,7 +39,7 @@ ABSENT = object()
 # SquareEnergyModel's constants, read by both sweep modes; an absent one
 # keeps the model's own default.
 _MODEL_PARAMS = {
-    "xi": (int, ABSENT), "c1": (float, ABSENT), "c2": (float, ABSENT),
+    "xi": (int, ABSENT), "c1": (Fraction, ABSENT), "c2": (Fraction, ABSENT),
     "comp_upper_k": (Fraction, ABSENT), "poly_degree": (int, ABSENT),
     "s_max_checked": (int, ABSENT),
 }

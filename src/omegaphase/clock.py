@@ -198,18 +198,6 @@ def expand_band(band: np.ndarray) -> np.ndarray:
     return full
 
 
-def _band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H v for the Hermitian H whose upper band is ``band``; each row's
-    terms are summed in ascending column order, offsets -u .. u."""
-    u, n = band.shape[0] - 1, band.shape[1]
-    out = np.zeros(n, dtype=np.result_type(band, v))
-    for k in range(-u, 0):  # H[i, i + k] = conj(band[u + k, i]) for i >= -k
-        out[-k:] += band[u + k, -k:].conj() * v[: n + k]
-    for k in range(u + 1):  # H[i, i + k] = band[u - k, i + k]
-        out[: n - k] += band[u - k, k:] * v[k:]
-    return out
-
-
 # -- Jordan pair decomposition ----------------------------------------
 
 
@@ -584,7 +572,7 @@ def ground_energy(spec: ClockSpec, method: str = "dense") -> SpectralReport:
     ||H||) below lambda0, so H minus the shift is positive definite and
     its Cholesky factorisation exists even when lambda0 is an exact
     eigenvalue, as 0 is for zero penalties.  The row sums and the
-    residual come from one band-times-vector product.
+    residual come from BLAS's band-times-vector product on the same band.
     """
     if method not in ("dense", "iterative"):
         raise ValueError(f"method must be 'dense' or 'iterative', got {method!r}")
@@ -602,14 +590,15 @@ def ground_energy(spec: ClockSpec, method: str = "dense") -> SpectralReport:
         hv0 = ham @ v0
     else:
         evals = linalg.eig_banded(band, eigvals_only=True, select="i", select_range=(0, 1))
-        norm_bound = _band_matvec(abs(band), np.ones(spec.dim)).max()
+        u = band.shape[0] - 1
+        norm_bound = linalg.blas.dsbmv(u, 1.0, abs(band), np.ones(spec.dim)).max()
         shifted = band.copy()
         shifted[-1] -= evals[0] - SHIFT_BELOW_GROUND * norm_bound
         v0 = np.random.default_rng(0).standard_normal(spec.dim)
         for _ in range(2):
             v0 = linalg.solveh_banded(shifted, v0)
             v0 /= np.linalg.norm(v0)
-        hv0 = _band_matvec(band, v0)
+        hv0 = (linalg.blas.zhbmv if np.iscomplexobj(band) else linalg.blas.dsbmv)(u, 1.0, band, v0)
     residual = float(np.linalg.norm(hv0 - evals[0] * v0))
     return SpectralReport(float(evals[0]), float(evals[1]), method, residual)
 
@@ -668,12 +657,20 @@ def read_clock_spec(path) -> ClockSpec:
         tokens = line.split()
         head = tokens[0]
         if head in ("T", "dim") and len(tokens) == 2:
+            if head in header:
+                raise ClockSpecParseError(f"repeated {head} header", lineno)
             try:
                 header[head] = int(tokens[1])
             except ValueError:
                 raise ClockSpecParseError(f"{head} must be an integer: {line!r}", lineno) from None
             continue
         if head in ("U", "PI_IN", "PI_OUT"):
+            count = sum(h == head for h, _, _ in sections)
+            if head == "PI_OUT" and count:
+                raise ClockSpecParseError("second PI_OUT section", lineno)
+            want = head if head == "PI_OUT" else f"{head} {count + 1}"  # U and PI_IN count 1, 2, ...
+            if tokens != want.split():
+                raise ClockSpecParseError(f"expected {want!r}, got {line!r}", lineno)
             current = []
             sections.append((head, lineno, current))
             continue

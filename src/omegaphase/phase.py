@@ -46,6 +46,7 @@ S_MIN_SCHEDULE = 7  # smallest square with a precision schedule (n = s - 5 >= 2)
 # Largest synthesis exponent a model may reach over its checked range:
 # separation_holds shifts integers by about that many bits per side.
 MAX_DELTA_EXPONENT = 1 << 16
+MAX_C1_NUMERATOR = 1000  # each synthesis exponent raises integers to c1's numerator
 REGIMES = ("halting", "nonhalting", "mixed")
 
 
@@ -101,14 +102,6 @@ def schedule_scan(n_max: int) -> tuple[bool, bool]:
     return constraint_ok, monotone
 
 
-def _delta_exponent(n: int, c1: float, c2: float) -> int:
-    # Non-decreasing in n below 2^48: from n to n + 1 the exact n^(1/c1)
-    # grows by a relative 1/(c1*n) > 2^-50, twice the 2^-51 gap that pow's
-    # rounding (under 1 ulp on each value) can close, and the product with
-    # c2 and the floor are monotone roundings.
-    return math.floor(c2 * n ** (1.0 / c1))
-
-
 @dataclass(frozen=True)
 class SquareEnergyModel:
     """Concrete constants for the per-square energy bounds.
@@ -120,8 +113,8 @@ class SquareEnergyModel:
     """
 
     xi: int = 2
-    c1: float = 3.5
-    c2: float = 16.0
+    c1: Fraction = Fraction(7, 2)
+    c2: Fraction = Fraction(16)
     comp_upper_k: Fraction = COMP_UPPER_K
     poly_degree: int = 0
     s_max_checked: int = 131_072
@@ -131,31 +124,37 @@ class SquareEnergyModel:
             raise ValueError(
                 f"xi must be a power of two >= 2 (C = log2 xi breaks otherwise), got {self.xi}"
             )
-        if not 3 < self.c1 < 4:
-            raise ValueError(f"c1 must lie in (3, 4), got {self.c1}")
-        if not (math.isfinite(self.c2) and self.c2 >= 1):
-            raise ValueError(f"c2 must be a finite number >= 1, got {self.c2}")
+        if not isinstance(self.c1, Fraction) or not 3 < self.c1 < 4 or self.c1.numerator > MAX_C1_NUMERATOR:
+            raise ValueError(f"c1 must be a Fraction in (3, 4) with numerator <= {MAX_C1_NUMERATOR}, got {self.c1!r}")
+        if not isinstance(self.c2, Fraction) or not 1 <= self.c2 <= MAX_DELTA_EXPONENT:
+            raise ValueError(f"c2 must be a Fraction in [1, {MAX_DELTA_EXPONENT}], got {self.c2!r}")
         if self.poly_degree < 0:
             raise ValueError("poly_degree must be >= 0")
         if self.s_max_checked < S_MIN_SCHEDULE:
             raise ValueError("s_max_checked too small to ever separate")
-        # Below 2^48 the float synthesis exponent provably never steps down
-        # (see _delta_exponent), which find_s_prime's piece walk needs.
-        if self.s_max_checked >= 1 << 48:
-            raise ValueError(
-                f"s_max_checked must be below 2^48, where the synthesis exponent "
-                f"is proven monotone, got {self.s_max_checked}"
-            )
-        # _delta_exponent(n, c1, c2) > MAX_DELTA_EXPONENT, compared before the
-        # floor, which would overflow on a c2 near the float limit.
-        n = self.s_max_checked - 5
-        if self.c2 * n ** (1.0 / self.c1) >= MAX_DELTA_EXPONENT + 1:
+        # _delta_exponent's terms: a, b, c^a, d for c1 = a/b and c2 = c/d, and its guess's c2, 1/c1
+        a, b, d = self.c1.numerator, self.c1.denominator, self.c2.denominator
+        c_a = self.c2.numerator**a
+        object.__setattr__(self, "_root_terms", (a, b, c_a, d, float(self.c2), 1 / float(self.c1)))
+        if ((MAX_DELTA_EXPONENT + 1) * d) ** a <= c_a * (self.s_max_checked - 5) ** b:
             raise ValueError(
                 f"c2={self.c2} puts the synthesis exponent above {MAX_DELTA_EXPONENT} bits "
                 f"at s_max_checked={self.s_max_checked}"
             )
         if not isinstance(self.comp_upper_k, Fraction) or self.comp_upper_k <= 0:
             raise ValueError("comp_upper_k must be a positive Fraction")
+
+    def _delta_exponent(self, n: int) -> int:
+        """floor(c2 n^(1/c1)), the largest e with (e d)^a <= c^a n^b, from a
+        float first guess.  Being exact, it never steps down as n rises."""
+        a, b, c_a, d, c2, inv_c1 = self._root_terms
+        bound = c_a * n**b
+        e = math.floor(c2 * n**inv_c1)
+        while (e * d) ** a > bound:
+            e -= 1
+        while ((e + 1) * d) ** a <= bound:
+            e += 1
+        return e
 
     @property
     def C(self) -> int:
@@ -183,7 +182,7 @@ class SquareEnergyModel:
         """Dyadic upper bound on the synthesis error: flooring the
         exponent can only increase the value."""
         n = self.n_of(s)
-        return Fraction(n * n, 1 << (_delta_exponent(n, self.c1, self.c2) + 1))
+        return Fraction(n * n, 1 << (self._delta_exponent(n) + 1))
 
     def marker_interval(self, s: int) -> tuple[Fraction, Fraction]:
         unit = Fraction(1, 4 ** self.marker_exponent(s))
@@ -206,7 +205,7 @@ class SquareEnergyModel:
         ceil(s^(1/8)).  Each is non-decreasing in s, so the sides sharing
         one triple form an interval, a piece."""
         n = s - 5
-        return n - choose_m(n), _delta_exponent(n, self.c1, self.c2) + 1, _ceil_root(s, 8)
+        return n - choose_m(n), self._delta_exponent(n) + 1, _ceil_root(s, 8)
 
     def separation_holds(self, s: int) -> bool:
         """Exact check that the marker bonus sits strictly between the

@@ -130,12 +130,13 @@ def parse_machine(text: str, name: str = "unnamed") -> MachineSpec:
         state symbol -> state symbol move
 
     Symbols are 0, 1, or ``_`` for blank; moves are L, R, S.  Duplicate
-    rules, unknown symbols, and missing headers are rejected with the
-    offending line number.
+    rules, unknown symbols, and missing or repeated headers are rejected
+    with the offending line number.
     """
     start = halt = None
     rules: list[Rule] = []
     seen: dict[tuple[str, str], int] = {}
+    header_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -143,14 +144,17 @@ def parse_machine(text: str, name: str = "unnamed") -> MachineSpec:
         if ":" in line and "->" not in line:
             key, _, value = line.partition(":")
             key, value = key.strip(), value.strip()
+            if key not in ("name", "start", "halt"):
+                raise MachineParseError(f"unknown header {key!r}", lineno)
+            if key in header_lines:
+                raise MachineParseError(f"repeated {key!r} header; first at line {header_lines[key]}", lineno)
+            header_lines[key] = lineno
             if key == "name":
                 name = value
             elif key == "start":
                 start = value
-            elif key == "halt":
-                halt = value
             else:
-                raise MachineParseError(f"unknown header {key!r}", lineno)
+                halt = value
             continue
         if "->" not in line:
             raise MachineParseError(f"expected 'state symbol -> state symbol move'", lineno)

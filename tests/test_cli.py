@@ -401,12 +401,13 @@ def test_clock_length_below_one_named(tmp_path, capsys, mode, param):
 @pytest.mark.parametrize(
     "param,code",
     [
-        ("c2=Infinity", EXIT_CONSTRAINT),
-        ("c2=1e400", EXIT_CONSTRAINT),
-        ("c2=NaN", EXIT_CONSTRAINT),
+        ("c2=Infinity", EXIT_PARSE),  # each reads as a float that is no rational
+        ("c2=1e400", EXIT_PARSE),
+        ("c2=NaN", EXIT_PARSE),
         ("c2=0.5", EXIT_CONSTRAINT),
         ("c2=1e5", EXIT_CONSTRAINT),  # each check would shift by millions of bits
         ("c2=1e9", EXIT_CONSTRAINT),
+        ("c1=3.1416", EXIT_CONSTRAINT),  # 3927/1250: a numerator above 1000
         ("comp_upper_k=1/0", EXIT_PARSE),
         ("comp_upper_k=abc", EXIT_PARSE),
         ("comp_upper_k=0", EXIT_CONSTRAINT),
@@ -434,14 +435,19 @@ def test_poly_degree_without_separation_refused(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_s_max_checked_past_monotone_range_refused(tmp_path, capsys):
-    # from 2^48 on, the float synthesis exponent may step down, and the
-    # separation walk needs it monotone
-    argv = ["sweep", "--output-dir", str(tmp_path / "run"), "-p", "mode=schedule",
-            "-p", f"s_max_checked={1 << 48}", "-p", "c2=1"]
-    assert main(argv) == EXIT_CONSTRAINT
-    assert "s_max_checked must be below 2^48" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize(
+    "mode_args",
+    [["-p", "mode=schedule"], ["-p", "machine=zoo:omega34", "-p", "grid_denominator=4"]],
+    ids=["schedule", "classify"],
+)
+def test_default_model_constants_given_explicitly_write_the_same_bytes(tmp_path, mode_args):
+    # c1 and c2 read as rationals, so 7/2 and 3.5 are both the default c1
+    runs = []
+    for extra in ([], ["-p", "c1=7/2", "-p", "c2=16"], ["-p", "c1=3.5", "-p", "c2=16.0"]):
+        out = tmp_path / str(len(runs))
+        assert main(["sweep", "--output-dir", str(out), *mode_args, *extra]) == EXIT_OK
+        runs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+    assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize(
@@ -584,8 +590,10 @@ def test_alternative_keys_refused_together(tmp_path, capsys):
     [
         "T abc\ndim 1\nU 1\n1 0\nPI_OUT\n0 0\n",
         "T 1\ndim 2\nU 1\n1 0 0 0\n0 0\nPI_OUT\n0 0 0 0\n0 0 0 0\n",
+        "T 2\ndim 1\nU 2\n1 0\nU 1\n1 0\nPI_OUT\n0 0\n",
+        "T 1\ndim 1\nU 1\n1 0\nPI_OUT\n0 0\nPI_OUT\n1 0\n",
     ],
-    ids=["non_integer_header", "ragged_rows"],
+    ids=["non_integer_header", "ragged_rows", "sections_out_of_order", "second_pi_out"],
 )
 def test_malformed_spec_file_exits_parse(tmp_path, capsys, text):
     spec = tmp_path / "broken.clock"

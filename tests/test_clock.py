@@ -772,3 +772,16 @@ def test_spec_file_errors(tmp_path):
     path.write_text("T 1\ndim 2\nU 1\n1 0 0 0\n0 0\nPI_OUT\n0 0 0 0\n0 0 0 0\n")  # ragged rows
     with pytest.raises(ClockSpecParseError, match=r"^line 5: U row has 1 entries, expected 2"):
         read_clock_spec(path)
+    # section labels count 1, 2, ... and every header and PI_OUT comes once
+    for text, message in [
+        ("T 2\ndim 1\nU 2\n1 0\nU 1\n1 0\nPI_OUT\n0 0\n", "line 3: expected 'U 1', got 'U 2'"),
+        ("T 1\ndim 1\nU banana\n1 0\nPI_OUT\n0 0\n", "line 3: expected 'U 1', got 'U banana'"),
+        ("T 1\ndim 1\nU 1\n1 0\nPI_IN 2\n1 0\nPI_OUT\n0 0\n", "line 5: expected 'PI_IN 1', got 'PI_IN 2'"),
+        ("T 1\ndim 1\nU 1\n1 0\nPI_OUT\n0 0\nPI_OUT\n1 0\n", "line 7: second PI_OUT section"),
+        ("T 1\ndim 1\nU 1\n1 0\nPI_OUT 1\n0 0\n", "line 5: expected 'PI_OUT', got 'PI_OUT 1'"),
+        ("T 1\ndim 1\nT 2\nU 1\n1 0\nPI_OUT\n0 0\n", "line 3: repeated T header"),
+        ("T 1\ndim 1\nU 1\n1 0\nPI_OUT\n0 0\ndim 1\n", "line 7: repeated dim header"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ClockSpecParseError, match=f"^{re.escape(message)}$"):
+            read_clock_spec(path)

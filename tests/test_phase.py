@@ -11,12 +11,12 @@ import pytest
 
 from omegaphase.dyadic import Dyadic
 from omegaphase.phase import (
+    MAX_C1_NUMERATOR,
     MAX_DELTA_EXPONENT,
     S_MIN_SCHEDULE,
     SeparationError,
     SquareEnergyModel,
     _ceil_root,
-    _delta_exponent,
     _floor_root,
     _root_floors,
     _run_bounds,
@@ -35,8 +35,10 @@ DEFAULT = SquareEnergyModel()
 S_PRIME_DEFAULT = 6567  # from the exhaustive scan, which still derives it below
 XI16_D1 = SquareEnergyModel(xi=16, poly_degree=1)
 
-# (c1, c2) pairs of the separation-scale oracle models
-ORACLE_EXPONENTS = [(3.5, 16.0), (3.1, 16.0), (3.9, 16.0), (3.5, 1.0), (3.5, 40.0), (3.1, 40.0), (3.9, 1.0)]
+# (c1, c2) pairs of the separation-scale oracle models, as decimals
+ORACLE_EXPONENTS = [
+    ("3.5", "16.0"), ("3.1", "16.0"), ("3.9", "16.0"), ("3.5", "1.0"), ("3.5", "40.0"), ("3.1", "40.0"), ("3.9", "1.0")
+]
 
 
 def test_choose_m_examples():
@@ -90,22 +92,27 @@ def test_model_validation():
         SquareEnergyModel(xi=1)
     with pytest.raises(ValueError):
         SquareEnergyModel(xi=6)
-    with pytest.raises(ValueError):
-        SquareEnergyModel(c1=4.5)
+    # c1 in (3, 4), a Fraction whose numerator in lowest terms is at most 1000
+    for c1 in (Fraction(9, 2), Fraction(3), Fraction(4), 3.5, Fraction(3927, 1250), Fraction(1003, 251)):
+        with pytest.raises(ValueError, match="c1"):
+            SquareEnergyModel(c1=c1)
+    SquareEnergyModel(c1=Fraction(MAX_C1_NUMERATOR, 251))
     # 1e5 and 1e9 would shift by millions and billions of bits per check
-    for c2 in (0.5, float("inf"), float("nan"), 1e5, 1e9, 1e308):
+    for c2 in (Fraction(1, 2), 16.0, float("inf"), float("nan"), Fraction(10**5), Fraction(10**9), Fraction(10**308)):
         with pytest.raises(ValueError, match="c2"):
             SquareEnergyModel(c2=c2)
     # the largest c2 the tests use, over the full range: about 29k bits
-    assert _delta_exponent(DEFAULT.s_max_checked - 5, 3.5, 1000.0) <= MAX_DELTA_EXPONENT
-    SquareEnergyModel(c2=1000.0)
+    top_n = DEFAULT.s_max_checked - 5
+    assert SquareEnergyModel(c2=Fraction(1000))._delta_exponent(top_n) <= MAX_DELTA_EXPONENT
     with pytest.raises(ValueError, match="c2"):
-        SquareEnergyModel(c2=1000.0, s_max_checked=1 << 22)
-    # the float synthesis exponent is proven monotone only below 2^48
-    SquareEnergyModel(c2=1.0, s_max_checked=(1 << 48) - 1)
-    for top in (1 << 48, 10**400):
-        with pytest.raises(ValueError, match=r"s_max_checked must be below 2\^48"):
-            SquareEnergyModel(c2=1.0, s_max_checked=top)
+        SquareEnergyModel(c2=Fraction(1000), s_max_checked=1 << 22)
+    # at c2 = 1 the exponent floor(n^(2/7)) first passes the cap at the
+    # first n with n^2 >= 65537^7, about 2^56 (65537 is prime)
+    n_cap = math.isqrt(65537**7) + 1
+    SquareEnergyModel(c2=Fraction(1), s_max_checked=n_cap + 4)
+    for top in (n_cap + 5, 10**400):
+        with pytest.raises(ValueError, match="c2"):
+            SquareEnergyModel(c2=Fraction(1), s_max_checked=top)
     with pytest.raises(ValueError):
         SquareEnergyModel(comp_upper_k=Fraction(-1))
     assert SquareEnergyModel(xi=4).C == 2
@@ -165,11 +172,11 @@ ORACLE_MODELS = {
     "k=1000": SquareEnergyModel(comp_upper_k=Fraction(1000)),
     "k=1/1000,top=20000": SquareEnergyModel(comp_upper_k=Fraction(1, 1000), s_max_checked=20_000),  # s' = 7
     **{
-        f"c1={c1},c2={c2},top=20000": SquareEnergyModel(c1=c1, c2=c2, s_max_checked=20_000)
+        f"c1={c1},c2={c2},top=20000": SquareEnergyModel(c1=Fraction(c1), c2=Fraction(c2), s_max_checked=20_000)
         for c1, c2 in ORACLE_EXPONENTS[1:]
     },
     **{f"xi={xi},top=20000": SquareEnergyModel(xi=xi, s_max_checked=20_000) for xi in (4, 8)},
-    "c2=1000,top=4096": SquareEnergyModel(c2=1000.0, s_max_checked=4096),  # pieces of one side
+    "c2=1000,top=4096": SquareEnergyModel(c2=Fraction(1000), s_max_checked=4096),  # pieces of one side
     **{f"top={top}": SquareEnergyModel(s_max_checked=top) for top in (7, 4096, 6566, 6567)},
     "k=2^200,top=4096": SquareEnergyModel(comp_upper_k=Fraction(2**200), s_max_checked=4096),
     "xi=16,d=1": XI16_D1,  # s' = 65,537
@@ -181,7 +188,7 @@ ORACLE_MODELS = {
     "xi=256,d=2,top=20000": SquareEnergyModel(xi=256, poly_degree=2, s_max_checked=20_000),
     "xi=4096,d=3,top=20000": SquareEnergyModel(xi=4096, poly_degree=3, s_max_checked=20_000),
     "xi=16,d=1,c2=5,k=1/7,top=500": SquareEnergyModel(
-        xi=16, poly_degree=1, c2=5.0, comp_upper_k=Fraction(1, 7), s_max_checked=500
+        xi=16, poly_degree=1, c2=Fraction(5), comp_upper_k=Fraction(1, 7), s_max_checked=500
     ),
 }
 
@@ -219,11 +226,11 @@ def test_walk_checks_few_sides_with_poly_degree(monkeypatch):
 @pytest.mark.parametrize(
     "model,inside_cuts",
     [
-        (SquareEnergyModel(c1=3.1, c2=2.0, poly_degree=1, s_max_checked=1000), 1),  # at s = 766
-        (SquareEnergyModel(c1=3.1, c2=3.0, poly_degree=1, s_max_checked=1000), 1),  # at s = 47
+        (SquareEnergyModel(c1=Fraction(31, 10), c2=Fraction(2), poly_degree=1, s_max_checked=1000), 1),  # at s = 766
+        (SquareEnergyModel(c1=Fraction(31, 10), c2=Fraction(3), poly_degree=1, s_max_checked=1000), 1),  # at s = 47
         (SquareEnergyModel(poly_degree=2, s_max_checked=300), 0),
         (SquareEnergyModel(xi=4096, poly_degree=3, s_max_checked=300), 0),
-        (SquareEnergyModel(c2=1000.0, poly_degree=1, s_max_checked=300), 0),  # pieces of one side
+        (SquareEnergyModel(c2=Fraction(1000), poly_degree=1, s_max_checked=300), 0),  # pieces of one side
     ],
     ids=["d=1,cut766", "d=1,cut47", "d=2", "d=3", "d=1,c2=1000"],
 )
@@ -265,9 +272,25 @@ def test_root_floors_exact():
 
 @pytest.mark.parametrize("c1,c2", ORACLE_EXPONENTS)
 def test_delta_exponent_non_decreasing(c1, c2):
-    # the piece walk's premise for the float exponent, over the full range
-    values = [_delta_exponent(n, c1, c2) for n in range(2, DEFAULT.s_max_checked - 4)]
-    assert all(a <= b for a, b in zip(values, values[1:]))
+    # floor(c2 n^(1/c1)) over the full range, against a brute-force
+    # integer oracle: with c1 = a/b and c2 = c/d, e rises while
+    # ((e + 1) d)^a <= c^a n^b, with no float guess.  The oracle never
+    # steps down, so neither does the exponent: the piece walk's premise
+    c1, c2 = Fraction(c1), Fraction(c2)
+    model = SquareEnergyModel(c1=c1, c2=c2)
+    values = [model._delta_exponent(n) for n in range(2, DEFAULT.s_max_checked - 4)]
+    a, b, c, d = c1.numerator, c1.denominator, c2.numerator, c2.denominator
+    expected, e = [], 0
+    for n in range(2, DEFAULT.s_max_checked - 4):
+        while ((e + 1) * d) ** a <= c**a * n**b:
+            e += 1
+        expected.append(e)
+    assert values == expected
+
+
+def test_delta_exponent_exact_where_the_float_fell_short():
+    # 16 n^(2/7) is an integer at these n; the float exponent gave one less
+    assert [DEFAULT._delta_exponent(n) for n in (2**7, 3**7, 2**14, 5**7)] == [64, 144, 256, 400]
 
 
 def test_square_energy_signs():

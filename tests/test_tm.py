@@ -94,6 +94,11 @@ def test_parser_rejects_duplicates_with_line_number():
     with pytest.raises(MachineParseError) as err:
         parse_machine(text)
     assert err.value.line == 6
+    # a repeated header would silently override the first
+    for first, key in enumerate(("name", "start", "halt"), start=1):
+        text = f"name: n\nstart: a\nhalt: h\na 0 -> h 0 S\na 1 -> a 1 S\na _ -> a _ S\n{key}: b"
+        with pytest.raises(MachineParseError, match=rf"^line 7: repeated '{key}' header; first at line {first}$"):
+            parse_machine(text)
 
 
 def test_parser_requires_headers_and_totality():
