@@ -1,15 +1,15 @@
 """Desk-scale toolkit around an uncomputable phase transition: exact
-dyadic arithmetic, prefix-free machine simulation, staged halting
-probabilities, phase-estimation error bounds, clock-Hamiltonian spectral
-theory, and the per-square energy model that classifies phases."""
+dyadic arithmetic, prefix-free machine simulation on binary words held
+as ``str``, staged halting probabilities, phase-estimation error bounds,
+clock-Hamiltonian spectral theory, and the per-square energy model that
+classifies phases."""
 
-from .dyadic import BitString, Dyadic, interval_Im, round_up_mth, truncate
+from .dyadic import Dyadic, interval_Im, round_up_mth, truncate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Dyadic",
-    "BitString",
     "truncate",
     "round_up_mth",
     "interval_Im",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .dyadic import ZERO, BitString, Dyadic, truncate
+from .dyadic import ZERO, Dyadic, truncate
 from .tm import MachineSpec, enumerate_input, run_bounded
 
 __all__ = [
@@ -79,7 +79,7 @@ def omega_approx(spec: MachineSpec, stage: int) -> OmegaApproximation:
     for value, joined in _stages(spec, stage):
         values.append(value)
         halted += joined
-    inputs = tuple(str(enumerate_input(i)) for i in sorted(halted))
+    inputs = tuple(enumerate_input(i) for i in sorted(halted))
     return OmegaApproximation(
         spec.name, stage, values[-1] if values else ZERO, inputs, tuple(values)
     )
@@ -122,13 +122,17 @@ def wprime_halts(phi: Dyadic, stage_value: Dyadic, m: int) -> bool:
     return phi_m != 0 and phi_m < truncate(stage_value, m)
 
 
-def witness_wprime(spec: MachineSpec, phibar: BitString, m: int) -> bool:
+def witness_wprime(spec: MachineSpec, phibar: str, m: int) -> bool:
     """Decide the halting branch of the finite-precision witness on the
-    word phibar at precision m (see ``wprime_halts``).
+    binary word phibar, read as 0.phibar, at precision m (see
+    ``wprime_halts``).
 
     The looping branch is decided analytically rather than actually
     looping; downstream consumers only need the predicate.
     """
+    if not set(phibar) <= {"0", "1"}:  # int(w, 2) also takes "1_0", " 10" and "+10"
+        raise ValueError(f"phibar must be a word over 0 and 1, got {phibar!r}")
     if not 1 <= m <= len(phibar):
         raise ValueError(f"need 1 <= m <= n = {len(phibar)}, got m = {m}")
-    return wprime_halts(phibar.to_dyadic(), omega_stage_values(spec, m)[-1], m)
+    phi = Dyadic(int(phibar, 2), len(phibar))
+    return wprime_halts(phi, omega_stage_values(spec, m)[-1], m)

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chaitin, clock, phase, qpe
-from .dyadic import BitString, Dyadic, truncate
+from .dyadic import Dyadic, truncate
 from .tm import MachineParseError, MachineSpec, check_prefix_free_up_to, load_machine
 from .zoo import ZOO, zoo_machine
 
@@ -114,8 +114,8 @@ class RunConfig:
             raise ConfigError(f"command must be one of {COMMANDS}, got {self.command!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
-        if not self.output_dir:
-            raise ConfigError("output_dir is required")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be a JSON object")
 
@@ -128,11 +128,14 @@ class RunConfig:
         }
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str, **flags: str | None) -> "RunConfig":
+        """The run a config file describes, each flag given (not empty)
+        replacing the file's value before the whole is checked."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+        data.update((key, value) for key, value in flags.items() if value)
         return cls(
             command=data.get("command", ""),
             output_dir=data.get("output_dir", ""),
@@ -336,13 +339,13 @@ def _run_witness(p: dict, mode: str, fmt: str, out: Path) -> None:
             "budget_exceeded": halted_at is None,
         }
     else:
-        phibar, m = BitString(p["phibar"]), p["m"]
+        phibar, m = p["phibar"], p["m"]
         _require_prefix_free(machine, m)
         halts = chaitin.witness_wprime(machine, phibar, m)
         payload = {
             "machine": machine.name,
             "mode": "wprime",
-            "phibar": str(phibar),
+            "phibar": phibar,
             "m": m,
             "halts": halts,
         }
@@ -626,22 +629,19 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.config:
-            cfg = RunConfig.from_file(args.config)
+            cfg = RunConfig.from_file(args.config, output_dir=args.output_dir, format=args.format)
             if cfg.command != args.command:
                 raise ConfigError(
                     f"config command {cfg.command!r} does not match subcommand {args.command!r}"
                 )
         else:
-            cfg = RunConfig(command=args.command, output_dir=args.output_dir or "", params={})
-        if args.output_dir:
-            cfg.output_dir = args.output_dir
-        if args.format:
-            cfg.format = args.format
+            cfg = RunConfig(command=args.command, output_dir=args.output_dir or "", format=args.format or "json")
         for item in args.param:
             key, value = _parse_param(item)
             cfg.params[key] = value
         return run(cfg)
-    except (ConfigError, MachineParseError, clock.ClockSpecParseError, OSError, json.JSONDecodeError) as err:
+    except (ConfigError, MachineParseError, clock.ClockSpecParseError, OSError,
+            json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, KeyError, phase.SeparationError, clock.BracketError) as err:

@@ -1,30 +1,29 @@
-"""Exact arithmetic over dyadic rationals p/2^q and finite binary words.
+"""Exact arithmetic over dyadic rationals p/2^q.
 
 Every comparison against a halting-probability approximation, every
 truncation, and the rounding map used after phase estimation go through
-this module.  All values are exact; nothing here touches floating point
-except the explicit ``__float__`` conversions.
+this module.  ``Dyadic`` carries only what those need: the sum of two
+dyadics, comparison with a dyadic or an int, reduction mod 1 and exact
+printing; a float or a Fraction operand is never converted.  All values
+are exact; nothing here touches floating point except the explicit
+``__float__`` conversions.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable
 
 __all__ = [
     "Dyadic",
-    "BitString",
     "truncate",
     "round_up_mth",
     "interval_Im",
 ]
 
-DyadicLike = Union["Dyadic", int]
-
 
 def _ordering(op: Callable[[object, object], bool]) -> Callable[["Dyadic", object], bool]:
-    """One order comparison of a Dyadic with a Dyadic, an int or a Fraction."""
+    """One order comparison of a Dyadic with a Dyadic or an int."""
 
     def compare(self: "Dyadic", other: object) -> bool:
         if isinstance(other, int):
@@ -34,8 +33,6 @@ def _ordering(op: Callable[[object, object], bool]) -> Callable[["Dyadic", objec
             if shift >= 0:
                 return op(self._num, other._num << shift)
             return op(self._num << -shift, other._num)
-        if isinstance(other, Fraction):
-            return op(self.as_fraction(), other)
         return NotImplemented
 
     return compare
@@ -82,58 +79,18 @@ class Dyadic:
     def exponent(self) -> int:
         return self._exp
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self._num, 1 << self._exp)
-
     def __float__(self) -> float:
         return self._num / (1 << self._exp)
 
     # -- arithmetic ---------------------------------------------------
 
-    @staticmethod
-    def _coerce(value: DyadicLike) -> "Dyadic":
-        if isinstance(value, Dyadic):
-            return value
-        if isinstance(value, int):
-            return Dyadic(value)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other: DyadicLike) -> "Dyadic":
-        other = self._coerce(other)
-        if other is NotImplemented:
+    def __add__(self, other: "Dyadic") -> "Dyadic":
+        if not isinstance(other, Dyadic):
             return NotImplemented
         e = max(self._exp, other._exp)
         return Dyadic(
             (self._num << (e - self._exp)) + (other._num << (e - other._exp)), e
         )
-
-    __radd__ = __add__
-
-    def __sub__(self, other: DyadicLike) -> "Dyadic":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: DyadicLike) -> "Dyadic":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other: DyadicLike) -> "Dyadic":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Dyadic(self._num * other._num, self._exp + other._exp)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Dyadic":
-        return Dyadic(-self._num, self._exp)
-
-    def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self._num), self._exp)
 
     def mod1(self) -> "Dyadic":
         """Reduce into [0, 1); all mod-1 steps in callers are explicit."""
@@ -146,8 +103,6 @@ class Dyadic:
             return self._exp == 0 and self._num == other
         if isinstance(other, Dyadic):
             return self._num == other._num and self._exp == other._exp
-        if isinstance(other, Fraction):
-            return self.as_fraction() == other
         return NotImplemented
 
     __lt__ = _ordering(operator.lt)
@@ -177,62 +132,6 @@ _set_num = Dyadic._num.__set__  # type: ignore[attr-defined]
 _set_exp = Dyadic._exp.__set__  # type: ignore[attr-defined]
 
 ZERO = Dyadic(0)
-
-
-class BitString:
-    """An immutable finite word over {0, 1}; the empty word is allowed.
-
-    A word of length k reads as the dyadic fraction 0.b1...bk via
-    ``to_dyadic``.
-    """
-
-    __slots__ = ("_bits",)
-
-    def __init__(self, bits: Union[str, Iterable[int]] = "") -> None:
-        if isinstance(bits, str):
-            text = bits
-        else:
-            text = "".join(str(int(b)) for b in bits)
-        if set(text) - {"0", "1"}:
-            raise ValueError(f"bit string may contain only 0 and 1, got {bits!r}")
-        object.__setattr__(self, "_bits", text)
-
-    def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
-        raise AttributeError("BitString is immutable")
-
-    def to_dyadic(self) -> Dyadic:
-        """The dyadic fraction 0.b1...bk; the empty word maps to 0."""
-        if not self._bits:
-            return ZERO
-        return Dyadic(int(self._bits, 2), len(self._bits))
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def __iter__(self) -> Iterator[int]:
-        return (int(c) for c in self._bits)
-
-    def __getitem__(self, idx: int) -> int:
-        return int(self._bits[idx])
-
-    def __add__(self, other: "BitString") -> "BitString":
-        return BitString(self._bits + other._bits)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BitString):
-            return self._bits == other._bits
-        if isinstance(other, str):
-            return self._bits == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._bits)
-
-    def __str__(self) -> str:
-        return self._bits
-
-    def __repr__(self) -> str:
-        return f"BitString({self._bits!r})"
 
 
 def truncate(x: Dyadic, s: int) -> Dyadic:

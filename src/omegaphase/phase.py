@@ -47,6 +47,12 @@ S_MIN_SCHEDULE = 7  # smallest square with a precision schedule (n = s - 5 >= 2)
 # separation_holds shifts integers by about that many bits per side.
 MAX_DELTA_EXPONENT = 1 << 16
 MAX_C1_NUMERATOR = 1000  # each synthesis exponent raises integers to c1's numerator
+# Largest c^a, in bits, for c2 = c/d and c1 = a/b (d^a is no larger, as
+# c2 >= 1): every synthesis exponent builds (e d)^a and c^a n^b, so the
+# walk's time grows with it.  The slowest model found within this bound
+# (c1 = 85/22, c2 = 3090) takes about 2.3 s in find_s_prime on a shared
+# 2-vCPU host, where the default c1 = 7/2 at c2 = 2260 takes 1.5 s.
+MAX_C2_POWER_BITS = 1024
 REGIMES = ("halting", "nonhalting", "mixed")
 
 
@@ -128,6 +134,11 @@ class SquareEnergyModel:
             raise ValueError(f"c1 must be a Fraction in (3, 4) with numerator <= {MAX_C1_NUMERATOR}, got {self.c1!r}")
         if not isinstance(self.c2, Fraction) or not 1 <= self.c2 <= MAX_DELTA_EXPONENT:
             raise ValueError(f"c2 must be a Fraction in [1, {MAX_DELTA_EXPONENT}], got {self.c2!r}")
+        if self.c1.numerator * self.c2.numerator.bit_length() > MAX_C2_POWER_BITS:
+            raise ValueError(
+                f"c2={self.c2} raised to c1's numerator {self.c1.numerator} exceeds "
+                f"{MAX_C2_POWER_BITS} bits: give c2 a shorter numerator or c1 a smaller one"
+            )
         if self.poly_degree < 0:
             raise ValueError("poly_degree must be >= 0")
         if self.s_max_checked < S_MIN_SCHEDULE:

@@ -33,13 +33,13 @@ MAX_PRECISION_BITS = 20
 # least one whole row)
 SCAN_BLOCK_ELEMENTS = 1 << 18
 
-PhaseLike = Union[Fraction, Dyadic, int, float]
+PhaseLike = Union[Fraction, int, float]
 
 
 def as_phase(phi: PhaseLike) -> Fraction:
     """Coerce to an exact rational in [0, 1); floats are taken at their
     exact binary value."""
-    value = phi.as_fraction() if isinstance(phi, Dyadic) else Fraction(phi)
+    value = Fraction(phi)
     if not 0 <= value < 1:
         raise ValueError(f"phase must lie in [0, 1), got {phi}")
     return value

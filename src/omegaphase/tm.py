@@ -1,7 +1,8 @@
 """Prefix-free Turing machines: text format, canonical input enumeration,
 and step-bounded execution on a one-way-infinite tape.
 
-Machines are deterministic, use the alphabet {0, 1, blank}, and live on a
+Inputs are words over {0, 1}, held as plain ``str``.  Machines are
+deterministic, use the alphabet {0, 1, blank}, and live on a
 single right-infinite tape filled with blanks beyond the input.  Budgets
 are explicit everywhere: a bounded run can certify halting, never
 non-halting.  One step loop, ``_advance``, serves both ``run_bounded``
@@ -12,8 +13,6 @@ loop shapes, which changes nothing either caller reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .dyadic import BitString
 
 __all__ = [
     "BLANK",
@@ -47,13 +46,10 @@ class MachineParseError(ValueError):
 
 
 class MachineSpec:
-    """A deterministic machine: states, start/halt, and a total rule table.
+    """A deterministic machine: states, start/halt, and a total rule table,
+    immutable after construction."""
 
-    Immutable after construction and hashable, so results keyed on a
-    machine stay coherent.
-    """
-
-    __slots__ = ("name", "start", "halt", "rules", "_rule_map", "_hash")
+    __slots__ = ("name", "start", "halt", "rules", "_rule_map")
 
     def __init__(self, name: str, start: str, halt: str, rules: tuple[Rule, ...]):
         rule_map: dict[tuple[str, str], tuple[str, str, str]] = {}
@@ -67,7 +63,6 @@ class MachineSpec:
         object.__setattr__(self, "halt", halt)
         object.__setattr__(self, "rules", tuple(sorted(rules)))
         object.__setattr__(self, "_rule_map", rule_map)
-        object.__setattr__(self, "_hash", hash((name, start, halt, self.rules)))
         self._validate()
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
@@ -103,19 +98,6 @@ class MachineSpec:
 
     def step(self, state: str, read: str) -> tuple[str, str, str]:
         return self._rule_map[(state, read)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MachineSpec):
-            return NotImplemented
-        return (self.name, self.start, self.halt, self.rules) == (
-            other.name,
-            other.start,
-            other.halt,
-            other.rules,
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"MachineSpec({self.name!r}, states={len(self.states)})"
@@ -190,7 +172,7 @@ def load_machine(path) -> MachineSpec:
     return parse_machine(text, name=name)
 
 
-def enumerate_input(i: int) -> BitString:
+def enumerate_input(i: int) -> str:
     """The i-th word (i >= 1) in length-then-lexicographic order.
 
     x_1 is the empty word, x_2 = "0", x_3 = "1", x_4 = "00", ...; this is
@@ -198,7 +180,7 @@ def enumerate_input(i: int) -> BitString:
     """
     if i < 1:
         raise ValueError(f"input index must be >= 1, got {i}")
-    return BitString(bin(i)[3:])
+    return bin(i)[3:]
 
 
 @dataclass(frozen=True)
@@ -249,7 +231,7 @@ def _advance(
     return "halts", state, head, steps
 
 
-def run_bounded(spec: MachineSpec, word: BitString, budget: int) -> ExecutionResult:
+def run_bounded(spec: MachineSpec, word: str, budget: int) -> ExecutionResult:
     """Run ``spec`` on ``word`` for at most ``budget`` steps.
 
     Applying one transition costs one step; the run reports halted=True
@@ -260,7 +242,7 @@ def run_bounded(spec: MachineSpec, word: BitString, budget: int) -> ExecutionRes
     """
     if budget < 0:
         raise ValueError(f"step budget must be >= 0, got {budget}")
-    outcome, _, _, steps = _advance(spec, spec.start, 0, 0, list(str(word)), budget, False)
+    outcome, _, _, steps = _advance(spec, spec.start, 0, 0, list(word), budget, False)
     return ExecutionResult(outcome == "halts", budget if outcome == "loops" else steps)
 
 

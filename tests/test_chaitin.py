@@ -9,7 +9,7 @@ from omegaphase.chaitin import (
     witness_w,
     witness_wprime,
 )
-from omegaphase.dyadic import BitString, Dyadic, interval_Im, truncate
+from omegaphase.dyadic import Dyadic, interval_Im, truncate
 from omegaphase.tm import enumerate_input, parse_machine, run_bounded
 from omegaphase.zoo import ZOO, zoo_machine
 
@@ -24,7 +24,7 @@ def reference_stage(spec, stage):
         word = enumerate_input(i)
         if run_bounded(spec, word, stage).halted:
             total = total + Dyadic(1, len(word))
-            halted.append(str(word))
+            halted.append(word)
     return total, tuple(halted)
 
 
@@ -173,25 +173,25 @@ def test_wprime_all_zero_loops():
     for name in PREFIX_FREE:
         spec = zoo_machine(name)
         for m in (1, 3, 6):
-            assert witness_wprime(spec, BitString("0" * 8), m) is False
+            assert witness_wprime(spec, "0" * 8, m) is False
 
 
 def test_wprime_flip_at_exact_value():
     o34 = zoo_machine("omega34")
     # stage 7 value is exact: 1/2 and 5/8 sit below 3/4, 3/4 itself does not
-    assert witness_wprime(o34, BitString("1000000"), 7) is True
-    assert witness_wprime(o34, BitString("1010000"), 7) is True
-    assert witness_wprime(o34, BitString("1100000"), 7) is False
+    assert witness_wprime(o34, "1000000", 7) is True
+    assert witness_wprime(o34, "1010000", 7) is True
+    assert witness_wprime(o34, "1100000", 7) is False
     # early stages underestimate: 1/2 < stage-2 value 1/2 fails
-    assert witness_wprime(o34, BitString("10"), 2) is False
+    assert witness_wprime(o34, "10", 2) is False
 
 
 def test_wprime_requires_valid_m():
     o34 = zoo_machine("omega34")
     with pytest.raises(ValueError):
-        witness_wprime(o34, BitString("101"), 4)
+        witness_wprime(o34, "101", 4)
     with pytest.raises(ValueError):
-        witness_wprime(o34, BitString("101"), 0)
+        witness_wprime(o34, "101", 0)
 
 
 def desk_scale_wprime(spec, phi, m):
@@ -199,7 +199,7 @@ def desk_scale_wprime(spec, phi, m):
     m-bit approximation of phi."""
     members = interval_Im(phi, m)
     words = [f"{v.numerator << (m - v.exponent):0{m}b}" for v in members]
-    return [witness_wprime(spec, BitString(word), m) for word in words]
+    return [witness_wprime(spec, word, m) for word in words]
 
 
 def test_transition_theorem_desk_scale():
@@ -230,7 +230,7 @@ def test_preserves_lemma_desk_scale():
         if entry.omega == Dyadic(0):
             continue
         spec = zoo_machine(name)
-        for phi in [Dyadic(1, 3), Dyadic(1, 2), entry.omega - Dyadic(1, 6)]:
+        for phi in [Dyadic(1, 3), Dyadic(1, 2), entry.omega + Dyadic(-1, 6)]:
             if not 0 <= phi < entry.omega:
                 continue
             m0 = None

@@ -16,10 +16,11 @@ from omegaphase.cli import (
     EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, PARAM_KEYS, REQUIRED, ConfigError, RunConfig, _read, main,
     run,
 )
+from omegaphase.chaitin import witness_wprime
 from omegaphase.dyadic import Dyadic
 from omegaphase.phase import SquareEnergyModel, square_energy
 from omegaphase.qpe import qpe_distribution
-from omegaphase.zoo import zoo_machine_text
+from omegaphase.zoo import zoo_machine, zoo_machine_text
 
 
 def read_json(path):
@@ -253,6 +254,60 @@ def test_config_file_flow(tmp_path):
     assert main(["witness", "--config", str(path)]) == EXIT_PARSE  # command mismatch
 
 
+@pytest.mark.parametrize(
+    "file_value,flag,code",
+    [
+        (5, None, EXIT_PARSE),  # not a string: a config error, not a traceback
+        ("", None, EXIT_PARSE),
+        (None, "out", EXIT_OK),  # no output_dir in the file: the flag supplies it
+        (5, "out", EXIT_OK),  # the flag replaces the file's value before the check
+    ],
+    ids=["int", "empty", "absent-flag", "int-flag"],
+)
+def test_output_dir_checked_after_the_flags(tmp_path, capsys, file_value, flag, code):
+    config = {"command": "omega", "params": {"machine": "zoo:omega34", "stage": 3}}
+    if file_value is not None:
+        config["output_dir"] = file_value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    argv = ["omega", "--config", str(path)]
+    if flag:
+        argv += ["--output-dir", str(tmp_path / flag)]
+    assert main(argv) == code
+    if code == EXIT_OK:
+        assert read_json(tmp_path / flag / "manifest.json")["output_dir"] == str(tmp_path / flag)
+    else:
+        assert "output_dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["omega", "--config", "{bad}", "--output-dir", "{run}"], "run.json"),
+        (["omega", "--output-dir", "{run}", "-p", "machine={bad}", "-p", "stage=3"], "m.tm"),
+        (["clock", "--output-dir", "{run}", "-p", "spec_file={bad}"], "s.clock"),
+    ],
+    ids=["config", "machine", "spec_file"],
+)
+def test_undecodable_file_exits_parse(tmp_path, capsys, argv, name):
+    bad = tmp_path / name
+    bad.write_bytes(b"start: q\xff\n")
+    assert main([arg.format(bad=bad, run=tmp_path / "run") for arg in argv]) == EXIT_PARSE
+    assert "utf-8" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [bad]
+
+
+@pytest.mark.parametrize("word", ["012", "1_0", " 10"])
+def test_phibar_outside_binary_words_refused(tmp_path, capsys, word):
+    # int(word, 2) would read "1_0" and " 10" as 2; the word itself is checked
+    with pytest.raises(ValueError, match="phibar"):
+        witness_wprime(zoo_machine("omega34"), word, 2)
+    params = {"machine": "zoo:omega34", "phibar": word, "m": 2}
+    assert _run_from_file(tmp_path, "witness", "wprime", params) == EXIT_CONSTRAINT
+    assert repr(word) in capsys.readouterr().err
+
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -418,6 +473,22 @@ def test_bad_model_knob_named(tmp_path, capsys, param, code):
     argv = ["sweep", "--output-dir", str(tmp_path / "run"), "-p", "mode=schedule", "-p", param]
     assert main(argv) == code
     assert param.partition("=")[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "params",
+    [["c1=999/250", "c2=16"], ['c2="16.' + "0" * 70 + '1"']],
+    ids=["c2=16,c1=999/250", "c2=16+1e-71"],
+)
+def test_c2_numerator_too_long_for_c1_refused(tmp_path, capsys, params):
+    # c^a exceeds MAX_C2_POWER_BITS: 999 * 5 bits, and 7 * 240 bits for the
+    # default c1 = 7/2 (a JSON string, as a JSON number would read as 16.0)
+    argv = ["sweep", "--output-dir", str(tmp_path / "run"), "-p", "mode=schedule"]
+    for param in params:
+        argv += ["-p", param]
+    assert main(argv) == EXIT_CONSTRAINT
+    assert "c2=" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -8,7 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from omegaphase.dyadic import BitString, Dyadic, interval_Im, round_up_mth, truncate
+from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate
+
+
+def frac(d):
+    """The exact value of a Dyadic as a Fraction."""
+    return Fraction(d.numerator, 1 << d.exponent)
 
 
 def test_canonical_form():
@@ -17,10 +22,9 @@ def test_canonical_form():
     assert Dyadic(0, 5).exponent == 0
     d = Dyadic(12, 4)
     assert d.numerator == 3 and d.exponent == 2
-    # bool numerators come out as plain ints, at any exponent and through
-    # int coercion
+    # bool numerators come out as plain ints, at any exponent and through +
     for flag in (False, True):
-        for d in (Dyadic(flag), Dyadic(flag, 3), Dyadic(1, 1) * flag, flag - Dyadic(0)):
+        for d in (Dyadic(flag), Dyadic(flag, 3), Dyadic(flag, 2) + Dyadic(0)):
             assert type(d.numerator) is int, repr(d)
         assert str(Dyadic(flag)) == str(int(flag))
 
@@ -37,18 +41,13 @@ def assert_exact(d, f):
 
 def test_results_are_canonical_and_exact():
     for a in SMALL_GRID:
-        fa = a.as_fraction()
+        fa = frac(a)
         assert_exact(a, fa)
-        assert_exact(-a, -fa)
-        assert_exact(abs(a), abs(fa))
         assert_exact(a.mod1(), fa % 1)
         for s in range(0, 7):
             assert_exact(truncate(a, s), Fraction(math.floor(fa * 2**s), 2**s))
         for b in SMALL_GRID:
-            fb = b.as_fraction()
-            assert_exact(a + b, fa + fb)
-            assert_exact(a - b, fa - fb)
-            assert_exact(a * b, fa * fb)
+            assert_exact(a + b, fa + frac(b))
         if not 0 <= fa < 1:
             continue
         for m in range(1, 7):
@@ -64,10 +63,10 @@ def test_results_are_canonical_and_exact():
 
 
 def test_order_agrees_with_fractions():
-    others = SMALL_GRID + list(range(-3, 4)) + [Fraction(1, 3), Fraction(-5, 8), Fraction(33, 2)]
+    others = SMALL_GRID + list(range(-3, 4))
     for a, b in itertools.product(SMALL_GRID, others):
-        fa = a.as_fraction()
-        fb = b.as_fraction() if isinstance(b, Dyadic) else b
+        fa = frac(a)
+        fb = frac(b) if isinstance(b, Dyadic) else b
         assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
             fa < fb, fa <= fb, fa > fb, fa >= fb, fa == fb, fa != fb
         ), (a, b)
@@ -78,10 +77,18 @@ def test_order_agrees_with_fractions():
 
 
 def test_unordered_operands_raise():
-    for op in ("__lt__", "__le__", "__gt__", "__ge__"):
-        assert getattr(Dyadic(1, 1), op)(0.5) is NotImplemented
+    # a Dyadic orders and adds only against a Dyadic (and orders against an
+    # int); a float or a Fraction is never converted, and never equal
+    for other in (0.5, Fraction(1, 2)):
+        for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__add__"):
+            assert getattr(Dyadic(1, 1), op)(other) is NotImplemented
+        with pytest.raises(TypeError):
+            Dyadic(1, 1) <= other
+        with pytest.raises(TypeError):
+            Dyadic(1, 1) + other
+        assert not Dyadic(1, 1) == other
     with pytest.raises(TypeError):
-        Dyadic(1, 1) <= 0.5
+        Dyadic(1, 1) + 1
 
 
 def test_int_comparisons_agree_with_fractions():
@@ -92,7 +99,7 @@ def test_int_comparisons_agree_with_fractions():
         exp = rng.choice([0, 1, 2, 5, 40, 200])
         values.append(Dyadic(rng.randrange(-(2**80), 2**80) >> rng.randrange(0, 90), exp))
     for d, k in itertools.product(values, ints):
-        f = d.as_fraction()
+        f = frac(d)
         assert (d < k, d <= k, d > k, d >= k, d == k, d != k) == (
             f < k, f <= k, f > k, f >= k, f == k, f != k
         ), (d, k)
@@ -102,11 +109,9 @@ def test_int_comparisons_agree_with_fractions():
 def test_arithmetic_closure():
     a, b = Dyadic(5, 3), Dyadic(3, 1)
     assert a + b == Dyadic(17, 3)
-    assert b - a == Dyadic(7, 3)
-    assert a * b == Dyadic(15, 4)
-    assert (a - a) == 0
+    assert a + Dyadic(-5, 3) == 0
     assert (Dyadic(7, 2)).mod1() == Dyadic(3, 2)
-    assert (-Dyadic(1, 2)).mod1() == Dyadic(3, 2)
+    assert (Dyadic(-1, 2)).mod1() == Dyadic(3, 2)
 
 
 def test_truncate_examples():
@@ -124,7 +129,7 @@ def test_truncate_bounds_and_composition():
         for s in range(0, 8):
             t = truncate(x, s)
             assert t <= x
-            assert (x - t) < Dyadic(1, s)
+            assert x < t + Dyadic(1, s)
             for u in range(0, 8):
                 assert truncate(t, u) == truncate(x, min(s, u))
 
@@ -141,8 +146,8 @@ def test_round_up_mth_distance_property():
         for z in range(1 << n):
             x = Dyadic(z, n)
             for m in range(1, n):
-                moved = (round_up_mth(x, m, n_bits=n) - x).mod1()
-                assert moved in (Dyadic(0), Dyadic(1, m))
+                # the result is x moved by 0 or by 2^-m, mod 1
+                assert round_up_mth(x, m, n_bits=n) in (x, (x + Dyadic(1, m)).mod1())
 
 
 def test_round_up_mth_rejects_bad_precision():
@@ -166,7 +171,7 @@ def test_interval_singleton_iff_on_grid():
         for z in range(1 << 6):
             phi = Dyadic(z, 6)
             members = interval_Im(phi, m)
-            on_grid = (phi * Dyadic(1 << m)).exponent == 0
+            on_grid = phi.exponent <= m  # 2^m phi is an integer
             assert (len(members) == 1) == on_grid
             for v in members:
                 assert 0 <= v < 1
@@ -185,18 +190,6 @@ def test_rounding_lemma_small_grids():
                     z = (w + off) % size
                     image = truncate(round_up_mth(Dyadic(z, n), m, n_bits=n), m)
                     assert image in members
-
-
-def test_bitstring_round_trip():
-    for text in ["", "0", "1", "0110", "0000", "111111"]:
-        b = BitString(text)
-        assert str(b) == text
-        assert len(b) == len(text)
-        assert b.to_dyadic() == Dyadic(int(text or "0", 2), len(text))
-    assert BitString("").to_dyadic() == Dyadic(0)
-    assert BitString("00100").to_dyadic() == Dyadic(1, 3)
-    with pytest.raises(ValueError):
-        BitString("012")
 
 
 def _outcome(fn, *args):
@@ -219,7 +212,7 @@ def test_rounding_ops_exhaustive_against_fractions():
     # every k/2^e with e <= 9 is some k'/512; the range covers [-1, 2)
     for k in range(-512, 1024):
         x = Dyadic(k, 9)
-        f = x.as_fraction()
+        f = frac(x)
         e = x.exponent
         in_unit = 0 <= f < 1
         for m in range(-1, 12):

@@ -12,6 +12,7 @@ import pytest
 from omegaphase.dyadic import Dyadic
 from omegaphase.phase import (
     MAX_C1_NUMERATOR,
+    MAX_C2_POWER_BITS,
     MAX_DELTA_EXPONENT,
     S_MIN_SCHEDULE,
     SeparationError,
@@ -96,7 +97,18 @@ def test_model_validation():
     for c1 in (Fraction(9, 2), Fraction(3), Fraction(4), 3.5, Fraction(3927, 1250), Fraction(1003, 251)):
         with pytest.raises(ValueError, match="c1"):
             SquareEnergyModel(c1=c1)
-    SquareEnergyModel(c1=Fraction(MAX_C1_NUMERATOR, 251))
+    SquareEnergyModel(c1=Fraction(MAX_C1_NUMERATOR, 251), c2=Fraction(1))
+    # c2 = c/d with c^a at most MAX_C2_POWER_BITS bits for c1 = a/b
+    assert MAX_C2_POWER_BITS == 512 * 2
+    SquareEnergyModel(c1=Fraction(512, 129), c2=Fraction(3))  # 512 * 2 bits
+    for c1, c2 in [
+        (Fraction(512, 129), Fraction(4)),  # 512 * 3 bits
+        (Fraction(512, 129), Fraction(7, 4)),  # a small value, but 512 * 3 bits
+        (Fraction(MAX_C1_NUMERATOR, 251), DEFAULT.c2),
+        (DEFAULT.c1, Fraction(16 * 10**71 + 1, 10**71)),  # 7 * 240 bits
+    ]:
+        with pytest.raises(ValueError, match="c2"):
+            SquareEnergyModel(c1=c1, c2=c2)
     # 1e5 and 1e9 would shift by millions and billions of bits per check
     for c2 in (Fraction(1, 2), 16.0, float("inf"), float("nan"), Fraction(10**5), Fraction(10**9), Fraction(10**308)):
         with pytest.raises(ValueError, match="c2"):

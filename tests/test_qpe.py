@@ -86,9 +86,9 @@ def reference_tail_and_success(dist, m):
 
 
 def test_exact_phases_unit_mass():
-    dist = qpe_distribution(Dyadic(1, 1), 1)
+    dist = qpe_distribution(Fraction(1, 2), 1)
     assert dist.exact and dist.probabilities[1] == 1.0
-    dist = qpe_distribution(Dyadic(1, 2), 2)
+    dist = qpe_distribution(Fraction(1, 4), 2)
     assert dist.exact and dist.probabilities[1] == 1.0
     dist = qpe_distribution(0, 4)
     assert dist.exact and dist.probabilities[0] == 1.0
@@ -157,7 +157,7 @@ def test_precision_range_enforced():
 
 
 def test_tail_examples():
-    assert tail_and_success(qpe_distribution(Dyadic(1, 2), 8), 4)[0] == 0.0
+    assert tail_and_success(qpe_distribution(Fraction(1, 4), 8), 4)[0] == 0.0
     dist8 = qpe_distribution(Fraction(1, 3), 8)
     t8, _ = tail_and_success(dist8, 4)
     t12, _ = tail_and_success(qpe_distribution(Fraction(1, 3), 12), 4)
@@ -179,12 +179,12 @@ def test_tail_bound_sample_grid():
 
 
 def test_success_examples():
-    assert tail_and_success(qpe_distribution(Dyadic(5, 3), 3), 3)[1] == 1.0
+    assert tail_and_success(qpe_distribution(Fraction(5, 8), 3), 3)[1] == 1.0
     _, s = tail_and_success(qpe_distribution(Fraction(1, 3), 10), 3)
     assert s >= 1 - 2**-7
     wrap = Dyadic(15 * 2**10 + 1, 14)  # 15/16 + 2^-14: the ceiling wraps to 0
     assert Dyadic(0) in interval_Im(wrap, 2)
-    _, s = tail_and_success(qpe_distribution(wrap, 10), 2)
+    _, s = tail_and_success(qpe_distribution(Fraction(wrap.numerator, 1 << wrap.exponent), 10), 2)
     assert s >= 1 - 2**-8
 
 

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from omegaphase.dyadic import BitString
 from omegaphase.tm import (
     BLANK,
     MachineParseError,
@@ -61,21 +60,21 @@ WORDS_UP_TO_6 = ["".join(bits) for n in range(7) for bits in itertools.product("
 
 
 def test_enumerate_input_examples():
-    assert str(enumerate_input(1)) == ""
-    assert str(enumerate_input(3)) == "1"
+    assert enumerate_input(1) == ""
+    assert enumerate_input(3) == "1"
     # 1 + 2 + 4 = 7 words of length <= 2, so index 8 is the first of length 3
-    assert str(enumerate_input(8)) == "000"
+    assert enumerate_input(8) == "000"
 
 
 def test_enumerate_input_matches_brute_force():
     oracle = brute_force_enumeration(200)
-    got = [str(enumerate_input(i)) for i in range(1, 201)]
+    got = [enumerate_input(i) for i in range(1, 201)]
     assert got == oracle
 
 
 def test_enumerate_input_bijection():
     for k in range(0, 6):
-        span = [str(enumerate_input(i)) for i in range(1, 2 ** (k + 1))]
+        span = [enumerate_input(i) for i in range(1, 2 ** (k + 1))]
         assert len(set(span)) == len(span)
         assert set(span) == {w for w in brute_force_enumeration(2 ** (k + 1) - 1)}
 
@@ -116,26 +115,27 @@ def test_parser_requires_headers_and_totality():
 
 def test_format_round_trip():
     for name in ZOO:
-        again = parse_machine(zoo_machine_text(name), name=name)
-        assert again == zoo_machine(name)
-        assert hash(again) == hash(zoo_machine(name))
+        again, bundled = parse_machine(zoo_machine_text(name), name=name), zoo_machine(name)
+        assert (again.name, again.start, again.halt, again.rules) == (
+            bundled.name, bundled.start, bundled.halt, bundled.rules
+        )
 
 
 def test_run_bounded_examples():
     hz = zoo_machine("halt_on_zero")
-    assert run_bounded(hz, BitString("0"), 0) == run_bounded(hz, BitString(""), 0)
-    zero_budget = run_bounded(hz, BitString("0"), 0)
+    assert run_bounded(hz, "0", 0) == run_bounded(hz, "", 0)
+    zero_budget = run_bounded(hz, "0", 0)
     assert not zero_budget.halted and zero_budget.steps_used == 0
-    two = run_bounded(hz, BitString("0"), 2)
+    two = run_bounded(hz, "0", 2)
     assert two.halted and two.steps_used == 2
-    long_run = run_bounded(hz, BitString("1"), 10**6)
+    long_run = run_bounded(hz, "1", 10**6)
     assert not long_run.halted and long_run.steps_used == 10**6
 
 
 def test_run_bounded_monotone_in_budget():
     spec = zoo_machine("omega34")
     for word in ["", "0", "1", "00", "11", "110", "011"]:
-        outcomes = [run_bounded(spec, BitString(word), s).halted for s in range(10)]
+        outcomes = [run_bounded(spec, word, s).halted for s in range(10)]
         for early, late in zip(outcomes, outcomes[1:]):
             assert (not early) or late
 
@@ -145,7 +145,7 @@ def test_steps_within_budget():
         spec = zoo_machine(name)
         for word in ["", "0", "11", "0101"]:
             for budget in (0, 3, 17):
-                res = run_bounded(spec, BitString(word), budget)
+                res = run_bounded(spec, word, budget)
                 assert res.steps_used <= budget
 
 
@@ -156,7 +156,7 @@ def test_blank_runner_semantics():
         ["start: a", "halt: h", "a 0 -> a 0 R", "a 1 -> a 1 R", "a _ -> a _ R"]
     )
     spec = parse_machine(text, name="runner")
-    res = run_bounded(spec, BitString("10"), 1000)
+    res = run_bounded(spec, "10", 1000)
     assert not res.halted and res.steps_used == 1000
 
 
@@ -168,20 +168,20 @@ def test_zoo_ground_truth_halting_sets():
         for length in range(0, 9):
             for bits in itertools.product("01", repeat=length):
                 word = "".join(bits)
-                if run_bounded(spec, BitString(word), budget).halted:
+                if run_bounded(spec, word, budget).halted:
                     found.add(word)
         assert found == set(entry.halting_set), name
 
 
 def test_halting_times_documented():
     o34 = zoo_machine("omega34")
-    assert run_bounded(o34, BitString("0"), 2).halted
-    assert not run_bounded(o34, BitString("0"), 1).halted
-    assert run_bounded(o34, BitString("11"), 3).halted
-    assert not run_bounded(o34, BitString("11"), 2).halted
+    assert run_bounded(o34, "0", 2).halted
+    assert not run_bounded(o34, "0", 1).halted
+    assert run_bounded(o34, "11", 3).halted
+    assert not run_bounded(o34, "11", 2).halted
     slow = zoo_machine("slow_halter")
-    assert run_bounded(slow, BitString("1"), 5).halted
-    assert not run_bounded(slow, BitString("1"), 4).halted
+    assert run_bounded(slow, "1", 5).halted
+    assert not run_bounded(slow, "1", 4).halted
 
 
 def test_prefix_check_examples():
@@ -211,7 +211,7 @@ def test_run_bounded_matches_naive_oracle():
     for spec in random_machines(200):
         for word in words:
             for budget in (0, 1, 2, 5, 9, 40):
-                res = run_bounded(spec, BitString(word), budget)
+                res = run_bounded(spec, word, budget)
                 assert (res.halted, res.steps_used) == naive_run(spec, word, budget), (spec.rules, word)
 
 
