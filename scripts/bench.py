@@ -10,9 +10,10 @@ kept, next to their minimum (``min_s``) and interquartile spread
 (``iqr_s``, the third quartile less the first): on a shared host one run
 can stray by a quarter, so compare medians only where they differ by more
 than the spread.
-``rounding_lemma_scan_12`` and ``qpe_distribution_csv_n18`` also record
-``peak_traced_mb``: the ``tracemalloc`` peak, in MB, of one more run made
-after the timed ones (numpy reports its buffers to ``tracemalloc``).
+``rounding_lemma_scan_12``, ``qpe_distribution_csv_n18`` and
+``clock_single_dense_T600`` also record ``peak_traced_mb``: the
+``tracemalloc`` peak, in MB, of one more run made after the timed ones
+(numpy reports its buffers to ``tracemalloc``).
 Each acceptance config runs through ``cli.main`` into a temporary
 directory; runs after the first see warm in-process caches (config 12
 reuses the separation scale config 08 found).  The microbenchmarks run on
@@ -136,7 +137,9 @@ def main() -> None:
         "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12), trace_memory=True),
         "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv), trace_memory=True),
         "sweep_omega58_256": timed(lambda: run_cli(sweep_argv)),
-        "clock_single_dense_T600": timed(lambda: run_cli([*clock_argv, "-p", "T=600"])),
+        "clock_single_dense_T600": timed(
+            lambda: run_cli([*clock_argv, "-p", "T=600"]), trace_memory=True
+        ),
         "clock_single_iterative_T200": timed(
             lambda: run_cli([*clock_argv, "-p", "T=200", "-p", "method=iterative"])
         ),

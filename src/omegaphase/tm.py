@@ -238,10 +238,12 @@ def run_bounded(spec: MachineSpec, word: str, budget: int) -> ExecutionResult:
     iff the halt state is entered within the budget, and steps_used is
     the number of steps applied.  A run that does not halt reports the
     whole budget as used, also when ``_advance`` stops it early on a
-    provable loop.
+    provable loop.  ``word`` must be a binary word, in {0, 1}*.
     """
     if budget < 0:
         raise ValueError(f"step budget must be >= 0, got {budget}")
+    if word.strip("01"):
+        raise ValueError(f"input word must be binary (in {{0, 1}}*), got {word!r}")
     outcome, _, _, steps = _advance(spec, spec.start, 0, 0, list(word), budget, False)
     return ExecutionResult(outcome == "halts", budget if outcome == "loops" else steps)
 

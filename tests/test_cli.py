@@ -453,6 +453,15 @@ def test_clock_length_below_one_named(tmp_path, capsys, mode, param):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_clock_dense_past_the_limit_refused(tmp_path, capsys):
+    # T = 2000 gives dimension 4002, past DENSE_DIM_LIMIT = 4000
+    out = tmp_path / "run"
+    params = ["-p", "mode=single", "-p", "T=2000", "-p", "mu=0.5", "-p", "method=dense"]
+    assert main(["clock", "--output-dir", str(out), *params]) == EXIT_CONSTRAINT
+    assert "dense path limited to dimension 4000, got 4002" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "param,code",
     [

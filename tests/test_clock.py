@@ -3,6 +3,7 @@ walk, epsilon, and extremal eigenvalues with their residuals."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -682,13 +683,70 @@ def test_iterative_exactly_singular_ground_energy():
     assert abs(iterative.lambda1) <= 1e-12
 
 
-def test_ground_energy_errors():
-    spec = case5_spec(3, 0.5)
+def test_ground_energy_errors(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("assembled a refused spec")
+
+    # both refusals come before anything is assembled
+    monkeypatch.setattr(clock, "assemble", refuse)
+    monkeypatch.setattr(clock, "expand_band", refuse)
     with pytest.raises(ValueError):
-        ground_energy(spec, "magic")
-    big = case5_spec(2100, 0.5)
-    with pytest.raises(ValueError):
+        ground_energy(case5_spec(3, 0.5), "magic")
+    big = case5_spec(2000, 0.5)
+    assert big.dim == 4002 > clock.DENSE_DIM_LIMIT
+    with pytest.raises(ValueError, match="dense path limited to dimension 4000, got 4002"):
         ground_energy(big, "dense")
+
+
+def dense_specs():
+    """A real case-5 spec and a genuinely complex one of about the same
+    dimension (602 and 600)."""
+    return [case5_spec(300, 0.4), random_spec(199, 3, np.random.default_rng(23))]
+
+
+def spec_band(spec):
+    """The band ``ground_energy`` solves: cast to real when it is."""
+    band = assemble(spec.T, spec.input_penalty_total, spec.output_projector, spec.unitaries)
+    return band.real if not band.imag.any() else band
+
+
+def test_dense_solve_holds_one_matrix():
+    # the matrix is built in Fortran order and LAPACK overwrites it, so
+    # the traced peak is one n x n matrix plus check_finite's boolean
+    # mask (1/8 of a real matrix): a second copy would put it near 2
+    dtypes = []
+    for spec in dense_specs():
+        dtype = spec_band(spec).dtype
+        dtypes.append(dtype)
+        tracemalloc.start()
+        try:
+            ground_energy(spec, "dense")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * spec.dim**2 * dtype.itemsize
+    assert dtypes == [np.float64, np.complex128]
+
+
+def test_dense_solve_bit_identical_to_eigh_of_a_copy(monkeypatch):
+    # the in-place solve of the Fortran-order matrix gives the same bits
+    # as scipy's eigh of a separately built C-order copy; the residual
+    # from the band product agrees with numpy's dense product
+    eigh = clock.linalg.eigh
+    solved = []
+    monkeypatch.setattr(
+        clock.linalg, "eigh", lambda *args, **kw: solved.append(eigh(*args, **kw)) or solved[-1]
+    )
+    for spec in dense_specs():
+        report = ground_energy(spec, "dense")
+        ham = np.ascontiguousarray(expand_band(spec_band(spec)))
+        assert ham.flags.c_contiguous and not ham.flags.f_contiguous
+        want_vals, want_vecs = eigh(ham, subset_by_index=[0, 1])
+        assert report.lambda0 == want_vals[0] and report.lambda1 == want_vals[1]
+        v0 = solved[-1][1][:, 0]
+        assert np.array_equal(v0, want_vecs[:, 0])
+        numpy_residual = np.linalg.norm(ham @ v0 - report.lambda0 * v0)
+        assert abs(report.residual - numpy_residual) <= 1e-12 * np.linalg.norm(ham, 2)
 
 
 def test_block_completeness():

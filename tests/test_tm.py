@@ -9,6 +9,7 @@ import pytest
 
 from omegaphase.tm import (
     BLANK,
+    ExecutionResult,
     MachineParseError,
     MachineSpec,
     check_prefix_free_up_to,
@@ -130,6 +131,16 @@ def test_run_bounded_examples():
     assert two.halted and two.steps_used == 2
     long_run = run_bounded(hz, "1", 10**6)
     assert not long_run.halted and long_run.steps_used == 10**6
+
+
+def test_run_bounded_refuses_non_binary_words():
+    spec = zoo_machine("omega34")
+    for word in ("2", "_0", "0 1", "10" + BLANK):
+        with pytest.raises(ValueError, match="binary"):
+            run_bounded(spec, word, 5)
+    # the empty word runs on a blank tape: omega34 enters its dead loop
+    assert run_bounded(spec, "", 5) == ExecutionResult(False, 5)
+    assert run_bounded(spec, "11", 5) == ExecutionResult(True, 3)
 
 
 def test_run_bounded_monotone_in_budget():
