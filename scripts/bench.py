@@ -45,7 +45,11 @@ fixed inputs:
 - ``prefix_walk_reader``: ``tm.check_prefix_free_up_to`` at budget 14 on
   a machine that reads its input up to the first blank and then loops in
   place; the walk visits 49,150 branches (2^15 - 1 with the input still
-  open, 2^14 - 1 where it ended).
+  open, 2^14 - 1 where it ended);
+- ``prefix_check_zeros_then_one_6568``: ``tm.check_prefix_free_up_to`` at
+  budget 6,568 (the ``sweep`` auto budget) on a prefix-free machine that
+  halts exactly on the words 0^k 1, so the walk is cheap and the check
+  sorts 6,567 halting words for prefix pairs.
 
 BLAS runs single-threaded unless the environment says otherwise; the file
 records nproc, the BLAS thread variables and the Python and numpy
@@ -77,6 +81,11 @@ REPEATS = 11
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 READER = parse_machine(
     "start: a\nhalt: h\na 0 -> a 0 R\na 1 -> a 1 R\na _ -> a _ S", name="reader"
+)
+ZEROS_THEN_ONE = parse_machine(
+    "start: a\nhalt: h\na 0 -> a 0 R\na 1 -> b 1 R\na _ -> a _ S\n"
+    "b _ -> h _ S\nb 0 -> b 0 S\nb 1 -> b 1 S",
+    name="zeros_then_one",
 )
 
 
@@ -164,6 +173,9 @@ def main() -> None:
         ),
         "stages_omega34_1000": timed(lambda: chaitin.omega_stage_values(zoo_machine("omega34"), 1000)),
         "prefix_walk_reader": timed(lambda: check_prefix_free_up_to(READER, 14)),
+        "prefix_check_zeros_then_one_6568": timed(
+            lambda: check_prefix_free_up_to(ZEROS_THEN_ONE, 6568)
+        ),
     }
     for name, result in micro.items():
         peak = f", {result['peak_traced_mb']:.2f} MB traced" if "peak_traced_mb" in result else ""

@@ -29,10 +29,6 @@ __all__ = [
 
 MAX_PRECISION_BITS = 20
 
-# pairs compared per numpy pass in rounding_lemma_scan (a block holds at
-# least one whole row)
-SCAN_BLOCK_ELEMENTS = 1 << 18
-
 PhaseLike = Union[Fraction, int, float]
 
 
@@ -149,10 +145,13 @@ def bound_scan(phis: list[PhaseLike], n_max: int) -> list[tuple[int, float, floa
     Returns one row (n, max tail / bound, min success margin, violations)
     per n, where the bound is 2^-(n-m), the margin is success - (1 - bound)
     and a violation is a tail above or a success below its bound.  One
-    distribution per (phi, n) serves every m.
+    distribution per (phi, n) serves every m.  ``n_max`` must lie in
+    [2, MAX_PRECISION_BITS]; it is checked before any work.
     """
-    if not phis or n_max < 2:
-        raise ValueError(f"empty scan: {len(phis)} phases, n_max={n_max}")
+    if not phis:
+        raise ValueError("empty scan: no phases")
+    if not 2 <= n_max <= MAX_PRECISION_BITS:
+        raise ValueError(f"n_max must be in [2, {MAX_PRECISION_BITS}], got {n_max}")
     rows = []
     for n in range(2, n_max + 1):
         worst_tail = 0.0
@@ -177,42 +176,33 @@ def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
     For every n, m < n, every n-bit estimate within 2^-(m+1) (mod 1) of
     every n-bit phase must round-then-truncate into the phase's best
     m-bit approximations.  The per-point pipeline goes through the exact
-    dyadic operations once per (n, m, z), on grid points built once per n;
-    the pairs are then compared per (n, m), phase w against the window of
-    estimates z = w - radius + 1 .. w + radius - 1 (mod 2^n) of the wrapped
-    image array, in blocks of whole rows of about SCAN_BLOCK_ELEMENTS
-    (2^18) pairs, so the comparison masks stay near 1 MB however large
-    n_max grows.
+    dyadic operations once per (n, m, z), on grid points built once per n
+    (each point is both an estimate and a phase).  The pairs are then
+    compared per (n, m) and window offset: phase w against estimate
+    z = w + start - radius + 1 (mod 2^n) for every w at once, one 2^n
+    slice of the wrapped image row per offset, so beyond the rows of one
+    (n, m) the memory does not grow.  ``n_max`` must lie in
+    [2, MAX_PRECISION_BITS]; it is checked before any work.
     """
-    if n_max < 2:
-        raise ValueError(f"empty scan: n_max={n_max} < 2")
-    checked = 0
-    violations = 0
+    if not 2 <= n_max <= MAX_PRECISION_BITS:
+        raise ValueError(f"n_max must be in [2, {MAX_PRECISION_BITS}], got {n_max}")
+    checked = violations = 0
     for n in range(2, n_max + 1):
         size = 1 << n
         points = [Dyadic(z, n) for z in range(size)]
         for m in range(1, n):
-            images = []
+            images, lo, hi = [], [], []
             for x in points:
                 rounded = truncate(round_up_mth(x, m, n_bits=n), m)
                 images.append(rounded.numerator << (m - rounded.exponent))
-            lo = []
-            hi = []
-            for phi in points:
-                members = interval_Im(phi, m)
+                members = interval_Im(x, m)
                 lo.append(members[0].numerator << (m - members[0].exponent))
                 hi.append(members[-1].numerator << (m - members[-1].exponent))
             radius = 1 << (n - m - 1)  # estimates with |z - w| mod 2^n < radius
-            width = 2 * radius - 1
             wrapped = np.array(images[size - radius + 1 :] + images + images[: radius - 1])
-            windows = np.lib.stride_tricks.sliding_window_view(wrapped, width)
-            lo_col = np.array(lo)[:, None]
-            hi_col = np.array(hi)[:, None]
-            rows = max(1, SCAN_BLOCK_ELEMENTS // width)
-            for start in range(0, size, rows):
-                stop = start + rows
-                block = windows[start:stop]
-                ok = (block == lo_col[start:stop]) | (block == hi_col[start:stop])
-                violations += ok.size - int(np.count_nonzero(ok))
-            checked += size * width
+            lo, hi = np.array(lo), np.array(hi)
+            for start in range(2 * radius - 1):
+                window = wrapped[start : start + size]
+                violations += int(np.count_nonzero((window != lo) & (window != hi)))
+            checked += size * (2 * radius - 1)
     return checked, violations

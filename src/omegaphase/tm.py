@@ -255,9 +255,10 @@ def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, s
     input-reading decision tree (cells are fixed lazily as the head first
     visits them, with an extra branch for "the input ends here"), so no
     2^budget enumeration happens.  Returns all pairs (x, y) with x a
-    proper prefix of y among the discovered halting inputs; if a run
-    halts without ever reading past its fixed prefix w, every extension
-    of w also halts and the canonical witness (w, w + "0") is reported.
+    proper prefix of y among the discovered halting inputs, found in one
+    sweep over them in sorted order; if a run halts without ever reading
+    past its fixed prefix w, every extension of w also halts and the
+    canonical witness (w, w + "0") is reported.
 
     An empty list means no violation was detected within the budget; it
     is not a proof of prefix-freeness.
@@ -290,13 +291,13 @@ def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, s
                 stack.append((state, head, steps, tape + ["1"], prefix + "1", True))
             stack.append((state, head, steps, tape, prefix, False))
 
-    violations: set[tuple[str, str]] = set()
-    found = sorted(halting_exact | halting_cylinder, key=lambda w: (len(w), w))
-    for i, x in enumerate(found):
-        for y in found[i + 1 :]:
-            if len(x) < len(y) and y.startswith(x):
-                violations.add((x, y))
-    for w in halting_cylinder:
-        if len(w) < budget:
-            violations.add((w, w + "0"))
+    violations = {(w, w + "0") for w in halting_cylinder if len(w) < budget}
+    # sorted, a word's extensions follow it as one run; on the chain each
+    # word is a prefix of the next, so after the pops it holds y's prefixes
+    chain: list[str] = []
+    for y in sorted(halting_exact | halting_cylinder):
+        while chain and not y.startswith(chain[-1]):
+            chain.pop()
+        violations.update((x, y) for x in chain)
+        chain.append(y)
     return sorted(violations, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))

@@ -136,10 +136,10 @@ def traced_peak_mb(fn):
 
 def test_estimation_memory_stays_flat(tmp_path):
     # the CSV strings are built per block, not for all 2^16 rows at once,
-    # and the lemma scan compares pairs in 2^18-pair blocks
+    # and the lemma scan compares one 2^n slice per window offset
     probs = qpe_distribution(Fraction(100, 257), 16).probabilities
     assert traced_peak_mb(lambda: cli._write_qpe_csv(tmp_path / "qpe.csv", 16, probs)) < 2.0
-    assert traced_peak_mb(lambda: rounding_lemma_scan(12)) < 4.0
+    assert traced_peak_mb(lambda: rounding_lemma_scan(12)) < 1.2
 
 
 def test_third_at_three_bits_example():
@@ -154,6 +154,19 @@ def test_precision_range_enforced():
         qpe_distribution(Fraction(1, 3), 21)
     with pytest.raises(ValueError):
         as_phase(Fraction(3, 2))
+
+
+@pytest.mark.parametrize("n_max", [1, qpe.MAX_PRECISION_BITS + 1])
+def test_scans_refuse_n_max_before_any_work(monkeypatch, n_max):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the scan did work before checking n_max")
+
+    monkeypatch.setattr(qpe, "qpe_distribution", no_work)
+    monkeypatch.setattr(qpe, "round_up_mth", no_work)
+    with pytest.raises(ValueError, match="n_max"):
+        qpe.bound_scan([Fraction(1, 2)], n_max)
+    with pytest.raises(ValueError, match="n_max"):
+        rounding_lemma_scan(n_max)
 
 
 def test_tail_examples():
@@ -286,14 +299,3 @@ def test_rounding_scan_counts_broken_truncation(monkeypatch):
     break_truncate(monkeypatch)
     assert_scan_matches_pair_loop()
     assert rounding_lemma_scan(7)[1] > 0
-
-
-@pytest.mark.parametrize("block", [1, 5, 64])
-def test_rounding_scan_in_small_blocks(monkeypatch, block):
-    # one-row blocks (block below the window width) and blocks of several
-    # rows whose last block is partial (64 // 3 = 21 rows of 2^n) must
-    # count as one pass does
-    monkeypatch.setattr(qpe, "SCAN_BLOCK_ELEMENTS", block)
-    assert_scan_matches_pair_loop()
-    break_truncate(monkeypatch)
-    assert_scan_matches_pair_loop()

@@ -212,6 +212,32 @@ def test_prefix_check_detects_cylinders():
     assert ("0", "00") in violations
 
 
+def test_prefix_check_on_deep_halting_trees():
+    # halting sets {0^k 1}: first_one halts on reading the 1, so each 0^k 1
+    # is a cylinder; zeros_then_one also reads the end of the input, so the
+    # set is prefix-free however deep the walk goes
+    rules = ["start: a", "halt: h", "a 0 -> a 0 R", "a _ -> a _ S"]
+    first_one = parse_machine("\n".join([*rules, "a 1 -> h 1 S"]), name="first_one")
+    assert check_prefix_free_up_to(first_one, 300) == [
+        ("0" * k + "1", "0" * k + "10") for k in range(299)
+    ]
+    deep = ["a 1 -> b 1 R", "b _ -> h _ S", "b 0 -> b 0 S", "b 1 -> b 1 S"]
+    zeros_then_one = parse_machine("\n".join([*rules, *deep]), name="zeros_then_one")
+    assert check_prefix_free_up_to(zeros_then_one, 300) == []
+
+
+def test_prefix_check_finds_every_nested_pair():
+    # halts on reading the blank, so every word of length < budget halts
+    # exactly: the check must report every (x, y) with x a proper prefix of y
+    text = "start: a\nhalt: h\na 0 -> a 0 R\na 1 -> a 1 R\na _ -> h _ S"
+    spec = parse_machine(text, name="every_word")
+    words = WORDS_UP_TO_6[: 2**6 - 1]  # lengths 0..5
+    expected = [(x, y) for x in words for y in words if len(x) < len(y) and y.startswith(x)]
+    assert check_prefix_free_up_to(spec, 6) == sorted(
+        expected, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1])
+    )
+
+
 def test_prefix_check_rejects_bad_budget():
     with pytest.raises(ValueError):
         check_prefix_free_up_to(zoo_machine("looper"), 0)
