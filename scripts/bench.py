@@ -46,10 +46,16 @@ fixed inputs:
   a machine that reads its input up to the first blank and then loops in
   place; the walk visits 49,150 branches (2^15 - 1 with the input still
   open, 2^14 - 1 where it ended);
+- ``prefix_walk_reader_6568``: the same reader machine at budget 6,568
+  (the ``sweep`` auto budget), which the walk refuses once it has visited
+  200,000 branches, each with a copy of a tape up to 6,568 cells long;
 - ``prefix_check_zeros_then_one_6568``: ``tm.check_prefix_free_up_to`` at
-  budget 6,568 (the ``sweep`` auto budget) on a prefix-free machine that
-  halts exactly on the words 0^k 1, so the walk is cheap and the check
-  sorts 6,567 halting words for prefix pairs.
+  budget 6,568 on a prefix-free machine that halts exactly on the words
+  0^k 1, so the walk is cheap and the check sorts 6,567 halting words for
+  prefix pairs;
+- ``import_cli_fresh_process``: ``python -c "import omegaphase.cli"`` in a
+  fresh interpreter, the set-up cost every CLI run pays, with the same
+  ``omegaphase`` source as the other entries.
 
 BLAS runs single-threaded unless the environment says otherwise; the file
 records nproc, the BLAS thread variables and the Python and numpy
@@ -60,6 +66,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -118,6 +125,19 @@ def run_cli(argv: list[str]) -> None:
             raise RuntimeError(f"omegaphase {' '.join(argv)} failed")
 
 
+def refused_walk(spec, budget: int) -> None:
+    try:
+        check_prefix_free_up_to(spec, budget)
+    except RuntimeError:
+        return
+    raise RuntimeError(f"{spec.name} was not refused at budget {budget}")
+
+
+def import_cli() -> None:
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", "import omegaphase.cli"], env=env, check=True)
+
+
 def dyadic_pipeline(n: int = 12) -> None:
     for m in range(1, n):
         for z in range(1 << n):
@@ -173,9 +193,11 @@ def main() -> None:
         ),
         "stages_omega34_1000": timed(lambda: chaitin.omega_stage_values(zoo_machine("omega34"), 1000)),
         "prefix_walk_reader": timed(lambda: check_prefix_free_up_to(READER, 14)),
+        "prefix_walk_reader_6568": timed(lambda: refused_walk(READER, 6568)),
         "prefix_check_zeros_then_one_6568": timed(
             lambda: check_prefix_free_up_to(ZEROS_THEN_ONE, 6568)
         ),
+        "import_cli_fresh_process": timed(import_cli),
     }
     for name, result in micro.items():
         peak = f", {result['peak_traced_mb']:.2f} MB traced" if "peak_traced_mb" in result else ""

@@ -496,10 +496,7 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
             ),
         ],
     )
-    sectors = [
-        (float(r.phi), phase.order_parameter("gapless_sector" if r.gapless else "trivial_sector"))
-        for r in results
-    ]
+    sectors = [(float(r.phi), phase.order_parameter(r.gapless)) for r in results]
     _write_table(out / "phi_vs_class.dat", sectors, sep=" ")
     trace = [(s, interval) for r in results for s, interval in r.trace]
     _write_table(out / "s_vs_energy_lower_log2.dat", [(s, _signed_log2(i.lo)) for s, i in trace], sep=" ")
@@ -533,9 +530,6 @@ def _run_spectrum(p: dict, mode: str, fmt: str, out: Path) -> None:
     else:
         composed = phase.compose_total_spectrum(p["uu"], p["dense"], p["trivial"], p["beta"])
         _write_table(out / "compose.csv", [("energy", "origin"), *composed.entries])
-        sector = (
-            "gapless_sector" if composed.ground_origin == "uu_dense" else "trivial_sector"
-        )
         _write_json(
             out / "compose.json",
             {
@@ -543,7 +537,7 @@ def _run_spectrum(p: dict, mode: str, fmt: str, out: Path) -> None:
                 "lambda1": str(composed.lambda1),
                 "gap": str(composed.gap),
                 "ground_origin": composed.ground_origin,
-                "order_parameter": phase.order_parameter(sector),
+                "order_parameter": phase.order_parameter(composed.ground_origin == "uu_dense"),
             },
         )
 

@@ -204,34 +204,29 @@ def expand_band(band: np.ndarray) -> np.ndarray:
 
 # -- Jordan pair decomposition ----------------------------------------
 
+# (in, out) penalties of the one-dimensional Jordan cases
+_CASE_PENALTIES = {1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (1, 1)}
+
 
 @dataclass(frozen=True)
 class JordanBlock:
-    """One invariant subspace of a projector pair.
+    """One invariant subspace of a projector pair, spanned by the columns
+    of ``basis``.
 
-    case_tag 1..4 are the one-dimensional integer cases
-    (in, out) = (0,0), (1,0), (0,1), (1,1); case 5 is the genuinely
-    tilted two-dimensional case with principal-angle parameter mu.
+    case_tag 1..4 are the one-dimensional integer cases, with the (in,
+    out) penalties of ``_CASE_PENALTIES``; case 5 is the genuinely tilted
+    two-dimensional case with principal-angle parameter mu.
     """
 
     case_tag: int
     basis: np.ndarray = field(repr=False)
     mu: float | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
     def projector_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """The canonical small (in, out) projector forms on this block."""
-        if self.case_tag == 1:
-            return np.zeros((1, 1)), np.zeros((1, 1))
-        if self.case_tag == 2:
-            return np.eye(1), np.zeros((1, 1))
-        if self.case_tag == 3:
-            return np.zeros((1, 1)), np.eye(1)
-        if self.case_tag == 4:
-            return np.eye(1), np.eye(1)
+        if self.case_tag in _CASE_PENALTIES:
+            p_in, p_out = _CASE_PENALTIES[self.case_tag]
+            return np.array([[p_in]], dtype=float), np.array([[p_out]], dtype=float)
         mu = self.mu
         xi = math.sqrt(mu * (1.0 - mu))
         p_in = np.array([[1.0, 0.0], [0.0, 0.0]])
@@ -396,17 +391,19 @@ def case_chain(case_tag: int, T: int, mu: float | None = None) -> tuple[np.ndarr
 
     Tags 1..4 give the (T+1)-site path that ``assemble`` builds from the
     block's canonical pair: 2 inside, 1 + p_in and 1 + p_out at the two
-    ends, -1 between neighbours.  Tag 5 gives the 2(T+1)-site impurity
-    walk: two pinned path segments joined by the coupling -sqrt(mu(1-mu)),
-    with on-site terms 2-mu and 1+mu at the junction; same spectrum as the
-    two-level tilted-penalty clock after reordering.
+    ends (the penalties of ``_CASE_PENALTIES``), -1 between neighbours.
+    Tag 5 gives the 2(T+1)-site impurity walk: two pinned path segments
+    joined by the coupling -sqrt(mu(1-mu)), with on-site terms 2-mu and
+    1+mu at the junction; same spectrum as the two-level tilted-penalty
+    clock after reordering.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if case_tag in (1, 2, 3, 4):
+    if case_tag in _CASE_PENALTIES:
+        p_in, p_out = _CASE_PENALTIES[case_tag]
         diag = np.full(T + 1, 2.0)
-        diag[0] = 1.0 + (case_tag in (2, 4))
-        diag[T] = 1.0 + (case_tag in (3, 4))
+        diag[0] = 1.0 + p_in
+        diag[T] = 1.0 + p_out
         return diag, np.full(T, -1.0)
     if case_tag != 5:
         raise ValueError(f"case_tag must be 1..5, got {case_tag}")

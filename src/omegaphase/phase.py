@@ -43,6 +43,7 @@ __all__ = [
 
 S_MIN_SQUARE = 3  # smallest meaningful square
 S_MIN_SCHEDULE = 7  # smallest square with a precision schedule (n = s - 5 >= 2)
+MAX_SCHEDULE_N = 10**6  # schedule_scan's largest n_max: it calls choose_m once per n
 # Largest synthesis exponent a model may reach over its checked range:
 # separation_holds shifts integers by about that many bits per side.
 MAX_DELTA_EXPONENT = 1 << 16
@@ -99,12 +100,21 @@ def schedule_constraint_ok(n: int, m: int) -> bool:
 
 def schedule_scan(n_max: int) -> tuple[bool, bool]:
     """Whether m = choose_m(n) meets the schedule constraint for every n
-    in [2, n_max], and whether it is non-decreasing there."""
-    if n_max < 2:
-        raise ValueError(f"empty scan: n_max={n_max} < 2")
-    ms = [choose_m(n) for n in range(2, n_max + 1)]
-    constraint_ok = all(schedule_constraint_ok(n, m) for n, m in enumerate(ms, start=2))
-    monotone = all(a <= b for a, b in zip(ms, ms[1:]))
+    in [2, n_max], and whether it is non-decreasing there.
+
+    One pass over n that keeps only the previous m, so memory stays
+    flat.  ``n_max`` must lie in [2, MAX_SCHEDULE_N]; it is checked
+    before any work.
+    """
+    if not 2 <= n_max <= MAX_SCHEDULE_N:
+        raise ValueError(f"n_max must be in [2, {MAX_SCHEDULE_N}], got {n_max}")
+    constraint_ok = monotone = True
+    previous = 1  # choose_m(n) >= 1
+    for n in range(2, n_max + 1):
+        m = choose_m(n)
+        constraint_ok = constraint_ok and schedule_constraint_ok(n, m)
+        monotone = monotone and previous <= m
+        previous = m
     return constraint_ok, monotone
 
 
@@ -179,36 +189,33 @@ class SquareEnergyModel:
     def m_of(self, s: int) -> int:
         return choose_m(self.n_of(s))
 
-    def marker_exponent(self, s: int) -> int:
-        return self.C * (s + _ceil_root(s, 8))
-
     def t_squared(self, s: int) -> Fraction:
         return Fraction(s ** (2 * self.poly_degree) * self.xi ** (2 * s))
 
-    def tail(self, s: int) -> Fraction:
-        n = self.n_of(s)
-        return Fraction(1, 1 << (n - self.m_of(s)))
-
-    def delta_hat(self, s: int) -> Fraction:
-        """Dyadic upper bound on the synthesis error: flooring the
-        exponent can only increase the value."""
-        n = self.n_of(s)
-        return Fraction(n * n, 1 << (self._delta_exponent(n) + 1))
-
     def marker_interval(self, s: int) -> tuple[Fraction, Fraction]:
-        unit = Fraction(1, 4 ** self.marker_exponent(s))
+        """The marker bonus's enclosure [-3u, -u], u = 4^-(C (s + ceil(s^(1/8))))."""
+        unit = Fraction(1, 4 ** (self.C * (s + _ceil_root(s, 8))))
         return (-3 * unit, -unit)
 
     def comp_interval(self, s: int, regime: str) -> tuple[Fraction, Fraction]:
+        """The computation energy's enclosure at side s, with K =
+        comp_upper_k: [0, K (tail + delta) / T^2] in the halting regime,
+        [(1 - tail - delta) / T^2, K / T^2] in the non-halting one and
+        [0, K / T^2] when mixed.  The tail bound 2^-g and the synthesis
+        error bound delta = n^2 2^-b1 (flooring the exponent only raises
+        it) are read from piece(s), as separation_holds reads them."""
         if regime not in REGIMES:
             raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
         t_sq = self.t_squared(s)
         upper = self.comp_upper_k / t_sq
+        if regime == "mixed":
+            return (Fraction(0), upper)
+        n = self.n_of(s)
+        g, b1, _ = self.piece(s)
+        error = Fraction(1, 1 << g) + Fraction(n * n, 1 << b1)
         if regime == "halting":
-            return (Fraction(0), self.comp_upper_k * (self.tail(s) + self.delta_hat(s)) / t_sq)
-        if regime == "nonhalting":
-            return ((1 - self.tail(s) - self.delta_hat(s)) / t_sq, upper)
-        return (Fraction(0), upper)
+            return (Fraction(0), upper * error)
+        return ((1 - error) / t_sq, upper)
 
     def piece(self, s: int) -> tuple[int, int, int]:
         """What separation_holds reads of side s besides n = s - 5: the
@@ -343,23 +350,10 @@ def _after_last_failure(model: SquareEnergyModel, last_bad: int) -> int:
 
 @dataclass(frozen=True)
 class EnergyInterval:
-    """Signed enclosure of one square's ground energy."""
+    """Enclosure [lo, hi] of one square's ground energy."""
 
-    s: int
-    regime: str
     lo: Fraction
     hi: Fraction
-    marker_active: bool
-
-    @property
-    def sign(self) -> str:
-        if self.hi < 0:
-            return "negative"
-        if self.lo > 0:
-            return "positive"
-        if self.lo >= 0:
-            return "nonnegative"
-        return "ambiguous"
 
 
 def square_energy(s: int, regime: str, model: SquareEnergyModel) -> EnergyInterval:
@@ -377,15 +371,13 @@ def square_energy(s: int, regime: str, model: SquareEnergyModel) -> EnergyInterv
     if s < S_MIN_SQUARE:
         raise ValueError(f"square side must be >= {S_MIN_SQUARE}, got {s}")
     if s < S_MIN_SCHEDULE:
-        return EnergyInterval(
-            s, regime, Fraction(0), model.comp_upper_k / model.t_squared(s), False
-        )
+        return EnergyInterval(Fraction(0), model.comp_upper_k / model.t_squared(s))
     s_prime = find_s_prime(model)
     comp_lo, comp_hi = model.comp_interval(s, regime)
     if s < s_prime:
-        return EnergyInterval(s, regime, comp_lo, comp_hi, False)
+        return EnergyInterval(comp_lo, comp_hi)
     mark_lo, mark_hi = model.marker_interval(s)
-    interval = EnergyInterval(s, regime, comp_lo + mark_lo, comp_hi + mark_hi, True)
+    interval = EnergyInterval(comp_lo + mark_lo, comp_hi + mark_hi)
     if regime == "halting" and not interval.hi < 0:
         raise SeparationError(f"halting interval not negative at s={s}")
     if regime == "nonhalting" and not interval.lo > 0:
@@ -413,7 +405,7 @@ class SweepResult:
     @property
     def first_negative_s(self) -> int | None:
         for s, interval in self.trace:
-            if interval.sign == "negative":
+            if interval.hi < 0:
                 return s
         return None
 
@@ -534,7 +526,6 @@ def xy_chain_spectrum(L: int) -> XYChainSpectrum:
 class ComposedSpectrum:
     """Union spectrum of the coupled (uu x dense) + trivial sectors."""
 
-    beta: Fraction | float
     entries: tuple[tuple[float, str], ...]
     ground_origin: str
 
@@ -574,15 +565,10 @@ def compose_total_spectrum(
     entries.sort(key=lambda e: (e[0], e[1]))
     coupled_min = beta * (min(uu_energies) + min(dense_energies))
     origin = "uu_dense" if coupled_min < min(trivial_energies) else "trivial"
-    return ComposedSpectrum(beta, tuple(entries), origin)
+    return ComposedSpectrum(tuple(entries), origin)
 
 
-def order_parameter(phase_label: str) -> int:
+def order_parameter(gapless: bool) -> int:
     """Site-averaged diagonal observable: vanishes on the gapless
     sector's ground state, equals one on the trivial product state."""
-    values = {"gapless_sector": 0, "trivial_sector": 1}
-    if phase_label not in values:
-        raise ValueError(
-            f"phase label must be one of {sorted(values)}, got {phase_label!r}"
-        )
-    return values[phase_label]
+    return 0 if gapless else 1

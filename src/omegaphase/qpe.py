@@ -2,7 +2,7 @@
 its tail bound, the round-then-truncate success probability, and the
 exhaustive scans that check both bounds and the rounding lemma.
 
-Phases are handled as exact rationals; the only floating point is the
+Phases are exact rationals (``Fraction``); the only floating point is the
 final sine evaluation, so every window and grid comparison below is
 decided exactly.  All probability claims are computed by exhaustive
 summation over the 2^n outcomes, never by sampling.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
@@ -29,17 +28,6 @@ __all__ = [
 
 MAX_PRECISION_BITS = 20
 
-PhaseLike = Union[Fraction, int, float]
-
-
-def as_phase(phi: PhaseLike) -> Fraction:
-    """Coerce to an exact rational in [0, 1); floats are taken at their
-    exact binary value."""
-    value = Fraction(phi)
-    if not 0 <= value < 1:
-        raise ValueError(f"phase must lie in [0, 1), got {phi}")
-    return value
-
 
 @dataclass(frozen=True)
 class PhaseDistribution:
@@ -54,8 +42,9 @@ class PhaseDistribution:
         self.probabilities.setflags(write=False)
 
 
-def qpe_distribution(phi: PhaseLike, n: int) -> PhaseDistribution:
-    """Exact output distribution of n-bit phase estimation.
+def qpe_distribution(phi: Fraction, n: int) -> PhaseDistribution:
+    """Exact output distribution of n-bit phase estimation on the rational
+    phase ``phi`` in [0, 1).
 
     A phase on the 2^n grid gives unit mass on its own outcome; otherwise
     Pr[z] = sin^2(pi 2^n delta(z)) / (2^(2n) sin^2(pi delta(z))) with
@@ -69,13 +58,14 @@ def qpe_distribution(phi: PhaseLike, n: int) -> PhaseDistribution:
     """
     if not 1 <= n <= MAX_PRECISION_BITS:
         raise ValueError(f"precision n must be in [1, {MAX_PRECISION_BITS}], got {n}")
-    value = as_phase(phi)
+    if not 0 <= phi < 1:
+        raise ValueError(f"phase must lie in [0, 1), got {phi}")
     size = 1 << n
-    scaled = value * size
+    scaled = phi * size
     if scaled.denominator == 1:
         probs = np.zeros(size)
         probs[int(scaled) % size] = 1.0
-        return PhaseDistribution(n, value, probs, exact=True)
+        return PhaseDistribution(n, phi, probs, exact=True)
     base = math.floor(scaled)
     af = float(scaled - base)
     half = size >> 1
@@ -91,7 +81,7 @@ def qpe_distribution(phi: PhaseLike, n: int) -> PhaseDistribution:
     probs = np.concatenate((x[b0::-1], x[:b0:-1]))
     probs *= probs
     probs /= probs.sum()
-    return PhaseDistribution(n, value, probs, exact=False)
+    return PhaseDistribution(n, phi, probs, exact=False)
 
 
 def _arc_sum(probs: np.ndarray, start: int, length: int) -> float:
@@ -138,7 +128,7 @@ def tail_and_success(dist: PhaseDistribution, m: int) -> tuple[float | None, flo
     return tail, success
 
 
-def bound_scan(phis: list[PhaseLike], n_max: int) -> list[tuple[int, float, float, int]]:
+def bound_scan(phis: list[Fraction], n_max: int) -> list[tuple[int, float, float, int]]:
     """Check the tail and success bounds for every phase, every n in
     [2, n_max] and every m < n.
 

@@ -3,7 +3,8 @@ and step-bounded execution on a one-way-infinite tape.
 
 Inputs are words over {0, 1}, held as plain ``str``.  Machines are
 deterministic, use the alphabet {0, 1, blank}, and live on a
-single right-infinite tape filled with blanks beyond the input.  Budgets
+single right-infinite tape filled with blanks beyond the input; the
+tape is a ``bytearray`` of the symbols' ASCII codes.  Budgets
 are explicit everywhere: a bounded run can certify halting, never
 non-halting.  One step loop, ``_advance``, serves both ``run_bounded``
 and the prefix-freeness search; it stops early on two provably infinite
@@ -28,6 +29,7 @@ __all__ = [
 ]
 
 BLANK = "_"
+_BLANK_BYTE = ord(BLANK)
 SYMBOLS = ("0", "1", BLANK)
 MOVES = ("L", "R", "S")
 _MAX_BRANCHES = 200_000  # input decision-tree nodes the prefix-freeness search may visit
@@ -52,12 +54,15 @@ class MachineSpec:
     __slots__ = ("name", "start", "halt", "rules", "_rule_map")
 
     def __init__(self, name: str, start: str, halt: str, rules: tuple[Rule, ...]):
-        rule_map: dict[tuple[str, str], tuple[str, str, str]] = {}
+        # keyed by (state, read byte), as the tape holds the symbols' codes
+        rule_map: dict[tuple[str, int], tuple[str, int, str]] = {}
         for state, read, nxt, write, move in rules:
-            key = (state, read)
+            if read not in SYMBOLS or write not in SYMBOLS:
+                raise MachineParseError(f"bad symbol in rule {state} {read}")
+            key = (state, ord(read))
             if key in rule_map:
                 raise MachineParseError(f"duplicate rule for {state} {read}")
-            rule_map[key] = (nxt, write, move)
+            rule_map[key] = (nxt, ord(write), move)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "halt", halt)
@@ -71,8 +76,6 @@ class MachineSpec:
     def _validate(self) -> None:
         states = self.states
         for state, read, nxt, write, move in self.rules:
-            if read not in SYMBOLS or write not in SYMBOLS:
-                raise MachineParseError(f"bad symbol in rule {state} {read}")
             if move not in MOVES:
                 raise MachineParseError(f"bad move {move!r} in rule {state} {read}")
             if state == self.halt:
@@ -83,7 +86,7 @@ class MachineSpec:
             if state == self.halt:
                 continue
             for sym in SYMBOLS:
-                if (state, sym) not in self._rule_map:
+                if (state, ord(sym)) not in self._rule_map:
                     raise MachineParseError(
                         f"transition table not total: missing {state} {sym}"
                     )
@@ -96,7 +99,9 @@ class MachineSpec:
             found.add(nxt)
         return frozenset(found)
 
-    def step(self, state: str, read: str) -> tuple[str, str, str]:
+    def step(self, state: str, read: int) -> tuple[str, int, str]:
+        """(next state, written byte, move) for ``state`` reading the
+        byte ``read``, a symbol's ASCII code."""
         return self._rule_map[(state, read)]
 
     def __repr__(self) -> str:
@@ -190,12 +195,12 @@ class ExecutionResult:
 
 
 def _advance(
-    spec: MachineSpec, state: str, head: int, steps: int, tape: list[str], budget: int, open_end: bool
+    spec: MachineSpec, state: str, head: int, steps: int, tape: bytearray, budget: int, open_end: bool
 ) -> tuple[str, str, int, int]:
     """Step from (state, head, steps) until the machine halts, ``steps``
-    reaches ``budget`` or a provable loop shows, updating ``tape`` in
-    place; returns (outcome, state, head, steps) with outcome "halts",
-    "undecided" or "loops".
+    reaches ``budget`` or a provable loop shows, updating ``tape`` (the
+    symbols' ASCII codes) in place; returns (outcome, state, head, steps)
+    with outcome "halts", "undecided" or "loops".
 
     Cells past the end of ``tape`` are blank; with ``open_end`` they are
     input not yet fixed instead, and the run stops with outcome "reads"
@@ -203,25 +208,25 @@ def _advance(
     loop and running right past the end of ``tape``.  A left move at
     cell 0 leaves the head in place (one-way tape).
     """
-    while state != spec.halt:
+    halt, size = spec.halt, len(tape)
+    while state != halt:
         if steps >= budget:
             return "undecided", state, head, steps
-        if head < len(tape):
+        if head < size:
             read = tape[head]
         elif open_end:
             return "reads", state, head, steps
         else:
-            read = BLANK
+            read = _BLANK_BYTE
         nxt, write, move = spec.step(state, read)
-        if nxt == state and (
-            (move == "S" and write == read) or (move == "R" and head >= len(tape))
-        ):
+        if nxt == state and ((move == "S" and write == read) or (move == "R" and head >= size)):
             return "loops", state, head, steps
-        if head < len(tape):
+        if head < size:
             tape[head] = write
-        elif write != BLANK:
-            tape.extend(BLANK * (head - len(tape)))
+        elif write != _BLANK_BYTE:
+            tape.extend(BLANK.encode() * (head - size))
             tape.append(write)
+            size = head + 1
         if move == "R":
             head += 1
         elif move == "L" and head:
@@ -244,7 +249,7 @@ def run_bounded(spec: MachineSpec, word: str, budget: int) -> ExecutionResult:
         raise ValueError(f"step budget must be >= 0, got {budget}")
     if word.strip("01"):
         raise ValueError(f"input word must be binary (in {{0, 1}}*), got {word!r}")
-    outcome, _, _, steps = _advance(spec, spec.start, 0, 0, list(word), budget, False)
+    outcome, _, _, steps = _advance(spec, spec.start, 0, 0, bytearray(word, "ascii"), budget, False)
     return ExecutionResult(outcome == "halts", budget if outcome == "loops" else steps)
 
 
@@ -267,7 +272,7 @@ def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, s
         raise ValueError(f"budget must be >= 1, got {budget}")
 
     # branch: (state, head, steps, tape, fixed input prefix, input still open)
-    stack = [(spec.start, 0, 0, [], "", True)]
+    stack = [(spec.start, 0, 0, bytearray(), "", True)]
     halting_exact: set[str] = set()
     halting_cylinder: set[str] = set()
     branches = 0
@@ -287,8 +292,8 @@ def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, s
             # the head is on the first unfixed cell: branch on its contents
             # or on the input ending there
             if head < budget:  # inputs longer than the budget are out of scope
-                stack.append((state, head, steps, tape + ["0"], prefix + "0", True))
-                stack.append((state, head, steps, tape + ["1"], prefix + "1", True))
+                stack.append((state, head, steps, tape + b"0", prefix + "0", True))
+                stack.append((state, head, steps, tape + b"1", prefix + "1", True))
             stack.append((state, head, steps, tape, prefix, False))
 
     violations = {(w, w + "0") for w in halting_cylinder if len(w) < budget}

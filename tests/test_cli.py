@@ -438,6 +438,14 @@ def test_empty_scan_refused(tmp_path, capsys, argv):
         assert empty_list.removesuffix("=[]") in err
 
 
+def test_schedule_n_max_above_cap_refused(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["sweep", "--output-dir", str(out), "-p", "mode=schedule", "-p", "n_max=1000001"]
+    assert main(argv) == EXIT_CONSTRAINT
+    assert list(tmp_path.iterdir()) == []
+    assert "n_max" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode", ["grid", "rounding"])
 def test_qpe_scan_n_max_above_precision_refused(tmp_path, capsys, mode):
     out = tmp_path / "run"

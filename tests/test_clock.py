@@ -147,7 +147,7 @@ def test_assembly_matches_reference_loop():
         for tag in (1, 2, 3, 4, 5):
             block = JordanBlock(tag, np.eye(2 if tag == 5 else 1), mu=0.37 if tag == 5 else None)
             small_in, small_out = block.projector_pair()
-            want = reference_hamiltonian(T, small_in, small_out, (np.eye(block.dim),) * T)
+            want = reference_hamiltonian(T, small_in, small_out, (np.eye(block.basis.shape[1]),) * T)
             assert np.array_equal(check(assemble(T, small_in, small_out), want, np.float64), want)
 
 
@@ -239,7 +239,7 @@ def test_jordan_reconstruction_random():
         p = random_projector(d, int(RNG.integers(0, d + 1)), RNG)
         q = random_projector(d, int(RNG.integers(0, d + 1)), RNG)
         blocks = jordan_decompose(p, q)
-        assert sum(b.dim for b in blocks) == d
+        assert sum(b.basis.shape[1] for b in blocks) == d
         p2, q2 = reconstruct_projectors(blocks, d)
         assert np.max(np.abs(p2 - p)) < 1e-9
         assert np.max(np.abs(q2 - q)) < 1e-9

@@ -3,17 +3,20 @@ reference spectra used for the composed model."""
 
 import math
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from omegaphase import phase
 from omegaphase.dyadic import Dyadic
 from omegaphase.phase import (
     MAX_C1_NUMERATOR,
     MAX_C2_POWER_BITS,
     MAX_DELTA_EXPONENT,
+    MAX_SCHEDULE_N,
     S_MIN_SCHEDULE,
     SeparationError,
     SquareEnergyModel,
@@ -26,6 +29,7 @@ from omegaphase.phase import (
     find_s_prime,
     order_parameter,
     schedule_constraint_ok,
+    schedule_scan,
     square_energy,
     sweep,
     xy_chain_spectrum,
@@ -88,6 +92,26 @@ def test_choose_m_constraint_and_monotone_sample():
     assert choose_m(10**6) > 10**5
 
 
+def test_schedule_scan_memory_stays_flat():
+    tracemalloc.start()
+    try:
+        assert schedule_scan(10**5) == (True, True)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 0.1  # a list of every m took 4.6 MB
+
+
+@pytest.mark.parametrize("n_max", [1, MAX_SCHEDULE_N + 1])
+def test_schedule_scan_refuses_n_max_before_any_work(monkeypatch, n_max):
+    def no_work(n):
+        raise AssertionError("the scan did work before checking n_max")
+
+    monkeypatch.setattr(phase, "choose_m", no_work)
+    with pytest.raises(ValueError, match="n_max"):
+        schedule_scan(n_max)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         SquareEnergyModel(xi=1)
@@ -135,8 +159,39 @@ def test_delta_hat_upper_bounds_model_error():
         n = DEFAULT.n_of(s)
         # the float synthesis-error model (n^2 / 2) * 2^(-c2 n^(1/c1))
         exact = (n * n / 2.0) * 2.0 ** (-DEFAULT.c2 * n ** (1.0 / DEFAULT.c1))
-        assert float(DEFAULT.delta_hat(s)) >= exact
-        assert float(DEFAULT.delta_hat(s)) <= 2.0 * exact + 1e-300
+        # delta_hat = n^2 2^-b1, as comp_interval reads it from piece(s)
+        delta_hat = float(Fraction(n * n, 1 << DEFAULT.piece(s)[1]))
+        assert delta_hat >= exact
+        assert delta_hat <= 2.0 * exact + 1e-300
+
+
+def comp_interval_formula(model, s, regime):
+    """The computation interval written out from the schedule and the
+    synthesis exponent: tail 2^-(n - m(n)), delta n^2 2^-(e(n) + 1)."""
+    n = s - 5
+    tail = Fraction(1, 1 << (n - choose_m(n)))
+    delta_hat = Fraction(n * n, 1 << (model._delta_exponent(n) + 1))
+    t_sq = Fraction(s ** (2 * model.poly_degree) * model.xi ** (2 * s))
+    if regime == "halting":
+        return Fraction(0), model.comp_upper_k * (tail + delta_hat) / t_sq
+    if regime == "nonhalting":
+        return (1 - tail - delta_hat) / t_sq, model.comp_upper_k / t_sq
+    return Fraction(0), model.comp_upper_k / t_sq
+
+
+@pytest.mark.parametrize(
+    "model",
+    [DEFAULT, XI16_D1, SquareEnergyModel(c1=Fraction(999, 250), c2=Fraction(1), comp_upper_k=Fraction(7, 3))],
+    ids=["default", "xi16_d1", "c1=999/250"],
+)
+def test_energy_intervals_match_their_formulas(model):
+    sides = sorted({*range(7, 40), *(round(10 ** (k / 8)) for k in range(13, 41)), 2**16 - 1, 2**16 + 5})
+    assert sides[0] == 7 and sides[-1] == 10**5
+    for s in sides:
+        for regime in ("halting", "nonhalting", "mixed"):
+            assert model.comp_interval(s, regime) == comp_interval_formula(model, s, regime)
+        unit = Fraction(1, 4 ** (model.C * (s + _ceil_root(s, 8))))
+        assert model.marker_interval(s) == (-3 * unit, -unit)
 
 
 def test_find_s_prime_default_frozen():
@@ -307,14 +362,17 @@ def test_delta_exponent_exact_where_the_float_fell_short():
 
 def test_square_energy_signs():
     sp = find_s_prime(DEFAULT)
+    mark_lo, mark_hi = DEFAULT.marker_interval(sp)
     halting = square_energy(sp, "halting", DEFAULT)
-    assert halting.sign == "negative" and halting.marker_active
+    assert halting.hi < 0
+    assert halting.hi == DEFAULT.comp_interval(sp, "halting")[1] + mark_hi  # marker active
     nonhalting = square_energy(sp, "nonhalting", DEFAULT)
-    assert nonhalting.sign == "positive"
+    assert nonhalting.lo > 0
     mixed = square_energy(sp, "mixed", DEFAULT)
-    assert mixed.lo == -3 * Fraction(1, 4 ** DEFAULT.marker_exponent(sp))
+    assert mixed.lo == mark_lo
     below = square_energy(sp - 1, "halting", DEFAULT)
-    assert not below.marker_active and below.lo >= 0
+    assert (below.lo, below.hi) == DEFAULT.comp_interval(sp - 1, "halting")  # no marker
+    assert below.lo >= 0
     tiny = square_energy(3, "halting", DEFAULT)
     assert tiny.lo >= 0
     with pytest.raises(ValueError):
@@ -324,11 +382,10 @@ def test_square_energy_signs():
 
 
 def test_marker_interval_formula():
-    s = 100
-    x = DEFAULT.marker_exponent(s)
-    assert x == DEFAULT.C * (s + 2)  # ceil(100^(1/8)) = 2
-    lo, hi = DEFAULT.marker_interval(s)
-    assert lo == Fraction(-3, 4**x) and hi == Fraction(-1, 4**x)
+    # ceil(s^(1/8)) is 2 at s = 100 and 256, and 3 at 257
+    for model, s, x in [(DEFAULT, 100, 102), (DEFAULT, 256, 258), (SquareEnergyModel(xi=4), 257, 2 * 260)]:
+        lo, hi = model.marker_interval(s)
+        assert lo == Fraction(-3, 4**x) and hi == Fraction(-1, 4**x)
 
 
 def test_sweep_classification_omega34():
@@ -341,11 +398,11 @@ def test_sweep_classification_omega34():
     hit = results[0]
     assert hit.witness_scale == sp
     assert hit.first_negative_s == sp
-    assert hit.energy.sign == "negative"
+    assert hit.energy.hi < 0
     assert hit.classification == f"gapless_evidence({sp})"
     miss = results[2]  # the exact halting probability: gapped side
     assert miss.classification == f"no_evidence({sp + 1})"
-    assert miss.energy.sign == "positive"
+    assert miss.energy.lo > 0
     assert miss.witness_scale is None and miss.first_negative_s is None
 
 
@@ -467,7 +524,5 @@ def test_compose_tags_and_validation():
 
 
 def test_order_parameter():
-    assert order_parameter("gapless_sector") == 0
-    assert order_parameter("trivial_sector") == 1
-    with pytest.raises(ValueError):
-        order_parameter("critical")
+    assert order_parameter(True) == 0
+    assert order_parameter(False) == 1

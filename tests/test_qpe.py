@@ -11,7 +11,7 @@ import pytest
 
 from omegaphase import cli, qpe
 from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate
-from omegaphase.qpe import as_phase, qpe_distribution, rounding_lemma_scan, tail_and_success
+from omegaphase.qpe import qpe_distribution, rounding_lemma_scan, tail_and_success
 
 SAMPLE_PHASES = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(100, 257)]
 # phases whose windows wrap around 0 at high precision
@@ -152,8 +152,9 @@ def test_precision_range_enforced():
         qpe_distribution(Fraction(1, 3), 0)
     with pytest.raises(ValueError):
         qpe_distribution(Fraction(1, 3), 21)
-    with pytest.raises(ValueError):
-        as_phase(Fraction(3, 2))
+    for phi in (Fraction(3, 2), Fraction(1), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="phase"):
+            qpe_distribution(phi, 4)
 
 
 @pytest.mark.parametrize("n_max", [1, qpe.MAX_PRECISION_BITS + 1])
@@ -243,13 +244,6 @@ def test_nearest_two_mass():
             hi = math.ceil(target) % 2**n
             mass = dist.probabilities[lo] + dist.probabilities[hi]
             assert mass >= floor_bound
-
-
-def test_float_phase_uses_exact_binary_value():
-    # 0.1 as a float is not 1/10; the conversion must keep its exact value
-    phi = as_phase(0.1)
-    assert phi == Fraction(0.1)
-    assert phi != Fraction(1, 10)
 
 
 def scalar_rounding_counts(n):

@@ -33,10 +33,10 @@ def brute_force_enumeration(count):
 def naive_run(spec, word, budget):
     """Independent oracle: apply transitions one at a time on a dict tape,
     with no loop shortcuts; returns (halted, steps applied)."""
-    tape = dict(enumerate(word))
+    tape = dict(enumerate(word.encode()))
     state, head, steps = spec.start, 0, 0
     while state != spec.halt and steps < budget:
-        state, tape[head], move = spec.step(state, tape.get(head, BLANK))
+        state, tape[head], move = spec.step(state, tape.get(head, ord(BLANK)))
         head = head + 1 if move == "R" else max(head - 1, 0) if move == "L" else head
         steps += 1
     return state == spec.halt, steps
