@@ -191,27 +191,27 @@ def _write_qpe_csv(path: Path, n: int, probabilities: np.ndarray) -> None:
     z/2^n prints in lowest terms as Dyadic prints it, and a probability as
     _cell does.
 
-    The estimates are built per block.  A block starts at a multiple of
-    its length, so z = start + i with 0 < i < rows shares with 2^n the
-    power of two in i, taken from one table; the first row reduces by the
-    power of two in start, and z = 0 prints 0.
+    The estimates are integer fields, filled per block.  A block starts at
+    a multiple of its length, so z = start + i with 0 < i < rows shares
+    with 2^n the power of two in i: its numerator is z shifted by that
+    power and its denominator comes from one table.  The first row reduces
+    by the power of two in start, and z = 0 prints 0.
     """
     rows = 1 << min(n, 12)
     shifts = [(i & -i).bit_length() - 1 for i in range(1, rows)]
-    denominators = [1 << (n - k) for k in shifts]
-    template = "%d,%s,%.17g\n" * rows
-    fields: list = [None] * (3 * rows)
+    template = "%d,%s,%.17g\n" + "%d,%d/%d,%.17g\n" * (rows - 1)
+    fields: list = [None] * (4 * rows - 1)
+    fields[5::4] = [1 << (n - k) for k in shifts]
     with path.open("w", encoding="utf-8") as fh:
         fh.write("z,estimate,probability\n")
         for start in range(0, 1 << n, rows):
             stop = start + rows
             shift = (start & -start).bit_length() - 1
-            fields[0::3] = range(start, stop)
+            fields[0] = start
             fields[1] = f"{start >> shift}/{1 << (n - shift)}" if start else "0"
-            fields[4::3] = [
-                f"{z >> k}/{d}" for z, k, d in zip(range(start + 1, stop), shifts, denominators)
-            ]
-            fields[2::3] = probabilities[start:stop].tolist()
+            fields[3::4] = range(start + 1, stop)
+            fields[4::4] = [z >> k for z, k in zip(range(start + 1, stop), shifts)]
+            fields[2::4] = probabilities[start:stop].tolist()
             fh.write(template % tuple(fields))
 
 

@@ -424,11 +424,17 @@ def sweep(
     budget is a value (no_evidence), not an error.  The boundary phase
     equal to a machine's exact halting probability never halts, and the
     phase 1 reduces to the all-zero word which loops by convention.
+
+    The energy of each (side, regime) is computed once and shared by every
+    phase that reaches it.  A SeparationError therefore comes from the
+    first phase that reaches a broken (side, regime), as it would if each
+    phase computed its own.
     """
     s_prime = find_s_prime(model)
     if s_budget < s_prime:
         raise ValueError(f"s_budget={s_budget} below separation scale {s_prime}")
     stage_values = omega_stage_values(machine, model.m_of(s_budget)) if phi_grid else []
+    energies: dict[tuple[int, str], EnergyInterval] = {}
     results: list[SweepResult] = []
     for phi in phi_grid:
         if not 0 < phi <= 1:
@@ -446,7 +452,9 @@ def sweep(
                 regime = "nonhalting"
             else:
                 regime = "mixed"
-            interval = square_energy(s, regime, model)
+            interval = energies.get((s, regime))
+            if interval is None:
+                interval = energies[s, regime] = square_energy(s, regime, model)
             trace.append((s, interval))
             if regime == "halting":
                 hit = s

@@ -250,22 +250,41 @@ def test_rounding_ops_exhaustive_against_fractions():
 
 
 def test_rounding_lemma_scan_goes_through_the_rounding_ops(monkeypatch):
-    # one round_up_mth and one interval_Im call per (n, m, z):
-    # sum over n = 2..12 of (n - 1) * 2^n = 81,924
+    # one round_up_mth and one interval_Im call per distinct (value, m) of
+    # the 2^-12 grid, m < 12: 4,096 * 11 = 45,056, where one call per
+    # (n, m, z) would make sum over n = 2..12 of (n - 1) * 2^n = 81,924
     from omegaphase import qpe
 
-    calls = {"round_up_mth": 0, "interval_Im": 0}
+    seen = {"round_up_mth": [], "interval_Im": []}
 
     def counted(name):
         real = getattr(qpe, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+        def wrapper(x, m, **kwargs):
+            seen[name].append((x, m))
+            return real(x, m, **kwargs)
 
         return wrapper
 
-    for name in calls:
+    for name in seen:
         monkeypatch.setattr(qpe, name, counted(name))
     assert qpe.rounding_lemma_scan(12)[1] == 0
-    assert calls == {"round_up_mth": 81_924, "interval_Im": 81_924}
+    grid = {(Dyadic(z, 12), m) for z in range(1 << 12) for m in range(1, 12)}
+    for pairs in seen.values():
+        assert len(pairs) == 45_056
+        assert set(pairs) == grid  # so each pair is seen exactly once
+
+
+def test_round_up_mth_ignores_valid_n_bits():
+    # the scan computes each (value, m) at one precision n_bits; every
+    # other valid n_bits up to 12 gives the same Dyadic.  These are the
+    # 81,924 (x, m, n_bits) triples of one call per (n, m, z) for n <= 12.
+    triples = 0
+    for z in range(1 << 12):
+        x = Dyadic(z, 12)
+        for m in range(1, 12):
+            want = round_up_mth(x, m)
+            for k in range(max(x.exponent, m + 1, 2), 13):
+                assert round_up_mth(x, m, n_bits=k) == want, (x, m, k)
+                triples += 1
+    assert triples == 81_924

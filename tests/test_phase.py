@@ -435,6 +435,70 @@ def test_sweep_runs_each_input_once(chaitin_runs):
     assert len(chaitin_runs) == 6553
 
 
+def record_square_energy(monkeypatch):
+    """Patch sweep's square_energy to record each call as (side, regime,
+    result), or as (side, regime) when it raises; returns that record and
+    the real function."""
+    real = phase.square_energy
+    calls = []
+
+    def recorded(s, regime, model):
+        calls.append((s, regime))
+        interval = real(s, regime, model)
+        calls[-1] += (interval,)
+        return interval
+
+    monkeypatch.setattr(phase, "square_energy", recorded)
+    return calls, real
+
+
+@pytest.mark.parametrize("name, grid_bits", [("omega58", 8), ("omega34", 6)])
+def test_sweep_computes_each_energy_once(monkeypatch, name, grid_bits):
+    # the benchmark's omega58 sweep on the 256-grid and config 08's omega34
+    # sweep on the 64-grid, each at the auto budget s' + 1
+    calls, real = record_square_energy(monkeypatch)
+    sp = find_s_prime(DEFAULT)
+    grid = [Dyadic(k, grid_bits) for k in range(1, (1 << grid_bits) + 1)]
+    results = sweep(grid, zoo_machine(name), sp + 1, DEFAULT)
+    keys = [call[:2] for call in calls]
+    assert len(keys) == len(set(keys)) == 3
+    computed = {id(interval): key for *key, interval in calls}
+    for result in results:
+        for s, interval in result.trace:
+            side, regime = computed[id(interval)]  # a shared interval, not a copy
+            assert side == s
+            assert interval == real(s, regime, DEFAULT)
+
+
+def test_sweep_raises_where_the_phases_alone_raise(monkeypatch):
+    # separation holds on [42, 142], the checked range, and fails at 143,
+    # where the non-halting interval is no longer positive
+    model = SquareEnergyModel(
+        xi=16, poly_degree=1, c2=Fraction(5), comp_upper_k=Fraction(1, 7), s_max_checked=142
+    )
+    assert find_s_prime(model) == 42 and not model.separation_holds(143)
+    o34 = zoo_machine("omega34")
+    grid = [Dyadic(k, 4) for k in range(1, 17)]
+    calls, _ = record_square_energy(monkeypatch)
+    # one phase per sweep computes every energy it reaches, none shared
+    for phi in grid:
+        try:
+            sweep([phi], o34, 150, model)
+        except SeparationError as err:
+            alone = str(err)
+            break
+    assert alone == "non-halting interval not positive at s=143"
+    assert phi == Dyadic(3, 2)  # omega34's exact halting probability
+    alone_keys = [call[:2] for call in calls]
+    calls.clear()
+    with pytest.raises(SeparationError) as err:
+        sweep(grid, o34, 150, model)
+    assert str(err.value) == alone
+    # the same calls in the same order, repeats dropped, ending at the raise
+    assert [call[:2] for call in calls] == list(dict.fromkeys(alone_keys))
+    assert calls[-1] == (143, "nonhalting")
+
+
 def xy_dense_oracle(L):
     """Brute-force 2^L matrix for H = sum XX + YY, open chain."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
