@@ -39,18 +39,21 @@ fixed inputs:
 - ``separation_walk_default`` and ``separation_walk_xi16_d1``: the
   separation walk ``phase.find_s_prime`` without its cache, on the
   default model and on ``xi=16, poly_degree=1``;
-- ``stages_omega34_1000``: ``chaitin.omega_stage_values`` of zoo machine
-  omega34 at stage 1000, which makes 1,000 ``run_bounded`` calls at
-  budget 1,000;
-- ``prefix_walk_reader``: ``tm.check_prefix_free_up_to`` at budget 14 on
-  a machine that reads its input up to the first blank and then loops in
-  place; the walk visits 49,150 branches (2^15 - 1 with the input still
-  open, 2^14 - 1 where it ended);
+- ``stages_omega34_1000`` and ``stages_bouncer_3000``: the stage values
+  1..B as the ``omega`` command gets them, ``tm.walk_inputs`` at budget B,
+  the walk's ``violations`` and ``chaitin.omega_stage_values`` read off
+  it; on zoo machine omega34 at B = 1,000, and at B = 3,000 on a machine
+  whose two states swap on cell 0 forever, so each of its four branches
+  runs the whole budget;
+- ``prefix_walk_reader``: ``tm.walk_inputs`` and its ``violations`` at
+  budget 14 on a machine that reads its input up to the first blank and
+  then loops in place; the walk visits 49,150 branches (2^15 - 1 with the
+  input still open, 2^14 - 1 where it ended);
 - ``prefix_walk_reader_6568``: the same reader machine at budget 6,568
   (the ``sweep`` auto budget), which the walk refuses once it has visited
   200,000 branches, each with a copy of a tape up to 6,568 cells long;
-- ``prefix_check_zeros_then_one_6568``: ``tm.check_prefix_free_up_to`` at
-  budget 6,568 on a prefix-free machine that halts exactly on the words
+- ``prefix_check_zeros_then_one_6568``: ``tm.walk_inputs`` and its
+  ``violations`` at budget 6,568 on a prefix-free machine that halts exactly on the words
   0^k 1, so the walk is cheap and the check sorts 6,567 halting words for
   prefix pairs;
 - ``import_cli_fresh_process``: ``python -c "import omegaphase.cli"`` in a
@@ -81,7 +84,7 @@ import numpy as np  # noqa: E402
 
 from omegaphase import chaitin, cli, clock, phase, qpe  # noqa: E402
 from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate  # noqa: E402
-from omegaphase.tm import check_prefix_free_up_to, parse_machine  # noqa: E402
+from omegaphase.tm import parse_machine, walk_inputs  # noqa: E402
 from omegaphase.zoo import zoo_machine  # noqa: E402
 
 REPEATS = 11
@@ -93,6 +96,11 @@ ZEROS_THEN_ONE = parse_machine(
     "start: a\nhalt: h\na 0 -> a 0 R\na 1 -> b 1 R\na _ -> a _ S\n"
     "b _ -> h _ S\nb 0 -> b 0 S\nb 1 -> b 1 S",
     name="zeros_then_one",
+)
+BOUNCER = parse_machine(
+    "start: a\nhalt: h\na 0 -> b 0 S\na 1 -> b 1 S\na _ -> b _ S\n"
+    "b 0 -> a 0 S\nb 1 -> a 1 S\nb _ -> a _ S",
+    name="bouncer",
 )
 
 
@@ -125,9 +133,15 @@ def run_cli(argv: list[str]) -> None:
             raise RuntimeError(f"omegaphase {' '.join(argv)} failed")
 
 
+def stage_values(spec, budget: int) -> None:
+    walk = walk_inputs(spec, budget)
+    walk.violations()
+    chaitin.omega_stage_values(walk, budget)
+
+
 def refused_walk(spec, budget: int) -> None:
     try:
-        check_prefix_free_up_to(spec, budget)
+        walk_inputs(spec, budget)
     except RuntimeError:
         return
     raise RuntimeError(f"{spec.name} was not refused at budget {budget}")
@@ -191,11 +205,12 @@ def main() -> None:
         "separation_walk_xi16_d1": timed(
             lambda: phase.find_s_prime.__wrapped__(phase.SquareEnergyModel(xi=16, poly_degree=1))
         ),
-        "stages_omega34_1000": timed(lambda: chaitin.omega_stage_values(zoo_machine("omega34"), 1000)),
-        "prefix_walk_reader": timed(lambda: check_prefix_free_up_to(READER, 14)),
+        "stages_omega34_1000": timed(lambda: stage_values(zoo_machine("omega34"), 1000)),
+        "stages_bouncer_3000": timed(lambda: stage_values(BOUNCER, 3000)),
+        "prefix_walk_reader": timed(lambda: walk_inputs(READER, 14).violations()),
         "prefix_walk_reader_6568": timed(lambda: refused_walk(READER, 6568)),
         "prefix_check_zeros_then_one_6568": timed(
-            lambda: check_prefix_free_up_to(ZEROS_THEN_ONE, 6568)
+            lambda: walk_inputs(ZEROS_THEN_ONE, 6568).violations()
         ),
         "import_cli_fresh_process": timed(import_cli),
     }

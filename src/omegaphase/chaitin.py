@@ -1,12 +1,14 @@
 """Staged lower approximation of the halting probability and the two
 halting-witness procedures whose behaviour flips exactly at it.
 
-Stage s simulates the first s inputs for s steps each and adds 2^-|x|
-for every input seen halting, so the sequence is computable, exact, and
+Stage s adds 2^-|x| for every one of the first s inputs that halts
+within s steps, so the sequence is computable, exact, and
 non-decreasing; it reaches the true value of a toy machine once every
 halting input fits inside the budget (the zoo documents those budgets).
-Budgets are explicit: these procedures semi-decide "phi below the
-halting probability", they never decide it.
+Nothing here simulates a machine: every stage is read off the halting
+times of one ``tm.walk_inputs`` record, and a stage above that walk's
+budget is refused.  Budgets are explicit: these procedures semi-decide
+"phi below the halting probability", they never decide it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .dyadic import ZERO, Dyadic, truncate
-from .tm import MachineSpec, enumerate_input, run_bounded
+from .tm import InputWalk, enumerate_input
 
 __all__ = [
     "OmegaApproximation",
@@ -45,65 +47,65 @@ class OmegaApproximation:
         }
 
 
-def _stages(spec: MachineSpec, s_max: int) -> Iterator[tuple[Dyadic, list[int]]]:
+def _stages(walk: InputWalk, s_max: int) -> Iterator[tuple[Dyadic, list[int]]]:
     """Stages 1..s_max in order, each as (value, indices of the inputs it
-    adds to the sum), from one run of every input.
+    adds to the sum), read off the walk's halting times.
 
-    Input x_i runs for s_max steps just before stage i is yielded.  If it
-    halts in h_i steps it is first counted at stage max(i, h_i) >= i, so
-    stage s is final once x_1..x_s have run, and a caller that stops
-    early runs no input beyond its last stage.
+    Input x_i is looked up just before stage i is yielded.  If it halts
+    in h_i steps it is first counted at stage max(i, h_i) >= i, so stage
+    s is final once x_1..x_s are looked up.  Raises ValueError, when
+    first advanced, for s_max below 0 or above the walk's budget.
     """
+    if not 0 <= s_max <= walk.budget:
+        raise ValueError(f"stage {s_max} is outside 0..{walk.budget}, the input walk's budget")
     joins: dict[int, list[int]] = {}
     total = ZERO
     for i in range(1, s_max + 1):
-        result = run_bounded(spec, enumerate_input(i), s_max)
-        if result.halted:
-            joins.setdefault(max(i, result.steps_used), []).append(i)
+        steps = walk.halting_steps(enumerate_input(i))
+        if steps is not None:
+            joins.setdefault(max(i, steps), []).append(i)
         joined = joins.pop(i, [])
         for j in joined:
             total += Dyadic(1, j.bit_length() - 1)  # |x_j| = bit_length(j) - 1
         yield total, joined
 
 
-def omega_approx(spec: MachineSpec, stage: int) -> OmegaApproximation:
-    """Stage-s lower approximation: run inputs x_1..x_s for s steps each.
+def omega_approx(walk: InputWalk, stage: int) -> OmegaApproximation:
+    """Stage-s lower approximation: the inputs among x_1..x_s that halt
+    within s steps, read off ``walk``, for 0 <= s <= its budget.
 
     Exact dyadic arithmetic throughout.  The stage values 1..s come from
     the same pass and are kept in ``stage_values``.
     """
-    if stage < 0:
-        raise ValueError(f"stage must be >= 0, got {stage}")
     values: list[Dyadic] = []
     halted: list[int] = []
-    for value, joined in _stages(spec, stage):
+    for value, joined in _stages(walk, stage):
         values.append(value)
         halted += joined
     inputs = tuple(enumerate_input(i) for i in sorted(halted))
     return OmegaApproximation(
-        spec.name, stage, values[-1] if values else ZERO, inputs, tuple(values)
+        walk.name, stage, values[-1] if values else ZERO, inputs, tuple(values)
     )
 
 
-def omega_stage_values(spec: MachineSpec, s_max: int) -> list[Dyadic]:
-    """The stage values [stage 1, ..., stage s_max], in one pass."""
-    if s_max < 0:
-        raise ValueError(f"s_max must be >= 0, got {s_max}")
-    return [value for value, _ in _stages(spec, s_max)]
+def omega_stage_values(walk: InputWalk, s_max: int) -> list[Dyadic]:
+    """The stage values [stage 1, ..., stage s_max], in one pass over
+    ``walk``, for 0 <= s_max <= its budget."""
+    return [value for value, _ in _stages(walk, s_max)]
 
 
-def witness_w(spec: MachineSpec, phi: Dyadic, max_stage: int) -> int | None:
-    """Least stage s <= max_stage with phi strictly below the stage value.
+def witness_w(walk: InputWalk, phi: Dyadic, max_stage: int) -> int | None:
+    """Least stage s <= max_stage with phi strictly below the stage value,
+    read off ``walk``, for 0 <= max_stage <= its budget.
 
     Returns None when the budget runs out, which for phi at or above the
     machine's exact halting probability is the only possible outcome.
-    Stages are computed only up to the one returned.
+    The machine ran once, in the walk; the stage values are summed only
+    up to the one returned.
     """
     if not (0 <= phi < 1):
         raise ValueError(f"witness_w requires phi in [0, 1), got {phi}")
-    if max_stage < 0:
-        raise ValueError(f"max_stage must be >= 0, got {max_stage}")
-    for s, (value, _) in enumerate(_stages(spec, max_stage), start=1):
+    for s, (value, _) in enumerate(_stages(walk, max_stage), start=1):
         if phi < value:
             return s
     return None
@@ -122,10 +124,11 @@ def wprime_halts(phi: Dyadic, stage_value: Dyadic, m: int) -> bool:
     return phi_m != 0 and phi_m < truncate(stage_value, m)
 
 
-def witness_wprime(spec: MachineSpec, phibar: str, m: int) -> bool:
+def witness_wprime(walk: InputWalk, phibar: str, m: int) -> bool:
     """Decide the halting branch of the finite-precision witness on the
     binary word phibar, read as 0.phibar, at precision m (see
-    ``wprime_halts``).
+    ``wprime_halts``), with the stage-m value read off ``walk``, for
+    m <= its budget.
 
     The looping branch is decided analytically rather than actually
     looping; downstream consumers only need the predicate.
@@ -135,4 +138,4 @@ def witness_wprime(spec: MachineSpec, phibar: str, m: int) -> bool:
     if not 1 <= m <= len(phibar):
         raise ValueError(f"need 1 <= m <= n = {len(phibar)}, got m = {m}")
     phi = Dyadic(int(phibar, 2), len(phibar))
-    return wprime_halts(phi, omega_stage_values(spec, m)[-1], m)
+    return wprime_halts(phi, omega_stage_values(walk, m)[-1], m)

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import chaitin, clock, phase, qpe
 from .dyadic import Dyadic, truncate
-from .tm import MachineParseError, MachineSpec, check_prefix_free_up_to, load_machine
+from .tm import InputWalk, MachineParseError, MachineSpec, load_machine, walk_inputs
 from .zoo import ZOO, zoo_machine
 
 EXIT_OK = 0
@@ -224,19 +224,23 @@ def _load_machine_ref(ref: str) -> MachineSpec:
     return load_machine(ref)
 
 
-def _require_prefix_free(machine: MachineSpec, budget: int) -> None:
-    """Refuse a machine with a prefix violation among the inputs that halt
-    within the run's stage budget: its staged sums are not a halting
-    probability (they can exceed 1)."""
+def _walk_prefix_free(machine: MachineSpec, budget: int) -> InputWalk:
+    """The run's one walk of the machine's inputs at its stage budget,
+    which every stage value it reports is read from.  A machine with a
+    prefix violation among the inputs that halt within the budget is
+    refused: its staged sums are not a halting probability (they can
+    exceed 1)."""
     try:
-        violations = check_prefix_free_up_to(machine, max(budget, 1))
+        walk = walk_inputs(machine, budget)
     except RuntimeError as err:
         raise ValueError(f"cannot check that {machine.name!r} is prefix-free: {err}") from err
+    violations = walk.violations()
     if violations:
         x, y = violations[0]
         raise ValueError(
             f"machine {machine.name!r} is not prefix-free: {x!r} and {y!r} both halt"
         )
+    return walk
 
 
 # What each scalar kind accepts.  A text key also takes a number and reads
@@ -316,8 +320,7 @@ def _resolve(command: str, mode: str, params: dict) -> dict:
 def _run_omega(p: dict, mode: str, fmt: str, out: Path) -> None:
     machine = _load_machine_ref(p["machine"])
     stage = p["stage"]
-    _require_prefix_free(machine, stage)
-    approx = chaitin.omega_approx(machine, stage)
+    approx = chaitin.omega_approx(_walk_prefix_free(machine, stage), stage)
     _write_json(out / "omega.json", approx.report())
     if p["include_sequence"] or fmt == "csv":
         rows = [(s, value, truncate(value, s)) for s, value in enumerate(approx.stage_values, start=1)]
@@ -328,8 +331,7 @@ def _run_witness(p: dict, mode: str, fmt: str, out: Path) -> None:
     machine = _load_machine_ref(p["machine"])
     if mode == "w":
         phi, max_stage = p["phi"], p["max_stage"]
-        _require_prefix_free(machine, max_stage)
-        halted_at = chaitin.witness_w(machine, phi, max_stage)
+        halted_at = chaitin.witness_w(_walk_prefix_free(machine, max_stage), phi, max_stage)
         payload = {
             "machine": machine.name,
             "mode": "w",
@@ -340,8 +342,7 @@ def _run_witness(p: dict, mode: str, fmt: str, out: Path) -> None:
         }
     else:
         phibar, m = p["phibar"], p["m"]
-        _require_prefix_free(machine, m)
-        halts = chaitin.witness_wprime(machine, phibar, m)
+        halts = chaitin.witness_wprime(_walk_prefix_free(machine, m), phibar, m)
         payload = {
             "machine": machine.name,
             "mode": "wprime",
@@ -483,8 +484,7 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
     machine = _load_machine_ref(p["machine"])
     s_prime = phase.find_s_prime(model)
     s_budget = s_prime + 1 if p["s_budget"] == "auto" else p["s_budget"]
-    _require_prefix_free(machine, s_budget)
-    results = phase.sweep(grid, machine, s_budget, model)
+    results = phase.sweep(grid, _walk_prefix_free(machine, s_budget), model)
     bounds = _exact_strings(b for r in results for b in (r.energy.lo, r.energy.hi))
     _write_table(
         out / "sweep.csv",

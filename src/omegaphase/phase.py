@@ -21,7 +21,7 @@ import numpy as np
 from .calibration import COMP_UPPER_K
 from .chaitin import omega_stage_values, wprime_halts
 from .dyadic import Dyadic, interval_Im
-from .tm import MachineSpec
+from .tm import InputWalk
 
 __all__ = [
     "SquareEnergyModel",
@@ -412,12 +412,12 @@ class SweepResult:
 
 def sweep(
     phi_grid: list[Dyadic],
-    machine: MachineSpec,
-    s_budget: int,
+    walk: InputWalk,
     model: SquareEnergyModel,
 ) -> list[SweepResult]:
     """Classify each grid phase by searching square sides s' <= s <= budget
-    for finite-precision witness halting on every best approximation.
+    for finite-precision witness halting on every best approximation; the
+    budget is the walk's, and the witness reads its stage values off it.
 
     Evidence is only ever emitted together with the reproducible witness
     trace and its strictly negative energy certificate; running out of
@@ -430,10 +430,10 @@ def sweep(
     first phase that reaches a broken (side, regime), as it would if each
     phase computed its own.
     """
-    s_prime = find_s_prime(model)
+    s_prime, s_budget = find_s_prime(model), walk.budget
     if s_budget < s_prime:
         raise ValueError(f"s_budget={s_budget} below separation scale {s_prime}")
-    stage_values = omega_stage_values(machine, model.m_of(s_budget)) if phi_grid else []
+    stage_values = omega_stage_values(walk, model.m_of(s_budget)) if phi_grid else []
     energies: dict[tuple[int, str], EnergyInterval] = {}
     results: list[SweepResult] = []
     for phi in phi_grid:

@@ -6,9 +6,11 @@ deterministic, use the alphabet {0, 1, blank}, and live on a
 single right-infinite tape filled with blanks beyond the input; the
 tape is a ``bytearray`` of the symbols' ASCII codes.  Budgets
 are explicit everywhere: a bounded run can certify halting, never
-non-halting.  One step loop, ``_advance``, serves both ``run_bounded``
-and the prefix-freeness search; it stops early on two provably infinite
-loop shapes, which changes nothing either caller reports.
+non-halting.  One walk of a machine's input decision tree,
+``walk_inputs``, is the only simulation: its record gives both the
+prefix-freeness check and the halting times every Chaitin stage is read
+from.  Its step loop, ``_advance``, stops early on two provably infinite
+loop shapes, which changes nothing the record holds.
 """
 
 from __future__ import annotations
@@ -20,19 +22,18 @@ __all__ = [
     "MOVES",
     "MachineSpec",
     "MachineParseError",
-    "ExecutionResult",
+    "InputWalk",
     "parse_machine",
     "load_machine",
     "enumerate_input",
-    "run_bounded",
-    "check_prefix_free_up_to",
+    "walk_inputs",
 ]
 
 BLANK = "_"
 _BLANK_BYTE = ord(BLANK)
 SYMBOLS = ("0", "1", BLANK)
 MOVES = ("L", "R", "S")
-_MAX_BRANCHES = 200_000  # input decision-tree nodes the prefix-freeness search may visit
+_MAX_BRANCHES = 200_000  # input decision-tree nodes one walk may visit
 
 Rule = tuple[str, str, str, str, str]  # state, read, next_state, write, move
 
@@ -188,12 +189,6 @@ def enumerate_input(i: int) -> str:
     return bin(i)[3:]
 
 
-@dataclass(frozen=True)
-class ExecutionResult:
-    halted: bool
-    steps_used: int
-
-
 def _advance(
     spec: MachineSpec, state: str, head: int, steps: int, tape: bytearray, budget: int, open_end: bool
 ) -> tuple[str, str, int, int]:
@@ -236,45 +231,75 @@ def _advance(
     return "halts", state, head, steps
 
 
-def run_bounded(spec: MachineSpec, word: str, budget: int) -> ExecutionResult:
-    """Run ``spec`` on ``word`` for at most ``budget`` steps.
+@dataclass(frozen=True)
+class InputWalk:
+    """Which inputs of one machine halt within a step budget, and after
+    how many steps, as one walk of its input decision tree found them.
 
-    Applying one transition costs one step; the run reports halted=True
-    iff the halt state is entered within the budget, and steps_used is
-    the number of steps applied.  A run that does not halt reports the
-    whole budget as used, also when ``_advance`` stops it early on a
-    provable loop.  ``word`` must be a binary word, in {0, 1}*.
+    Every input of length <= ``budget`` is covered.  ``exact`` maps each
+    word that halts within the budget after reading the end of its input
+    to its step count.  ``cylinder`` maps each word w on which the run
+    halted within the budget without reading past w; every extension of
+    w then halts after the same steps, and no other key of either map
+    extends w.
+    """
+
+    name: str
+    budget: int
+    exact: dict[str, int]
+    cylinder: dict[str, int]
+
+    def halting_steps(self, word: str) -> int | None:
+        """The steps after which the binary ``word`` halts, or None if it
+        does not halt within the budget; a word longer than the budget
+        is refused, as the walk did not run it."""
+        if len(word) > self.budget:
+            raise ValueError(f"input {word!r} is longer than the walk's budget {self.budget}")
+        if word in self.exact:
+            return self.exact[word]
+        for k in range(len(word) + 1):
+            if word[:k] in self.cylinder:
+                return self.cylinder[word[:k]]
+        return None
+
+    def violations(self) -> list[tuple[str, str]]:
+        """All pairs (x, y) with x a proper prefix of y among the halting
+        inputs, found in one sweep over them in sorted order and sorted
+        by (|x|, x, |y|, y).  For a cylinder word w the canonical witness
+        (w, w + "0") is reported when that extension is within the budget.
+
+        An empty list means no violation was detected within the budget;
+        it is not a proof of prefix-freeness.
+        """
+        violations = {(w, w + "0") for w in self.cylinder if len(w) < self.budget}
+        # sorted, a word's extensions follow it as one run; on the chain each
+        # word is a prefix of the next, so after the pops it holds y's prefixes
+        chain: list[str] = []
+        for y in sorted(self.exact.keys() | self.cylinder.keys()):
+            while chain and not y.startswith(chain[-1]):
+                chain.pop()
+            violations.update((x, y) for x in chain)
+            chain.append(y)
+        return sorted(violations, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
+
+
+def walk_inputs(spec: MachineSpec, budget: int) -> InputWalk:
+    """Run ``spec`` for up to ``budget`` steps on every input of length
+    <= ``budget`` at once, by exploring the machine's input-reading
+    decision tree: cells are fixed lazily as the head first visits them,
+    with an extra branch for "the input ends here", so no 2^budget
+    enumeration happens and each branch is simulated once.
+
+    At budget 0 nothing runs and nothing halts.  Raises RuntimeError once
+    the tree exceeds ``_MAX_BRANCHES`` branches.
     """
     if budget < 0:
-        raise ValueError(f"step budget must be >= 0, got {budget}")
-    if word.strip("01"):
-        raise ValueError(f"input word must be binary (in {{0, 1}}*), got {word!r}")
-    outcome, _, _, steps = _advance(spec, spec.start, 0, 0, bytearray(word, "ascii"), budget, False)
-    return ExecutionResult(outcome == "halts", budget if outcome == "loops" else steps)
-
-
-def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, str]]:
-    """Search for prefix violations among inputs halting within ``budget``.
-
-    Considers every input of length <= budget by exploring the machine's
-    input-reading decision tree (cells are fixed lazily as the head first
-    visits them, with an extra branch for "the input ends here"), so no
-    2^budget enumeration happens.  Returns all pairs (x, y) with x a
-    proper prefix of y among the discovered halting inputs, found in one
-    sweep over them in sorted order; if a run halts without ever reading
-    past its fixed prefix w, every extension of w also halts and the
-    canonical witness (w, w + "0") is reported.
-
-    An empty list means no violation was detected within the budget; it
-    is not a proof of prefix-freeness.
-    """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+        raise ValueError(f"budget must be >= 0, got {budget}")
 
     # branch: (state, head, steps, tape, fixed input prefix, input still open)
     stack = [(spec.start, 0, 0, bytearray(), "", True)]
-    halting_exact: set[str] = set()
-    halting_cylinder: set[str] = set()
+    exact: dict[str, int] = {}
+    cylinder: dict[str, int] = {}
     branches = 0
 
     while stack:
@@ -287,7 +312,7 @@ def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, s
         state, head, steps, tape, prefix, open_end = stack.pop()
         outcome, state, head, steps = _advance(spec, state, head, steps, tape, budget, open_end)
         if outcome == "halts":
-            (halting_cylinder if open_end else halting_exact).add(prefix)
+            (cylinder if open_end else exact)[prefix] = steps
         elif outcome == "reads":
             # the head is on the first unfixed cell: branch on its contents
             # or on the input ending there
@@ -295,14 +320,4 @@ def check_prefix_free_up_to(spec: MachineSpec, budget: int) -> list[tuple[str, s
                 stack.append((state, head, steps, tape + b"0", prefix + "0", True))
                 stack.append((state, head, steps, tape + b"1", prefix + "1", True))
             stack.append((state, head, steps, tape, prefix, False))
-
-    violations = {(w, w + "0") for w in halting_cylinder if len(w) < budget}
-    # sorted, a word's extensions follow it as one run; on the chain each
-    # word is a prefix of the next, so after the pops it holds y's prefixes
-    chain: list[str] = []
-    for y in sorted(halting_exact | halting_cylinder):
-        while chain and not y.startswith(chain[-1]):
-            chain.pop()
-        violations.update((x, y) for x in chain)
-        chain.append(y)
-    return sorted(violations, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
+    return InputWalk(spec.name, budget, exact, cylinder)

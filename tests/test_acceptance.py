@@ -16,6 +16,7 @@ import numpy as np
 from omegaphase import clock, phase, qpe
 from omegaphase.calibration import GAP_RATIO_BAND, K0_SCALED_BAND
 from omegaphase.chaitin import omega_approx, witness_w
+from omegaphase.tm import walk_inputs
 from omegaphase.dyadic import Dyadic, truncate
 from omegaphase.zoo import ZOO, zoo_machine
 
@@ -132,13 +133,13 @@ def test_criterion_06_rounding_lemma_exhaustive():
 def test_criterion_07_monotone_and_limit():
     for name in PREFIX_FREE:
         entry = ZOO[name]
-        spec = zoo_machine(name)
         horizon = entry.settle_budget + 25
-        values = [omega_approx(spec, s).value for s in range(horizon + 1)]
+        walk = walk_inputs(zoo_machine(name), horizon)
+        values = [omega_approx(walk, s).value for s in range(horizon + 1)]
         assert all(a <= b for a, b in zip(values, values[1:])), name
         assert all(values[s] == entry.omega for s in range(entry.settle_budget, horizon + 1))
         assert all(values[s] < entry.omega or entry.omega == Dyadic(0) for s in range(entry.settle_budget))
-        stages = omega_approx(spec, horizon).stage_values
+        stages = omega_approx(walk, horizon).stage_values
         diagonal = [truncate(v, s) for s, v in enumerate(stages, start=1)]
         settle = max(entry.settle_budget, entry.omega.exponent)
         for s in range(settle, horizon):
@@ -151,14 +152,14 @@ def test_criterion_08_witness_and_sweep_transition():
     s_prime = phase.find_s_prime(model)
     for name in PREFIX_FREE:
         entry = ZOO[name]
-        spec = zoo_machine(name)
         budget = entry.settle_budget + 10
+        walk = walk_inputs(zoo_machine(name), budget)
         for k in range(0, 64):
             phi = Dyadic(k, 6)
-            outcome = witness_w(spec, phi, budget)
+            outcome = witness_w(walk, phi, budget)
             assert (outcome is not None) == (phi < entry.omega), (name, str(phi))
         grid = [Dyadic(k, 6) for k in range(1, 65)]
-        for result in phase.sweep(grid, spec, s_prime + 1, model):
+        for result in phase.sweep(grid, walk_inputs(zoo_machine(name), s_prime + 1), model):
             below = result.phi.mod1() < entry.omega and result.phi != Dyadic(1)
             assert result.gapless == below, (name, str(result.phi))
             if result.phi == entry.omega:

@@ -1,5 +1,6 @@
 """Staged approximation and witness procedures against the zoo's
-documented halting sets and exact values."""
+documented halting sets and exact values, and against stages computed
+from scratch by the naive simulator."""
 
 import pytest
 
@@ -10,8 +11,9 @@ from omegaphase.chaitin import (
     witness_wprime,
 )
 from omegaphase.dyadic import Dyadic, interval_Im, truncate
-from omegaphase.tm import enumerate_input, parse_machine, run_bounded
+from omegaphase.tm import enumerate_input, parse_machine, walk_inputs
 from omegaphase.zoo import ZOO, zoo_machine
+from test_tm import naive_run, naive_stage_values
 
 PREFIX_FREE = [name for name, e in ZOO.items() if e.prefix_free]
 
@@ -22,10 +24,16 @@ def reference_stage(spec, stage):
     total, halted = Dyadic(0), []
     for i in range(1, stage + 1):
         word = enumerate_input(i)
-        if run_bounded(spec, word, stage).halted:
+        if naive_run(spec, word, stage)[0]:
             total = total + Dyadic(1, len(word))
             halted.append(word)
     return total, tuple(halted)
+
+
+def staged(spec, stage):
+    """``omega_approx`` off a walk at the stage's own budget, as the omega
+    command makes it."""
+    return omega_approx(walk_inputs(spec, stage), stage)
 
 
 def late_halter(delay):
@@ -45,44 +53,65 @@ ORACLE_MACHINES = [zoo_machine(name) for name in ZOO] + [late_halter(99)]
 @pytest.mark.parametrize("spec", ORACLE_MACHINES, ids=lambda spec: spec.name)
 def test_table_matches_from_scratch_stages(spec):
     for stage in range(0, 65):
-        approx = omega_approx(spec, stage)
+        approx = staged(spec, stage)
         assert (approx.value, approx.halting_inputs) == reference_stage(spec, stage), stage
-    # out of order: no request depends on the ones before it
+    # stages below the walk's budget, out of order: no request depends on
+    # the ones before it
+    walk = walk_inputs(spec, 200)
     for stage in (50, 10, 200, 3):
-        approx = omega_approx(spec, stage)
+        approx = omega_approx(walk, stage)
         assert (approx.value, approx.halting_inputs) == reference_stage(spec, stage), stage
-    values = omega_stage_values(spec, 200)
-    assert values == [reference_stage(spec, s)[0] for s in range(1, 201)]
+    assert omega_stage_values(walk, 200) == naive_stage_values(spec, 200)
+
+
+def test_stages_outside_the_walk_budget_refused():
+    walk = walk_inputs(zoo_machine("omega34"), 6)
+    assert omega_approx(walk, 6).value == Dyadic(1, 1)
+    with pytest.raises(ValueError, match=r"^stage 7 is outside 0\.\.6, the input walk's budget$"):
+        omega_approx(walk, 7)
+    for stage in (7, -1):
+        with pytest.raises(ValueError, match=rf"^stage {stage} is outside"):
+            omega_stage_values(walk, stage)
+        with pytest.raises(ValueError, match=rf"^stage {stage} is outside"):
+            witness_w(walk, Dyadic(1, 1), stage)
+    with pytest.raises(ValueError, match="^stage 7 is outside"):
+        witness_wprime(walk, "1000000", 7)
 
 
 def test_late_halter_counts_from_its_halting_time():
     spec = late_halter(99)
-    assert omega_approx(spec, 99).value == Dyadic(0)
-    assert omega_approx(spec, 100).halting_inputs == ("",)
-    assert witness_w(spec, Dyadic(0), 1000) == 100
+    walk = walk_inputs(spec, 1000)
+    assert omega_approx(walk, 99).value == Dyadic(0)
+    assert omega_approx(walk, 100).halting_inputs == ("",)
+    assert witness_w(walk, Dyadic(0), 1000) == 100
 
 
-def test_witness_w_to_stage_1000_makes_at_most_2000_runs(chaitin_runs):
-    # every stage up to 1000 is visited; from scratch that is 500,500 runs
-    assert witness_w(zoo_machine("omega34"), Dyadic(3, 2), 1000) is None
-    assert len(chaitin_runs) == 1000
+def test_witness_w_to_stage_1000_makes_at_most_2000_runs(tm_runs):
+    # every stage up to 1000 is visited; from scratch that is 1,000 runs
+    # of up to 1,000 steps each, and 500,500 when each stage reruns them
+    walk = walk_inputs(zoo_machine("omega34"), 1000)
+    runs = tm_runs.advances
+    assert runs <= 2000
+    assert witness_w(walk, Dyadic(3, 2), 1000) is None
+    assert tm_runs.advances == runs  # the stages simulate nothing
 
 
-def test_witness_w_stops_at_its_stage(chaitin_runs):
-    # omega58's stage 12 is the first above 1/2: inputs past x_12 never run
-    assert witness_w(zoo_machine("omega58"), Dyadic(1, 1), 600) == 12
-    assert len(chaitin_runs) == 12
+def test_witness_w_stops_at_its_stage(walk_lookups):
+    # omega58's stage 12 is the first above 1/2: inputs past x_12 are
+    # never looked up
+    assert witness_w(walk_inputs(zoo_machine("omega58"), 600), Dyadic(1, 1), 600) == 12
+    assert walk_lookups == [enumerate_input(i) for i in range(1, 13)]
 
 
 def test_stage_zero_is_zero():
     for name in PREFIX_FREE:
-        assert omega_approx(zoo_machine(name), 0).value == Dyadic(0)
+        assert staged(zoo_machine(name), 0).value == Dyadic(0)
 
 
 def test_omega34_stage_thresholds():
     # hand trace: "0" halts in 2 steps at index 2; "11" in 3 steps at index 7
     spec = zoo_machine("omega34")
-    values = [omega_approx(spec, s).value for s in range(0, 9)]
+    values = [staged(spec, s).value for s in range(0, 9)]
     expected = [
         Dyadic(0),  # s=0
         Dyadic(0),  # s=1: only "" tried, loops
@@ -99,8 +128,8 @@ def test_omega34_stage_thresholds():
 
 def test_halt_on_zero_stage_two():
     spec = zoo_machine("halt_on_zero")
-    assert omega_approx(spec, 2).value == Dyadic(1, 1)
-    assert omega_approx(spec, 1).value == Dyadic(0)
+    assert staged(spec, 2).value == Dyadic(1, 1)
+    assert staged(spec, 1).value == Dyadic(0)
 
 
 def test_monotone_and_settles_at_exact_value():
@@ -108,7 +137,7 @@ def test_monotone_and_settles_at_exact_value():
         entry = ZOO[name]
         spec = zoo_machine(name)
         horizon = entry.settle_budget + 20
-        values = [omega_approx(spec, s).value for s in range(horizon + 1)]
+        values = [staged(spec, s).value for s in range(horizon + 1)]
         for a, b in zip(values, values[1:]):
             assert a <= b
         for s in range(entry.settle_budget):
@@ -120,7 +149,7 @@ def test_monotone_and_settles_at_exact_value():
 def truncated_diagonal(spec, horizon):
     """[stage-1 value to 1 bit, ..., stage-s value to s bits], as the
     omega command's CSV writes it."""
-    stages = omega_approx(spec, horizon).stage_values
+    stages = staged(spec, horizon).stage_values
     return [truncate(v, s) for s, v in enumerate(stages, start=1)]
 
 
@@ -147,7 +176,7 @@ def test_slow_halter_threshold():
 
 
 def test_witness_w_examples():
-    o34 = zoo_machine("omega34")
+    o34 = walk_inputs(zoo_machine("omega34"), 1000)
     assert witness_w(o34, Dyadic(1, 1), 100) == 7  # first stage beyond 1/2
     assert witness_w(o34, Dyadic(3, 2), 1000) is None  # stage values never reach 3/4
     assert witness_w(o34, Dyadic(0), 100) == 2  # any halt beats 0
@@ -158,11 +187,11 @@ def test_witness_w_examples():
 def test_witness_w_iff_below_exact():
     for name in PREFIX_FREE:
         entry = ZOO[name]
-        spec = zoo_machine(name)
         budget = entry.settle_budget + 5
+        walk = walk_inputs(zoo_machine(name), budget)
         for k in range(0, 16):
             phi = Dyadic(k, 4)
-            outcome = witness_w(spec, phi, budget)
+            outcome = witness_w(walk, phi, budget)
             if phi < entry.omega:
                 assert outcome is not None and outcome <= budget
             else:
@@ -171,13 +200,13 @@ def test_witness_w_iff_below_exact():
 
 def test_wprime_all_zero_loops():
     for name in PREFIX_FREE:
-        spec = zoo_machine(name)
+        walk = walk_inputs(zoo_machine(name), 6)
         for m in (1, 3, 6):
-            assert witness_wprime(spec, "0" * 8, m) is False
+            assert witness_wprime(walk, "0" * 8, m) is False
 
 
 def test_wprime_flip_at_exact_value():
-    o34 = zoo_machine("omega34")
+    o34 = walk_inputs(zoo_machine("omega34"), 7)
     # stage 7 value is exact: 1/2 and 5/8 sit below 3/4, 3/4 itself does not
     assert witness_wprime(o34, "1000000", 7) is True
     assert witness_wprime(o34, "1010000", 7) is True
@@ -187,19 +216,19 @@ def test_wprime_flip_at_exact_value():
 
 
 def test_wprime_requires_valid_m():
-    o34 = zoo_machine("omega34")
+    o34 = walk_inputs(zoo_machine("omega34"), 7)
     with pytest.raises(ValueError):
         witness_wprime(o34, "101", 4)
     with pytest.raises(ValueError):
         witness_wprime(o34, "101", 0)
 
 
-def desk_scale_wprime(spec, phi, m):
+def desk_scale_wprime(walk, phi, m):
     """Halting verdicts of the finite-precision witness on every best
     m-bit approximation of phi."""
     members = interval_Im(phi, m)
     words = [f"{v.numerator << (m - v.exponent):0{m}b}" for v in members]
-    return [witness_wprime(spec, word, m) for word in words]
+    return [witness_wprime(walk, word, m) for word in words]
 
 
 def test_transition_theorem_desk_scale():
@@ -208,19 +237,19 @@ def test_transition_theorem_desk_scale():
     m_cap = 24
     for name in PREFIX_FREE:
         entry = ZOO[name]
-        spec = zoo_machine(name)
+        walk = walk_inputs(zoo_machine(name), m_cap)
         for k in range(1, 32):
             phi = Dyadic(k, 5)
             if phi < entry.omega:
                 hits = [
                     m
                     for m in range(1, m_cap + 1)
-                    if all(desk_scale_wprime(spec, phi, m))
+                    if all(desk_scale_wprime(walk, phi, m))
                 ]
                 assert hits, (name, str(phi))
             else:
                 for m in range(1, m_cap + 1):
-                    assert not all(desk_scale_wprime(spec, phi, m)), (name, str(phi))
+                    assert not all(desk_scale_wprime(walk, phi, m)), (name, str(phi))
 
 
 def test_preserves_lemma_desk_scale():
@@ -229,31 +258,38 @@ def test_preserves_lemma_desk_scale():
         entry = ZOO[name]
         if entry.omega == Dyadic(0):
             continue
-        spec = zoo_machine(name)
+        walk = walk_inputs(zoo_machine(name), 64)  # m0 + 24 < 64
         for phi in [Dyadic(1, 3), Dyadic(1, 2), entry.omega + Dyadic(-1, 6)]:
             if not 0 <= phi < entry.omega:
                 continue
             m0 = None
             for m in range(1, 40):
-                omega_m = truncate(omega_approx(spec, m).value, m)
+                omega_m = truncate(omega_approx(walk, m).value, m)
                 if phi + Dyadic(1, m) < omega_m:
                     m0 = m
                     break
             assert m0 is not None, (name, str(phi))
             for m in range(m0, m0 + 25):
-                omega_m = truncate(omega_approx(spec, m).value, m)
+                omega_m = truncate(omega_approx(walk, m).value, m)
                 assert phi + Dyadic(1, m) < omega_m
 
 
 def test_prefix_violation_breaks_kraft():
     # the non-prefix-free fixture overshoots 1: the staged sum is only a
     # probability for prefix-free machines
-    violator = zoo_machine("prefix_violator")
+    violator = walk_inputs(zoo_machine("prefix_violator"), 2)
+    assert (violator.exact, violator.cylinder) == ({"": 1, "0": 2}, {})
     assert omega_approx(violator, 2).value == Dyadic(3, 1)
+    # halts on reading a first 0, so every word starting with 0 halts: by
+    # stage 11 the words 0, 00, 01 and 000..011 add up to 3/2
+    greedy = parse_machine("start: a\nhalt: h\na 0 -> h 0 S\na 1 -> a 1 S\na _ -> a _ S", name="greedy")
+    walk = walk_inputs(greedy, 11)
+    assert (walk.exact, walk.cylinder) == ({}, {"0": 1})
+    assert omega_approx(walk, 11).value == Dyadic(3, 1)
 
 
 def test_report_shape():
-    approx = omega_approx(zoo_machine("omega34"), 10)
+    approx = staged(zoo_machine("omega34"), 10)
     report = approx.report()
     assert report == {
         "machine": "omega34",

@@ -20,6 +20,7 @@ from omegaphase.chaitin import witness_wprime
 from omegaphase.dyadic import Dyadic
 from omegaphase.phase import SquareEnergyModel, square_energy
 from omegaphase.qpe import qpe_distribution
+from omegaphase.tm import walk_inputs
 from omegaphase.zoo import zoo_machine, zoo_machine_text
 
 
@@ -302,7 +303,7 @@ def test_undecodable_file_exits_parse(tmp_path, capsys, argv, name):
 def test_phibar_outside_binary_words_refused(tmp_path, capsys, word):
     # int(word, 2) would read "1_0" and " 10" as 2; the word itself is checked
     with pytest.raises(ValueError, match="phibar"):
-        witness_wprime(zoo_machine("omega34"), word, 2)
+        witness_wprime(walk_inputs(zoo_machine("omega34"), 2), word, 2)
     params = {"machine": "zoo:omega34", "phibar": word, "m": 2}
     assert _run_from_file(tmp_path, "witness", "wprime", params) == EXIT_CONSTRAINT
     assert repr(word) in capsys.readouterr().err
@@ -344,14 +345,44 @@ def test_cheap_configs_reproduce_committed_artifacts(tmp_path, number):
             assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
-def test_omega_artifacts_come_from_one_pass(tmp_path, chaitin_runs):
+def test_omega_artifacts_come_from_one_pass(tmp_path, tm_runs):
     cfg = RunConfig.from_file(REPO / "configs" / "acceptance_07_omega_limit.json")
     cfg.output_dir = str(tmp_path)
     assert run(cfg) == EXIT_OK
-    # omega.json and omega_stages.csv both read stages 1..32 of one pass
+    # omega.json and omega_stages.csv both read stages 1..32 of one walk
     produced = sorted(p.name for p in tmp_path.iterdir())
     assert produced == ["manifest.json", "omega.json", "omega_stages.csv"]
-    assert len(chaitin_runs) == 32
+    assert tm_runs.walks == [("omega34", 32)]
+
+
+@pytest.mark.parametrize(
+    "argv, budget",
+    [
+        (["witness", "-p", "machine=zoo:omega34", "-p", "phi=3/4", "-p", "max_stage=1000"], 1000),
+        (["witness", "-p", "machine=zoo:omega58", "-p", "phi=1/2", "-p", "max_stage=600"], 600),
+        (["witness", "-p", "machine=zoo:omega34", "-p", "mode=wprime", "-p", "phibar=1000000", "-p", "m=7"], 7),
+        (["sweep", "-p", "machine=zoo:omega58", "-p", "grid_denominator=256"], 6568),
+    ],
+    ids=["w_exhausted", "w_halts", "wprime", "sweep"],
+)
+def test_each_run_walks_the_machine_once(tmp_path, tm_runs, argv, budget):
+    # the prefix-freeness check and every stage value come from one walk
+    command, *params = argv
+    assert main([command, "--output-dir", str(tmp_path / "run"), *params]) == EXIT_OK
+    assert [b for _, b in tm_runs.walks] == [budget]
+
+
+def test_deep_stage_of_a_machine_that_never_halts_is_cheap(tmp_path, tm_runs):
+    # two states swap on cell 0 forever: every input runs to the budget
+    # without reading past its first cell, so the walk has four branches
+    # where rerunning x_1..x_3000 makes 3,000 runs of 3,000 steps each
+    path = tmp_path / "bouncer.tm"
+    rules = [f"{q} {x} -> {nxt} {x} S" for q, nxt in (("a", "b"), ("b", "a")) for x in "01_"]
+    path.write_text("\n".join(["start: a", "halt: h", *rules]) + "\n")
+    argv = ["omega", "--output-dir", str(tmp_path / "run"), "-p", f"machine={path}", "-p", "stage=3000"]
+    assert main(argv) == EXIT_OK
+    assert read_json(tmp_path / "run" / "omega.json")["omega_s"] == "0"
+    assert len(tm_runs.walks) == 1 and tm_runs.advances <= 10
 
 
 @pytest.mark.parametrize(
@@ -843,7 +874,7 @@ def test_os_errors_exit_parse(tmp_path, argv):
 
 def test_unverifiable_machine_refused(tmp_path):
     # halts on every input once it reads past the end, so the input
-    # decision tree outgrows the prefix-freeness search at stage 40
+    # decision tree outgrows the input walk at stage 40
     path = tmp_path / "read_all.tm"
     path.write_text("start: q\nhalt: h\nq 0 -> q 0 R\nq 1 -> q 1 R\nq _ -> h _ S\n")
     out = tmp_path / "run"

@@ -34,6 +34,7 @@ from omegaphase.phase import (
     sweep,
     xy_chain_spectrum,
 )
+from omegaphase.tm import enumerate_input, walk_inputs
 from omegaphase.zoo import ZOO, zoo_machine
 
 DEFAULT = SquareEnergyModel()
@@ -392,7 +393,7 @@ def test_sweep_classification_omega34():
     o34 = zoo_machine("omega34")
     sp = find_s_prime(DEFAULT)
     grid = [Dyadic(1, 1), Dyadic(5, 3), Dyadic(3, 2), Dyadic(7, 3), Dyadic(1)]
-    results = sweep(grid, o34, sp + 1, DEFAULT)
+    results = sweep(grid, walk_inputs(o34, sp + 1), DEFAULT)
     gapless = [r.gapless for r in results]
     assert gapless == [True, True, False, False, False]
     hit = results[0]
@@ -410,10 +411,10 @@ def test_sweep_rejects_bad_budget_and_grid():
     o34 = zoo_machine("omega34")
     sp = find_s_prime(DEFAULT)
     with pytest.raises(ValueError):
-        sweep([Dyadic(1, 1)], o34, sp - 1, DEFAULT)
+        sweep([Dyadic(1, 1)], walk_inputs(o34, sp - 1), DEFAULT)
     with pytest.raises(ValueError):
-        sweep([Dyadic(0)], o34, sp, DEFAULT)
-    assert sweep([], o34, sp, DEFAULT) == []
+        sweep([Dyadic(0)], walk_inputs(o34, sp), DEFAULT)
+    assert sweep([], walk_inputs(o34, sp), DEFAULT) == []
 
 
 def test_sweep_never_misclassifies_zoo():
@@ -423,16 +424,20 @@ def test_sweep_never_misclassifies_zoo():
         if not entry.prefix_free:
             continue
         spec = zoo_machine(name)
-        for result in sweep(grid, spec, sp + 1, DEFAULT):
+        for result in sweep(grid, walk_inputs(spec, sp + 1), DEFAULT):
             expected = result.phi.mod1() < entry.omega and result.phi != Dyadic(1)
             assert result.gapless == expected, (name, str(result.phi))
 
 
-def test_sweep_runs_each_input_once(chaitin_runs):
-    # config 08's sweep reads stages 1..m(s' + 1) = 6,553 from one pass
+def test_sweep_runs_each_input_once(tm_runs, walk_lookups):
+    # config 08's sweep reads stages 1..m(s' + 1) = 6,553 from one pass,
+    # looking each input up once and simulating nothing itself
     sp = find_s_prime(DEFAULT)
-    sweep([Dyadic(k, 6) for k in range(1, 65)], zoo_machine("omega34"), sp + 1, DEFAULT)
-    assert len(chaitin_runs) == 6553
+    walk = walk_inputs(zoo_machine("omega34"), sp + 1)
+    advances = tm_runs.advances
+    sweep([Dyadic(k, 6) for k in range(1, 65)], walk, DEFAULT)
+    assert walk_lookups == [enumerate_input(i) for i in range(1, 6554)]
+    assert tm_runs.advances == advances
 
 
 def record_square_energy(monkeypatch):
@@ -459,7 +464,7 @@ def test_sweep_computes_each_energy_once(monkeypatch, name, grid_bits):
     calls, real = record_square_energy(monkeypatch)
     sp = find_s_prime(DEFAULT)
     grid = [Dyadic(k, grid_bits) for k in range(1, (1 << grid_bits) + 1)]
-    results = sweep(grid, zoo_machine(name), sp + 1, DEFAULT)
+    results = sweep(grid, walk_inputs(zoo_machine(name), sp + 1), DEFAULT)
     keys = [call[:2] for call in calls]
     assert len(keys) == len(set(keys)) == 3
     computed = {id(interval): key for *key, interval in calls}
@@ -477,13 +482,13 @@ def test_sweep_raises_where_the_phases_alone_raise(monkeypatch):
         xi=16, poly_degree=1, c2=Fraction(5), comp_upper_k=Fraction(1, 7), s_max_checked=142
     )
     assert find_s_prime(model) == 42 and not model.separation_holds(143)
-    o34 = zoo_machine("omega34")
+    walk = walk_inputs(zoo_machine("omega34"), 150)
     grid = [Dyadic(k, 4) for k in range(1, 17)]
     calls, _ = record_square_energy(monkeypatch)
     # one phase per sweep computes every energy it reaches, none shared
     for phi in grid:
         try:
-            sweep([phi], o34, 150, model)
+            sweep([phi], walk, model)
         except SeparationError as err:
             alone = str(err)
             break
@@ -492,7 +497,7 @@ def test_sweep_raises_where_the_phases_alone_raise(monkeypatch):
     alone_keys = [call[:2] for call in calls]
     calls.clear()
     with pytest.raises(SeparationError) as err:
-        sweep(grid, o34, 150, model)
+        sweep(grid, walk, model)
     assert str(err.value) == alone
     # the same calls in the same order, repeats dropped, ending at the raise
     assert [call[:2] for call in calls] == list(dict.fromkeys(alone_keys))

@@ -1,21 +1,22 @@
-"""Machine format, canonical enumeration, bounded execution, and the
-prefix-freeness search, checked against the bundled zoo's ground truth
-and, on seeded random machines, against a naive simulator."""
+"""Machine format, canonical enumeration, and the input walk's halting
+times and prefix-freeness search, checked against the bundled zoo's
+ground truth and, on seeded random machines, against a naive simulator."""
 
 import itertools
 import random
 
 import pytest
 
+from omegaphase import tm
+from omegaphase.chaitin import omega_stage_values
+from omegaphase.dyadic import Dyadic
 from omegaphase.tm import (
     BLANK,
-    ExecutionResult,
     MachineParseError,
     MachineSpec,
-    check_prefix_free_up_to,
     enumerate_input,
     parse_machine,
-    run_bounded,
+    walk_inputs,
 )
 from omegaphase.zoo import ZOO, zoo_machine, zoo_machine_text
 
@@ -40,6 +41,18 @@ def naive_run(spec, word, budget):
         head = head + 1 if move == "R" else max(head - 1, 0) if move == "L" else head
         steps += 1
     return state == spec.halt, steps
+
+
+def naive_stage_values(spec, s_max):
+    """Independent oracle: stages 1..s_max, stage s adding 2^-|x_i| for
+    each i <= s with x_i halting within s steps; each input runs once,
+    for s_max steps."""
+    times = [naive_run(spec, enumerate_input(i), s_max) for i in range(1, s_max + 1)]
+    return [
+        sum((Dyadic(1, i.bit_length() - 1) for i, (halted, steps) in enumerate(times[:s], start=1)
+             if halted and steps <= s), Dyadic(0))
+        for s in range(1, s_max + 1)
+    ]
 
 
 def random_machines(count, seed=0):
@@ -124,40 +137,44 @@ def test_format_round_trip():
 
 def test_run_bounded_examples():
     hz = zoo_machine("halt_on_zero")
-    assert run_bounded(hz, "0", 0) == run_bounded(hz, "", 0)
-    zero_budget = run_bounded(hz, "0", 0)
-    assert not zero_budget.halted and zero_budget.steps_used == 0
-    two = run_bounded(hz, "0", 2)
-    assert two.halted and two.steps_used == 2
-    long_run = run_bounded(hz, "1", 10**6)
-    assert not long_run.halted and long_run.steps_used == 10**6
+    assert naive_run(hz, "0", 0) == naive_run(hz, "", 0) == (False, 0)
+    assert naive_run(hz, "0", 2) == (True, 2)
+    assert naive_run(hz, "1", 10**4) == (False, 10**4)
+    assert walk_inputs(hz, 2).halting_steps("0") == 2
+    assert walk_inputs(hz, 1).halting_steps("0") is None
+    assert walk_inputs(hz, 10**6).halting_steps("1") is None
 
 
-def test_run_bounded_refuses_non_binary_words():
-    spec = zoo_machine("omega34")
-    for word in ("2", "_0", "0 1", "10" + BLANK):
-        with pytest.raises(ValueError, match="binary"):
-            run_bounded(spec, word, 5)
+def test_halting_steps_refuses_words_the_walk_did_not_run():
+    walk = walk_inputs(zoo_machine("omega34"), 5)
+    with pytest.raises(ValueError, match="^input '000000' is longer than the walk's budget 5$"):
+        walk.halting_steps("000000")
     # the empty word runs on a blank tape: omega34 enters its dead loop
-    assert run_bounded(spec, "", 5) == ExecutionResult(False, 5)
-    assert run_bounded(spec, "11", 5) == ExecutionResult(True, 3)
+    assert walk.halting_steps("") is None
+    assert walk.halting_steps("11") == 3
 
 
 def test_run_bounded_monotone_in_budget():
     spec = zoo_machine("omega34")
     for word in ["", "0", "1", "00", "11", "110", "011"]:
-        outcomes = [run_bounded(spec, word, s).halted for s in range(10)]
-        for early, late in zip(outcomes, outcomes[1:]):
-            assert (not early) or late
+        outcomes = [walk_inputs(spec, s).halting_steps(word) is not None for s in range(len(word), 10)]
+        assert outcomes == sorted(outcomes)
+        assert outcomes == [naive_run(spec, word, s)[0] for s in range(len(word), 10)]
 
 
 def test_steps_within_budget():
     for name in ZOO:
         spec = zoo_machine(name)
-        for word in ["", "0", "11", "0101"]:
-            for budget in (0, 3, 17):
-                res = run_bounded(spec, word, budget)
-                assert res.steps_used <= budget
+        for budget in (0, 3, 17):
+            walk = walk_inputs(spec, budget)
+            assert all(steps <= budget for steps in [*walk.exact.values(), *walk.cylinder.values()])
+
+
+def test_walk_at_budget_zero_halts_nothing():
+    for name in ZOO:
+        walk = walk_inputs(zoo_machine(name), 0)
+        assert (walk.name, walk.budget, walk.exact, walk.cylinder) == (name, 0, {}, {})
+        assert walk.violations() == []
 
 
 def test_blank_runner_semantics():
@@ -167,38 +184,39 @@ def test_blank_runner_semantics():
         ["start: a", "halt: h", "a 0 -> a 0 R", "a 1 -> a 1 R", "a _ -> a _ R"]
     )
     spec = parse_machine(text, name="runner")
-    res = run_bounded(spec, "10", 1000)
-    assert not res.halted and res.steps_used == 1000
+    assert naive_run(spec, "10", 1000) == (False, 1000)
+    walk = walk_inputs(spec, 10)
+    assert (walk.exact, walk.cylinder) == ({}, {})
 
 
 def test_zoo_ground_truth_halting_sets():
     budget = 10**4
     for name, entry in ZOO.items():
-        spec = zoo_machine(name)
-        found = set()
-        for length in range(0, 9):
-            for bits in itertools.product("01", repeat=length):
-                word = "".join(bits)
-                if run_bounded(spec, word, budget).halted:
-                    found.add(word)
+        walk = walk_inputs(zoo_machine(name), budget)
+        found = {
+            "".join(bits)
+            for length in range(0, 9)
+            for bits in itertools.product("01", repeat=length)
+            if walk.halting_steps("".join(bits)) is not None
+        }
         assert found == set(entry.halting_set), name
 
 
 def test_halting_times_documented():
     o34 = zoo_machine("omega34")
-    assert run_bounded(o34, "0", 2).halted
-    assert not run_bounded(o34, "0", 1).halted
-    assert run_bounded(o34, "11", 3).halted
-    assert not run_bounded(o34, "11", 2).halted
+    assert walk_inputs(o34, 2).halting_steps("0") == 2
+    assert walk_inputs(o34, 1).halting_steps("0") is None
+    assert walk_inputs(o34, 3).halting_steps("11") == 3
+    assert walk_inputs(o34, 2).halting_steps("11") is None
     slow = zoo_machine("slow_halter")
-    assert run_bounded(slow, "1", 5).halted
-    assert not run_bounded(slow, "1", 4).halted
+    assert walk_inputs(slow, 5).halting_steps("1") == 5
+    assert walk_inputs(slow, 4).halting_steps("1") is None
 
 
 def test_prefix_check_examples():
-    assert check_prefix_free_up_to(zoo_machine("halt_on_zero"), 100) == []
-    assert check_prefix_free_up_to(zoo_machine("omega34"), 100) == []
-    violations = check_prefix_free_up_to(zoo_machine("prefix_violator"), 100)
+    assert walk_inputs(zoo_machine("halt_on_zero"), 100).violations() == []
+    assert walk_inputs(zoo_machine("omega34"), 100).violations() == []
+    violations = walk_inputs(zoo_machine("prefix_violator"), 100).violations()
     assert violations == [("", "0")]
 
 
@@ -208,7 +226,7 @@ def test_prefix_check_detects_cylinders():
         ["start: a", "halt: h", "a 0 -> h 0 S", "a 1 -> a 1 S", "a _ -> a _ S"]
     )
     spec = parse_machine(text, name="greedy")
-    violations = check_prefix_free_up_to(spec, 50)
+    violations = walk_inputs(spec, 50).violations()
     assert ("0", "00") in violations
 
 
@@ -218,12 +236,12 @@ def test_prefix_check_on_deep_halting_trees():
     # set is prefix-free however deep the walk goes
     rules = ["start: a", "halt: h", "a 0 -> a 0 R", "a _ -> a _ S"]
     first_one = parse_machine("\n".join([*rules, "a 1 -> h 1 S"]), name="first_one")
-    assert check_prefix_free_up_to(first_one, 300) == [
+    assert walk_inputs(first_one, 300).violations() == [
         ("0" * k + "1", "0" * k + "10") for k in range(299)
     ]
     deep = ["a 1 -> b 1 R", "b _ -> h _ S", "b 0 -> b 0 S", "b 1 -> b 1 S"]
     zeros_then_one = parse_machine("\n".join([*rules, *deep]), name="zeros_then_one")
-    assert check_prefix_free_up_to(zeros_then_one, 300) == []
+    assert walk_inputs(zeros_then_one, 300).violations() == []
 
 
 def test_prefix_check_finds_every_nested_pair():
@@ -233,23 +251,71 @@ def test_prefix_check_finds_every_nested_pair():
     spec = parse_machine(text, name="every_word")
     words = WORDS_UP_TO_6[: 2**6 - 1]  # lengths 0..5
     expected = [(x, y) for x in words for y in words if len(x) < len(y) and y.startswith(x)]
-    assert check_prefix_free_up_to(spec, 6) == sorted(
+    assert walk_inputs(spec, 6).violations() == sorted(
         expected, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1])
     )
 
 
 def test_prefix_check_rejects_bad_budget():
-    with pytest.raises(ValueError):
-        check_prefix_free_up_to(zoo_machine("looper"), 0)
+    with pytest.raises(ValueError, match="^budget must be >= 0, got -1$"):
+        walk_inputs(zoo_machine("looper"), -1)
 
 
-def test_run_bounded_matches_naive_oracle():
-    words = [w for w in WORDS_UP_TO_6 if len(w) <= 4]
-    for spec in random_machines(200):
-        for word in words:
-            for budget in (0, 1, 2, 5, 9, 40):
-                res = run_bounded(spec, word, budget)
-                assert (res.halted, res.steps_used) == naive_run(spec, word, budget), (spec.rules, word)
+def naive_reads_past(spec, prefix, budget):
+    """Independent oracle: whether a run on an input starting with
+    ``prefix`` tries, within the budget and before halting, to read the
+    cell just past it."""
+    tape = dict(enumerate(prefix.encode()))
+    state, head, steps = spec.start, 0, 0
+    while state != spec.halt and steps < budget:
+        if head >= len(prefix):
+            return True
+        state, tape[head], move = spec.step(state, tape[head])
+        head = head + 1 if move == "R" else max(head - 1, 0) if move == "L" else head
+        steps += 1
+    return False
+
+
+def naive_tree_nodes(spec, budget, cap):
+    """Independent oracle for the walk's size: the nodes of the input
+    decision tree, counted until they exceed ``cap``.  Each input prefix
+    p of length <= budget is a node while its input is still open; if a
+    run reads past it, p as a whole input is one more node, and p0 and
+    p1 are nodes when p is shorter than the budget."""
+    nodes, open_prefixes = 0, [""]
+    while open_prefixes and nodes <= cap:
+        prefix = open_prefixes.pop()
+        nodes += 1
+        if naive_reads_past(spec, prefix, budget):
+            nodes += 1
+            if len(prefix) < budget:
+                open_prefixes += [prefix + "0", prefix + "1"]
+    return nodes
+
+
+def test_walk_matches_naive_oracle(monkeypatch):
+    # a tree of n nodes is walked under a branch cap of n and refused
+    # under n - 1; trees above a small limit are refused at that limit
+    limit = 100
+    refused = walked = 0
+    for spec in random_machines(200, seed=2):
+        for budget in (1, 3, 6, 12, 40):
+            nodes = naive_tree_nodes(spec, budget, limit)
+            monkeypatch.setattr(tm, "_MAX_BRANCHES", min(nodes, limit + 1) - 1)
+            with pytest.raises(RuntimeError, match="branches; machine reads too much input"):
+                walk_inputs(spec, budget)
+            if nodes > limit:
+                refused += 1
+                continue
+            monkeypatch.setattr(tm, "_MAX_BRANCHES", nodes)
+            walk = walk_inputs(spec, budget)
+            walked += 1
+            for word in WORDS_UP_TO_6:
+                if len(word) <= min(budget, 5):
+                    halted, steps = naive_run(spec, word, budget)
+                    assert walk.halting_steps(word) == (steps if halted else None), (spec.rules, word)
+            assert omega_stage_values(walk, budget) == naive_stage_values(spec, budget), (spec.rules, budget)
+    assert refused >= 50 and walked >= 500
 
 
 def test_prefix_check_matches_naive_oracle():
@@ -263,4 +329,4 @@ def test_prefix_check_matches_naive_oracle():
         for budget in range(1, 7):
             halting = [w for w, t in times.items() if len(w) <= budget and t <= budget]
             prefix_free = not any(x != y and y.startswith(x) for x in halting for y in halting)
-            assert (check_prefix_free_up_to(spec, budget) == []) == prefix_free, (spec.rules, budget)
+            assert (walk_inputs(spec, budget).violations() == []) == prefix_free, (spec.rules, budget)
