@@ -40,22 +40,26 @@ fixed inputs:
   separation walk ``phase.find_s_prime`` without its cache, on the
   default model and on ``xi=16, poly_degree=1``;
 - ``stages_omega34_1000`` and ``stages_bouncer_3000``: the stage values
-  1..B as the ``omega`` command gets them, ``tm.walk_inputs`` at budget B,
-  the walk's ``violations`` and ``chaitin.omega_stage_values`` read off
-  it; on zoo machine omega34 at B = 1,000, and at B = 3,000 on a machine
-  whose two states swap on cell 0 forever, so each of its four branches
-  runs the whole budget;
-- ``prefix_walk_reader``: ``tm.walk_inputs`` and its ``violations`` at
-  budget 14 on a machine that reads its input up to the first blank and
-  then loops in place; the walk visits 49,150 branches (2^15 - 1 with the
-  input still open, 2^14 - 1 where it ended);
+  1..B as the ``omega`` command gets them, ``tm.walk_inputs`` at budget B
+  (its prefix-freeness check included) and ``chaitin.omega_stage_values``
+  read off it; on zoo machine omega34 at B = 1,000, and at B = 3,000 on a
+  machine whose two states swap on cell 0 forever, so each of its four
+  branches runs the whole budget;
+- ``prefix_walk_reader``: ``tm.walk_inputs`` at budget 14 on a machine
+  that reads its input up to the first blank and then loops in place;
+  the walk visits 49,150 branches (2^15 - 1 with the input still open,
+  2^14 - 1 where it ended);
 - ``prefix_walk_reader_6568``: the same reader machine at budget 6,568
   (the ``sweep`` auto budget), which the walk refuses once it has visited
   200,000 branches, each with a copy of a tape up to 6,568 cells long;
-- ``prefix_check_zeros_then_one_6568``: ``tm.walk_inputs`` and its
-  ``violations`` at budget 6,568 on a prefix-free machine that halts exactly on the words
-  0^k 1, so the walk is cheap and the check sorts 6,567 halting words for
-  prefix pairs;
+- ``prefix_check_zeros_then_one_6568``: ``tm.walk_inputs`` at budget
+  6,568 on a prefix-free machine that halts exactly on the words 0^k 1,
+  so the walk is cheap and the check sorts 6,567 halting words for prefix
+  pairs;
+- ``prefix_refuse_every_word_15``: ``tm.walk_inputs`` at budget 15 on a
+  machine that halts on every input once it reads past the end, which
+  the walk refuses after sorting its 32,767 halting words for the least
+  nested pair;
 - ``import_cli_fresh_process``: ``python -c "import omegaphase.cli"`` in a
   fresh interpreter, the set-up cost every CLI run pays, with the same
   ``omegaphase`` source as the other entries.
@@ -91,6 +95,9 @@ REPEATS = 11
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 READER = parse_machine(
     "start: a\nhalt: h\na 0 -> a 0 R\na 1 -> a 1 R\na _ -> a _ S", name="reader"
+)
+EVERY_WORD = parse_machine(
+    "start: a\nhalt: h\na 0 -> a 0 R\na 1 -> a 1 R\na _ -> h _ S", name="every_word"
 )
 ZEROS_THEN_ONE = parse_machine(
     "start: a\nhalt: h\na 0 -> a 0 R\na 1 -> b 1 R\na _ -> a _ S\n"
@@ -134,15 +141,13 @@ def run_cli(argv: list[str]) -> None:
 
 
 def stage_values(spec, budget: int) -> None:
-    walk = walk_inputs(spec, budget)
-    walk.violations()
-    chaitin.omega_stage_values(walk, budget)
+    chaitin.omega_stage_values(walk_inputs(spec, budget), budget)
 
 
 def refused_walk(spec, budget: int) -> None:
     try:
         walk_inputs(spec, budget)
-    except RuntimeError:
+    except ValueError:
         return
     raise RuntimeError(f"{spec.name} was not refused at budget {budget}")
 
@@ -207,11 +212,10 @@ def main() -> None:
         ),
         "stages_omega34_1000": timed(lambda: stage_values(zoo_machine("omega34"), 1000)),
         "stages_bouncer_3000": timed(lambda: stage_values(BOUNCER, 3000)),
-        "prefix_walk_reader": timed(lambda: walk_inputs(READER, 14).violations()),
+        "prefix_walk_reader": timed(lambda: walk_inputs(READER, 14)),
         "prefix_walk_reader_6568": timed(lambda: refused_walk(READER, 6568)),
-        "prefix_check_zeros_then_one_6568": timed(
-            lambda: walk_inputs(ZEROS_THEN_ONE, 6568).violations()
-        ),
+        "prefix_check_zeros_then_one_6568": timed(lambda: walk_inputs(ZEROS_THEN_ONE, 6568)),
+        "prefix_refuse_every_word_15": timed(lambda: refused_walk(EVERY_WORD, 15)),
         "import_cli_fresh_process": timed(import_cli),
     }
     for name, result in micro.items():

@@ -7,7 +7,9 @@ non-decreasing; it reaches the true value of a toy machine once every
 halting input fits inside the budget (the zoo documents those budgets).
 Nothing here simulates a machine: every stage is read off the halting
 times of one ``tm.walk_inputs`` record, and a stage above that walk's
-budget is refused.  Budgets are explicit: these procedures semi-decide
+budget is refused.  The walk refuses a machine whose halting words
+within its budget nest, so by Kraft's inequality no stage read off a
+record exceeds 1.  Budgets are explicit: these procedures semi-decide
 "phi below the halting probability", they never decide it.
 """
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import chaitin, clock, phase, qpe
 from .dyadic import Dyadic, truncate
-from .tm import InputWalk, MachineParseError, MachineSpec, load_machine, walk_inputs
+from .tm import MachineParseError, MachineSpec, load_machine, walk_inputs
 from .zoo import ZOO, zoo_machine
 
 EXIT_OK = 0
@@ -224,25 +224,6 @@ def _load_machine_ref(ref: str) -> MachineSpec:
     return load_machine(ref)
 
 
-def _walk_prefix_free(machine: MachineSpec, budget: int) -> InputWalk:
-    """The run's one walk of the machine's inputs at its stage budget,
-    which every stage value it reports is read from.  A machine with a
-    prefix violation among the inputs that halt within the budget is
-    refused: its staged sums are not a halting probability (they can
-    exceed 1)."""
-    try:
-        walk = walk_inputs(machine, budget)
-    except RuntimeError as err:
-        raise ValueError(f"cannot check that {machine.name!r} is prefix-free: {err}") from err
-    violations = walk.violations()
-    if violations:
-        x, y = violations[0]
-        raise ValueError(
-            f"machine {machine.name!r} is not prefix-free: {x!r} and {y!r} both halt"
-        )
-    return walk
-
-
 # What each scalar kind accepts.  A text key also takes a number and reads
 # it as its text (phibar=1000000 arrives as a JSON integer); a rational
 # reads a JSON number as the decimal it prints as (0.11 is 11/100).
@@ -320,7 +301,7 @@ def _resolve(command: str, mode: str, params: dict) -> dict:
 def _run_omega(p: dict, mode: str, fmt: str, out: Path) -> None:
     machine = _load_machine_ref(p["machine"])
     stage = p["stage"]
-    approx = chaitin.omega_approx(_walk_prefix_free(machine, stage), stage)
+    approx = chaitin.omega_approx(walk_inputs(machine, stage), stage)
     _write_json(out / "omega.json", approx.report())
     if p["include_sequence"] or fmt == "csv":
         rows = [(s, value, truncate(value, s)) for s, value in enumerate(approx.stage_values, start=1)]
@@ -331,7 +312,7 @@ def _run_witness(p: dict, mode: str, fmt: str, out: Path) -> None:
     machine = _load_machine_ref(p["machine"])
     if mode == "w":
         phi, max_stage = p["phi"], p["max_stage"]
-        halted_at = chaitin.witness_w(_walk_prefix_free(machine, max_stage), phi, max_stage)
+        halted_at = chaitin.witness_w(walk_inputs(machine, max_stage), phi, max_stage)
         payload = {
             "machine": machine.name,
             "mode": "w",
@@ -342,7 +323,7 @@ def _run_witness(p: dict, mode: str, fmt: str, out: Path) -> None:
         }
     else:
         phibar, m = p["phibar"], p["m"]
-        halts = chaitin.witness_wprime(_walk_prefix_free(machine, m), phibar, m)
+        halts = chaitin.witness_wprime(walk_inputs(machine, m), phibar, m)
         payload = {
             "machine": machine.name,
             "mode": "wprime",
@@ -484,7 +465,7 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
     machine = _load_machine_ref(p["machine"])
     s_prime = phase.find_s_prime(model)
     s_budget = s_prime + 1 if p["s_budget"] == "auto" else p["s_budget"]
-    results = phase.sweep(grid, _walk_prefix_free(machine, s_budget), model)
+    results = phase.sweep(grid, walk_inputs(machine, s_budget), model)
     bounds = _exact_strings(b for r in results for b in (r.energy.lo, r.energy.hi))
     _write_table(
         out / "sweep.csv",
@@ -638,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
             json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, KeyError, phase.SeparationError, clock.BracketError) as err:
+    except (ValueError, phase.SeparationError, clock.BracketError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONSTRAINT
 

@@ -7,15 +7,19 @@ single right-infinite tape filled with blanks beyond the input; the
 tape is a ``bytearray`` of the symbols' ASCII codes.  Budgets
 are explicit everywhere: a bounded run can certify halting, never
 non-halting.  One walk of a machine's input decision tree,
-``walk_inputs``, is the only simulation: its record gives both the
-prefix-freeness check and the halting times every Chaitin stage is read
-from.  Its step loop, ``_advance``, stops early on two provably infinite
-loop shapes, which changes nothing the record holds.
+``walk_inputs``, is the only simulation and the one place prefix-freeness
+is decided: it refuses a machine whose halting words within the budget
+hold a nested pair, and its record of halting times is what every
+Chaitin stage is read from.  A record is no proof of prefix-freeness, as
+a pair beyond the budget is not seen.  Its step loop, ``_advance``,
+stops early on two provably infinite loop shapes, which changes nothing
+the record holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 __all__ = [
     "BLANK",
@@ -56,14 +60,7 @@ class MachineSpec:
 
     def __init__(self, name: str, start: str, halt: str, rules: tuple[Rule, ...]):
         # keyed by (state, read byte), as the tape holds the symbols' codes
-        rule_map: dict[tuple[str, int], tuple[str, int, str]] = {}
-        for state, read, nxt, write, move in rules:
-            if read not in SYMBOLS or write not in SYMBOLS:
-                raise MachineParseError(f"bad symbol in rule {state} {read}")
-            key = (state, ord(read))
-            if key in rule_map:
-                raise MachineParseError(f"duplicate rule for {state} {read}")
-            rule_map[key] = (nxt, ord(write), move)
+        rule_map = {(state, ord(read)): (nxt, ord(write), move) for state, read, nxt, write, move in rules}
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "halt", halt)
@@ -76,11 +73,8 @@ class MachineSpec:
 
     def _validate(self) -> None:
         states = self.states
-        for state, read, nxt, write, move in self.rules:
-            if move not in MOVES:
-                raise MachineParseError(f"bad move {move!r} in rule {state} {read}")
-            if state == self.halt:
-                raise MachineParseError("halt state must have no outgoing rules")
+        if any(state == self.halt for state, *_ in self.rules):
+            raise MachineParseError("halt state must have no outgoing rules")
         if self.start not in states:
             raise MachineParseError(f"start state {self.start!r} has no rules")
         for state in states:
@@ -236,18 +230,15 @@ class InputWalk:
     """Which inputs of one machine halt within a step budget, and after
     how many steps, as one walk of its input decision tree found them.
 
-    Every input of length <= ``budget`` is covered.  ``exact`` maps each
-    word that halts within the budget after reading the end of its input
-    to its step count.  ``cylinder`` maps each word w on which the run
-    halted within the budget without reading past w; every extension of
-    w then halts after the same steps, and no other key of either map
-    extends w.
+    ``halting`` maps each input of length <= ``budget`` that halts within
+    the budget to its step count.  ``walk_inputs`` returns a record only
+    when these words hold no nested pair, so no word in it is a proper
+    prefix of another.
     """
 
     name: str
     budget: int
-    exact: dict[str, int]
-    cylinder: dict[str, int]
+    halting: dict[str, int]
 
     def halting_steps(self, word: str) -> int | None:
         """The steps after which the binary ``word`` halts, or None if it
@@ -255,32 +246,25 @@ class InputWalk:
         is refused, as the walk did not run it."""
         if len(word) > self.budget:
             raise ValueError(f"input {word!r} is longer than the walk's budget {self.budget}")
-        if word in self.exact:
-            return self.exact[word]
-        for k in range(len(word) + 1):
-            if word[:k] in self.cylinder:
-                return self.cylinder[word[:k]]
-        return None
+        return self.halting.get(word)
 
-    def violations(self) -> list[tuple[str, str]]:
-        """All pairs (x, y) with x a proper prefix of y among the halting
-        inputs, found in one sweep over them in sorted order and sorted
-        by (|x|, x, |y|, y).  For a cylinder word w the canonical witness
-        (w, w + "0") is reported when that extension is within the budget.
 
-        An empty list means no violation was detected within the budget;
-        it is not a proof of prefix-freeness.
-        """
-        violations = {(w, w + "0") for w in self.cylinder if len(w) < self.budget}
-        # sorted, a word's extensions follow it as one run; on the chain each
-        # word is a prefix of the next, so after the pops it holds y's prefixes
-        chain: list[str] = []
-        for y in sorted(self.exact.keys() | self.cylinder.keys()):
-            while chain and not y.startswith(chain[-1]):
-                chain.pop()
-            violations.update((x, y) for x in chain)
-            chain.append(y)
-        return sorted(violations, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]))
+def _nested_pairs(halting: dict[str, int], cylinders: list[str]) -> Iterator[tuple[str, str]]:
+    """Nested pairs (x, y) among the halting words, x a proper prefix of
+    y, including the least under (|x|, x, |y|, y).  Each cylinder word w
+    gives (w, w + "0"); a sweep over the words in sorted order gives each
+    word y paired with its shortest halting prefix."""
+    for w in cylinders:
+        yield w, w + "0"
+    # sorted, a word's extensions follow it as one run; on the chain each
+    # word is a prefix of the next, so after the pops it holds y's prefixes
+    chain: list[str] = []
+    for y in sorted(halting):
+        while chain and not y.startswith(chain[-1]):
+            chain.pop()
+        if chain:
+            yield chain[0], y
+        chain.append(y)
 
 
 def walk_inputs(spec: MachineSpec, budget: int) -> InputWalk:
@@ -290,29 +274,37 @@ def walk_inputs(spec: MachineSpec, budget: int) -> InputWalk:
     with an extra branch for "the input ends here", so no 2^budget
     enumeration happens and each branch is simulated once.
 
-    At budget 0 nothing runs and nothing halts.  Raises RuntimeError once
-    the tree exceeds ``_MAX_BRANCHES`` branches.
+    The halting words must be prefix-free, as the staged sums read off
+    the record are a halting probability only then (they can exceed 1
+    otherwise).  Raises ValueError once the tree exceeds
+    ``_MAX_BRANCHES`` branches, and after the walk when the halting words
+    nest, naming the least nested pair (x, y) under (|x|, x, |y|, y).  A
+    record returned is no proof of prefix-freeness: a pair beyond the
+    budget is not seen.  At budget 0 nothing runs and nothing halts.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
     # branch: (state, head, steps, tape, fixed input prefix, input still open)
     stack = [(spec.start, 0, 0, bytearray(), "", True)]
-    exact: dict[str, int] = {}
-    cylinder: dict[str, int] = {}
+    halting: dict[str, int] = {}
+    # words halted on without reading past them, so every extension halts
+    cylinders: list[str] = []
     branches = 0
 
     while stack:
         branches += 1
         if branches > _MAX_BRANCHES:
-            raise RuntimeError(
-                f"input decision tree exceeded {_MAX_BRANCHES} branches; "
-                "machine reads too much input for this budget"
+            raise ValueError(
+                f"cannot check that {spec.name!r} is prefix-free: input decision tree exceeded "
+                f"{_MAX_BRANCHES} branches; machine reads too much input for this budget"
             )
         state, head, steps, tape, prefix, open_end = stack.pop()
         outcome, state, head, steps = _advance(spec, state, head, steps, tape, budget, open_end)
         if outcome == "halts":
-            (cylinder if open_end else exact)[prefix] = steps
+            halting[prefix] = steps
+            if open_end and len(prefix) < budget:
+                cylinders.append(prefix)
         elif outcome == "reads":
             # the head is on the first unfixed cell: branch on its contents
             # or on the input ending there
@@ -320,4 +312,11 @@ def walk_inputs(spec: MachineSpec, budget: int) -> InputWalk:
                 stack.append((state, head, steps, tape + b"0", prefix + "0", True))
                 stack.append((state, head, steps, tape + b"1", prefix + "1", True))
             stack.append((state, head, steps, tape, prefix, False))
-    return InputWalk(spec.name, budget, exact, cylinder)
+    least = min(
+        _nested_pairs(halting, cylinders),
+        key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]),
+        default=None,
+    )
+    if least is not None:
+        raise ValueError(f"machine {spec.name!r} is not prefix-free: {least[0]!r} and {least[1]!r} both halt")
+    return InputWalk(spec.name, budget, halting)

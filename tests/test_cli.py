@@ -872,15 +872,32 @@ def test_os_errors_exit_parse(tmp_path, argv):
     assert list(adir.iterdir()) == []
 
 
-def test_unverifiable_machine_refused(tmp_path):
-    # halts on every input once it reads past the end, so the input
-    # decision tree outgrows the input walk at stage 40
-    path = tmp_path / "read_all.tm"
-    path.write_text("start: q\nhalt: h\nq 0 -> q 0 R\nq 1 -> q 1 R\nq _ -> h _ S\n")
+@pytest.mark.parametrize(
+    "machine,stage,message",
+    [
+        ("zoo:prefix_violator", 20, "machine 'prefix_violator' is not prefix-free: '' and '0' both halt"),
+        ("every_word.tm", 15, "machine 'every_word' is not prefix-free: '' and '0' both halt"),
+        (
+            "every_word.tm",
+            40,
+            "cannot check that 'every_word' is prefix-free: input decision tree exceeded "
+            "200000 branches; machine reads too much input for this budget",
+        ),
+    ],
+    ids=["violator_20", "every_word_15", "every_word_40"],
+)
+def test_prefix_refusal_names_its_reason(tmp_path, capsys, machine, stage, message):
+    # every_word halts on every input once it reads past the end: at stage
+    # 15 its halting words nest, and at 40 its input decision tree
+    # outgrows the walk before that can be checked
+    (tmp_path / "every_word.tm").write_text("start: q\nhalt: h\nq 0 -> q 0 R\nq 1 -> q 1 R\nq _ -> h _ S\n")
+    ref = machine if machine.startswith("zoo:") else str(tmp_path / machine)
     out = tmp_path / "run"
-    argv = ["omega", "--output-dir", str(out), "-p", f"machine={path}", "-p", "stage=40"]
+    argv = ["omega", "--output-dir", str(out), "-p", f"machine={ref}", "-p", f"stage={stage}"]
     assert main(argv) == EXIT_CONSTRAINT
-    assert list(out.glob("*")) == []
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_console_entry_point(tmp_path):

@@ -4,6 +4,7 @@ ground truth and, on seeded random machines, against a naive simulator."""
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -71,6 +72,23 @@ def random_machines(count, seed=0):
 
 
 WORDS_UP_TO_6 = ["".join(bits) for n in range(7) for bits in itertools.product("01", repeat=n)]
+PREFIX_FREE = [name for name, e in ZOO.items() if e.prefix_free]
+
+
+def least_nested_pair(words):
+    """Independent oracle: the least pair (x, y) of ``words`` with x a
+    proper prefix of y, under (|x|, x, |y|, y), by testing every pair;
+    None if there is none."""
+    pairs = [(x, y) for x in words for y in words if len(x) < len(y) and y.startswith(x)]
+    return min(pairs, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1]), default=None)
+
+
+def assert_refused(spec, budget, pair):
+    """The walk at ``budget`` refuses ``spec``, naming the nested ``pair``."""
+    x, y = pair
+    message = f"machine {spec.name!r} is not prefix-free: {x!r} and {y!r} both halt"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        walk_inputs(spec, budget)
 
 
 def test_enumerate_input_examples():
@@ -112,6 +130,23 @@ def test_parser_rejects_duplicates_with_line_number():
         text = f"name: n\nstart: a\nhalt: h\na 0 -> h 0 S\na 1 -> a 1 S\na _ -> a _ S\n{key}: b"
         with pytest.raises(MachineParseError, match=rf"^line 7: repeated '{key}' header; first at line {first}$"):
             parse_machine(text)
+
+
+@pytest.mark.parametrize(
+    "rule,message",
+    [
+        ("a 2 -> h 0 S", "symbol must be one of 0, 1, _"),
+        ("a _ -> h 2 S", "symbol must be one of 0, 1, _"),
+        ("a _ -> h 0 X", "move must be one of L, R, S"),
+        ("a _ -> h 0", "malformed rule 'a _ -> h 0'"),
+    ],
+    ids=["read_symbol", "write_symbol", "move", "field_count"],
+)
+def test_parser_names_the_line_of_a_bad_rule(rule, message):
+    text = f"start: a\nhalt: h\na 0 -> h 0 S\na 1 -> a 1 S\n{rule}"
+    with pytest.raises(MachineParseError, match=rf"^line 5: {re.escape(message)}$") as err:
+        parse_machine(text)
+    assert err.value.line == 5
 
 
 def test_parser_requires_headers_and_totality():
@@ -163,18 +198,17 @@ def test_run_bounded_monotone_in_budget():
 
 
 def test_steps_within_budget():
-    for name in ZOO:
+    for name in PREFIX_FREE:
         spec = zoo_machine(name)
         for budget in (0, 3, 17):
             walk = walk_inputs(spec, budget)
-            assert all(steps <= budget for steps in [*walk.exact.values(), *walk.cylinder.values()])
+            assert all(steps <= budget for steps in walk.halting.values())
 
 
 def test_walk_at_budget_zero_halts_nothing():
     for name in ZOO:
         walk = walk_inputs(zoo_machine(name), 0)
-        assert (walk.name, walk.budget, walk.exact, walk.cylinder) == (name, 0, {}, {})
-        assert walk.violations() == []
+        assert (walk.name, walk.budget, walk.halting) == (name, 0, {})
 
 
 def test_blank_runner_semantics():
@@ -185,13 +219,15 @@ def test_blank_runner_semantics():
     )
     spec = parse_machine(text, name="runner")
     assert naive_run(spec, "10", 1000) == (False, 1000)
-    walk = walk_inputs(spec, 10)
-    assert (walk.exact, walk.cylinder) == ({}, {})
+    assert walk_inputs(spec, 10).halting == {}
 
 
 def test_zoo_ground_truth_halting_sets():
     budget = 10**4
     for name, entry in ZOO.items():
+        if not entry.prefix_free:
+            assert_refused(zoo_machine(name), budget, least_nested_pair(entry.halting_set))
+            continue
         walk = walk_inputs(zoo_machine(name), budget)
         found = {
             "".join(bits)
@@ -214,10 +250,9 @@ def test_halting_times_documented():
 
 
 def test_prefix_check_examples():
-    assert walk_inputs(zoo_machine("halt_on_zero"), 100).violations() == []
-    assert walk_inputs(zoo_machine("omega34"), 100).violations() == []
-    violations = walk_inputs(zoo_machine("prefix_violator"), 100).violations()
-    assert violations == [("", "0")]
+    assert walk_inputs(zoo_machine("halt_on_zero"), 100).halting == {"0": 2}
+    assert walk_inputs(zoo_machine("omega34"), 100).halting == {"0": 2, "11": 3}
+    assert_refused(zoo_machine("prefix_violator"), 100, ("", "0"))
 
 
 def test_prefix_check_detects_cylinders():
@@ -226,8 +261,10 @@ def test_prefix_check_detects_cylinders():
         ["start: a", "halt: h", "a 0 -> h 0 S", "a 1 -> a 1 S", "a _ -> a _ S"]
     )
     spec = parse_machine(text, name="greedy")
-    violations = walk_inputs(spec, 50).violations()
-    assert ("0", "00") in violations
+    assert_refused(spec, 50, ("0", "00"))
+    # at budget 1 no extension of "0" is an input, and "0" itself halts
+    walk = walk_inputs(spec, 1)
+    assert walk.halting == {"0": 1} and walk.halting_steps("0") == 1
 
 
 def test_prefix_check_on_deep_halting_trees():
@@ -236,24 +273,21 @@ def test_prefix_check_on_deep_halting_trees():
     # set is prefix-free however deep the walk goes
     rules = ["start: a", "halt: h", "a 0 -> a 0 R", "a _ -> a _ S"]
     first_one = parse_machine("\n".join([*rules, "a 1 -> h 1 S"]), name="first_one")
-    assert walk_inputs(first_one, 300).violations() == [
-        ("0" * k + "1", "0" * k + "10") for k in range(299)
-    ]
+    assert_refused(first_one, 300, ("1", "10"))
     deep = ["a 1 -> b 1 R", "b _ -> h _ S", "b 0 -> b 0 S", "b 1 -> b 1 S"]
     zeros_then_one = parse_machine("\n".join([*rules, *deep]), name="zeros_then_one")
-    assert walk_inputs(zeros_then_one, 300).violations() == []
+    # 0^k 1 halts on the blank after it, in k + 2 steps
+    assert walk_inputs(zeros_then_one, 300).halting == {"0" * k + "1": k + 2 for k in range(299)}
 
 
 def test_prefix_check_finds_every_nested_pair():
     # halts on reading the blank, so every word of length < budget halts
-    # exactly: the check must report every (x, y) with x a proper prefix of y
+    # exactly: the check must name the least of every (x, y) with x a
+    # proper prefix of y; at budget 1 only the empty word halts
     text = "start: a\nhalt: h\na 0 -> a 0 R\na 1 -> a 1 R\na _ -> h _ S"
     spec = parse_machine(text, name="every_word")
-    words = WORDS_UP_TO_6[: 2**6 - 1]  # lengths 0..5
-    expected = [(x, y) for x in words for y in words if len(x) < len(y) and y.startswith(x)]
-    assert walk_inputs(spec, 6).violations() == sorted(
-        expected, key=lambda p: (len(p[0]), p[0], len(p[1]), p[1])
-    )
+    assert_refused(spec, 6, least_nested_pair(WORDS_UP_TO_6[: 2**6 - 1]))  # lengths 0..5
+    assert walk_inputs(spec, 1).halting == {"": 1}
 
 
 def test_prefix_check_rejects_bad_budget():
@@ -295,20 +329,26 @@ def naive_tree_nodes(spec, budget, cap):
 
 def test_walk_matches_naive_oracle(monkeypatch):
     # a tree of n nodes is walked under a branch cap of n and refused
-    # under n - 1; trees above a small limit are refused at that limit
+    # under n - 1; trees above a small limit are refused at that limit.
+    # About two walks in three find nested halting words and are refused
+    # too, so enough machines are drawn to walk 500 prefix-free records
     limit = 100
     refused = walked = 0
-    for spec in random_machines(200, seed=2):
+    for spec in random_machines(500, seed=2):
         for budget in (1, 3, 6, 12, 40):
             nodes = naive_tree_nodes(spec, budget, limit)
             monkeypatch.setattr(tm, "_MAX_BRANCHES", min(nodes, limit + 1) - 1)
-            with pytest.raises(RuntimeError, match="branches; machine reads too much input"):
+            with pytest.raises(ValueError, match="branches; machine reads too much input"):
                 walk_inputs(spec, budget)
             if nodes > limit:
                 refused += 1
                 continue
             monkeypatch.setattr(tm, "_MAX_BRANCHES", nodes)
-            walk = walk_inputs(spec, budget)
+            try:
+                walk = walk_inputs(spec, budget)
+            except ValueError as err:
+                assert "is not prefix-free" in str(err)
+                continue
             walked += 1
             for word in WORDS_UP_TO_6:
                 if len(word) <= min(budget, 5):
@@ -319,7 +359,9 @@ def test_walk_matches_naive_oracle(monkeypatch):
 
 
 def test_prefix_check_matches_naive_oracle():
-    # a word halts within b steps iff its oracle halting time is <= b
+    # a word halts within b steps iff its oracle halting time is <= b; the
+    # walk refuses exactly the budgets whose halting words nest, naming
+    # the least pair, and otherwise records every halting word and its time
     for spec in random_machines(300, seed=1):
         times = {}
         for word in WORDS_UP_TO_6:
@@ -327,6 +369,9 @@ def test_prefix_check_matches_naive_oracle():
             if halted:
                 times[word] = steps
         for budget in range(1, 7):
-            halting = [w for w, t in times.items() if len(w) <= budget and t <= budget]
-            prefix_free = not any(x != y and y.startswith(x) for x in halting for y in halting)
-            assert (walk_inputs(spec, budget).violations() == []) == prefix_free, (spec.rules, budget)
+            halting = {w: t for w, t in times.items() if len(w) <= budget and t <= budget}
+            pair = least_nested_pair(halting)
+            if pair is None:
+                assert walk_inputs(spec, budget).halting == halting, (spec.rules, budget)
+            else:
+                assert_refused(spec, budget, pair)
