@@ -19,9 +19,13 @@ directory; runs after the first see warm in-process caches (config 12
 reuses the separation scale config 08 found).  The microbenchmarks run on
 fixed inputs:
 
-- ``dyadic_pipeline_n12``: the rounding map truncate(round_up_mth(.)) and
-  ``interval_Im`` of every 12-bit grid point for every m < 12;
-- ``rounding_lemma_scan_12``: ``qpe.rounding_lemma_scan(12)``;
+- ``dyadic_pipeline_n12``: the scalar ``Dyadic`` ops, the rounding map
+  truncate(round_up_mth(.)) and ``interval_Im`` of every 12-bit grid
+  point for every m < 12;
+- ``rounding_lemma_scan_12``: ``qpe.rounding_lemma_scan(12)``, which runs
+  the dyadic rounding core on whole grid rows;
+- ``bound_scan_257_14``: ``qpe.bound_scan`` on config 04's 256 phases
+  k/257 at n_max = 14, in process (the QPE grid kernel without the CLI);
 - ``qpe_distribution_csv_n18``: ``qpe`` distribution mode at phi = 100/257,
   n = 18, m = 12 through ``cli.main``, the 2^18-row CSV included;
 - ``sweep_omega58_256``: ``sweep`` of zoo machine omega58 on the grid
@@ -78,6 +82,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -180,9 +185,11 @@ def main() -> None:
     t_values, mu_values = grid["t_values"][1], grid["mu_values"][1]
     points = [(T, mu) for T in t_values for mu in mu_values]
     spec = clock.case5_spec(1500, 0.37)
+    phases_257 = [Fraction(k, 257) for k in range(1, 257)]
     micro = {
         "dyadic_pipeline_n12": timed(dyadic_pipeline),
         "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12), trace_memory=True),
+        "bound_scan_257_14": timed(lambda: qpe.bound_scan(phases_257, 14)),
         "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv), trace_memory=True),
         "sweep_omega58_256": timed(lambda: run_cli(sweep_argv)),
         "clock_single_dense_T600": timed(

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import chaitin, clock, phase, qpe
 from .dyadic import Dyadic, truncate
-from .tm import MachineParseError, MachineSpec, load_machine, walk_inputs
+from .errors import ParseError
+from .tm import MachineSpec, load_machine, walk_inputs
 from .zoo import ZOO, zoo_machine
 
 EXIT_OK = 0
@@ -615,8 +616,7 @@ def main(argv: list[str] | None = None) -> int:
             key, value = _parse_param(item)
             cfg.params[key] = value
         return run(cfg)
-    except (ConfigError, MachineParseError, clock.ClockSpecParseError, OSError,
-            json.JSONDecodeError, UnicodeDecodeError) as err:
+    except (ConfigError, ParseError, OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, phase.SeparationError, clock.BracketError) as err:

@@ -14,6 +14,8 @@ from functools import reduce
 import numpy as np
 import scipy.linalg as linalg
 
+from .errors import ParseError
+
 __all__ = [
     "ClockSpec",
     "ClockSpecParseError",
@@ -48,11 +50,8 @@ SHIFT_BELOW_GROUND = 1e-12  # inverse-iteration shift under lambda0, relative to
 ROOT_TOL = 1e-13  # bracket width at which the case-5 bisection stops
 
 
-class ClockSpecParseError(ValueError):
-    def __init__(self, message: str, line: int | None = None) -> None:
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class ClockSpecParseError(ParseError):
+    """Raised on malformed clock-spec files."""
 
 
 class BracketError(RuntimeError):

@@ -7,6 +7,14 @@ dyadics, comparison with a dyadic or an int, reduction mod 1 and exact
 printing; a float or a Fraction operand is never converted.  All values
 are exact; nothing here touches floating point except the explicit
 ``__float__`` conversions.
+
+The rounding map has one integer core, ``round_up_num``,
+``truncate_num`` and ``best_pair_num``: plain functions of a numerator
+over 2^e, written with shifts, masks and comparisons only, so a Python
+int and an integer numpy array of raw (not necessarily canonical)
+numerators run the same code.  ``round_up_mth``, ``truncate`` and
+``interval_Im`` check their arguments and compute through it, and
+``qpe.rounding_lemma_scan`` runs it on whole grid rows.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ __all__ = [
     "truncate",
     "round_up_mth",
     "interval_Im",
+    "round_up_num",
+    "truncate_num",
+    "best_pair_num",
 ]
 
 
@@ -52,18 +63,18 @@ class Dyadic:
     def __init__(self, numerator: int, exponent: int = 0) -> None:
         if exponent < 0:
             raise ValueError(f"exponent must be non-negative, got {exponent}")
-        if type(numerator) is bool:
-            numerator = int(numerator)
         # an odd numerator or a zero exponent is already canonical
         if exponent and not numerator & 1:
             if numerator == 0:
                 exponent = 0
             else:
                 # strip shared factors of two
-                shift = min(exponent, (numerator & -numerator).bit_length() - 1)
+                shift = (numerator & -numerator).bit_length() - 1
+                if shift > exponent:
+                    shift = exponent
                 numerator >>= shift
                 exponent -= shift
-        _set_num(self, numerator)
+        _set_num(self, +numerator)  # a bool numerator is stored as its int
         _set_exp(self, exponent)
 
     def __setattr__(self, name: str, value: object) -> None:  # pragma: no cover
@@ -134,6 +145,28 @@ _set_exp = Dyadic._exp.__set__  # type: ignore[attr-defined]
 ZERO = Dyadic(0)
 
 
+# -- the integer rounding core ---------------------------------------
+# Each takes a numerator ``num`` over 2^e with e > m >= 0; the round-up
+# and the pair need 0 <= num < 2^e.  Results are numerators too.
+
+
+def round_up_num(num, e: int, m: int):
+    """num/2^e + 2^-m (mod 1) if its (m+1)-th fractional bit is set,
+    else num/2^e; over 2^e."""
+    return (num + (((num >> (e - m - 1)) & 1) << (e - m))) & ((1 << e) - 1)
+
+
+def truncate_num(num, e: int, m: int):
+    """floor(2^m num/2^e): the first m fractional bits, over 2^m."""
+    return num >> (e - m)
+
+
+def best_pair_num(num, e: int, m: int):
+    """The floor and the ceiling (mod 2^m) of 2^m num/2^e, over 2^m; the
+    two are equal iff num/2^e lies on the m-bit grid."""
+    return num >> (e - m), -(-num >> (e - m)) & ((1 << m) - 1)
+
+
 def truncate(x: Dyadic, s: int) -> Dyadic:
     """Keep the first ``s`` fractional bits: floor(2^s * x) / 2^s.
 
@@ -144,7 +177,7 @@ def truncate(x: Dyadic, s: int) -> Dyadic:
     e = x._exp
     if e <= s:
         return x
-    return Dyadic(x._num >> (e - s), s)
+    return Dyadic(truncate_num(x._num, e, s), s)
 
 
 def round_up_mth(x: Dyadic, m: int, n_bits: int | None = None) -> Dyadic:
@@ -169,9 +202,10 @@ def round_up_mth(x: Dyadic, m: int, n_bits: int | None = None) -> Dyadic:
         raise ValueError(
             f"rounding position m={m} must be < fractional length n={n_bits}"
         )
-    if e > m and (num >> (e - m - 1)) & 1:
-        # bit m+1 is set, so x + 2^-m keeps exponent e; the mask reduces mod 1
-        return Dyadic((num + (1 << (e - m))) & ((1 << e) - 1), e)
+    if e > m:
+        rounded = round_up_num(num, e, m)
+        if rounded != num:  # bit m+1 is set
+            return Dyadic(rounded, e)
     return x
 
 
@@ -188,9 +222,7 @@ def interval_Im(phi: Dyadic, m: int) -> tuple[Dyadic, ...]:
         raise ValueError(f"interval_Im requires phi in [0, 1), got {phi}")
     if e <= m:
         return (phi,)
-    k = num >> (e - m)  # floor(2^m phi)
-    lo = Dyadic(k, m)
-    k += 1
-    if k >> m:  # the ceiling wraps to 0
-        return (ZERO, lo)
-    return (lo, Dyadic(k, m))
+    lo, hi = best_pair_num(num, e, m)  # distinct: a canonical num is odd
+    if not hi:  # the ceiling wraps to 0
+        return (ZERO, Dyadic(lo, m))
+    return (Dyadic(lo, m), Dyadic(hi, m))

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import Dyadic, interval_Im, round_up_mth, truncate
+from .dyadic import best_pair_num, round_up_num, truncate_num
 
 __all__ = [
     "PhaseDistribution",
@@ -160,62 +160,34 @@ def bound_scan(phis: list[Fraction], n_max: int) -> list[tuple[int, float, float
     return rows
 
 
-def _rounding_rows(points: list[Dyadic], m: int, n: int, dtype: np.dtype) -> np.ndarray:
-    """Rows (image, lo, hi) of the n-bit points at m bits: the
-    round-then-truncate image and the two ends of interval_Im, each m-bit
-    value written as its integer numerator over 2^m."""
-    images, lo, hi = [], [], []
-    for x in points:
-        rounded = truncate(round_up_mth(x, m, n_bits=n), m)
-        images.append(rounded.numerator << (m - rounded.exponent))
-        members = interval_Im(x, m)
-        lo.append(members[0].numerator << (m - members[0].exponent))
-        hi.append(members[-1].numerator << (m - members[-1].exponent))
-    return np.array((images, lo, hi), dtype=dtype)
-
-
 def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
     """Exhaustive rounding-lemma check on all dyadic grids up to n_max bits.
 
     For every n, m < n, every n-bit estimate within 2^-(m+1) (mod 1) of
     every n-bit phase must round-then-truncate into the phase's best
-    m-bit approximations.  Each point is both an estimate and a phase, and
-    the exact dyadic operations run once per distinct (value, m): the even
-    point 2j/2^n is level n-1's point j, so level n takes their rows from
-    level n-1 and computes only its odd points for m <= n-2, and every
-    point for the new m = n-1.  ``n_bits`` only validates the
-    precision, so the value alone fixes each image.  The pairs are then
-    compared per (n, m) and window offset: phase w against estimate
-    z = w + start - radius + 1 (mod 2^n) for every w at once, one 2^n
-    slice of the wrapped image row per offset, so beyond the rows of two
-    levels the memory does not grow.  ``n_max`` must lie in
+    m-bit approximations.  Each point z/2^n is both an estimate and a
+    phase, so per (n, m) the dyadic rounding core runs once on the row of
+    numerators 0..2^n - 1, giving the image of every estimate and both
+    best approximations of every phase, each as its numerator over 2^m.
+    The pairs are then compared per window offset: phase w against
+    estimate z = w + start - radius + 1 (mod 2^n) for every w at once,
+    one 2^n slice of the wrapped image row per offset, so beyond one
+    grid's rows the memory does not grow.  ``n_max`` must lie in
     [2, MAX_PRECISION_BITS]; it is checked before any work.
     """
     if not 2 <= n_max <= MAX_PRECISION_BITS:
         raise ValueError(f"n_max must be in [2, {MAX_PRECISION_BITS}], got {n_max}")
-    dtype = np.min_scalar_type((1 << (n_max - 1)) - 1)  # every m-bit value fits
     checked = violations = 0
-    previous: list[np.ndarray] = []  # level n-1's rows for m = 1, 2, ...
     for n in range(2, n_max + 1):
         size = 1 << n
-        points = [Dyadic(z, n) for z in range(size)]
-        odd = points[1::2]
-        current = []
+        points = np.arange(size)
         for m in range(1, n):
-            if m < n - 1:
-                rows = np.empty((3, size), dtype)
-                rows[:, 0::2] = previous.pop(0)  # the even points, freed once read
-                rows[:, 1::2] = _rounding_rows(odd, m, n, dtype)
-            else:
-                rows = _rounding_rows(points, m, n, dtype)
-            images, lo, hi = rows
+            images = truncate_num(round_up_num(points, n, m), n, m)
+            lo, hi = best_pair_num(points, n, m)
             radius = 1 << (n - m - 1)  # estimates with |z - w| mod 2^n < radius
             wrapped = np.concatenate((images[size - radius + 1 :], images, images[: radius - 1]))
             for start in range(2 * radius - 1):
                 window = wrapped[start : start + size]
                 violations += int(np.count_nonzero((window != lo) & (window != hi)))
             checked += size * (2 * radius - 1)
-            if n < n_max:
-                current.append(rows)
-        previous = current
     return checked, violations

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .errors import ParseError
+
 __all__ = [
     "BLANK",
     "MOVES",
@@ -42,14 +44,8 @@ _MAX_BRANCHES = 200_000  # input decision-tree nodes one walk may visit
 Rule = tuple[str, str, str, str, str]  # state, read, next_state, write, move
 
 
-class MachineParseError(ValueError):
-    """Raised on malformed machine files; carries the offending line number."""
-
-    def __init__(self, message: str, line: int | None = None) -> None:
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class MachineParseError(ParseError):
+    """Raised on malformed machine files."""
 
 
 class MachineSpec:
@@ -72,14 +68,14 @@ class MachineSpec:
         raise AttributeError("MachineSpec is immutable")
 
     def _validate(self) -> None:
-        states = self.states
-        if any(state == self.halt for state, *_ in self.rules):
+        if self.start == self.halt:
+            raise MachineParseError(f"start state {self.start!r} is the halt state")
+        owners = {state for state, *_ in self.rules}
+        if self.halt in owners:
             raise MachineParseError("halt state must have no outgoing rules")
-        if self.start not in states:
+        if self.start not in owners:
             raise MachineParseError(f"start state {self.start!r} has no rules")
-        for state in states:
-            if state == self.halt:
-                continue
+        for state in sorted(self.states - {self.halt}):  # names the least gap
             for sym in SYMBOLS:
                 if (state, ord(sym)) not in self._rule_map:
                     raise MachineParseError(

@@ -17,10 +17,12 @@ from omegaphase.cli import (
     run,
 )
 from omegaphase.chaitin import witness_wprime
+from omegaphase.clock import ClockSpecParseError
 from omegaphase.dyadic import Dyadic
+from omegaphase.errors import ParseError
 from omegaphase.phase import SquareEnergyModel, square_energy
 from omegaphase.qpe import qpe_distribution
-from omegaphase.tm import walk_inputs
+from omegaphase.tm import MachineParseError, walk_inputs
 from omegaphase.zoo import zoo_machine, zoo_machine_text
 
 
@@ -928,3 +930,20 @@ def test_cli_import_loads_no_scipy_sparse():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_parse_errors_share_one_numpy_free_base():
+    # the machine and clock-spec readers raise one line-numbered base,
+    # which main catches for exit 2; its module loads no numpy
+    assert issubclass(MachineParseError, ParseError)
+    assert issubclass(ClockSpecParseError, ParseError)
+    assert ClockSpecParseError("bad", 4).line == 4
+    code = (
+        "import sys\n"
+        "from omegaphase.errors import ParseError\n"
+        "err = ParseError('bad', 4)\n"
+        "print('numpy' in sys.modules, err.line, err)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False 4 line 4: bad\n"

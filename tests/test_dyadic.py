@@ -6,9 +6,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate
+from omegaphase import dyadic
+from omegaphase.dyadic import (
+    Dyadic,
+    best_pair_num,
+    interval_Im,
+    round_up_mth,
+    round_up_num,
+    truncate,
+    truncate_num,
+)
+
+CORE = ("round_up_num", "truncate_num", "best_pair_num")
 
 
 def frac(d):
@@ -249,36 +261,93 @@ def test_rounding_ops_exhaustive_against_fractions():
             assert _outcome(interval_Im, x, m) == want, (x, m)
 
 
+def _core_oracle(f, m):
+    """What the core must give for the value f in [0, 1) at m bits, from
+    Fractions: the rounded value, and the floor and the ceiling (mod 2^m)
+    of 2^m f."""
+    bit = math.floor(f * 2 ** (m + 1)) % 2
+    rounded = (f + Fraction(1, 2**m)) % 1 if bit else f
+    return rounded, math.floor(f * 2**m), math.ceil(f * 2**m) % 2**m
+
+
+def test_rounding_core_agrees_with_fractions():
+    # every z/2^n with n <= 12 and every m < n, on a row of raw int64
+    # numerators, on each Python int and on the canonical Dyadic's pair
+    for n in range(1, 13):
+        size = 1 << n
+        row = np.arange(size, dtype=np.int64)
+        for m in range(n):
+            want = [_core_oracle(Fraction(z, size), m) for z in range(size)]
+            rounded = [r * size for r, _, _ in want]
+            floors = [lo for _, lo, _ in want]
+            ceilings = [hi for _, _, hi in want]
+            assert round_up_num(row, n, m).tolist() == rounded, (n, m)
+            assert truncate_num(row, n, m).tolist() == floors, (n, m)
+            lo, hi = best_pair_num(row, n, m)
+            assert (lo.tolist(), hi.tolist()) == (floors, ceilings), (n, m)
+            for z in range(size):
+                assert round_up_num(z, n, m) == rounded[z], (z, n, m)
+                assert truncate_num(z, n, m) == floors[z], (z, n, m)
+                assert best_pair_num(z, n, m) == (floors[z], ceilings[z]), (z, n, m)
+                x = Dyadic(z, n)
+                num, e = x.numerator, x.exponent
+                if e <= m:  # on the m-bit grid: the ops return x itself
+                    continue
+                r = round_up_num(num, e, m)
+                assert Fraction(r, 1 << e) == want[z][0], (z, n, m)
+                assert truncate_num(num, e, m) == floors[z], (z, n, m)
+                assert best_pair_num(num, e, m) == (floors[z], ceilings[z]), (z, n, m)
+
+
+def _recording(module, calls, monkeypatch):
+    """Patch the core in ``module`` to log (name, e, m, numerator) per call."""
+    for name in CORE:
+        real = getattr(module, name)
+
+        def wrapper(num, e, m, name=name, real=real):
+            calls.append((name, e, m, num))
+            return real(num, e, m)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+
 def test_rounding_lemma_scan_goes_through_the_rounding_ops(monkeypatch):
-    # one round_up_mth and one interval_Im call per distinct (value, m) of
-    # the 2^-12 grid, m < 12: 4,096 * 11 = 45,056, where one call per
-    # (n, m, z) would make sum over n = 2..12 of (n - 1) * 2^n = 81,924
+    # the scan and the three Dyadic ops run one core: the scan calls each
+    # core function once per (n, m) row, on the whole row 0..2^n - 1
     from omegaphase import qpe
 
-    seen = {"round_up_mth": [], "interval_Im": []}
+    for name in CORE:
+        assert getattr(qpe, name) is getattr(dyadic, name)
+    calls = []
+    _recording(qpe, calls, monkeypatch)
+    assert qpe.rounding_lemma_scan(12) == (22_271_316, 0)
+    rows = [(n, m) for n in range(2, 13) for m in range(1, n)]
+    assert len(calls) == 3 * len(rows) == 198
+    for name in CORE:
+        mine = [(e, m, num) for called, e, m, num in calls if called == name]
+        assert [(e, m) for e, m, _ in mine] == rows, name
+        for e, m, num in mine:
+            # truncate_num runs on the rounded row, a permutation of the grid
+            row = np.sort(num) if name == "truncate_num" else num
+            assert np.array_equal(row, np.arange(1 << e)), (name, e, m)
 
-    def counted(name):
-        real = getattr(qpe, name)
-
-        def wrapper(x, m, **kwargs):
-            seen[name].append((x, m))
-            return real(x, m, **kwargs)
-
-        return wrapper
-
-    for name in seen:
-        monkeypatch.setattr(qpe, name, counted(name))
-    assert qpe.rounding_lemma_scan(12)[1] == 0
-    grid = {(Dyadic(z, 12), m) for z in range(1 << 12) for m in range(1, 12)}
-    for pairs in seen.values():
-        assert len(pairs) == 45_056
-        assert set(pairs) == grid  # so each pair is seen exactly once
+    calls = []
+    _recording(dyadic, calls, monkeypatch)
+    x = Dyadic(0b1011, 4)
+    assert round_up_mth(x, 2) == Dyadic(0b1111, 4)
+    assert truncate(x, 2) == Dyadic(1, 1)
+    assert interval_Im(x, 2) == (Dyadic(1, 1), Dyadic(3, 2))
+    assert calls == [
+        ("round_up_num", 4, 2, 0b1011),
+        ("truncate_num", 4, 2, 0b1011),
+        ("best_pair_num", 4, 2, 0b1011),
+    ]
 
 
 def test_round_up_mth_ignores_valid_n_bits():
-    # the scan computes each (value, m) at one precision n_bits; every
-    # other valid n_bits up to 12 gives the same Dyadic.  These are the
-    # 81,924 (x, m, n_bits) triples of one call per (n, m, z) for n <= 12.
+    # n_bits only validates the precision: every valid n_bits up to 12
+    # gives the same Dyadic.  These are the 81,924 (x, m, n_bits) triples
+    # of one call per (n, m, z) for n <= 12.
     triples = 0
     for z in range(1 << 12):
         x = Dyadic(z, 12)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from omegaphase import cli, qpe
-from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate
+from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, round_up_num, truncate, truncate_num
 from omegaphase.qpe import qpe_distribution, rounding_lemma_scan, tail_and_success
 
 SAMPLE_PHASES = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(100, 257)]
@@ -162,8 +162,8 @@ def test_scans_refuse_n_max_before_any_work(monkeypatch, n_max):
     def no_work(*args, **kwargs):
         raise AssertionError("the scan did work before checking n_max")
 
-    monkeypatch.setattr(qpe, "qpe_distribution", no_work)
-    monkeypatch.setattr(qpe, "round_up_mth", no_work)
+    for name in ("qpe_distribution", "round_up_num", "truncate_num", "best_pair_num"):
+        monkeypatch.setattr(qpe, name, no_work)
     with pytest.raises(ValueError, match="n_max"):
         qpe.bound_scan([Fraction(1, 2)], n_max)
     with pytest.raises(ValueError, match="n_max"):
@@ -249,16 +249,17 @@ def test_nearest_two_mass():
 def scalar_rounding_counts(n):
     """(checked, violations) of one grid n, pair by pair: phase w against
     every estimate z with |z - w| mod 2^n below the radius, through the
-    truncate the scan sees."""
+    truncate_num the scan sees, on z's numerator over 2^n; the members
+    are interval_Im's, each as its numerator over 2^m."""
     size = 1 << n
     checked = violations = 0
     for m in range(1, n):
         radius = 1 << (n - m - 1)
         for w in range(size):
-            members = set(interval_Im(Dyadic(w, n), m))
+            members = {d.numerator << (m - d.exponent) for d in interval_Im(Dyadic(w, n), m)}
             for off in range(-radius + 1, radius):
                 z = (w + off) % size
-                image = qpe.truncate(round_up_mth(Dyadic(z, n), m, n_bits=n), m)
+                image = qpe.truncate_num(round_up_num(z, n, m), n, m)
                 checked += 1
                 violations += image not in members
     return checked, violations
@@ -279,14 +280,13 @@ def test_rounding_scan_matches_pair_loop():
 
 def break_truncate(monkeypatch):
     # a truncation that is wrong on some values, the wrapping top cell
-    # included, so a misaligned or unwrapped window would count differently
-    def broken(x, s):
-        t = truncate(x, s)
-        if x.numerator % 3 == 1 or x == 0:
-            return (t + Dyadic(1, s)).mod1()
-        return t
+    # included, so a misaligned or unwrapped window would count differently:
+    # 2^-m too high (mod 1) where it is wrong, on an int and on a row alike
+    def broken(num, e, m):
+        wrong = (num % 3 == 1) | (num == 0)
+        return (truncate_num(num, e, m) + wrong) & ((1 << m) - 1)
 
-    monkeypatch.setattr(qpe, "truncate", broken)
+    monkeypatch.setattr(qpe, "truncate_num", broken)
 
 
 def test_rounding_scan_counts_broken_truncation(monkeypatch):

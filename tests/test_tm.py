@@ -3,8 +3,12 @@ times and prefix-freeness search, checked against the bundled zoo's
 ground truth and, on seeded random machines, against a naive simulator."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,8 @@ from omegaphase.tm import (
     walk_inputs,
 )
 from omegaphase.zoo import ZOO, zoo_machine, zoo_machine_text
+
+SRC = Path(tm.__file__).resolve().parents[1]
 
 
 def brute_force_enumeration(count):
@@ -160,6 +166,44 @@ def test_parser_requires_headers_and_totality():
         parse_machine(
             "start: a\nhalt: h\na 0 -> h 0 S\na 1 -> a 1 S\na _ -> a _ S\nh 0 -> a 0 S"
         )
+
+
+def test_parser_refuses_a_start_state_without_rules():
+    # only a has rules; the start state z, named on no rule's left, has none
+    text = "start: z\nhalt: h\na 0 -> h 0 S\na 1 -> a 1 S\na _ -> a _ S"
+    with pytest.raises(MachineParseError, match=r"^start state 'z' has no rules$"):
+        parse_machine(text)
+
+
+def test_parser_refuses_a_start_state_that_is_the_halt_state():
+    for rules in ("", "\na 0 -> h 0 S\na 1 -> a 1 S\na _ -> a _ S"):
+        with pytest.raises(MachineParseError, match=r"^start state 'h' is the halt state$"):
+            parse_machine(f"start: h\nhalt: h{rules}")
+
+
+# b, c and d have no rules; sorted, the least gap is (b, 0)
+UNTOTAL = "start: a\nhalt: h\na 0 -> b 0 R\na 1 -> c 1 R\na _ -> d _ S"
+
+
+def test_parser_names_the_least_missing_rule():
+    with pytest.raises(MachineParseError, match=r"^transition table not total: missing b 0$"):
+        parse_machine(UNTOTAL)
+
+
+@pytest.mark.parametrize("seed", ["1", "3", "6"])
+def test_missing_rule_message_ignores_the_hash_seed(seed):
+    # under these seeds a walk in set order named d 0, c 0 and d 0
+    code = (
+        "from omegaphase.tm import parse_machine\n"
+        "try:\n"
+        f"    parse_machine({UNTOTAL!r})\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "transition table not total: missing b 0\n"
 
 
 def test_format_round_trip():
