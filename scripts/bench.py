@@ -19,9 +19,10 @@ directory; runs after the first see warm in-process caches (config 12
 reuses the separation scale config 08 found).  The microbenchmarks run on
 fixed inputs:
 
-- ``dyadic_pipeline_n12``: the scalar ``Dyadic`` ops, the rounding map
-  truncate(round_up_mth(.)) and ``interval_Im`` of every 12-bit grid
-  point for every m < 12;
+- ``rounding_core_scalar_n12``: on every 12-bit grid point z/2^12 for
+  every 1 <= m < 12, one Python int at a time, the dyadic rounding core's
+  round-then-truncate ``truncate_num(round_up_num(.))`` and best pair
+  ``best_pair_num``, and ``truncate`` of the ``Dyadic`` z/2^12;
 - ``rounding_lemma_scan_12``: ``qpe.rounding_lemma_scan(12)``, which runs
   the dyadic rounding core on whole grid rows;
 - ``bound_scan_257_14``: ``qpe.bound_scan`` on config 04's 256 phases
@@ -92,7 +93,7 @@ for _var in BLAS_VARS:
 import numpy as np  # noqa: E402
 
 from omegaphase import chaitin, cli, clock, phase, qpe  # noqa: E402
-from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, truncate  # noqa: E402
+from omegaphase.dyadic import Dyadic, best_pair_num, round_up_num, truncate, truncate_num  # noqa: E402
 from omegaphase.tm import parse_machine, walk_inputs  # noqa: E402
 from omegaphase.zoo import zoo_machine  # noqa: E402
 
@@ -162,12 +163,12 @@ def import_cli() -> None:
     subprocess.run([sys.executable, "-c", "import omegaphase.cli"], env=env, check=True)
 
 
-def dyadic_pipeline(n: int = 12) -> None:
+def rounding_core_scalar(n: int = 12) -> None:
     for m in range(1, n):
         for z in range(1 << n):
-            x = Dyadic(z, n)
-            truncate(round_up_mth(x, m, n_bits=n), m)
-            interval_Im(x, m)
+            truncate_num(round_up_num(z, n, m), n, m)
+            best_pair_num(z, n, m)
+            truncate(Dyadic(z, n), m)
 
 
 def main() -> None:
@@ -187,7 +188,7 @@ def main() -> None:
     spec = clock.case5_spec(1500, 0.37)
     phases_257 = [Fraction(k, 257) for k in range(1, 257)]
     micro = {
-        "dyadic_pipeline_n12": timed(dyadic_pipeline),
+        "rounding_core_scalar_n12": timed(rounding_core_scalar),
         "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12), trace_memory=True),
         "bound_scan_257_14": timed(lambda: qpe.bound_scan(phases_257, 14)),
         "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv), trace_memory=True),

@@ -4,14 +4,12 @@ as ``str``, staged halting probabilities, phase-estimation error bounds,
 clock-Hamiltonian spectral theory, and the per-square energy model that
 classifies phases."""
 
-from .dyadic import Dyadic, interval_Im, round_up_mth, truncate
+from .dyadic import Dyadic, truncate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Dyadic",
     "truncate",
-    "round_up_mth",
-    "interval_Im",
     "__version__",
 ]

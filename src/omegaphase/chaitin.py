@@ -11,6 +11,10 @@ budget is refused.  The walk refuses a machine whose halting words
 within its budget nest, so by Kraft's inequality no stage read off a
 record exceeds 1.  Budgets are explicit: these procedures semi-decide
 "phi below the halting probability", they never decide it.
+
+The finite-precision witness reads an m-bit word as an int and compares
+it with the stage-m value truncated by ``dyadic.truncate_num``, the
+integer rounding core that ``phase.sweep`` also decides it with.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .dyadic import ZERO, Dyadic, truncate
+from .dyadic import ZERO, Dyadic, truncate_num
 from .tm import InputWalk, enumerate_input
 
 __all__ = [
@@ -113,24 +117,22 @@ def witness_w(walk: InputWalk, phi: Dyadic, max_stage: int) -> int | None:
     return None
 
 
-def wprime_halts(phi: Dyadic, stage_value: Dyadic, m: int) -> bool:
+def wprime_halts(word: int, stage_value: Dyadic, m: int) -> bool:
     """The halting predicate of the finite-precision witness at precision
-    m, given the stage-m value: 0 < (phi truncated to m bits) < (stage
-    value truncated to m bits).
+    m on the m-bit word ``word`` (an int in [0, 2^m)), given the stage-m
+    value: 0 < word < (stage value truncated to m bits), both over 2^m.
 
-    An all-zero truncation loops unconditionally: the m-bit word 0^m
-    stands for 1 so that wraparound estimates of phases just below 1
-    cannot fake a halt.
+    The all-zero word loops unconditionally: 0^m stands for 1 so that
+    wraparound estimates of phases just below 1 cannot fake a halt.
     """
-    phi_m = truncate(phi, m)
-    return phi_m != 0 and phi_m < truncate(stage_value, m)
+    return 0 < word < truncate_num(stage_value.numerator, stage_value.exponent, m)
 
 
 def witness_wprime(walk: InputWalk, phibar: str, m: int) -> bool:
     """Decide the halting branch of the finite-precision witness on the
     binary word phibar, read as 0.phibar, at precision m (see
-    ``wprime_halts``), with the stage-m value read off ``walk``, for
-    m <= its budget.
+    ``wprime_halts``), on its first m bits and the stage-m value read off
+    ``walk``, for m <= its budget.
 
     The looping branch is decided analytically rather than actually
     looping; downstream consumers only need the predicate.
@@ -139,5 +141,4 @@ def witness_wprime(walk: InputWalk, phibar: str, m: int) -> bool:
         raise ValueError(f"phibar must be a word over 0 and 1, got {phibar!r}")
     if not 1 <= m <= len(phibar):
         raise ValueError(f"need 1 <= m <= n = {len(phibar)}, got m = {m}")
-    phi = Dyadic(int(phibar, 2), len(phibar))
-    return wprime_halts(phi, omega_stage_values(walk, m)[-1], m)
+    return wprime_halts(int(phibar[:m], 2), omega_stage_values(walk, m)[-1], m)

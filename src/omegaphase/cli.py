@@ -27,7 +27,7 @@ import numpy as np
 
 from . import chaitin, clock, phase, qpe
 from .dyadic import Dyadic, truncate
-from .errors import ParseError
+from .errors import BracketError, ParseError, SeparationError
 from .tm import MachineSpec, load_machine, walk_inputs
 from .zoo import ZOO, zoo_machine
 
@@ -619,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParseError, OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, phase.SeparationError, clock.BracketError) as err:
+    except (ValueError, SeparationError, BracketError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONSTRAINT
 

@@ -14,7 +14,7 @@ from functools import reduce
 import numpy as np
 import scipy.linalg as linalg
 
-from .errors import ParseError
+from .errors import BracketError, ParseError
 
 __all__ = [
     "ClockSpec",
@@ -52,10 +52,6 @@ ROOT_TOL = 1e-13  # bracket width at which the case-5 bisection stops
 
 class ClockSpecParseError(ParseError):
     """Raised on malformed clock-spec files."""
-
-
-class BracketError(RuntimeError):
-    """Root bracketing failed: mu outside (0,1) or numerical pathology."""
 
 
 def _is_projector(p: np.ndarray) -> bool:

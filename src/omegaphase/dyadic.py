@@ -3,18 +3,19 @@
 Every comparison against a halting-probability approximation, every
 truncation, and the rounding map used after phase estimation go through
 this module.  ``Dyadic`` carries only what those need: the sum of two
-dyadics, comparison with a dyadic or an int, reduction mod 1 and exact
-printing; a float or a Fraction operand is never converted.  All values
-are exact; nothing here touches floating point except the explicit
-``__float__`` conversions.
+dyadics, comparison with a dyadic or an int, and exact printing; a float
+or a Fraction operand is never converted.  All values are exact; nothing
+here touches floating point except the explicit ``__float__``
+conversions.
 
 The rounding map has one integer core, ``round_up_num``,
 ``truncate_num`` and ``best_pair_num``: plain functions of a numerator
 over 2^e, written with shifts, masks and comparisons only, so a Python
 int and an integer numpy array of raw (not necessarily canonical)
-numerators run the same code.  ``round_up_mth``, ``truncate`` and
-``interval_Im`` check their arguments and compute through it, and
-``qpe.rounding_lemma_scan`` runs it on whole grid rows.
+numerators run the same code.  ``truncate`` checks its argument and
+computes through it, ``chaitin.wprime_halts`` and ``phase.sweep`` decide
+the finite-precision witness with it, and ``qpe.rounding_lemma_scan``
+runs it on whole grid rows.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from typing import Callable
 __all__ = [
     "Dyadic",
     "truncate",
-    "round_up_mth",
-    "interval_Im",
     "round_up_num",
     "truncate_num",
     "best_pair_num",
@@ -103,10 +102,6 @@ class Dyadic:
             (self._num << (e - self._exp)) + (other._num << (e - other._exp)), e
         )
 
-    def mod1(self) -> "Dyadic":
-        """Reduce into [0, 1); all mod-1 steps in callers are explicit."""
-        return Dyadic(self._num & ((1 << self._exp) - 1), self._exp)
-
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -146,8 +141,9 @@ ZERO = Dyadic(0)
 
 
 # -- the integer rounding core ---------------------------------------
-# Each takes a numerator ``num`` over 2^e with e > m >= 0; the round-up
-# and the pair need 0 <= num < 2^e.  Results are numerators too.
+# Each takes a numerator ``num`` over 2^e, e >= 0, and a precision m >= 0;
+# the round-up needs e > m, and it and the pair need 0 <= num < 2^e.
+# Results are numerators too.
 
 
 def round_up_num(num, e: int, m: int):
@@ -158,13 +154,14 @@ def round_up_num(num, e: int, m: int):
 
 def truncate_num(num, e: int, m: int):
     """floor(2^m num/2^e): the first m fractional bits, over 2^m."""
-    return num >> (e - m)
+    return (num << m) >> e
 
 
 def best_pair_num(num, e: int, m: int):
     """The floor and the ceiling (mod 2^m) of 2^m num/2^e, over 2^m; the
     two are equal iff num/2^e lies on the m-bit grid."""
-    return num >> (e - m), -(-num >> (e - m)) & ((1 << m) - 1)
+    scaled = num << m
+    return scaled >> e, -(-scaled >> e) & ((1 << m) - 1)
 
 
 def truncate(x: Dyadic, s: int) -> Dyadic:
@@ -174,55 +171,4 @@ def truncate(x: Dyadic, s: int) -> Dyadic:
     """
     if s < 0:
         raise ValueError(f"truncation length must be >= 0, got {s}")
-    e = x._exp
-    if e <= s:
-        return x
-    return Dyadic(truncate_num(x._num, e, s), s)
-
-
-def round_up_mth(x: Dyadic, m: int, n_bits: int | None = None) -> Dyadic:
-    """Add 2^-m (mod 1) iff the (m+1)-th fractional bit of ``x`` is set.
-
-    ``n_bits`` declares the working precision: ``x`` must fit in
-    ``n_bits`` fractional bits and ``m`` must be strictly smaller.  When
-    omitted, the precision defaults to ``max(x.exponent, m + 1)``
-    so the (m+1)-th bit is always addressable.  An explicit ``n_bits``
-    with ``m >= n_bits`` signals a misconfigured precision schedule.
-    """
-    num, e = x._num, x._exp
-    if num >> e:  # the floor is 0 exactly on [0, 1)
-        raise ValueError(f"round_up_mth requires x in [0, 1), got {x}")
-    if m < 1:
-        raise ValueError(f"rounding position must be >= 1, got {m}")
-    if n_bits is None:
-        n_bits = max(e, m + 1)
-    elif e > n_bits:
-        raise ValueError(f"{x} has {e} fractional bits, more than n={n_bits}")
-    if m >= n_bits:
-        raise ValueError(
-            f"rounding position m={m} must be < fractional length n={n_bits}"
-        )
-    if e > m:
-        rounded = round_up_num(num, e, m)
-        if rounded != num:  # bit m+1 is set
-            return Dyadic(rounded, e)
-    return x
-
-
-def interval_Im(phi: Dyadic, m: int) -> tuple[Dyadic, ...]:
-    """The best m-bit approximations {floor, ceil}(2^m phi)/2^m, mod 1.
-
-    A singleton iff 2^m * phi is an integer; the ceiling member wraps to
-    0 when phi lies in the top grid cell.  Members are returned sorted.
-    """
-    if m < 1:
-        raise ValueError(f"precision m must be >= 1, got {m}")
-    num, e = phi._num, phi._exp
-    if num >> e:
-        raise ValueError(f"interval_Im requires phi in [0, 1), got {phi}")
-    if e <= m:
-        return (phi,)
-    lo, hi = best_pair_num(num, e, m)  # distinct: a canonical num is odd
-    if not hi:  # the ceiling wraps to 0
-        return (ZERO, Dyadic(lo, m))
-    return (Dyadic(lo, m), Dyadic(hi, m))
+    return Dyadic(truncate_num(x._num, x._exp, s), s)

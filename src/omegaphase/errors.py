@@ -1,5 +1,8 @@
-"""The parse-error base shared by the machine and clock-spec readers and
-the CLI; it imports nothing, so no reader pulls in another's layers."""
+"""The error classes that the CLI maps to exit codes and that more than
+one layer or the CLI names: the parse-error base shared by the machine
+and clock-spec readers, and the clock's and the phase model's constraint
+failures.  It imports nothing, so the CLI can name them without loading
+the layers that raise them."""
 
 
 class ParseError(ValueError):
@@ -10,3 +13,12 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class BracketError(RuntimeError):
+    """Root bracketing failed: mu outside (0,1) or numerical pathology."""
+
+
+class SeparationError(RuntimeError):
+    """The marker interval fails to separate the two energy regimes
+    within the checked range: model constants too loose."""

@@ -20,7 +20,8 @@ import numpy as np
 
 from .calibration import COMP_UPPER_K
 from .chaitin import omega_stage_values, wprime_halts
-from .dyadic import Dyadic, interval_Im
+from .dyadic import Dyadic, best_pair_num
+from .errors import SeparationError
 from .tm import InputWalk
 
 __all__ = [
@@ -55,11 +56,6 @@ MAX_C1_NUMERATOR = 1000  # each synthesis exponent raises integers to c1's numer
 # 2-vCPU host, where the default c1 = 7/2 at c2 = 2260 takes 1.5 s.
 MAX_C2_POWER_BITS = 1024
 REGIMES = ("halting", "nonhalting", "mixed")
-
-
-class SeparationError(RuntimeError):
-    """The marker interval fails to separate the two energy regimes
-    within the checked range: model constants too loose."""
 
 
 def _floor_root(value: int, k: int) -> int:
@@ -419,6 +415,12 @@ def sweep(
     for finite-precision witness halting on every best approximation; the
     budget is the walk's, and the witness reads its stage values off it.
 
+    Each phase is reduced mod 1 once, to a numerator over 2^e.  At side s
+    the witness runs at m = m(s) on the floor and the ceiling (mod 1) of
+    2^m phi, from ``dyadic.best_pair_num``; the two are one word when phi
+    lies on the m-bit grid.  Both halting is the halting regime, neither
+    the non-halting one, and one of the two the mixed one.
+
     Evidence is only ever emitted together with the reproducible witness
     trace and its strictly negative energy certificate; running out of
     budget is a value (no_evidence), not an error.  The boundary phase
@@ -439,19 +441,14 @@ def sweep(
     for phi in phi_grid:
         if not 0 < phi <= 1:
             raise ValueError(f"grid phases must lie in (0, 1], got {phi}")
-        reduced = phi.mod1()
+        e = phi.exponent
+        num = phi.numerator & ((1 << e) - 1)  # phi mod 1, over 2^e
         trace: list[tuple[int, EnergyInterval]] = []
         hit: int | None = None
         for s in range(s_prime, s_budget + 1):
             m = model.m_of(s)
-            members = interval_Im(reduced, m)
-            verdicts = [wprime_halts(v, stage_values[m - 1], m) for v in members]
-            if all(verdicts):
-                regime = "halting"
-            elif not any(verdicts):
-                regime = "nonhalting"
-            else:
-                regime = "mixed"
+            below, above = (wprime_halts(w, stage_values[m - 1], m) for w in best_pair_num(num, e, m))
+            regime = "mixed" if below != above else "halting" if below else "nonhalting"
             interval = energies.get((s, regime))
             if interval is None:
                 interval = energies[s, regime] = square_energy(s, regime, model)

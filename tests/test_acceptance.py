@@ -160,7 +160,7 @@ def test_criterion_08_witness_and_sweep_transition():
             assert (outcome is not None) == (phi < entry.omega), (name, str(phi))
         grid = [Dyadic(k, 6) for k in range(1, 65)]
         for result in phase.sweep(grid, walk_inputs(zoo_machine(name), s_prime + 1), model):
-            below = result.phi.mod1() < entry.omega and result.phi != Dyadic(1)
+            below = result.phi < entry.omega
             assert result.gapless == below, (name, str(result.phi))
             if result.phi == entry.omega:
                 assert not result.gapless  # boundary belongs to the gapped side

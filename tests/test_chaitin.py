@@ -3,6 +3,8 @@ documented halting sets and exact values, and against stages computed
 from scratch by the naive simulator."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +14,7 @@ from omegaphase.chaitin import (
     witness_w,
     witness_wprime,
 )
-from omegaphase.dyadic import Dyadic, interval_Im, truncate
+from omegaphase.dyadic import Dyadic, truncate
 from omegaphase.tm import InputWalk, enumerate_input, parse_machine, walk_inputs
 from omegaphase.zoo import ZOO, zoo_machine
 from test_tm import PREFIX_FREE, assert_refused, least_nested_pair, naive_run, naive_stage_values
@@ -236,9 +238,9 @@ def test_wprime_requires_valid_m():
 def desk_scale_wprime(walk, phi, m):
     """Halting verdicts of the finite-precision witness on every best
     m-bit approximation of phi."""
-    members = interval_Im(phi, m)
-    words = [f"{v.numerator << (m - v.exponent):0{m}b}" for v in members]
-    return [witness_wprime(walk, word, m) for word in words]
+    scaled = Fraction(phi.numerator << m, 1 << phi.exponent)
+    words = {math.floor(scaled), math.ceil(scaled) % (1 << m)}
+    return [witness_wprime(walk, f"{word:0{m}b}", m) for word in words]
 
 
 def test_transition_theorem_desk_scale():

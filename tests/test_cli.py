@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from omegaphase import cli, clock, errors, phase
 from omegaphase.cli import (
     EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, PARAM_KEYS, REQUIRED, ConfigError, RunConfig, _read, main,
     run,
@@ -947,3 +948,23 @@ def test_parse_errors_share_one_numpy_free_base():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False 4 line 4: bad\n"
+
+
+@pytest.mark.parametrize("name", ["BracketError", "SeparationError"])
+def test_constraint_errors_live_in_the_numpy_free_module(monkeypatch, capsys, tmp_path, name):
+    # the clock's and the phase model's constraint failures are the errors
+    # module's classes, importable where they are raised; main maps each to
+    # exit 3 with its message, and the module loads no numpy
+    error = getattr(errors, name)
+    assert getattr(clock if name == "BracketError" else phase, name) is error
+
+    def failing(cfg):
+        raise error("constants too loose")
+
+    monkeypatch.setattr(cli, "run", failing)
+    assert main(["sweep", "--output-dir", str(tmp_path / "run")]) == EXIT_CONSTRAINT
+    assert capsys.readouterr().err == "error: constants too loose\n"
+    code = f"import sys\nfrom omegaphase.errors import {name}\nprint('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,5 +1,6 @@
-"""Exact-arithmetic substrate: canonical form, truncation, the rounding
-map, and best-approximation intervals."""
+"""Exact-arithmetic substrate: canonical form, truncation, and the
+integer rounding core (the rounding map and the best-approximation
+intervals)."""
 
 import itertools
 import math
@@ -13,8 +14,6 @@ from omegaphase import dyadic
 from omegaphase.dyadic import (
     Dyadic,
     best_pair_num,
-    interval_Im,
-    round_up_mth,
     round_up_num,
     truncate,
     truncate_num,
@@ -55,23 +54,10 @@ def test_results_are_canonical_and_exact():
     for a in SMALL_GRID:
         fa = frac(a)
         assert_exact(a, fa)
-        assert_exact(a.mod1(), fa % 1)
         for s in range(0, 7):
             assert_exact(truncate(a, s), Fraction(math.floor(fa * 2**s), 2**s))
         for b in SMALL_GRID:
             assert_exact(a + b, fa + frac(b))
-        if not 0 <= fa < 1:
-            continue
-        for m in range(1, 7):
-            step = Fraction(1, 2**m)
-            bit = math.floor(fa * 2 ** (m + 1)) % 2
-            assert_exact(round_up_mth(a, m), (fa + step) % 1 if bit else fa)
-            lo = Fraction(math.floor(fa * 2**m), 2**m)
-            want = [lo] if lo == fa else sorted({lo, (lo + step) % 1})
-            members = interval_Im(a, m)
-            assert len(members) == len(want)
-            for d, f in zip(members, want):
-                assert_exact(d, f)
 
 
 def test_order_agrees_with_fractions():
@@ -122,8 +108,6 @@ def test_arithmetic_closure():
     a, b = Dyadic(5, 3), Dyadic(3, 1)
     assert a + b == Dyadic(17, 3)
     assert a + Dyadic(-5, 3) == 0
-    assert (Dyadic(7, 2)).mod1() == Dyadic(3, 2)
-    assert (Dyadic(-1, 2)).mod1() == Dyadic(3, 2)
 
 
 def test_truncate_examples():
@@ -146,73 +130,68 @@ def test_truncate_bounds_and_composition():
                 assert truncate(t, u) == truncate(x, min(s, u))
 
 
-def test_round_up_mth_examples():
-    assert round_up_mth(Dyadic(0b0111, 4), 2) == Dyadic(0b1011, 4)
-    assert round_up_mth(Dyadic(0b0100, 4), 2) == Dyadic(0b0100, 4)
+def test_round_up_num_examples():
+    assert round_up_num(0b0111, 4, 2) == 0b1011
+    assert round_up_num(0b0100, 4, 2) == 0b0100
     # wraps modulo 1
-    assert round_up_mth(Dyadic(0b1110, 4), 1) == Dyadic(0b0110, 4)
+    assert round_up_num(0b1110, 4, 1) == 0b0110
 
 
-def test_round_up_mth_distance_property():
+def test_round_up_num_distance_property():
     for n in range(2, 9):
-        for z in range(1 << n):
-            x = Dyadic(z, n)
+        size = 1 << n
+        for z in range(size):
             for m in range(1, n):
-                # the result is x moved by 0 or by 2^-m, mod 1
-                assert round_up_mth(x, m, n_bits=n) in (x, (x + Dyadic(1, m)).mod1())
-
-
-def test_round_up_mth_rejects_bad_precision():
-    with pytest.raises(ValueError):
-        round_up_mth(Dyadic(1, 2), 2, n_bits=2)  # m >= declared length
-    with pytest.raises(ValueError):
-        round_up_mth(Dyadic(1, 4), 1, n_bits=3)  # value needs more bits
-    with pytest.raises(ValueError):
-        round_up_mth(Dyadic(3, 1), 1)  # outside [0, 1)
+                # the result is z/2^n moved by 0 or by 2^-m, mod 1
+                assert round_up_num(z, n, m) in (z, (z + (size >> m)) % size)
 
 
 def test_interval_examples():
-    assert interval_Im(Dyadic(1, 1), 1) == (Dyadic(1, 1),)
-    assert interval_Im(Dyadic(15, 4), 2) == (Dyadic(0), Dyadic(3, 2))
-    assert interval_Im(Dyadic(5, 3), 2) == (Dyadic(1, 1), Dyadic(3, 2))
-    assert interval_Im(Dyadic(0), 3) == (Dyadic(0),)
+    # the best m-bit approximations of phi = num/2^e, as the floor and the
+    # ceiling (mod 2^m) of 2^m phi over 2^m
+    assert best_pair_num(1, 1, 1) == (1, 1)  # 1/2 lies on the 1-bit grid
+    assert best_pair_num(15, 4, 2) == (3, 0)  # {3/4, 1}: the ceiling wraps to 0
+    assert best_pair_num(5, 3, 2) == (2, 3)  # {1/2, 3/4}
+    assert best_pair_num(0, 0, 3) == (0, 0)
+    assert best_pair_num(3, 2, 5) == (24, 24)  # e < m: 3/4 is 24/32
 
 
 def test_interval_singleton_iff_on_grid():
-    for m in range(1, 5):
+    for m in range(1, 9):
         for z in range(1 << 6):
             phi = Dyadic(z, 6)
-            members = interval_Im(phi, m)
+            pair = best_pair_num(phi.numerator, phi.exponent, m)
+            assert best_pair_num(z, 6, m) == pair  # a raw numerator gives the same pair
             on_grid = phi.exponent <= m  # 2^m phi is an integer
-            assert (len(members) == 1) == on_grid
-            for v in members:
-                assert 0 <= v < 1
+            assert (pair[0] == pair[1]) == on_grid
+            for w in pair:
+                assert 0 <= w < 1 << m
 
 
 def test_rounding_lemma_small_grids():
-    # estimates within 2^-(m+1) (mod 1) round-truncate into the target set
+    # estimates within 2^-(m+1) (mod 1) round-truncate into the target set;
+    # each phase's pair comes from its canonical numerator, so e <= m too
     for n in range(2, 9):
         size = 1 << n
         for m in range(1, n):
             for w in range(size):
                 phi = Dyadic(w, n)
-                members = set(interval_Im(phi, m))
+                members = set(best_pair_num(phi.numerator, phi.exponent, m))
                 radius = 1 << (n - m - 1)
                 for off in range(-radius + 1, radius):
                     z = (w + off) % size
-                    image = truncate(round_up_mth(Dyadic(z, n), m, n_bits=n), m)
-                    assert image in members
+                    image = truncate(Dyadic(round_up_num(z, n, m), n), m)
+                    assert image.numerator << (m - image.exponent) in members
 
 
 def _outcome(fn, *args):
-    """A result as its canonical (numerator, exponent) pairs, or a
+    """A result as its canonical (numerator, exponent) pair, or a
     ValueError as its message."""
     try:
         result = fn(*args)
     except ValueError as err:
         return str(err)
-    members = result if isinstance(result, tuple) else (result,)
-    return [(d.numerator, d.exponent) for d in members]
+    return [(result.numerator, result.exponent)]
 
 
 def _pairs(*values):
@@ -225,40 +204,23 @@ def test_rounding_ops_exhaustive_against_fractions():
     for k in range(-512, 1024):
         x = Dyadic(k, 9)
         f = frac(x)
-        e = x.exponent
-        in_unit = 0 <= f < 1
+        num, e = x.numerator, x.exponent
         for m in range(-1, 12):
             if m < 0:
                 want = f"truncation length must be >= 0, got {m}"
             else:
                 want = _pairs(Fraction(math.floor(f * 2**m), 2**m))
             assert _outcome(truncate, x, m) == want, (x, m)
-
-            step = Fraction(1, 2**m) if m >= 0 else None
-            for n_bits in (None, e, e + 2, m):
-                n = max(e, m + 1) if n_bits is None else n_bits
-                if not in_unit:
-                    want = f"round_up_mth requires x in [0, 1), got {f}"
-                elif m < 1:
-                    want = f"rounding position must be >= 1, got {m}"
-                elif n_bits is not None and e > n_bits:
-                    want = f"{f} has {e} fractional bits, more than n={n_bits}"
-                elif m >= n:
-                    want = f"rounding position m={m} must be < fractional length n={n}"
-                elif math.floor(f * 2 ** (m + 1)) % 2:
-                    want = _pairs((f + step) % 1)
-                else:
-                    want = _pairs(f)
-                assert _outcome(round_up_mth, x, m, n_bits) == want, (x, m, n_bits)
-
-            if m < 1:
-                want = f"precision m must be >= 1, got {m}"
-            elif not in_unit:
-                want = f"interval_Im requires phi in [0, 1), got {f}"
-            else:
-                lo = Fraction(math.floor(f * 2**m), 2**m)
-                want = _pairs(*([lo] if lo == f else sorted({lo, (lo + step) % 1})))
-            assert _outcome(interval_Im, x, m) == want, (x, m)
+            if m < 0:
+                continue
+            # the core on the canonical pair, off and on the m-bit grid
+            assert truncate_num(num, e, m) == math.floor(f * 2**m), (x, m)
+            if not 0 <= f < 1:
+                continue
+            rounded, lo, hi = _core_oracle(f, m)
+            assert best_pair_num(num, e, m) == (lo, hi), (x, m)
+            if e > m:
+                assert Fraction(round_up_num(num, e, m), 1 << e) == rounded, (x, m)
 
 
 def _core_oracle(f, m):
@@ -271,30 +233,32 @@ def _core_oracle(f, m):
 
 
 def test_rounding_core_agrees_with_fractions():
-    # every z/2^n with n <= 12 and every m < n, on a row of raw int64
-    # numerators, on each Python int and on the canonical Dyadic's pair
+    # every z/2^n with n <= 12 and every m < n + 3, on a row of raw int64
+    # numerators, on each Python int and on the canonical Dyadic's pair;
+    # the round-up only where its bit m + 1 lies within the e bits (e > m)
     for n in range(1, 13):
         size = 1 << n
         row = np.arange(size, dtype=np.int64)
-        for m in range(n):
+        for m in range(n + 3):
             want = [_core_oracle(Fraction(z, size), m) for z in range(size)]
             rounded = [r * size for r, _, _ in want]
             floors = [lo for _, lo, _ in want]
             ceilings = [hi for _, _, hi in want]
-            assert round_up_num(row, n, m).tolist() == rounded, (n, m)
+            if m < n:
+                assert round_up_num(row, n, m).tolist() == rounded, (n, m)
             assert truncate_num(row, n, m).tolist() == floors, (n, m)
             lo, hi = best_pair_num(row, n, m)
             assert (lo.tolist(), hi.tolist()) == (floors, ceilings), (n, m)
             for z in range(size):
-                assert round_up_num(z, n, m) == rounded[z], (z, n, m)
+                if m < n:
+                    assert round_up_num(z, n, m) == rounded[z], (z, n, m)
                 assert truncate_num(z, n, m) == floors[z], (z, n, m)
                 assert best_pair_num(z, n, m) == (floors[z], ceilings[z]), (z, n, m)
                 x = Dyadic(z, n)
                 num, e = x.numerator, x.exponent
-                if e <= m:  # on the m-bit grid: the ops return x itself
-                    continue
-                r = round_up_num(num, e, m)
-                assert Fraction(r, 1 << e) == want[z][0], (z, n, m)
+                if e > m:
+                    r = round_up_num(num, e, m)
+                    assert Fraction(r, 1 << e) == want[z][0], (z, n, m)
                 assert truncate_num(num, e, m) == floors[z], (z, n, m)
                 assert best_pair_num(num, e, m) == (floors[z], ceilings[z]), (z, n, m)
 
@@ -312,12 +276,15 @@ def _recording(module, calls, monkeypatch):
 
 
 def test_rounding_lemma_scan_goes_through_the_rounding_ops(monkeypatch):
-    # the scan and the three Dyadic ops run one core: the scan calls each
-    # core function once per (n, m) row, on the whole row 0..2^n - 1
-    from omegaphase import qpe
+    # the scan, truncate, the finite-precision witness and the sweep run one
+    # core: the scan calls each core function once per (n, m) row, on the
+    # whole row 0..2^n - 1
+    from omegaphase import chaitin, phase, qpe
 
     for name in CORE:
         assert getattr(qpe, name) is getattr(dyadic, name)
+    assert chaitin.truncate_num is dyadic.truncate_num
+    assert phase.best_pair_num is dyadic.best_pair_num
     calls = []
     _recording(qpe, calls, monkeypatch)
     assert qpe.rounding_lemma_scan(12) == (22_271_316, 0)
@@ -333,27 +300,5 @@ def test_rounding_lemma_scan_goes_through_the_rounding_ops(monkeypatch):
 
     calls = []
     _recording(dyadic, calls, monkeypatch)
-    x = Dyadic(0b1011, 4)
-    assert round_up_mth(x, 2) == Dyadic(0b1111, 4)
-    assert truncate(x, 2) == Dyadic(1, 1)
-    assert interval_Im(x, 2) == (Dyadic(1, 1), Dyadic(3, 2))
-    assert calls == [
-        ("round_up_num", 4, 2, 0b1011),
-        ("truncate_num", 4, 2, 0b1011),
-        ("best_pair_num", 4, 2, 0b1011),
-    ]
-
-
-def test_round_up_mth_ignores_valid_n_bits():
-    # n_bits only validates the precision: every valid n_bits up to 12
-    # gives the same Dyadic.  These are the 81,924 (x, m, n_bits) triples
-    # of one call per (n, m, z) for n <= 12.
-    triples = 0
-    for z in range(1 << 12):
-        x = Dyadic(z, 12)
-        for m in range(1, 12):
-            want = round_up_mth(x, m)
-            for k in range(max(x.exponent, m + 1, 2), 13):
-                assert round_up_mth(x, m, n_bits=k) == want, (x, m, k)
-                triples += 1
-    assert triples == 81_924
+    assert truncate(Dyadic(0b1011, 4), 2) == Dyadic(1, 1)
+    assert calls == [("truncate_num", 4, 2, 0b1011)]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from omegaphase import phase
+from omegaphase.chaitin import omega_stage_values
 from omegaphase.dyadic import Dyadic
 from omegaphase.phase import (
     MAX_C1_NUMERATOR,
@@ -425,7 +426,7 @@ def test_sweep_never_misclassifies_zoo():
             continue
         spec = zoo_machine(name)
         for result in sweep(grid, walk_inputs(spec, sp + 1), DEFAULT):
-            expected = result.phi.mod1() < entry.omega and result.phi != Dyadic(1)
+            expected = result.phi < entry.omega
             assert result.gapless == expected, (name, str(result.phi))
 
 
@@ -475,12 +476,15 @@ def test_sweep_computes_each_energy_once(monkeypatch, name, grid_bits):
             assert interval == real(s, regime, DEFAULT)
 
 
+# separation holds on [42, 142], the checked range, and fails at 143,
+# where the non-halting interval is no longer positive
+S_PRIME_42 = SquareEnergyModel(
+    xi=16, poly_degree=1, c2=Fraction(5), comp_upper_k=Fraction(1, 7), s_max_checked=142
+)
+
+
 def test_sweep_raises_where_the_phases_alone_raise(monkeypatch):
-    # separation holds on [42, 142], the checked range, and fails at 143,
-    # where the non-halting interval is no longer positive
-    model = SquareEnergyModel(
-        xi=16, poly_degree=1, c2=Fraction(5), comp_upper_k=Fraction(1, 7), s_max_checked=142
-    )
+    model = S_PRIME_42
     assert find_s_prime(model) == 42 and not model.separation_holds(143)
     walk = walk_inputs(zoo_machine("omega34"), 150)
     grid = [Dyadic(k, 4) for k in range(1, 17)]
@@ -502,6 +506,47 @@ def test_sweep_raises_where_the_phases_alone_raise(monkeypatch):
     # the same calls in the same order, repeats dropped, ending at the raise
     assert [call[:2] for call in calls] == list(dict.fromkeys(alone_keys))
     assert calls[-1] == (143, "nonhalting")
+
+
+def brute_force_regime(phi, stage, m):
+    """The regime of one side at precision m, from Fractions: the witness
+    halts on an m-bit word w iff 0 < w < floor(2^m stage), and runs on the
+    floor and the ceiling (mod 2^m) of 2^m phi, phi reduced mod 1."""
+    scaled = phi % 1 * 2**m
+    bound = math.floor(stage * 2**m)
+    verdicts = {0 < w < bound for w in (math.floor(scaled), math.ceil(scaled) % 2**m)}
+    return "mixed" if len(verdicts) == 2 else "halting" if True in verdicts else "nonhalting"
+
+
+@pytest.mark.parametrize("name", ["omega34", "omega58"])
+def test_sweep_decides_off_grid_phases_like_fractions(monkeypatch, name):
+    # phases whose exponent exceeds m = 34..133 on some or all of the sides
+    # 42..142, so their two best approximations differ there; the budget
+    # stops at the checked range, as side 143 breaks the separation
+    model, budget = S_PRIME_42, 142
+    omega = ZOO[name].omega
+    offsets = [Dyadic(1, 200), Dyadic(3, 60), Dyadic(1, 100), Dyadic(5, 40), Dyadic(1, 300)]
+    grid = [omega + Dyadic(sign * d.numerator, d.exponent) for d in offsets for sign in (-1, 1)]
+    grid += [Dyadic(2**200 - 1, 200), Dyadic(1)]  # the ceiling wraps to 0; phi = 1 reduces to 0
+    walk = walk_inputs(zoo_machine(name), budget)
+    stages = [Fraction(v.numerator, 1 << v.exponent) for v in omega_stage_values(walk, model.m_of(budget))]
+    calls, _ = record_square_energy(monkeypatch)
+    results = sweep(grid, walk, model)
+    computed = {id(interval): tuple(key) for *key, interval in calls}
+    regimes = set()
+    for phi, result in zip(grid, results):
+        want = []
+        value = Fraction(phi.numerator, 1 << phi.exponent)
+        for s in range(find_s_prime(model), budget + 1):
+            m = model.m_of(s)
+            want.append((s, brute_force_regime(value, stages[m - 1], m)))
+            if want[-1][1] == "halting":
+                break
+        assert [computed[id(interval)] for _, interval in result.trace] == want, str(phi)
+        regimes.update(regime for _, regime in want)
+        if phi >= omega:
+            assert not result.gapless, str(phi)
+    assert regimes == {"halting", "nonhalting", "mixed"}
 
 
 def xy_dense_oracle(L):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from omegaphase import cli, qpe
-from omegaphase.dyadic import Dyadic, interval_Im, round_up_mth, round_up_num, truncate, truncate_num
+from omegaphase.dyadic import Dyadic, best_pair_num, round_up_num, truncate, truncate_num
 from omegaphase.qpe import qpe_distribution, rounding_lemma_scan, tail_and_success
 
 SAMPLE_PHASES = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(100, 257)]
@@ -58,11 +58,9 @@ def _rounded_outcomes(n, m):
 
 
 def rounded_value_dyadic(z, n, m):
-    """Reference path for a single outcome via the exact dyadic ops."""
-    estimate = Dyadic(z, n)
-    if m < n:
-        estimate = round_up_mth(estimate, m, n_bits=n)
-    return truncate(estimate, m)
+    """Reference path for a single outcome via the scalar rounding core
+    and the exact Dyadic truncation."""
+    return truncate(Dyadic(round_up_num(z, n, m) if m < n else z, n), m)
 
 
 def reference_tail_and_success(dist, m):
@@ -197,7 +195,7 @@ def test_success_examples():
     _, s = tail_and_success(qpe_distribution(Fraction(1, 3), 10), 3)
     assert s >= 1 - 2**-7
     wrap = Dyadic(15 * 2**10 + 1, 14)  # 15/16 + 2^-14: the ceiling wraps to 0
-    assert Dyadic(0) in interval_Im(wrap, 2)
+    assert best_pair_num(wrap.numerator, wrap.exponent, 2) == (3, 0)
     _, s = tail_and_success(qpe_distribution(Fraction(wrap.numerator, 1 << wrap.exponent), 10), 2)
     assert s >= 1 - 2**-8
 
@@ -250,13 +248,14 @@ def scalar_rounding_counts(n):
     """(checked, violations) of one grid n, pair by pair: phase w against
     every estimate z with |z - w| mod 2^n below the radius, through the
     truncate_num the scan sees, on z's numerator over 2^n; the members
-    are interval_Im's, each as its numerator over 2^m."""
+    are the floor and the ceiling (mod 2^m) of 2^m w/2^n, from Fractions."""
     size = 1 << n
     checked = violations = 0
     for m in range(1, n):
         radius = 1 << (n - m - 1)
         for w in range(size):
-            members = {d.numerator << (m - d.exponent) for d in interval_Im(Dyadic(w, n), m)}
+            scaled = Fraction(w << m, size)
+            members = {math.floor(scaled), math.ceil(scaled) % (1 << m)}
             for off in range(-radius + 1, radius):
                 z = (w + off) % size
                 image = qpe.truncate_num(round_up_num(z, n, m), n, m)
