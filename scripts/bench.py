@@ -31,6 +31,10 @@ fixed inputs:
   n = 18, m = 12 through ``cli.main``, the 2^18-row CSV included;
 - ``sweep_omega58_256``: ``sweep`` of zoo machine omega58 on the grid
   k/256 through ``cli.main``, as the benchmark's sweep run makes it;
+- ``sweep_omega34_64_20000``: ``sweep`` of zoo machine omega34 on the
+  grid k/64 at ``s_budget=20000`` through ``cli.main``, far past the auto
+  budget s' + 1: about 13,400 distinct (side, regime) energies, each
+  bound near 40,000 bits, and two 6 MB ``.dat`` tables;
 - ``clock_single_dense_T600``, ``clock_single_iterative_T200`` and
   ``clock_single_iterative_T400``: ``clock`` single mode at mu = 0.37
   through ``cli.main``, dense at T = 600 and banded at T = 200 and 400;
@@ -181,6 +185,7 @@ def main() -> None:
         print(f"{path.stem}: {result['median_s']:.3f} s (iqr {result['iqr_s']:.3f})", file=sys.stderr)
     qpe_argv = ["qpe", "-p", "mode=distribution", "-p", "phi=100/257", "-p", "n=18", "-p", "m=12"]
     sweep_argv = ["sweep", "-p", "machine=zoo:omega58", "-p", "grid_denominator=256"]
+    sweep34_argv = ["sweep", "-p", "machine=zoo:omega34", "-p", "grid_denominator=64", "-p", "s_budget=20000"]
     clock_argv = ["clock", "-p", "mode=single", "-p", "mu=0.37"]
     grid = cli.PARAM_KEYS["clock"]["grid"]
     t_values, mu_values = grid["t_values"][1], grid["mu_values"][1]
@@ -193,6 +198,7 @@ def main() -> None:
         "bound_scan_257_14": timed(lambda: qpe.bound_scan(phases_257, 14)),
         "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv), trace_memory=True),
         "sweep_omega58_256": timed(lambda: run_cli(sweep_argv)),
+        "sweep_omega34_64_20000": timed(lambda: run_cli(sweep34_argv)),
         "clock_single_dense_T600": timed(
             lambda: run_cli([*clock_argv, "-p", "T=600"]), trace_memory=True
         ),

@@ -4,9 +4,12 @@ The model instantiates the asymptotic energy bounds with concrete
 constants: a square of side s hosts a T(s)-step computation whose
 ground energy is positive unless the finite-precision witness halts,
 plus a marker bonus of magnitude 4^-(C(s + ceil(s^(1/8)))).  Everything
-is exact rational arithmetic; the duration T(s) = s^d * xi^s cancels out
-of the separation predicate, so checking a side for separation is cheap
-even when the energies themselves are astronomically small.
+is exact rational arithmetic.  The duration T(s) = s^d * xi^s enters
+every bound only through xi^(2s) = 2^(2Cs), so the separation predicate
+and the energy bounds are all built from a few small integers of the
+side (SquareEnergyModel.small_terms): checking a side for separation is
+cheap, and each energy bound, astronomically small as it is, takes one
+division by xi^(2s) at the end.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "order_parameter",
 ]
 
-S_MIN_SQUARE = 3  # smallest meaningful square
 S_MIN_SCHEDULE = 7  # smallest square with a precision schedule (n = s - 5 >= 2)
 MAX_SCHEDULE_N = 10**6  # schedule_scan's largest n_max: it calls choose_m once per n
 # Largest synthesis exponent a model may reach over its checked range:
@@ -185,57 +187,40 @@ class SquareEnergyModel:
     def m_of(self, s: int) -> int:
         return choose_m(self.n_of(s))
 
-    def t_squared(self, s: int) -> Fraction:
-        return Fraction(s ** (2 * self.poly_degree) * self.xi ** (2 * s))
-
-    def marker_interval(self, s: int) -> tuple[Fraction, Fraction]:
-        """The marker bonus's enclosure [-3u, -u], u = 4^-(C (s + ceil(s^(1/8))))."""
-        unit = Fraction(1, 4 ** (self.C * (s + _ceil_root(s, 8))))
-        return (-3 * unit, -unit)
-
-    def comp_interval(self, s: int, regime: str) -> tuple[Fraction, Fraction]:
-        """The computation energy's enclosure at side s, with K =
-        comp_upper_k: [0, K (tail + delta) / T^2] in the halting regime,
-        [(1 - tail - delta) / T^2, K / T^2] in the non-halting one and
-        [0, K / T^2] when mixed.  The tail bound 2^-g and the synthesis
-        error bound delta = n^2 2^-b1 (flooring the exponent only raises
-        it) are read from piece(s), as separation_holds reads them."""
-        if regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-        t_sq = self.t_squared(s)
-        upper = self.comp_upper_k / t_sq
-        if regime == "mixed":
-            return (Fraction(0), upper)
-        n = self.n_of(s)
-        g, b1, _ = self.piece(s)
-        error = Fraction(1, 1 << g) + Fraction(n * n, 1 << b1)
-        if regime == "halting":
-            return (Fraction(0), upper * error)
-        return ((1 - error) / t_sq, upper)
-
     def piece(self, s: int) -> tuple[int, int, int]:
-        """What separation_holds reads of side s besides n = s - 5: the
+        """What small_terms reads of side s besides n = s - 5: the
         tail exponent g = n - m(n), the synthesis exponent b1 and
         ceil(s^(1/8)).  Each is non-decreasing in s, so the sides sharing
         one triple form an interval, a piece."""
         n = s - 5
         return n - choose_m(n), self._delta_exponent(n) + 1, _ceil_root(s, 8)
 
+    def small_terms(self, s: int) -> tuple[int, int, int, int]:
+        """The small integers every energy bound of side s is built from,
+        xi^(2s) = 2^(2Cs) cancelled: shift = max(g, b1), small =
+        2^shift (tail + delta), 2Ct = 2C ceil(s^(1/8)) and poly = s^(2d).
+
+        The tail bound is 2^-g and the synthesis error bound delta =
+        n^2 2^-b1 (flooring the exponent only raises it), read from
+        piece(s).  So T^2 = poly 2^(2Cs), and the marker unit
+        4^-(C (s + ceil(s^(1/8)))) is 2^-(2Ct) 2^-(2Cs).
+        """
+        n = self.n_of(s)
+        g, b1, root8 = self.piece(s)
+        shift = max(g, b1)
+        small = (1 << (shift - g)) + n * n * (1 << (shift - b1))
+        return shift, small, 2 * self.C * root8, s ** (2 * self.poly_degree)
+
     def separation_holds(self, s: int) -> bool:
         """Exact check that the marker bonus sits strictly between the
         halting and non-halting computation energies at side s.
 
-        xi^(2s) cancels between T^2 and the bonus, leaving small-integer
-        comparisons: no astronomical numbers are materialised.
+        It compares the small integers of small_terms(s): no astronomical
+        numbers are materialised.
         """
-        n = s - 5
-        if n < 2:
+        if s < S_MIN_SCHEDULE:
             return False
-        g, b1, root8 = self.piece(s)
-        shift = max(g, b1)
-        small = (1 << (shift - g)) + n * n * (1 << (shift - b1))  # 2^shift*(tail+delta)
-        two_ct = 2 * self.C * root8
-        poly = s ** (2 * self.poly_degree)
+        shift, small, two_ct, poly = self.small_terms(s)
         p, q = self.comp_upper_k.numerator, self.comp_upper_k.denominator
         # upper(halting comp) < -upper(marker):
         #   K*(tail+delta)/T^2 < 4^-X  <=>  p*small*2^(2Ct) < q*s^(2d)*2^shift
@@ -353,32 +338,42 @@ class EnergyInterval:
 
 
 def square_energy(s: int, regime: str, model: SquareEnergyModel) -> EnergyInterval:
-    """Energy enclosure for a side-s square under the given regime.
+    """Energy enclosure for a side-s square (s >= 7) under the given regime.
+
+    Each bound is a small rational in units of 2^-(2Cs) = xi^-(2s), built
+    from model.small_terms(s) and divided once by xi^(2s).  With K =
+    comp_upper_k, the computation energy lies in [0, K (tail + delta) /
+    T^2] in the halting regime, [(1 - tail - delta) / T^2, K / T^2] in
+    the non-halting one and [0, K / T^2] when mixed.
 
     Below the separation scale the marker is positive semidefinite by
     design, so the enclosure is the bare (non-negative) computation
-    interval.  At and above it, the summed interval is strictly negative
-    in the halting regime and strictly positive in the non-halting one;
-    a straddling interval there means the model constants are broken and
-    raises rather than classifying.
+    interval.  At and above it, the marker adds [-3u, -u], u =
+    4^-(C (s + ceil(s^(1/8)))), and the summed interval is strictly
+    negative in the halting regime and strictly positive in the
+    non-halting one; a straddling interval there means the model
+    constants are broken and raises rather than classifying.  Both signs
+    are decided on the small rationals.
     """
     if regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    if s < S_MIN_SQUARE:
-        raise ValueError(f"square side must be >= {S_MIN_SQUARE}, got {s}")
-    if s < S_MIN_SCHEDULE:
-        return EnergyInterval(Fraction(0), model.comp_upper_k / model.t_squared(s))
-    s_prime = find_s_prime(model)
-    comp_lo, comp_hi = model.comp_interval(s, regime)
-    if s < s_prime:
-        return EnergyInterval(comp_lo, comp_hi)
-    mark_lo, mark_hi = model.marker_interval(s)
-    interval = EnergyInterval(comp_lo + mark_lo, comp_hi + mark_hi)
-    if regime == "halting" and not interval.hi < 0:
-        raise SeparationError(f"halting interval not negative at s={s}")
-    if regime == "nonhalting" and not interval.lo > 0:
-        raise SeparationError(f"non-halting interval not positive at s={s}")
-    return interval
+    shift, small, two_ct, poly = model.small_terms(s)
+    upper = model.comp_upper_k / poly
+    if regime == "halting":
+        lo, hi = Fraction(0), upper * Fraction(small, 1 << shift)
+    elif regime == "nonhalting":
+        lo, hi = Fraction((1 << shift) - small, poly << shift), upper
+    else:
+        lo, hi = Fraction(0), upper
+    if s >= find_s_prime(model):
+        unit = Fraction(1, 1 << two_ct)
+        lo, hi = lo - 3 * unit, hi - unit
+        if regime == "halting" and not hi < 0:
+            raise SeparationError(f"halting interval not negative at s={s}")
+        if regime == "nonhalting" and not lo > 0:
+            raise SeparationError(f"non-halting interval not positive at s={s}")
+    scale = 1 << (2 * model.C * s)
+    return EnergyInterval(lo / scale, hi / scale)
 
 
 @dataclass(frozen=True)

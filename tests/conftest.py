@@ -4,9 +4,13 @@ The eigensolver tests call LAPACK's dense and banded drivers on small
 matrices, which gain nothing from BLAS threads and slow down sharply when
 another process holds a core; run BLAS single-threaded, as the benchmark
 does.
+
+Also the fixtures that count what the tm layer runs, and the big-Fraction
+oracle of the square energies that test_phase and test_cli import.
 """
 
 import os
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -54,3 +58,34 @@ def walk_lookups(monkeypatch):
 
     monkeypatch.setattr(InputWalk, "halting_steps", looked_up)
     return words
+
+
+def ceil_root(value: int, k: int) -> int:
+    """Least r >= 1 with r**k >= value, by counting up."""
+    r = 1
+    while r**k < value:
+        r += 1
+    return r
+
+
+def square_energy_formula(model, s, regime, marked):
+    """Side s's energy bounds (lo, hi) in big Fractions, written out from
+    the formulas: tail 2^-(n - m(n)) with m(n) = max(1, n - ceil(n^(1/4))),
+    synthesis error n^2 2^-(e(n) + 1), T^2 = s^(2d) xi^(2s) and, when
+    ``marked``, the marker [-3u, -u] with u = 4^-(C (s + ceil(s^(1/8)))).
+    No sign is checked."""
+    n = s - 5
+    tail = Fraction(1, 2 ** (n - max(1, n - ceil_root(n, 4))))
+    delta_hat = Fraction(n * n, 2 ** (model._delta_exponent(n) + 1))
+    t_sq = Fraction(s ** (2 * model.poly_degree) * model.xi ** (2 * s))
+    upper = model.comp_upper_k / t_sq
+    if regime == "halting":
+        lo, hi = Fraction(0), upper * (tail + delta_hat)
+    elif regime == "nonhalting":
+        lo, hi = (1 - tail - delta_hat) / t_sq, upper
+    else:
+        lo, hi = Fraction(0), upper
+    if marked:
+        unit = Fraction(1, 4 ** (model.C * (s + ceil_root(s, 8))))
+        lo, hi = lo - 3 * unit, hi - unit
+    return lo, hi

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import square_energy_formula
 
 from omegaphase import cli, clock, errors, phase
 from omegaphase.cli import (
@@ -21,7 +22,7 @@ from omegaphase.chaitin import witness_wprime
 from omegaphase.clock import ClockSpecParseError
 from omegaphase.dyadic import Dyadic
 from omegaphase.errors import ParseError
-from omegaphase.phase import SquareEnergyModel, square_energy
+from omegaphase.phase import SquareEnergyModel
 from omegaphase.qpe import qpe_distribution
 from omegaphase.tm import MachineParseError, walk_inputs
 from omegaphase.zoo import zoo_machine, zoo_machine_text
@@ -198,13 +199,13 @@ def test_sweep_bounds_past_the_int_digit_limit(tmp_path):
     assert max(len(row["energy_upper_bound"]) for row in rows) > 4300
     for row in rows:
         s = int(row["witness_scale"] or 7500)
-        want = square_energy(s, "halting" if row["witness_scale"] else "nonhalting", model)
+        regime = "halting" if row["witness_scale"] else "nonhalting"
         sys.set_int_max_str_digits(0)
         try:
             got = Fraction(row["energy_lower_bound"]), Fraction(row["energy_upper_bound"])
         finally:
             sys.set_int_max_str_digits(limit)
-        assert got == (want.lo, want.hi), row["phi"]
+        assert got == square_energy_formula(model, s, regime, marked=True), row["phi"]  # s' = 6567
 
 
 def test_main_exit_codes(tmp_path):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import square_energy_formula
 
 from omegaphase import phase
 from omegaphase.chaitin import omega_stage_values
@@ -161,39 +162,53 @@ def test_delta_hat_upper_bounds_model_error():
         n = DEFAULT.n_of(s)
         # the float synthesis-error model (n^2 / 2) * 2^(-c2 n^(1/c1))
         exact = (n * n / 2.0) * 2.0 ** (-DEFAULT.c2 * n ** (1.0 / DEFAULT.c1))
-        # delta_hat = n^2 2^-b1, as comp_interval reads it from piece(s)
+        # delta_hat = n^2 2^-b1, as small_terms reads it from piece(s)
         delta_hat = float(Fraction(n * n, 1 << DEFAULT.piece(s)[1]))
         assert delta_hat >= exact
         assert delta_hat <= 2.0 * exact + 1e-300
 
 
-def comp_interval_formula(model, s, regime):
-    """The computation interval written out from the schedule and the
-    synthesis exponent: tail 2^-(n - m(n)), delta n^2 2^-(e(n) + 1)."""
-    n = s - 5
-    tail = Fraction(1, 1 << (n - choose_m(n)))
-    delta_hat = Fraction(n * n, 1 << (model._delta_exponent(n) + 1))
-    t_sq = Fraction(s ** (2 * model.poly_degree) * model.xi ** (2 * s))
-    if regime == "halting":
-        return Fraction(0), model.comp_upper_k * (tail + delta_hat) / t_sq
-    if regime == "nonhalting":
-        return (1 - tail - delta_hat) / t_sq, model.comp_upper_k / t_sq
-    return Fraction(0), model.comp_upper_k / t_sq
+# separation holds on [42, 142], the checked range, and fails at 143,
+# where the non-halting interval is no longer positive
+S_PRIME_42 = SquareEnergyModel(
+    xi=16, poly_degree=1, c2=Fraction(5), comp_upper_k=Fraction(1, 7), s_max_checked=142
+)
 
 
 @pytest.mark.parametrize(
     "model",
-    [DEFAULT, XI16_D1, SquareEnergyModel(c1=Fraction(999, 250), c2=Fraction(1), comp_upper_k=Fraction(7, 3))],
-    ids=["default", "xi16_d1", "c1=999/250"],
+    [
+        DEFAULT,
+        XI16_D1,
+        # c2 = 1 separates only from side 19,815,044 on, so every side here lies below s'
+        SquareEnergyModel(c1=Fraction(999, 250), c2=Fraction(1), comp_upper_k=Fraction(7, 3), s_max_checked=1 << 28),
+        S_PRIME_42,
+    ],
+    ids=["default", "xi16_d1", "c1=999/250", "s_prime_42"],
 )
 def test_energy_intervals_match_their_formulas(model):
-    sides = sorted({*range(7, 40), *(round(10 ** (k / 8)) for k in range(13, 41)), 2**16 - 1, 2**16 + 5})
+    sp = find_s_prime(model)
+    # ceil(s^(1/8)) steps up after 2^8 and 2^16; on [257, 283] the s' = 42
+    # model's halting interval is no longer negative
+    sides = {*range(7, 40), *(round(10 ** (k / 8)) for k in range(13, 41)), 2**8 + 1, 2**16 - 1, 2**16 + 5}
+    sides = sorted({*sides, *(s for s in (sp - 1, sp) if s <= 10**5)})
     assert sides[0] == 7 and sides[-1] == 10**5
+    raised = set()
     for s in sides:
         for regime in ("halting", "nonhalting", "mixed"):
-            assert model.comp_interval(s, regime) == comp_interval_formula(model, s, regime)
-        unit = Fraction(1, 4 ** (model.C * (s + _ceil_root(s, 8))))
-        assert model.marker_interval(s) == (-3 * unit, -unit)
+            lo, hi = square_energy_formula(model, s, regime, s >= sp)
+            if s >= sp and (regime == "halting" and not hi < 0 or regime == "nonhalting" and not lo > 0):
+                with pytest.raises(SeparationError) as err:
+                    square_energy(s, regime, model)
+                raised.add(str(err.value).replace(f"at s={s}", "at s"))
+            else:
+                got = square_energy(s, regime, model)
+                assert (got.lo, got.hi) == (lo, hi), (s, regime)
+    # past its checked range the s' = 42 model breaks in both regimes
+    assert raised == (
+        {"halting interval not negative at s", "non-halting interval not positive at s"}
+        if model is S_PRIME_42 else set()
+    )
 
 
 def test_find_s_prime_default_frozen():
@@ -364,30 +379,29 @@ def test_delta_exponent_exact_where_the_float_fell_short():
 
 def test_square_energy_signs():
     sp = find_s_prime(DEFAULT)
-    mark_lo, mark_hi = DEFAULT.marker_interval(sp)
     halting = square_energy(sp, "halting", DEFAULT)
     assert halting.hi < 0
-    assert halting.hi == DEFAULT.comp_interval(sp, "halting")[1] + mark_hi  # marker active
     nonhalting = square_energy(sp, "nonhalting", DEFAULT)
     assert nonhalting.lo > 0
     mixed = square_energy(sp, "mixed", DEFAULT)
-    assert mixed.lo == mark_lo
+    assert mixed.lo < 0 < mixed.hi  # marker active
     below = square_energy(sp - 1, "halting", DEFAULT)
-    assert (below.lo, below.hi) == DEFAULT.comp_interval(sp - 1, "halting")  # no marker
-    assert below.lo >= 0
-    tiny = square_energy(3, "halting", DEFAULT)
-    assert tiny.lo >= 0
-    with pytest.raises(ValueError):
-        square_energy(2, "halting", DEFAULT)
+    assert below.lo == 0 < below.hi  # no marker
+    with pytest.raises(ValueError, match="square side must be >= 7, got 6"):
+        square_energy(6, "halting", DEFAULT)
     with pytest.raises(ValueError):
         square_energy(10, "sideways", DEFAULT)
 
 
 def test_marker_interval_formula():
-    # ceil(s^(1/8)) is 2 at s = 100 and 256, and 3 at 257
-    for model, s, x in [(DEFAULT, 100, 102), (DEFAULT, 256, 258), (SquareEnergyModel(xi=4), 257, 2 * 260)]:
-        lo, hi = model.marker_interval(s)
-        assert lo == Fraction(-3, 4**x) and hi == Fraction(-1, 4**x)
+    # the mixed lower bound is the marker's -3u alone, u = 4^-x with
+    # x = C (s + ceil(s^(1/8))); the root is 4 at s = 6567 and 65536, 5 at 65537
+    cases = [(DEFAULT, 6567, 6571), (DEFAULT, 65536, 65540), (DEFAULT, 65537, 65542), (XI16_D1, 65537, 4 * 65542)]
+    for model, s, x in cases:
+        mixed = square_energy(s, "mixed", model)
+        t_sq = s ** (2 * model.poly_degree) * model.xi ** (2 * s)
+        assert mixed.lo == Fraction(-3, 4**x)
+        assert mixed.hi == model.comp_upper_k / t_sq - Fraction(1, 4**x)
 
 
 def test_sweep_classification_omega34():
@@ -474,13 +488,6 @@ def test_sweep_computes_each_energy_once(monkeypatch, name, grid_bits):
             side, regime = computed[id(interval)]  # a shared interval, not a copy
             assert side == s
             assert interval == real(s, regime, DEFAULT)
-
-
-# separation holds on [42, 142], the checked range, and fails at 143,
-# where the non-halting interval is no longer positive
-S_PRIME_42 = SquareEnergyModel(
-    xi=16, poly_degree=1, c2=Fraction(5), comp_upper_k=Fraction(1, 7), s_max_checked=142
-)
 
 
 def test_sweep_raises_where_the_phases_alone_raise(monkeypatch):
