@@ -22,7 +22,7 @@ fixed inputs:
 - ``rounding_core_scalar_n12``: on every 12-bit grid point z/2^12 for
   every 1 <= m < 12, one Python int at a time, the dyadic rounding core's
   round-then-truncate ``truncate_num(round_up_num(.))`` and best pair
-  ``best_pair_num``, and ``truncate`` of the ``Dyadic`` z/2^12;
+  ``best_pair_num``, and ``truncate`` of the ``Fraction`` z/2^12;
 - ``rounding_lemma_scan_12``: ``qpe.rounding_lemma_scan(12)``, which runs
   the dyadic rounding core on whole grid rows;
 - ``bound_scan_257_14``: ``qpe.bound_scan`` on config 04's 256 phases
@@ -97,7 +97,7 @@ for _var in BLAS_VARS:
 import numpy as np  # noqa: E402
 
 from omegaphase import chaitin, cli, clock, phase, qpe  # noqa: E402
-from omegaphase.dyadic import Dyadic, best_pair_num, round_up_num, truncate, truncate_num  # noqa: E402
+from omegaphase.dyadic import best_pair_num, round_up_num, truncate, truncate_num  # noqa: E402
 from omegaphase.tm import parse_machine, walk_inputs  # noqa: E402
 from omegaphase.zoo import zoo_machine  # noqa: E402
 
@@ -172,7 +172,7 @@ def rounding_core_scalar(n: int = 12) -> None:
         for z in range(1 << n):
             truncate_num(round_up_num(z, n, m), n, m)
             best_pair_num(z, n, m)
-            truncate(Dyadic(z, n), m)
+            truncate(Fraction(z, 1 << n), m)
 
 
 def main() -> None:

@@ -12,17 +12,20 @@ within its budget nest, so by Kraft's inequality no stage read off a
 record exceeds 1.  Budgets are explicit: these procedures semi-decide
 "phi below the halting probability", they never decide it.
 
-The finite-precision witness reads an m-bit word as an int and compares
-it with the stage-m value truncated by ``dyadic.truncate_num``, the
-integer rounding core that ``phase.sweep`` also decides it with.
+Stage values are ``Fraction``s, each a sum of powers 2^-|x|, so their
+denominators are powers of two.  The finite-precision witness reads an
+m-bit word as an int and compares it with the stage-m value truncated
+by ``dyadic.truncate_num``, the integer rounding core that
+``phase.sweep`` also decides it with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator
 
-from .dyadic import ZERO, Dyadic, truncate_num
+from .dyadic import truncate_num
 from .tm import InputWalk, enumerate_input
 
 __all__ = [
@@ -39,21 +42,21 @@ __all__ = [
 class OmegaApproximation:
     machine: str
     stage: int
-    value: Dyadic
+    value: Fraction
     halting_inputs: tuple[str, ...]
-    stage_values: tuple[Dyadic, ...] = field(repr=False)  # stages 1..stage
+    stage_values: tuple[Fraction, ...] = field(repr=False)  # stages 1..stage
 
     def report(self) -> dict:
         """JSON-ready summary used by the command-line front end."""
         return {
             "machine": self.machine,
             "stage": self.stage,
-            "omega_s": self.value.as_ratio_string(),
+            "omega_s": str(self.value),
             "halting_inputs": list(self.halting_inputs),
         }
 
 
-def _stages(walk: InputWalk, s_max: int) -> Iterator[tuple[Dyadic, list[int]]]:
+def _stages(walk: InputWalk, s_max: int) -> Iterator[tuple[Fraction, list[int]]]:
     """Stages 1..s_max in order, each as (value, indices of the inputs it
     adds to the sum), read off the walk's halting times.
 
@@ -65,14 +68,14 @@ def _stages(walk: InputWalk, s_max: int) -> Iterator[tuple[Dyadic, list[int]]]:
     if not 0 <= s_max <= walk.budget:
         raise ValueError(f"stage {s_max} is outside 0..{walk.budget}, the input walk's budget")
     joins: dict[int, list[int]] = {}
-    total = ZERO
+    total = Fraction(0)
     for i in range(1, s_max + 1):
         steps = walk.halting_steps(enumerate_input(i))
         if steps is not None:
             joins.setdefault(max(i, steps), []).append(i)
         joined = joins.pop(i, [])
         for j in joined:
-            total += Dyadic(1, j.bit_length() - 1)  # |x_j| = bit_length(j) - 1
+            total += Fraction(1, 1 << (j.bit_length() - 1))  # |x_j| = bit_length(j) - 1
         yield total, joined
 
 
@@ -80,27 +83,27 @@ def omega_approx(walk: InputWalk, stage: int) -> OmegaApproximation:
     """Stage-s lower approximation: the inputs among x_1..x_s that halt
     within s steps, read off ``walk``, for 0 <= s <= its budget.
 
-    Exact dyadic arithmetic throughout.  The stage values 1..s come from
+    Exact rational arithmetic throughout.  The stage values 1..s come from
     the same pass and are kept in ``stage_values``.
     """
-    values: list[Dyadic] = []
+    values: list[Fraction] = []
     halted: list[int] = []
     for value, joined in _stages(walk, stage):
         values.append(value)
         halted += joined
     inputs = tuple(enumerate_input(i) for i in sorted(halted))
     return OmegaApproximation(
-        walk.name, stage, values[-1] if values else ZERO, inputs, tuple(values)
+        walk.name, stage, values[-1] if values else Fraction(0), inputs, tuple(values)
     )
 
 
-def omega_stage_values(walk: InputWalk, s_max: int) -> list[Dyadic]:
+def omega_stage_values(walk: InputWalk, s_max: int) -> list[Fraction]:
     """The stage values [stage 1, ..., stage s_max], in one pass over
     ``walk``, for 0 <= s_max <= its budget."""
     return [value for value, _ in _stages(walk, s_max)]
 
 
-def witness_w(walk: InputWalk, phi: Dyadic, max_stage: int) -> int | None:
+def witness_w(walk: InputWalk, phi: Fraction, max_stage: int) -> int | None:
     """Least stage s <= max_stage with phi strictly below the stage value,
     read off ``walk``, for 0 <= max_stage <= its budget.
 
@@ -117,7 +120,7 @@ def witness_w(walk: InputWalk, phi: Dyadic, max_stage: int) -> int | None:
     return None
 
 
-def wprime_halts(word: int, stage_value: Dyadic, m: int) -> bool:
+def wprime_halts(word: int, stage_value: Fraction, m: int) -> bool:
     """The halting predicate of the finite-precision witness at precision
     m on the m-bit word ``word`` (an int in [0, 2^m)), given the stage-m
     value: 0 < word < (stage value truncated to m bits), both over 2^m.
@@ -125,7 +128,7 @@ def wprime_halts(word: int, stage_value: Dyadic, m: int) -> bool:
     The all-zero word loops unconditionally: 0^m stands for 1 so that
     wraparound estimates of phases just below 1 cannot fake a halt.
     """
-    return 0 < word < truncate_num(stage_value.numerator, stage_value.exponent, m)
+    return 0 < word < truncate_num(stage_value.numerator, stage_value.denominator.bit_length() - 1, m)
 
 
 def witness_wprime(walk: InputWalk, phibar: str, m: int) -> bool:

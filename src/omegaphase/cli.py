@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import chaitin, clock, phase, qpe
-from .dyadic import Dyadic, truncate
+from .dyadic import truncate
 from .errors import BracketError, ParseError, SeparationError
 from .tm import MachineSpec, load_machine, walk_inputs
 from .zoo import ZOO, zoo_machine
@@ -37,6 +37,8 @@ EXIT_CONSTRAINT = 3
 
 REQUIRED = object()
 ABSENT = object()
+# The kind of a rational read with a power-of-two denominator (a phase).
+PowerOfTwoFraction = typing.NewType("PowerOfTwoFraction", Fraction)
 # SquareEnergyModel's constants, read by both sweep modes; an absent one
 # keeps the model's own default.
 _MODEL_PARAMS = {
@@ -53,7 +55,7 @@ PARAM_KEYS = {
         "": {"machine": (str, REQUIRED), "stage": (int, REQUIRED), "include_sequence": (bool, False)},
     },
     "witness": {
-        "w": {"machine": (str, REQUIRED), "phi": (Dyadic, REQUIRED), "max_stage": (int, REQUIRED)},
+        "w": {"machine": (str, REQUIRED), "phi": (PowerOfTwoFraction, REQUIRED), "max_stage": (int, REQUIRED)},
         "wprime": {"machine": (str, REQUIRED), "phibar": (str, REQUIRED), "m": (int, REQUIRED)},
     },
     "qpe": {
@@ -75,7 +77,7 @@ PARAM_KEYS = {
     },
     "sweep": {
         "classify": {
-            "machine": (str, REQUIRED), "phis": (list[Dyadic], ABSENT),
+            "machine": (str, REQUIRED), "phis": (list[PowerOfTwoFraction], ABSENT),
             "grid_denominator": (int, ABSENT), "s_budget": (typing.Literal["auto"] | int, "auto"),
             **_MODEL_PARAMS,
         },
@@ -189,8 +191,8 @@ def _write_table(path: Path, rows: Iterable[Sequence], sep: str = ",") -> None:
 def _write_qpe_csv(path: Path, n: int, probabilities: np.ndarray) -> None:
     """The rows z, z/2^n and Pr[z] of a distribution, written in blocks of
     2^min(n, 12) rows, each formatted by one %-format of the whole block;
-    z/2^n prints in lowest terms as Dyadic prints it, and a probability as
-    _cell does.
+    z/2^n prints in lowest terms as a Fraction prints it, and a
+    probability as _cell does.
 
     The estimates are integer fields, filled per block.  A block starts at
     a multiple of its length, so z = start + i with 0 < i < rows shares
@@ -234,7 +236,7 @@ _ACCEPTS = {
     bool: (bool, "true or false"),
     str: ((str, int, float), "a string or a number"),
     Fraction: ((str, int, float), "a rational number"),
-    Dyadic: ((str, int, float), "a rational number"),
+    PowerOfTwoFraction: ((str, int, float), "a rational number"),
 }
 
 
@@ -247,9 +249,10 @@ def _log2(key: str, den: int) -> int:
 
 def _read(key: str, value: object, kind):
     """One parameter value read as its kind: int, float, bool, str,
-    Fraction, Dyadic (a rational with a power-of-two denominator),
-    list[...] of one of them, or Literal[word] | kind.  Bools are not
-    numbers here.  A value of the wrong type is a config error."""
+    Fraction, PowerOfTwoFraction (a Fraction with a power-of-two
+    denominator), list[...] of one of them, or Literal[word] | kind.
+    Bools are not numbers here.  A value of the wrong type is a config
+    error."""
     origin = typing.get_origin(kind)
     if origin is list:
         if not isinstance(value, list):
@@ -263,13 +266,15 @@ def _read(key: str, value: object, kind):
     if not isinstance(value, accepts) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"parameter {key!r} must be {name}, got {value!r}")
     try:
-        if kind is Fraction or kind is Dyadic:
+        if kind is Fraction or kind is PowerOfTwoFraction:
             value = Fraction(repr(value) if isinstance(value, float) else value)
         else:
             value = kind(value)
     except (ValueError, ZeroDivisionError, OverflowError):  # "abc", "1/0", 10**400 as a float
         raise ConfigError(f"parameter {key!r} must be {name}, got {value!r}") from None
-    return Dyadic(value.numerator, _log2(key, value.denominator)) if kind is Dyadic else value
+    if kind is PowerOfTwoFraction:
+        _log2(key, value.denominator)
+    return value
 
 
 def _resolve(command: str, mode: str, params: dict) -> dict:
@@ -317,7 +322,7 @@ def _run_witness(p: dict, mode: str, fmt: str, out: Path) -> None:
         payload = {
             "machine": machine.name,
             "mode": "w",
-            "phi": phi.as_ratio_string(),
+            "phi": str(phi),
             "max_stage": max_stage,
             "halted_at": halted_at,
             "budget_exceeded": halted_at is None,
@@ -459,8 +464,8 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
         return
     den = p["grid_denominator"]
     if den is not None:
-        exp = _log2("grid_denominator", den)
-        grid = [Dyadic(k, exp) for k in range(1, den + 1)]
+        _log2("grid_denominator", den)
+        grid = [Fraction(k, den) for k in range(1, den + 1)]
     else:
         grid = p["phis"] or []
     machine = _load_machine_ref(p["machine"])
@@ -481,8 +486,12 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
     sectors = [(float(r.phi), phase.order_parameter(r.gapless)) for r in results]
     _write_table(out / "phi_vs_class.dat", sectors, sep=" ")
     trace = [(s, interval) for r in results for s, interval in r.trace]
-    _write_table(out / "s_vs_energy_lower_log2.dat", [(s, _signed_log2(i.lo)) for s, i in trace], sep=" ")
-    _write_table(out / "s_vs_energy_upper_log2.dat", [(s, _signed_log2(i.hi)) for s, i in trace], sep=" ")
+    # phases share one interval object per (side, regime): key by identity,
+    # as hashing an interval would hash its Fractions of up to 2Cs bits
+    distinct = {id(i): i for _, i in trace}
+    logs = {key: (_signed_log2(i.lo), _signed_log2(i.hi)) for key, i in distinct.items()}
+    _write_table(out / "s_vs_energy_lower_log2.dat", [(s, logs[id(i)][0]) for s, i in trace], sep=" ")
+    _write_table(out / "s_vs_energy_upper_log2.dat", [(s, logs[id(i)][1]) for s, i in trace], sep=" ")
     _write_json(
         out / "sweep.json",
         {

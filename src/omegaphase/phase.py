@@ -23,7 +23,7 @@ import numpy as np
 
 from .calibration import COMP_UPPER_K
 from .chaitin import omega_stage_values, wprime_halts
-from .dyadic import Dyadic, best_pair_num
+from .dyadic import best_pair_num
 from .errors import SeparationError
 from .tm import InputWalk
 
@@ -380,7 +380,7 @@ def square_energy(s: int, regime: str, model: SquareEnergyModel) -> EnergyInterv
 class SweepResult:
     """Classification of one grid phase under a finite square budget."""
 
-    phi: Dyadic
+    phi: Fraction
     gapless: bool
     witness_scale: int | None
     s_budget: int
@@ -402,7 +402,7 @@ class SweepResult:
 
 
 def sweep(
-    phi_grid: list[Dyadic],
+    phi_grid: list[Fraction],
     walk: InputWalk,
     model: SquareEnergyModel,
 ) -> list[SweepResult]:
@@ -410,11 +410,12 @@ def sweep(
     for finite-precision witness halting on every best approximation; the
     budget is the walk's, and the witness reads its stage values off it.
 
-    Each phase is reduced mod 1 once, to a numerator over 2^e.  At side s
-    the witness runs at m = m(s) on the floor and the ceiling (mod 1) of
-    2^m phi, from ``dyadic.best_pair_num``; the two are one word when phi
-    lies on the m-bit grid.  Both halting is the halting regime, neither
-    the non-halting one, and one of the two the mixed one.
+    Each phase must have a power-of-two denominator 2^e; it is reduced
+    mod 1 once, to a numerator over 2^e.  At side s the witness runs at
+    m = m(s), computed once per side, on the floor and the ceiling
+    (mod 1) of 2^m phi, from ``dyadic.best_pair_num``; the two are one
+    word when phi lies on the m-bit grid.  Both halting is the halting
+    regime, neither the non-halting one, and one of the two the mixed one.
 
     Evidence is only ever emitted together with the reproducible witness
     trace and its strictly negative energy certificate; running out of
@@ -430,18 +431,21 @@ def sweep(
     s_prime, s_budget = find_s_prime(model), walk.budget
     if s_budget < s_prime:
         raise ValueError(f"s_budget={s_budget} below separation scale {s_prime}")
-    stage_values = omega_stage_values(walk, model.m_of(s_budget)) if phi_grid else []
+    sides = range(s_prime, s_budget + 1)
+    ms = [model.m_of(s) for s in sides] if phi_grid else []
+    stage_values = omega_stage_values(walk, ms[-1]) if ms else []
     energies: dict[tuple[int, str], EnergyInterval] = {}
     results: list[SweepResult] = []
     for phi in phi_grid:
         if not 0 < phi <= 1:
             raise ValueError(f"grid phases must lie in (0, 1], got {phi}")
-        e = phi.exponent
+        e = phi.denominator.bit_length() - 1
+        if phi.denominator != 1 << e:
+            raise ValueError(f"grid phases need a power-of-two denominator, got {phi}")
         num = phi.numerator & ((1 << e) - 1)  # phi mod 1, over 2^e
         trace: list[tuple[int, EnergyInterval]] = []
         hit: int | None = None
-        for s in range(s_prime, s_budget + 1):
-            m = model.m_of(s)
+        for s, m in zip(sides, ms):
             below, above = (wprime_halts(w, stage_values[m - 1], m) for w in best_pair_num(num, e, m))
             regime = "mixed" if below != above else "halting" if below else "nonhalting"
             interval = energies.get((s, regime))

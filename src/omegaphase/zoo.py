@@ -9,9 +9,9 @@ its enumeration index and its halting time to fit within s).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 
-from .dyadic import Dyadic
 from .tm import MachineSpec, parse_machine
 
 __all__ = ["ZooEntry", "ZOO", "zoo_machine", "zoo_machine_text"]
@@ -21,7 +21,7 @@ __all__ = ["ZooEntry", "ZOO", "zoo_machine", "zoo_machine_text"]
 class ZooEntry:
     name: str
     halting_set: tuple[str, ...]
-    omega: Dyadic
+    omega: Fraction
     settle_budget: int
     prefix_free: bool
     note: str
@@ -33,7 +33,7 @@ ZOO: dict[str, ZooEntry] = {
         ZooEntry(
             "halt_on_zero",
             ("0",),
-            Dyadic(1, 1),
+            Fraction(1, 2),
             settle_budget=2,
             prefix_free=True,
             note='halts on "0" in 2 steps',
@@ -41,7 +41,7 @@ ZOO: dict[str, ZooEntry] = {
         ZooEntry(
             "omega34",
             ("0", "11"),
-            Dyadic(3, 2),
+            Fraction(3, 4),
             settle_budget=7,
             prefix_free=True,
             note='halts on "0" (2 steps) and "11" (3 steps; index 7)',
@@ -49,7 +49,7 @@ ZOO: dict[str, ZooEntry] = {
         ZooEntry(
             "omega58",
             ("0", "100"),
-            Dyadic(5, 3),
+            Fraction(5, 8),
             settle_budget=12,
             prefix_free=True,
             note='halts on "0" (2 steps) and "100" (4 steps; index 12)',
@@ -57,7 +57,7 @@ ZOO: dict[str, ZooEntry] = {
         ZooEntry(
             "slow_halter",
             ("1",),
-            Dyadic(1, 1),
+            Fraction(1, 2),
             settle_budget=5,
             prefix_free=True,
             note='halts on "1" only, after 5 steps',
@@ -65,7 +65,7 @@ ZOO: dict[str, ZooEntry] = {
         ZooEntry(
             "looper",
             (),
-            Dyadic(0),
+            Fraction(0),
             settle_budget=1,
             prefix_free=True,
             note="never halts",
@@ -73,7 +73,7 @@ ZOO: dict[str, ZooEntry] = {
         ZooEntry(
             "prefix_violator",
             ("", "0"),
-            Dyadic(3, 1),
+            Fraction(3, 2),
             settle_budget=2,
             prefix_free=False,
             note="halting set {'', '0'}: empty word prefixes '0'; its "

@@ -17,7 +17,7 @@ from omegaphase import clock, phase, qpe
 from omegaphase.calibration import GAP_RATIO_BAND, K0_SCALED_BAND
 from omegaphase.chaitin import omega_approx, witness_w
 from omegaphase.tm import walk_inputs
-from omegaphase.dyadic import Dyadic, truncate
+from omegaphase.dyadic import truncate
 from omegaphase.zoo import ZOO, zoo_machine
 
 RNG = np.random.default_rng(271828)
@@ -138,10 +138,10 @@ def test_criterion_07_monotone_and_limit():
         values = [omega_approx(walk, s).value for s in range(horizon + 1)]
         assert all(a <= b for a, b in zip(values, values[1:])), name
         assert all(values[s] == entry.omega for s in range(entry.settle_budget, horizon + 1))
-        assert all(values[s] < entry.omega or entry.omega == Dyadic(0) for s in range(entry.settle_budget))
+        assert all(values[s] < entry.omega or entry.omega == Fraction(0) for s in range(entry.settle_budget))
         stages = omega_approx(walk, horizon).stage_values
         diagonal = [truncate(v, s) for s, v in enumerate(stages, start=1)]
-        settle = max(entry.settle_budget, entry.omega.exponent)
+        settle = max(entry.settle_budget, entry.omega.denominator.bit_length() - 1)
         for s in range(settle, horizon):
             assert diagonal[s] == truncate(entry.omega, s + 1) == entry.omega
     _report(7, "staged values monotone, settle at exact omega, diagonal stabilises")
@@ -155,10 +155,10 @@ def test_criterion_08_witness_and_sweep_transition():
         budget = entry.settle_budget + 10
         walk = walk_inputs(zoo_machine(name), budget)
         for k in range(0, 64):
-            phi = Dyadic(k, 6)
+            phi = Fraction(k, 64)
             outcome = witness_w(walk, phi, budget)
             assert (outcome is not None) == (phi < entry.omega), (name, str(phi))
-        grid = [Dyadic(k, 6) for k in range(1, 65)]
+        grid = [Fraction(k, 64) for k in range(1, 65)]
         for result in phase.sweep(grid, walk_inputs(zoo_machine(name), s_prime + 1), model):
             below = result.phi < entry.omega
             assert result.gapless == below, (name, str(result.phi))

@@ -14,7 +14,7 @@ from omegaphase.chaitin import (
     witness_w,
     witness_wprime,
 )
-from omegaphase.dyadic import Dyadic, truncate
+from omegaphase.dyadic import truncate
 from omegaphase.tm import InputWalk, enumerate_input, parse_machine, walk_inputs
 from omegaphase.zoo import ZOO, zoo_machine
 from test_tm import PREFIX_FREE, assert_refused, least_nested_pair, naive_run, naive_stage_values
@@ -23,11 +23,11 @@ from test_tm import PREFIX_FREE, assert_refused, least_nested_pair, naive_run, n
 def reference_stage(spec, stage):
     """The definition of stage s, from scratch: run x_1..x_s for s steps
     each and add 2^-|x| for every input that halts."""
-    total, halted = Dyadic(0), []
+    total, halted = Fraction(0), []
     for i in range(1, stage + 1):
         word = enumerate_input(i)
         if naive_run(spec, word, stage)[0]:
-            total = total + Dyadic(1, len(word))
+            total = total + Fraction(1, 2 ** len(word))
             halted.append(word)
     return total, tuple(halted)
 
@@ -78,14 +78,14 @@ def test_table_matches_from_scratch_stages(spec):
 
 def test_stages_outside_the_walk_budget_refused():
     walk = walk_inputs(zoo_machine("omega34"), 6)
-    assert omega_approx(walk, 6).value == Dyadic(1, 1)
+    assert omega_approx(walk, 6).value == Fraction(1, 2)
     with pytest.raises(ValueError, match=r"^stage 7 is outside 0\.\.6, the input walk's budget$"):
         omega_approx(walk, 7)
     for stage in (7, -1):
         with pytest.raises(ValueError, match=rf"^stage {stage} is outside"):
             omega_stage_values(walk, stage)
         with pytest.raises(ValueError, match=rf"^stage {stage} is outside"):
-            witness_w(walk, Dyadic(1, 1), stage)
+            witness_w(walk, Fraction(1, 2), stage)
     with pytest.raises(ValueError, match="^stage 7 is outside"):
         witness_wprime(walk, "1000000", 7)
 
@@ -93,9 +93,9 @@ def test_stages_outside_the_walk_budget_refused():
 def test_late_halter_counts_from_its_halting_time():
     spec = late_halter(99)
     walk = walk_inputs(spec, 1000)
-    assert omega_approx(walk, 99).value == Dyadic(0)
+    assert omega_approx(walk, 99).value == Fraction(0)
     assert omega_approx(walk, 100).halting_inputs == ("",)
-    assert witness_w(walk, Dyadic(0), 1000) == 100
+    assert witness_w(walk, Fraction(0), 1000) == 100
 
 
 def test_witness_w_to_stage_1000_makes_at_most_2000_runs(tm_runs):
@@ -104,20 +104,20 @@ def test_witness_w_to_stage_1000_makes_at_most_2000_runs(tm_runs):
     walk = walk_inputs(zoo_machine("omega34"), 1000)
     runs = tm_runs.advances
     assert runs <= 2000
-    assert witness_w(walk, Dyadic(3, 2), 1000) is None
+    assert witness_w(walk, Fraction(3, 4), 1000) is None
     assert tm_runs.advances == runs  # the stages simulate nothing
 
 
 def test_witness_w_stops_at_its_stage(walk_lookups):
     # omega58's stage 12 is the first above 1/2: inputs past x_12 are
     # never looked up
-    assert witness_w(walk_inputs(zoo_machine("omega58"), 600), Dyadic(1, 1), 600) == 12
+    assert witness_w(walk_inputs(zoo_machine("omega58"), 600), Fraction(1, 2), 600) == 12
     assert walk_lookups == [enumerate_input(i) for i in range(1, 13)]
 
 
 def test_stage_zero_is_zero():
     for name in PREFIX_FREE:
-        assert staged(zoo_machine(name), 0).value == Dyadic(0)
+        assert staged(zoo_machine(name), 0).value == Fraction(0)
 
 
 def test_omega34_stage_thresholds():
@@ -125,23 +125,23 @@ def test_omega34_stage_thresholds():
     spec = zoo_machine("omega34")
     values = [staged(spec, s).value for s in range(0, 9)]
     expected = [
-        Dyadic(0),  # s=0
-        Dyadic(0),  # s=1: only "" tried, loops
-        Dyadic(1, 1),  # s=2: "0" halts within 2
-        Dyadic(1, 1),
-        Dyadic(1, 1),
-        Dyadic(1, 1),
-        Dyadic(1, 1),
-        Dyadic(3, 2),  # s=7: "11" finally enumerated
-        Dyadic(3, 2),
+        Fraction(0),  # s=0
+        Fraction(0),  # s=1: only "" tried, loops
+        Fraction(1, 2),  # s=2: "0" halts within 2
+        Fraction(1, 2),
+        Fraction(1, 2),
+        Fraction(1, 2),
+        Fraction(1, 2),
+        Fraction(3, 4),  # s=7: "11" finally enumerated
+        Fraction(3, 4),
     ]
     assert values == expected
 
 
 def test_halt_on_zero_stage_two():
     spec = zoo_machine("halt_on_zero")
-    assert staged(spec, 2).value == Dyadic(1, 1)
-    assert staged(spec, 1).value == Dyadic(0)
+    assert staged(spec, 2).value == Fraction(1, 2)
+    assert staged(spec, 1).value == Fraction(0)
 
 
 def test_monotone_and_settles_at_exact_value():
@@ -153,7 +153,7 @@ def test_monotone_and_settles_at_exact_value():
         for a, b in zip(values, values[1:]):
             assert a <= b
         for s in range(entry.settle_budget):
-            assert values[s] < entry.omega or entry.omega == Dyadic(0)
+            assert values[s] < entry.omega or entry.omega == Fraction(0)
         for s in range(entry.settle_budget, horizon + 1):
             assert values[s] == entry.omega
 
@@ -169,7 +169,7 @@ def test_truncated_sequence_stabilises():
     for name in PREFIX_FREE:
         entry = ZOO[name]
         spec = zoo_machine(name)
-        horizon = max(entry.settle_budget, entry.omega.exponent) + 10
+        horizon = max(entry.settle_budget, entry.omega.denominator.bit_length() - 1) + 10
         seq = truncated_diagonal(spec, horizon)
         for s in range(entry.settle_budget, horizon):
             assert seq[s] == truncate(entry.omega, s + 1)
@@ -178,22 +178,22 @@ def test_truncated_sequence_stabilises():
 
 def test_truncated_sequence_looper_all_zero():
     seq = truncated_diagonal(zoo_machine("looper"), 12)
-    assert all(v == Dyadic(0) for v in seq)
+    assert all(v == Fraction(0) for v in seq)
 
 
 def test_slow_halter_threshold():
     seq = truncated_diagonal(zoo_machine("slow_halter"), 7)
-    assert seq[:4] == [Dyadic(0)] * 4
-    assert seq[4:] == [Dyadic(1, 1)] * 3
+    assert seq[:4] == [Fraction(0)] * 4
+    assert seq[4:] == [Fraction(1, 2)] * 3
 
 
 def test_witness_w_examples():
     o34 = walk_inputs(zoo_machine("omega34"), 1000)
-    assert witness_w(o34, Dyadic(1, 1), 100) == 7  # first stage beyond 1/2
-    assert witness_w(o34, Dyadic(3, 2), 1000) is None  # stage values never reach 3/4
-    assert witness_w(o34, Dyadic(0), 100) == 2  # any halt beats 0
+    assert witness_w(o34, Fraction(1, 2), 100) == 7  # first stage beyond 1/2
+    assert witness_w(o34, Fraction(3, 4), 1000) is None  # stage values never reach 3/4
+    assert witness_w(o34, Fraction(0), 100) == 2  # any halt beats 0
     with pytest.raises(ValueError):
-        witness_w(o34, Dyadic(1), 10)
+        witness_w(o34, Fraction(1), 10)
 
 
 def test_witness_w_iff_below_exact():
@@ -202,7 +202,7 @@ def test_witness_w_iff_below_exact():
         budget = entry.settle_budget + 5
         walk = walk_inputs(zoo_machine(name), budget)
         for k in range(0, 16):
-            phi = Dyadic(k, 4)
+            phi = Fraction(k, 16)
             outcome = witness_w(walk, phi, budget)
             if phi < entry.omega:
                 assert outcome is not None and outcome <= budget
@@ -238,7 +238,7 @@ def test_wprime_requires_valid_m():
 def desk_scale_wprime(walk, phi, m):
     """Halting verdicts of the finite-precision witness on every best
     m-bit approximation of phi."""
-    scaled = Fraction(phi.numerator << m, 1 << phi.exponent)
+    scaled = phi * 2**m
     words = {math.floor(scaled), math.ceil(scaled) % (1 << m)}
     return [witness_wprime(walk, f"{word:0{m}b}", m) for word in words]
 
@@ -251,7 +251,7 @@ def test_transition_theorem_desk_scale():
         entry = ZOO[name]
         walk = walk_inputs(zoo_machine(name), m_cap)
         for k in range(1, 32):
-            phi = Dyadic(k, 5)
+            phi = Fraction(k, 32)
             if phi < entry.omega:
                 hits = [
                     m
@@ -268,22 +268,22 @@ def test_preserves_lemma_desk_scale():
     # phi + 2^-m eventually sits below the m-th diagonal truncation
     for name in PREFIX_FREE:
         entry = ZOO[name]
-        if entry.omega == Dyadic(0):
+        if entry.omega == Fraction(0):
             continue
         walk = walk_inputs(zoo_machine(name), 64)  # m0 + 24 < 64
-        for phi in [Dyadic(1, 3), Dyadic(1, 2), entry.omega + Dyadic(-1, 6)]:
+        for phi in [Fraction(1, 8), Fraction(1, 4), entry.omega + Fraction(-1, 64)]:
             if not 0 <= phi < entry.omega:
                 continue
             m0 = None
             for m in range(1, 40):
                 omega_m = truncate(omega_approx(walk, m).value, m)
-                if phi + Dyadic(1, m) < omega_m:
+                if phi + Fraction(1, 2**m) < omega_m:
                     m0 = m
                     break
             assert m0 is not None, (name, str(phi))
             for m in range(m0, m0 + 25):
                 omega_m = truncate(omega_approx(walk, m).value, m)
-                assert phi + Dyadic(1, m) < omega_m
+                assert phi + Fraction(1, 2**m) < omega_m
 
 
 def test_prefix_violation_breaks_kraft():
@@ -291,14 +291,14 @@ def test_prefix_violation_breaks_kraft():
     # probability for prefix-free machines, so the walk refuses these
     # machines and their records are built here
     violator = InputWalk("prefix_violator", 2, {"": 1, "0": 2})
-    assert omega_approx(violator, 2).value == Dyadic(3, 1)
+    assert omega_approx(violator, 2).value == Fraction(3, 2)
     assert_refused(zoo_machine("prefix_violator"), 2, ("", "0"))
     # halts on reading a first 0, so every word starting with 0 halts: by
     # stage 11 the words 0, 00, 01 and 000..011 add up to 3/2
     greedy = parse_machine("start: a\nhalt: h\na 0 -> h 0 S\na 1 -> a 1 S\na _ -> a _ S", name="greedy")
     tails = ("".join(bits) for n in range(11) for bits in itertools.product("01", repeat=n))
     walk = InputWalk("greedy", 11, {"0" + tail: 1 for tail in tails})
-    assert omega_approx(walk, 11).value == Dyadic(3, 1)
+    assert omega_approx(walk, 11).value == Fraction(3, 2)
     assert_refused(greedy, 11, ("0", "00"))
 
 

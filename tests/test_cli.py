@@ -15,12 +15,11 @@ from conftest import square_energy_formula
 
 from omegaphase import cli, clock, errors, phase
 from omegaphase.cli import (
-    EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, PARAM_KEYS, REQUIRED, ConfigError, RunConfig, _read, main,
-    run,
+    EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, PARAM_KEYS, REQUIRED, ConfigError, PowerOfTwoFraction, RunConfig,
+    _read, main, run,
 )
 from omegaphase.chaitin import witness_wprime
 from omegaphase.clock import ClockSpecParseError
-from omegaphase.dyadic import Dyadic
 from omegaphase.errors import ParseError
 from omegaphase.phase import SquareEnergyModel
 from omegaphase.qpe import qpe_distribution
@@ -179,6 +178,20 @@ def test_sweep_small_grid(tmp_path):
     summary = read_json(tmp_path / "sw" / "sweep.json")
     assert summary["gapless"] == 2  # 1/4 and 1/2; 3/4 and 1 stay gapped
     assert (tmp_path / "sw" / "phi_vs_class.dat").exists()
+
+
+def test_sweep_takes_log2_once_per_interval(tmp_path, monkeypatch):
+    energies, logs = [], []
+    real_energy, real_log2 = phase.square_energy, cli._signed_log2
+    monkeypatch.setattr(phase, "square_energy", lambda *args: energies.append(args) or real_energy(*args))
+    monkeypatch.setattr(cli, "_signed_log2", lambda x: logs.append(x) or real_log2(x))
+    out = tmp_path / "sw"
+    argv = ["sweep", "--output-dir", str(out), "-p", "machine=zoo:omega34",
+            "-p", "grid_denominator=16", "-p", "s_budget=6577"]
+    assert main(argv) == EXIT_OK
+    rows = (out / "s_vs_energy_lower_log2.dat").read_text().splitlines()
+    assert len(rows) > 5 * len(energies)  # the phases share each (side, regime)
+    assert len(logs) == 2 * len(energies)  # a lower and an upper bound per distinct interval
 
 
 def test_sweep_bounds_past_the_int_digit_limit(tmp_path):
@@ -682,19 +695,19 @@ def test_dyadic_reader_round_trip():
         (7, 7, 0),
         ("0", 0, 0),
     ]:
-        d = _read("phi", value, Dyadic)
-        assert d == Dyadic(num, exp)
-        assert _read("phi", d.as_ratio_string(), Dyadic) == d
+        d = _read("phi", value, PowerOfTwoFraction)
+        assert d == Fraction(num, 2**exp)
+        assert _read("phi", str(d), PowerOfTwoFraction) == d
 
 
 def test_dyadic_reader_rejects_non_dyadic():
     for value in ("1/3", "0.11", 0.1):  # decimals: 0.11 is 11/100, not binary 3/4
         with pytest.raises(ValueError, match="power-of-two") as err:
-            _read("phi", value, Dyadic)
+            _read("phi", value, PowerOfTwoFraction)
         assert not isinstance(err.value, ConfigError)  # out of range: exit 3
     for value in ("abc", "1/2^3", "1/0", True, [1]):
         with pytest.raises(ConfigError):
-            _read("phi", value, Dyadic)
+            _read("phi", value, PowerOfTwoFraction)
 
 
 def test_alternative_keys_refused_together(tmp_path, capsys):
@@ -761,7 +774,7 @@ def _sample(kind):
     """A value of the kind's JSON type (its range is not checked before a run)."""
     if typing.get_origin(kind) is list:
         return [_sample(typing.get_args(kind)[0])]
-    return {int: 1, float: 0.5, bool: True, str: "x", Fraction: "1/2", Dyadic: "1/2"}[kind]
+    return {int: 1, float: 0.5, bool: True, str: "x", Fraction: "1/2", PowerOfTwoFraction: "1/2"}[kind]
 
 
 def _wrong_types(kind):

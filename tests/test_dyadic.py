@@ -1,10 +1,7 @@
-"""Exact-arithmetic substrate: canonical form, truncation, and the
-integer rounding core (the rounding map and the best-approximation
-intervals)."""
+"""The integer rounding core (the rounding map and the best-approximation
+intervals) and ``truncate`` on dyadic Fractions."""
 
-import itertools
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +9,6 @@ import pytest
 
 from omegaphase import dyadic
 from omegaphase.dyadic import (
-    Dyadic,
     best_pair_num,
     round_up_num,
     truncate,
@@ -22,110 +18,41 @@ from omegaphase.dyadic import (
 CORE = ("round_up_num", "truncate_num", "best_pair_num")
 
 
-def frac(d):
-    """The exact value of a Dyadic as a Fraction."""
-    return Fraction(d.numerator, 1 << d.exponent)
-
-
-def test_canonical_form():
-    assert Dyadic(4, 2) == Dyadic(1, 0)
-    assert Dyadic(6, 3) == Dyadic(3, 2)
-    assert Dyadic(0, 5).exponent == 0
-    d = Dyadic(12, 4)
-    assert d.numerator == 3 and d.exponent == 2
-    # bool numerators come out as plain ints, at any exponent and through +
-    for flag in (False, True):
-        for d in (Dyadic(flag), Dyadic(flag, 3), Dyadic(flag, 2) + Dyadic(0)):
-            assert type(d.numerator) is int, repr(d)
-        assert str(Dyadic(flag)) == str(int(flag))
+def exponent(f):
+    """e for a Fraction in lowest terms over 2^e."""
+    return f.denominator.bit_length() - 1
 
 
 # every numerator -16..16 over every exponent 0..5, duplicates included
-SMALL_GRID = [Dyadic(k, e) for e in range(6) for k in range(-16, 17)]
-
-
-def assert_exact(d, f):
-    """d is canonical (odd numerator or exponent 0) and equals f."""
-    assert d.exponent == 0 or d.numerator % 2 == 1, repr(d)
-    assert (d.numerator, 1 << d.exponent) == (f.numerator, f.denominator), (d, f)
+SMALL_GRID = [Fraction(k, 2**e) for e in range(6) for k in range(-16, 17)]
 
 
 def test_results_are_canonical_and_exact():
     for a in SMALL_GRID:
-        fa = frac(a)
-        assert_exact(a, fa)
         for s in range(0, 7):
-            assert_exact(truncate(a, s), Fraction(math.floor(fa * 2**s), 2**s))
-        for b in SMALL_GRID:
-            assert_exact(a + b, fa + frac(b))
-
-
-def test_order_agrees_with_fractions():
-    others = SMALL_GRID + list(range(-3, 4))
-    for a, b in itertools.product(SMALL_GRID, others):
-        fa = frac(a)
-        fb = frac(b) if isinstance(b, Dyadic) else b
-        assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
-            fa < fb, fa <= fb, fa > fb, fa >= fb, fa == fb, fa != fb
-        ), (a, b)
-        # reflected: the left operand defers to Dyadic
-        assert (b < a, b <= a, b > a, b >= a, b == a) == (
-            fb < fa, fb <= fa, fb > fa, fb >= fa, fb == fa
-        ), (b, a)
-
-
-def test_unordered_operands_raise():
-    # a Dyadic orders and adds only against a Dyadic (and orders against an
-    # int); a float or a Fraction is never converted, and never equal
-    for other in (0.5, Fraction(1, 2)):
-        for op in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__add__"):
-            assert getattr(Dyadic(1, 1), op)(other) is NotImplemented
-        with pytest.raises(TypeError):
-            Dyadic(1, 1) <= other
-        with pytest.raises(TypeError):
-            Dyadic(1, 1) + other
-        assert not Dyadic(1, 1) == other
-    with pytest.raises(TypeError):
-        Dyadic(1, 1) + 1
-
-
-def test_int_comparisons_agree_with_fractions():
-    rng = random.Random(11)
-    ints = [-(10**30), -5, -1, 0, 1, 2, 7, 10**30, False, True]
-    values = [Dyadic(k, 0) for k in ints] + [Dyadic(1, 64), Dyadic(-(2**70) - 1, 3)]
-    for _ in range(300):
-        exp = rng.choice([0, 1, 2, 5, 40, 200])
-        values.append(Dyadic(rng.randrange(-(2**80), 2**80) >> rng.randrange(0, 90), exp))
-    for d, k in itertools.product(values, ints):
-        f = frac(d)
-        assert (d < k, d <= k, d > k, d >= k, d == k, d != k) == (
-            f < k, f <= k, f > k, f >= k, f == k, f != k
-        ), (d, k)
-        assert (k < d, k == d) == (k < f, k == f), (d, k)
-
-
-def test_arithmetic_closure():
-    a, b = Dyadic(5, 3), Dyadic(3, 1)
-    assert a + b == Dyadic(17, 3)
-    assert a + Dyadic(-5, 3) == 0
+            t = truncate(a, s)
+            assert t == Fraction(math.floor(a * 2**s), 2**s), (a, s)
+            assert t.denominator == 1 << exponent(t) and exponent(t) <= s, (a, s)
 
 
 def test_truncate_examples():
-    assert truncate(Dyadic(0b101, 3), 2) == Dyadic(1, 1)
-    assert truncate(Dyadic(3, 2), 2) == Dyadic(3, 2)
+    assert truncate(Fraction(0b101, 8), 2) == Fraction(1, 2)
+    assert truncate(Fraction(3, 4), 2) == Fraction(3, 4)
     # halting set {"0", "11"} by hand: 2^-1 + 2^-2 = 3/4; drop to one bit
-    omega_toy = Dyadic(1, 1) + Dyadic(1, 2)
-    assert omega_toy == Dyadic(3, 2)
-    assert truncate(omega_toy, 1) == Dyadic(1, 1)
+    omega_toy = Fraction(1, 2) + Fraction(1, 4)
+    assert truncate(omega_toy, 1) == Fraction(1, 2)
+    for value in (Fraction(1, 3), Fraction(5, 12)):
+        with pytest.raises(ValueError, match="power-of-two denominator, not"):
+            truncate(value, 2)
 
 
 def test_truncate_bounds_and_composition():
-    grid = [Dyadic(k, 6) for k in range(64)]
+    grid = [Fraction(k, 64) for k in range(64)]
     for x in grid:
         for s in range(0, 8):
             t = truncate(x, s)
             assert t <= x
-            assert x < t + Dyadic(1, s)
+            assert x < t + Fraction(1, 2**s)
             for u in range(0, 8):
                 assert truncate(t, u) == truncate(x, min(s, u))
 
@@ -159,10 +86,10 @@ def test_interval_examples():
 def test_interval_singleton_iff_on_grid():
     for m in range(1, 9):
         for z in range(1 << 6):
-            phi = Dyadic(z, 6)
-            pair = best_pair_num(phi.numerator, phi.exponent, m)
+            phi = Fraction(z, 64)
+            pair = best_pair_num(phi.numerator, exponent(phi), m)
             assert best_pair_num(z, 6, m) == pair  # a raw numerator gives the same pair
-            on_grid = phi.exponent <= m  # 2^m phi is an integer
+            on_grid = exponent(phi) <= m  # 2^m phi is an integer
             assert (pair[0] == pair[1]) == on_grid
             for w in pair:
                 assert 0 <= w < 1 << m
@@ -175,13 +102,13 @@ def test_rounding_lemma_small_grids():
         size = 1 << n
         for m in range(1, n):
             for w in range(size):
-                phi = Dyadic(w, n)
-                members = set(best_pair_num(phi.numerator, phi.exponent, m))
+                phi = Fraction(w, size)
+                members = set(best_pair_num(phi.numerator, exponent(phi), m))
                 radius = 1 << (n - m - 1)
                 for off in range(-radius + 1, radius):
                     z = (w + off) % size
-                    image = truncate(Dyadic(round_up_num(z, n, m), n), m)
-                    assert image.numerator << (m - image.exponent) in members
+                    image = truncate(Fraction(round_up_num(z, n, m), size), m)
+                    assert image * 2**m in members
 
 
 def _outcome(fn, *args):
@@ -191,20 +118,19 @@ def _outcome(fn, *args):
         result = fn(*args)
     except ValueError as err:
         return str(err)
-    return [(result.numerator, result.exponent)]
+    return [(result.numerator, exponent(result))]
 
 
 def _pairs(*values):
     """Canonical (numerator, exponent) pairs of dyadic Fractions."""
-    return [(f.numerator, f.denominator.bit_length() - 1) for f in values]
+    return [(f.numerator, exponent(f)) for f in values]
 
 
 def test_rounding_ops_exhaustive_against_fractions():
     # every k/2^e with e <= 9 is some k'/512; the range covers [-1, 2)
     for k in range(-512, 1024):
-        x = Dyadic(k, 9)
-        f = frac(x)
-        num, e = x.numerator, x.exponent
+        f = x = Fraction(k, 512)
+        num, e = x.numerator, exponent(x)
         for m in range(-1, 12):
             if m < 0:
                 want = f"truncation length must be >= 0, got {m}"
@@ -234,7 +160,7 @@ def _core_oracle(f, m):
 
 def test_rounding_core_agrees_with_fractions():
     # every z/2^n with n <= 12 and every m < n + 3, on a row of raw int64
-    # numerators, on each Python int and on the canonical Dyadic's pair;
+    # numerators, on each Python int and on the canonical Fraction's pair;
     # the round-up only where its bit m + 1 lies within the e bits (e > m)
     for n in range(1, 13):
         size = 1 << n
@@ -254,8 +180,8 @@ def test_rounding_core_agrees_with_fractions():
                     assert round_up_num(z, n, m) == rounded[z], (z, n, m)
                 assert truncate_num(z, n, m) == floors[z], (z, n, m)
                 assert best_pair_num(z, n, m) == (floors[z], ceilings[z]), (z, n, m)
-                x = Dyadic(z, n)
-                num, e = x.numerator, x.exponent
+                x = Fraction(z, size)
+                num, e = x.numerator, exponent(x)
                 if e > m:
                     r = round_up_num(num, e, m)
                     assert Fraction(r, 1 << e) == want[z][0], (z, n, m)
@@ -300,5 +226,5 @@ def test_rounding_lemma_scan_goes_through_the_rounding_ops(monkeypatch):
 
     calls = []
     _recording(dyadic, calls, monkeypatch)
-    assert truncate(Dyadic(0b1011, 4), 2) == Dyadic(1, 1)
+    assert truncate(Fraction(0b1011, 16), 2) == Fraction(1, 2)
     assert calls == [("truncate_num", 4, 2, 0b1011)]

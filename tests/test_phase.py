@@ -13,7 +13,6 @@ from conftest import square_energy_formula
 
 from omegaphase import phase
 from omegaphase.chaitin import omega_stage_values
-from omegaphase.dyadic import Dyadic
 from omegaphase.phase import (
     MAX_C1_NUMERATOR,
     MAX_C2_POWER_BITS,
@@ -407,7 +406,7 @@ def test_marker_interval_formula():
 def test_sweep_classification_omega34():
     o34 = zoo_machine("omega34")
     sp = find_s_prime(DEFAULT)
-    grid = [Dyadic(1, 1), Dyadic(5, 3), Dyadic(3, 2), Dyadic(7, 3), Dyadic(1)]
+    grid = [Fraction(1, 2), Fraction(5, 8), Fraction(3, 4), Fraction(7, 8), Fraction(1)]
     results = sweep(grid, walk_inputs(o34, sp + 1), DEFAULT)
     gapless = [r.gapless for r in results]
     assert gapless == [True, True, False, False, False]
@@ -426,15 +425,23 @@ def test_sweep_rejects_bad_budget_and_grid():
     o34 = zoo_machine("omega34")
     sp = find_s_prime(DEFAULT)
     with pytest.raises(ValueError):
-        sweep([Dyadic(1, 1)], walk_inputs(o34, sp - 1), DEFAULT)
+        sweep([Fraction(1, 2)], walk_inputs(o34, sp - 1), DEFAULT)
     with pytest.raises(ValueError):
-        sweep([Dyadic(0)], walk_inputs(o34, sp), DEFAULT)
+        sweep([Fraction(0)], walk_inputs(o34, sp), DEFAULT)
     assert sweep([], walk_inputs(o34, sp), DEFAULT) == []
+
+
+@pytest.mark.parametrize("phi", [Fraction(1, 3), Fraction(5, 6), Fraction(3, 40)])
+def test_sweep_refuses_non_dyadic_phases(phi):
+    # read off its denominator's bit length, 1/3 would be swept as 1/2
+    walk = walk_inputs(zoo_machine("omega34"), find_s_prime(DEFAULT))
+    with pytest.raises(ValueError, match=f"power-of-two denominator, got {phi}$"):
+        sweep([Fraction(1, 2), phi], walk, DEFAULT)
 
 
 def test_sweep_never_misclassifies_zoo():
     sp = find_s_prime(DEFAULT)
-    grid = [Dyadic(k, 4) for k in range(1, 17)]
+    grid = [Fraction(k, 16) for k in range(1, 17)]
     for name, entry in ZOO.items():
         if not entry.prefix_free:
             continue
@@ -450,7 +457,7 @@ def test_sweep_runs_each_input_once(tm_runs, walk_lookups):
     sp = find_s_prime(DEFAULT)
     walk = walk_inputs(zoo_machine("omega34"), sp + 1)
     advances = tm_runs.advances
-    sweep([Dyadic(k, 6) for k in range(1, 65)], walk, DEFAULT)
+    sweep([Fraction(k, 64) for k in range(1, 65)], walk, DEFAULT)
     assert walk_lookups == [enumerate_input(i) for i in range(1, 6554)]
     assert tm_runs.advances == advances
 
@@ -478,7 +485,7 @@ def test_sweep_computes_each_energy_once(monkeypatch, name, grid_bits):
     # sweep on the 64-grid, each at the auto budget s' + 1
     calls, real = record_square_energy(monkeypatch)
     sp = find_s_prime(DEFAULT)
-    grid = [Dyadic(k, grid_bits) for k in range(1, (1 << grid_bits) + 1)]
+    grid = [Fraction(k, 2**grid_bits) for k in range(1, (1 << grid_bits) + 1)]
     results = sweep(grid, walk_inputs(zoo_machine(name), sp + 1), DEFAULT)
     keys = [call[:2] for call in calls]
     assert len(keys) == len(set(keys)) == 3
@@ -490,11 +497,26 @@ def test_sweep_computes_each_energy_once(monkeypatch, name, grid_bits):
             assert interval == real(s, regime, DEFAULT)
 
 
+def test_sweep_takes_m_once_per_side(monkeypatch):
+    real, sides = SquareEnergyModel.m_of, []
+
+    def recorded(model, s):
+        sides.append(s)
+        return real(model, s)
+
+    monkeypatch.setattr(SquareEnergyModel, "m_of", recorded)
+    sp = find_s_prime(DEFAULT)
+    grid = [Fraction(k, 16) for k in range(1, 17)]
+    results = sweep(grid, walk_inputs(zoo_machine("omega34"), sp + 20), DEFAULT)
+    assert sum(len(r.trace) for r in results) > 21  # most phases run every side
+    assert sides == list(range(sp, sp + 21))
+
+
 def test_sweep_raises_where_the_phases_alone_raise(monkeypatch):
     model = S_PRIME_42
     assert find_s_prime(model) == 42 and not model.separation_holds(143)
     walk = walk_inputs(zoo_machine("omega34"), 150)
-    grid = [Dyadic(k, 4) for k in range(1, 17)]
+    grid = [Fraction(k, 16) for k in range(1, 17)]
     calls, _ = record_square_energy(monkeypatch)
     # one phase per sweep computes every energy it reaches, none shared
     for phi in grid:
@@ -504,7 +526,7 @@ def test_sweep_raises_where_the_phases_alone_raise(monkeypatch):
             alone = str(err)
             break
     assert alone == "non-halting interval not positive at s=143"
-    assert phi == Dyadic(3, 2)  # omega34's exact halting probability
+    assert phi == Fraction(3, 4)  # omega34's exact halting probability
     alone_keys = [call[:2] for call in calls]
     calls.clear()
     with pytest.raises(SeparationError) as err:
@@ -532,21 +554,20 @@ def test_sweep_decides_off_grid_phases_like_fractions(monkeypatch, name):
     # stops at the checked range, as side 143 breaks the separation
     model, budget = S_PRIME_42, 142
     omega = ZOO[name].omega
-    offsets = [Dyadic(1, 200), Dyadic(3, 60), Dyadic(1, 100), Dyadic(5, 40), Dyadic(1, 300)]
-    grid = [omega + Dyadic(sign * d.numerator, d.exponent) for d in offsets for sign in (-1, 1)]
-    grid += [Dyadic(2**200 - 1, 200), Dyadic(1)]  # the ceiling wraps to 0; phi = 1 reduces to 0
+    offsets = [Fraction(1, 2**200), Fraction(3, 2**60), Fraction(1, 2**100), Fraction(5, 2**40), Fraction(1, 2**300)]
+    grid = [omega + sign * d for d in offsets for sign in (-1, 1)]
+    grid += [Fraction(2**200 - 1, 2**200), Fraction(1)]  # the ceiling wraps to 0; phi = 1 reduces to 0
     walk = walk_inputs(zoo_machine(name), budget)
-    stages = [Fraction(v.numerator, 1 << v.exponent) for v in omega_stage_values(walk, model.m_of(budget))]
+    stages = omega_stage_values(walk, model.m_of(budget))
     calls, _ = record_square_energy(monkeypatch)
     results = sweep(grid, walk, model)
     computed = {id(interval): tuple(key) for *key, interval in calls}
     regimes = set()
     for phi, result in zip(grid, results):
         want = []
-        value = Fraction(phi.numerator, 1 << phi.exponent)
         for s in range(find_s_prime(model), budget + 1):
             m = model.m_of(s)
-            want.append((s, brute_force_regime(value, stages[m - 1], m)))
+            want.append((s, brute_force_regime(phi, stages[m - 1], m)))
             if want[-1][1] == "halting":
                 break
         assert [computed[id(interval)] for _, interval in result.trace] == want, str(phi)

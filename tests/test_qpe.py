@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from omegaphase import cli, qpe
-from omegaphase.dyadic import Dyadic, best_pair_num, round_up_num, truncate, truncate_num
+from omegaphase.dyadic import best_pair_num, round_up_num, truncate, truncate_num
 from omegaphase.qpe import qpe_distribution, rounding_lemma_scan, tail_and_success
 
 SAMPLE_PHASES = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(100, 257)]
@@ -59,8 +59,8 @@ def _rounded_outcomes(n, m):
 
 def rounded_value_dyadic(z, n, m):
     """Reference path for a single outcome via the scalar rounding core
-    and the exact Dyadic truncation."""
-    return truncate(Dyadic(round_up_num(z, n, m) if m < n else z, n), m)
+    and the exact truncation."""
+    return truncate(Fraction(round_up_num(z, n, m) if m < n else z, 2**n), m)
 
 
 def reference_tail_and_success(dist, m):
@@ -194,9 +194,9 @@ def test_success_examples():
     assert tail_and_success(qpe_distribution(Fraction(5, 8), 3), 3)[1] == 1.0
     _, s = tail_and_success(qpe_distribution(Fraction(1, 3), 10), 3)
     assert s >= 1 - 2**-7
-    wrap = Dyadic(15 * 2**10 + 1, 14)  # 15/16 + 2^-14: the ceiling wraps to 0
-    assert best_pair_num(wrap.numerator, wrap.exponent, 2) == (3, 0)
-    _, s = tail_and_success(qpe_distribution(Fraction(wrap.numerator, 1 << wrap.exponent), 10), 2)
+    wrap = 15 * 2**10 + 1  # 15/16 + 2^-14 over 2^14: the ceiling wraps to 0
+    assert best_pair_num(wrap, 14, 2) == (3, 0)
+    _, s = tail_and_success(qpe_distribution(Fraction(wrap, 2**14), 10), 2)
     assert s >= 1 - 2**-8
 
 
@@ -216,7 +216,7 @@ def test_integer_pipeline_matches_dyadic_ops():
             images = _rounded_outcomes(n, m)
             for z in range(1 << n):
                 reference = rounded_value_dyadic(z, n, m)
-                scaled = reference.numerator << (m - reference.exponent)
+                scaled = reference * 2**m
                 assert images[z] == scaled
 
 

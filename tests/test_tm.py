@@ -8,13 +8,13 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from omegaphase import tm
 from omegaphase.chaitin import omega_stage_values
-from omegaphase.dyadic import Dyadic
 from omegaphase.tm import (
     BLANK,
     MachineParseError,
@@ -56,8 +56,8 @@ def naive_stage_values(spec, s_max):
     for s_max steps."""
     times = [naive_run(spec, enumerate_input(i), s_max) for i in range(1, s_max + 1)]
     return [
-        sum((Dyadic(1, i.bit_length() - 1) for i, (halted, steps) in enumerate(times[:s], start=1)
-             if halted and steps <= s), Dyadic(0))
+        sum((Fraction(1, 2 ** (i.bit_length() - 1)) for i, (halted, steps) in enumerate(times[:s], start=1)
+             if halted and steps <= s), Fraction(0))
         for s in range(1, s_max + 1)
     ]
 
