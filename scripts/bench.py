@@ -10,8 +10,9 @@ kept, next to their minimum (``min_s``) and interquartile spread
 (``iqr_s``, the third quartile less the first): on a shared host one run
 can stray by a quarter, so compare medians only where they differ by more
 than the spread.
-``rounding_lemma_scan_12``, ``qpe_distribution_csv_n18`` and
-``clock_single_dense_T600`` also record ``peak_traced_mb``: the
+``rounding_lemma_scan_12``, ``bound_scan_257_14``,
+``qpe_distribution_csv_n18`` and ``clock_single_dense_T600`` also record
+``peak_traced_mb``: the
 ``tracemalloc`` peak, in MB, of one more run made after the timed ones
 (numpy reports its buffers to ``tracemalloc``).
 Each acceptance config runs through ``cli.main`` into a temporary
@@ -195,7 +196,7 @@ def main() -> None:
     micro = {
         "rounding_core_scalar_n12": timed(rounding_core_scalar),
         "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12), trace_memory=True),
-        "bound_scan_257_14": timed(lambda: qpe.bound_scan(phases_257, 14)),
+        "bound_scan_257_14": timed(lambda: qpe.bound_scan(phases_257, 14), trace_memory=True),
         "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv), trace_memory=True),
         "sweep_omega58_256": timed(lambda: run_cli(sweep_argv)),
         "sweep_omega34_64_20000": timed(lambda: run_cli(sweep34_argv)),

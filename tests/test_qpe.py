@@ -106,20 +106,29 @@ def test_distribution_normalised_and_peaked():
 
 def test_distribution_matches_offset_formula():
     # the in-place row is, bit for bit, the z-order formula
-    # sin(pi a) / (2^n sin(pi (t + a) / 2^n)), squared and normalised
+    # sin(pi a) / (2^n sin(pi (t + a) / 2^n)), squared and normalised, both
+    # alone and as a row of a block that mixes in grid phases
     for n in range(1, 21):
         phis = WRAP_PHASES + SAMPLE_PHASES + [Fraction(k, 257) for k in range(1, 257) if n <= 10]
-        for phi in phis:
-            t, a = _signed_offsets(phi, n)
-            if a == 0:  # on the grid: unit mass, test_exact_phases_unit_mass
-                continue
-            af = float(a)
-            size = 1 << n
-            amp = np.sin(math.pi * af) / (size * np.sin(math.pi * (t + af) / size))
-            expected = amp * amp
-            expected /= expected.sum()
-            got = qpe_distribution(phi, n).probabilities
-            assert got.tobytes() == expected.tobytes(), (phi, n)
+        phis += [Fraction(k, 16) for k in range(0, 16, 3)]
+        per_block = max(1, qpe.BLOCK_OUTCOMES >> n)
+        for start in range(0, len(phis), per_block):
+            chunk = phis[start : start + per_block]
+            rows, _, _ = qpe._distribution_rows(chunk, n)
+            for phi, row in zip(chunk, rows):
+                t, a = _signed_offsets(phi, n)
+                if a == 0:  # on the grid: unit mass
+                    expected = np.zeros(1 << n)
+                    expected[(phi * (1 << n)).numerator % (1 << n)] = 1.0
+                else:
+                    af = float(a)
+                    size = 1 << n
+                    amp = np.sin(math.pi * af) / (size * np.sin(math.pi * (t + af) / size))
+                    expected = amp * amp
+                    expected /= expected.sum()
+                assert row.tobytes() == expected.tobytes(), (phi, n)
+                got = qpe_distribution(phi, n).probabilities
+                assert got.tobytes() == expected.tobytes(), (phi, n)
 
 
 def traced_peak_mb(fn):
@@ -138,6 +147,12 @@ def test_estimation_memory_stays_flat(tmp_path):
     probs = qpe_distribution(Fraction(100, 257), 16).probabilities
     assert traced_peak_mb(lambda: cli._write_qpe_csv(tmp_path / "qpe.csv", 16, probs)) < 2.0
     assert traced_peak_mb(lambda: rounding_lemma_scan(12)) < 1.2
+    # the bound scan holds one block of at most 2^16 outcomes at a time
+    # (all 256 rows at n = 14 would be 32 MB); one distribution at n = 20
+    # holds two 2^20 float arrays (16 MB) and a few small ones
+    phases = [Fraction(k, 257) for k in range(1, 257)]
+    assert traced_peak_mb(lambda: qpe.bound_scan(phases, 14)) < 3.0
+    assert traced_peak_mb(lambda: qpe_distribution(Fraction(100, 257), 20)) < 16.1
 
 
 def test_third_at_three_bits_example():
@@ -160,7 +175,8 @@ def test_scans_refuse_n_max_before_any_work(monkeypatch, n_max):
     def no_work(*args, **kwargs):
         raise AssertionError("the scan did work before checking n_max")
 
-    for name in ("qpe_distribution", "round_up_num", "truncate_num", "best_pair_num"):
+    names = ("qpe_distribution", "_distribution_rows", "round_up_num", "truncate_num", "best_pair_num")
+    for name in names:
         monkeypatch.setattr(qpe, name, no_work)
     with pytest.raises(ValueError, match="n_max"):
         qpe.bound_scan([Fraction(1, 2)], n_max)
@@ -229,6 +245,100 @@ def test_kernel_matches_mask_reference():
             for dist in dists:
                 got = tail_and_success(dist, m)
                 assert got == reference_tail_and_success(dist, m), (dist.phi, n, m)
+
+
+def exhaustive_bound_scan(phis, n_max):
+    """The bound scan as one loop over every (phase, n, m), each pair
+    through the exact kernel on its own distribution."""
+    rows = []
+    for n in range(2, n_max + 1):
+        worst_tail, worst_margin, violations = 0.0, 1.0, 0
+        for phi in phis:
+            dist = qpe_distribution(phi, n)
+            for m in range(1, n):
+                tail, success = tail_and_success(dist, m)
+                bound = 2.0 ** -(n - m)
+                worst_tail = max(worst_tail, tail / bound)
+                worst_margin = min(worst_margin, success - (1.0 - bound))
+                violations += tail > bound or success < 1.0 - bound
+        rows.append((n, worst_tail, worst_margin, violations))
+    return rows
+
+
+def assert_bound_scan_matches_loop(phis, n_max):
+    got = qpe.bound_scan(phis, n_max)
+    assert got == exhaustive_bound_scan(phis, n_max)
+    # plain floats, as the CLI writes them
+    assert all(type(value) is float for row in got for value in row[1:3])
+    return got
+
+
+_RNG = np.random.default_rng(34)
+RANDOM_PHASES = [
+    Fraction(int(k), den) for den in (3, 7, 1000, 12345) for k in _RNG.integers(0, den, 12)
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no 0/0 surfaces from one-hot rows
+@pytest.mark.parametrize(
+    "phis, n_max",
+    [
+        ([Fraction(k, 257) for k in range(1, 257)], 14),
+        ([Fraction(k, 16) for k in range(16)], 14),
+        ([Fraction(k, 2**10) for k in range(2**10)], 12),
+        (WRAP_PHASES, 20),
+        (RANDOM_PHASES, 12),
+    ],
+    ids=["k/257", "k/16", "k/1024", "wrap", "random"],
+)
+def test_bound_scan_matches_exhaustive_loop(phis, n_max):
+    assert_bound_scan_matches_loop(phis, n_max)
+
+
+def test_prefix_estimates_within_documented_tol():
+    # on random rows, every estimate is within tol = 4 (2^n + 2) 2^-53 s of
+    # the exact kernel's arc sum, s the row's last prefix sum; the full-row
+    # success at m = 1 is exact
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 7, 12, 16):
+        size = 1 << n
+        phis = [phi for phi in RANDOM_PHASES if (phi * size).denominator != 1]
+        rows = rng.random((len(phis), size)) ** 8 * rng.uniform(0.5, 2.0, (len(phis), 1))
+        bases = np.array([(phi.numerator << n) // phi.denominator for phi in phis])
+        estimates = qpe._arc_estimates(rows, bases, np.zeros(len(phis), dtype=bool), n)
+        tails, tail_tol, successes, success_tol = estimates
+        tol = 4 * (size + 2) * 2.0**-53 * np.cumsum(rows, axis=1)[:, -1]
+        for i, phi in enumerate(phis):
+            dist = qpe.PhaseDistribution(n, phi, rows[i].copy(), exact=False)
+            for m in range(1, n):
+                tail, success = tail_and_success(dist, m)
+                assert tail_tol[i, m - 1] == tol[i]
+                assert abs(tails[i, m - 1] - tail) <= tol[i], (phi, n, m)
+                assert success_tol[i, m - 1] == (0.0 if m == 1 else tol[i])
+                assert abs(successes[i, m - 1] - success) <= success_tol[i, m - 1], (phi, n, m)
+
+
+def test_bound_scan_counts_broken_rows(monkeypatch):
+    # rows whose tail at m = n - 1 is its bound 1/2 up to rounding: a quarter
+    # on each of the two outcomes of the window, the other half spread evenly
+    # over the rest and scaled by 1 - 2^-52, 1 or 1 + 2^-52 by phase, so
+    # those pairs fall on either side of the bound or on it; the smaller m
+    # see tails far above theirs
+    build = qpe._distribution_rows
+
+    def broken(phis, n):
+        rows, bases, on_grid = build(phis, n)
+        size = rows.shape[1]
+        for i in np.flatnonzero(~on_grid):
+            base = int(bases[i])
+            rows[i] = 0.5 / (size - 2) * (1 + (base % 3 - 1) * 2.0**-52)
+            rows[i, [base, (base + 1) % size]] = 0.25
+        return rows, bases, on_grid
+
+    monkeypatch.setattr(qpe, "_distribution_rows", broken)
+    phis = [Fraction(k, 257) for k in range(1, 257)]
+    got = assert_bound_scan_matches_loop(phis, 9)
+    assert all(row[3] > 0 for row in got)
 
 
 def test_nearest_two_mass():
