@@ -22,8 +22,9 @@ fixed inputs:
 
 - ``rounding_core_scalar_n12``: on every 12-bit grid point z/2^12 for
   every 1 <= m < 12, one Python int at a time, the dyadic rounding core's
-  round-then-truncate ``truncate_num(round_up_num(.))`` and best pair
-  ``best_pair_num``, and ``truncate`` of the ``Fraction`` z/2^12;
+  round-then-truncate ``truncate_num(round_up_num(.))``, the best pair
+  ``best_pair_num`` of z over the denominator 2^12, and ``truncate`` of
+  the ``Fraction`` z/2^12;
 - ``rounding_lemma_scan_12``: ``qpe.rounding_lemma_scan(12)``, which runs
   the dyadic rounding core on whole grid rows;
 - ``bound_scan_257_14``: ``qpe.bound_scan`` on config 04's 256 phases
@@ -172,7 +173,7 @@ def rounding_core_scalar(n: int = 12) -> None:
     for m in range(1, n):
         for z in range(1 << n):
             truncate_num(round_up_num(z, n, m), n, m)
-            best_pair_num(z, n, m)
+            best_pair_num(z, 1 << n, m)
             truncate(Fraction(z, 1 << n), m)
 
 

@@ -1,5 +1,5 @@
 """Desk-scale toolkit around an uncomputable phase transition: exact
-rounding of dyadic rationals, prefix-free machine simulation on binary
+rounding of rationals to m bits, prefix-free machine simulation on binary
 words held as ``str``, staged halting probabilities, phase-estimation
 error bounds, clock-Hamiltonian spectral theory, and the per-square
 energy model that classifies phases."""

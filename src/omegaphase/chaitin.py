@@ -14,9 +14,10 @@ record exceeds 1.  Budgets are explicit: these procedures semi-decide
 
 Stage values are ``Fraction``s, each a sum of powers 2^-|x|, so their
 denominators are powers of two.  The finite-precision witness reads an
-m-bit word as an int and compares it with the stage-m value truncated
-by ``dyadic.truncate_num``, the integer rounding core that
-``phase.sweep`` also decides it with.
+m-bit word as an int and compares it with its limit, the stage-m value
+truncated to m bits by ``dyadic.truncate_num``; ``phase.sweep`` takes
+that limit once per square side and decides the witness with the same
+predicate.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "witness_w",
     "witness_wprime",
     "wprime_halts",
+    "wprime_limit",
 ]
 
 
@@ -120,15 +122,21 @@ def witness_w(walk: InputWalk, phi: Fraction, max_stage: int) -> int | None:
     return None
 
 
-def wprime_halts(word: int, stage_value: Fraction, m: int) -> bool:
+def wprime_halts(word: int, limit: int) -> bool:
     """The halting predicate of the finite-precision witness at precision
-    m on the m-bit word ``word`` (an int in [0, 2^m)), given the stage-m
-    value: 0 < word < (stage value truncated to m bits), both over 2^m.
+    m on the m-bit word ``word`` (an int in [0, 2^m)), given its limit,
+    the stage-m value truncated to m bits: 0 < word < limit, both over 2^m.
 
     The all-zero word loops unconditionally: 0^m stands for 1 so that
     wraparound estimates of phases just below 1 cannot fake a halt.
     """
-    return 0 < word < truncate_num(stage_value.numerator, stage_value.denominator.bit_length() - 1, m)
+    return 0 < word < limit
+
+
+def wprime_limit(stage_value: Fraction, m: int) -> int:
+    """The limit of ``wprime_halts`` at precision m: the (dyadic) stage-m
+    value truncated to m bits, over 2^m."""
+    return truncate_num(stage_value.numerator, stage_value.denominator.bit_length() - 1, m)
 
 
 def witness_wprime(walk: InputWalk, phibar: str, m: int) -> bool:
@@ -144,4 +152,4 @@ def witness_wprime(walk: InputWalk, phibar: str, m: int) -> bool:
         raise ValueError(f"phibar must be a word over 0 and 1, got {phibar!r}")
     if not 1 <= m <= len(phibar):
         raise ValueError(f"need 1 <= m <= n = {len(phibar)}, got m = {m}")
-    return wprime_halts(int(phibar[:m], 2), omega_stage_values(walk, m)[-1], m)
+    return wprime_halts(int(phibar[:m], 2), wprime_limit(omega_stage_values(walk, m)[-1], m))

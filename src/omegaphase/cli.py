@@ -37,8 +37,6 @@ EXIT_CONSTRAINT = 3
 
 REQUIRED = object()
 ABSENT = object()
-# The kind of a rational read with a power-of-two denominator (a phase).
-PowerOfTwoFraction = typing.NewType("PowerOfTwoFraction", Fraction)
 # SquareEnergyModel's constants, read by both sweep modes; an absent one
 # keeps the model's own default.
 _MODEL_PARAMS = {
@@ -55,7 +53,7 @@ PARAM_KEYS = {
         "": {"machine": (str, REQUIRED), "stage": (int, REQUIRED), "include_sequence": (bool, False)},
     },
     "witness": {
-        "w": {"machine": (str, REQUIRED), "phi": (PowerOfTwoFraction, REQUIRED), "max_stage": (int, REQUIRED)},
+        "w": {"machine": (str, REQUIRED), "phi": (Fraction, REQUIRED), "max_stage": (int, REQUIRED)},
         "wprime": {"machine": (str, REQUIRED), "phibar": (str, REQUIRED), "m": (int, REQUIRED)},
     },
     "qpe": {
@@ -77,7 +75,7 @@ PARAM_KEYS = {
     },
     "sweep": {
         "classify": {
-            "machine": (str, REQUIRED), "phis": (list[PowerOfTwoFraction], ABSENT),
+            "machine": (str, REQUIRED), "phis": (list[Fraction], ABSENT),
             "grid_denominator": (int, ABSENT), "s_budget": (typing.Literal["auto"] | int, "auto"),
             **_MODEL_PARAMS,
         },
@@ -236,23 +234,13 @@ _ACCEPTS = {
     bool: (bool, "true or false"),
     str: ((str, int, float), "a string or a number"),
     Fraction: ((str, int, float), "a rational number"),
-    PowerOfTwoFraction: ((str, int, float), "a rational number"),
 }
-
-
-def _log2(key: str, den: int) -> int:
-    """The exponent of a power-of-two denominator; any other is out of range."""
-    if den < 1 or den & (den - 1):
-        raise ValueError(f"parameter {key!r} needs a power-of-two denominator, not {den}")
-    return den.bit_length() - 1
 
 
 def _read(key: str, value: object, kind):
     """One parameter value read as its kind: int, float, bool, str,
-    Fraction, PowerOfTwoFraction (a Fraction with a power-of-two
-    denominator), list[...] of one of them, or Literal[word] | kind.
-    Bools are not numbers here.  A value of the wrong type is a config
-    error."""
+    Fraction, list[...] of one of them, or Literal[word] | kind.  Bools
+    are not numbers here.  A value of the wrong type is a config error."""
     origin = typing.get_origin(kind)
     if origin is list:
         if not isinstance(value, list):
@@ -266,15 +254,11 @@ def _read(key: str, value: object, kind):
     if not isinstance(value, accepts) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"parameter {key!r} must be {name}, got {value!r}")
     try:
-        if kind is Fraction or kind is PowerOfTwoFraction:
-            value = Fraction(repr(value) if isinstance(value, float) else value)
-        else:
-            value = kind(value)
+        if kind is Fraction:
+            return Fraction(repr(value) if isinstance(value, float) else value)
+        return kind(value)
     except (ValueError, ZeroDivisionError, OverflowError):  # "abc", "1/0", 10**400 as a float
         raise ConfigError(f"parameter {key!r} must be {name}, got {value!r}") from None
-    if kind is PowerOfTwoFraction:
-        _log2(key, value.denominator)
-    return value
 
 
 def _resolve(command: str, mode: str, params: dict) -> dict:
@@ -464,7 +448,8 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
         return
     den = p["grid_denominator"]
     if den is not None:
-        _log2("grid_denominator", den)
+        if den < 1:
+            raise ValueError(f"parameter 'grid_denominator' must be >= 1, got {den}")
         grid = [Fraction(k, den) for k in range(1, den + 1)]
     else:
         grid = p["phis"] or []

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .calibration import COMP_UPPER_K
-from .chaitin import omega_stage_values, wprime_halts
+from .chaitin import omega_stage_values, wprime_halts, wprime_limit
 from .dyadic import best_pair_num
 from .errors import SeparationError
 from .tm import InputWalk
@@ -410,12 +410,13 @@ def sweep(
     for finite-precision witness halting on every best approximation; the
     budget is the walk's, and the witness reads its stage values off it.
 
-    Each phase must have a power-of-two denominator 2^e; it is reduced
-    mod 1 once, to a numerator over 2^e.  At side s the witness runs at
-    m = m(s), computed once per side, on the floor and the ceiling
-    (mod 1) of 2^m phi, from ``dyadic.best_pair_num``; the two are one
-    word when phi lies on the m-bit grid.  Both halting is the halting
-    regime, neither the non-halting one, and one of the two the mixed one.
+    Each phase, any rational, is reduced mod 1 once, to a numerator over
+    its denominator.  At side s the witness runs at m = m(s) against the
+    limit of the stage-m value, both computed once per side, on the floor
+    and the ceiling (mod 1) of 2^m phi, from ``dyadic.best_pair_num``; the
+    two are one word when phi lies on the m-bit grid.  Both halting is the
+    halting regime, neither the non-halting one, and one of the two the
+    mixed one.
 
     Evidence is only ever emitted together with the reproducible witness
     trace and its strictly negative energy certificate; running out of
@@ -434,19 +435,18 @@ def sweep(
     sides = range(s_prime, s_budget + 1)
     ms = [model.m_of(s) for s in sides] if phi_grid else []
     stage_values = omega_stage_values(walk, ms[-1]) if ms else []
+    limits = [wprime_limit(stage_values[m - 1], m) for m in ms]
     energies: dict[tuple[int, str], EnergyInterval] = {}
     results: list[SweepResult] = []
     for phi in phi_grid:
         if not 0 < phi <= 1:
             raise ValueError(f"grid phases must lie in (0, 1], got {phi}")
-        e = phi.denominator.bit_length() - 1
-        if phi.denominator != 1 << e:
-            raise ValueError(f"grid phases need a power-of-two denominator, got {phi}")
-        num = phi.numerator & ((1 << e) - 1)  # phi mod 1, over 2^e
+        den = phi.denominator
+        num = phi.numerator % den  # phi mod 1
         trace: list[tuple[int, EnergyInterval]] = []
         hit: int | None = None
-        for s, m in zip(sides, ms):
-            below, above = (wprime_halts(w, stage_values[m - 1], m) for w in best_pair_num(num, e, m))
+        for s, m, limit in zip(sides, ms, limits):
+            below, above = (wprime_halts(w, limit) for w in best_pair_num(num, den, m))
             regime = "mixed" if below != above else "halting" if below else "nonhalting"
             interval = energies.get((s, regime))
             if interval is None:

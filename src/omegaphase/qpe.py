@@ -1,14 +1,14 @@
-"""Exact simulation of the n-bit phase-estimation output distribution,
-its tail bound, the round-then-truncate success probability, and the
-scans that check both bounds and the rounding lemma on every case.
+"""The n-bit phase-estimation output distribution, its tail bound, the
+round-then-truncate success probability, and the scans that check both
+bounds and the rounding lemma on every case.
 
-Phases are exact rationals (``Fraction``); the only floating point is the
-final sine evaluation, so every window and grid comparison below is
-decided exactly.  Every probability is a sum over the 2^n outcomes, never
-a sample.  The bound scan covers every (phase, n, m) and reports the
-extremes and the violation count of the exact kernel on every pair, but
-runs that kernel only where prefix-sum estimates with a proven error
-bound cannot decide them.
+Phases are exact rationals (``Fraction``), and every phase, window and
+grid comparison below is decided exactly on integers; each Pr[z] is a
+float, and every probability a float sum over the 2^n outcomes.  The
+bound scan reports the extremes and the violation count of the kernel on
+every (phase, n, m), but runs it only where prefix-sum estimates cannot
+decide them; their tolerance bounds an estimate against the kernel's
+float pairwise sum, not against the real distribution.
 """
 
 from __future__ import annotations
@@ -52,51 +52,55 @@ def _distribution_rows(phis: list[Fraction], n: int) -> tuple[np.ndarray, np.nda
     each phase's base floor(2^n phi) and whether 2^n phi is an integer.
 
     Each phase is read once as divmod(num << n, den): the base and the
-    fraction a = frac(2^n phi).  In z order the signed offset
-    t(z) = base - z (mod 2^n), in [-2^(n-1), 2^(n-1) - 1], falls by one
-    from t(0) to -2^(n-1) and then wraps to 2^(n-1) - 1, so two slice
+    fraction a = frac(2^n phi).  A phase on the grid (a = 0) gets unit
+    mass on its base; the other rows are built on a block of their own
+    (the whole block when no phase is on the grid).  In z order the signed
+    offset t(z) = base - z (mod 2^n), in [-2^(n-1), 2^(n-1) - 1], falls by
+    one from t(0) to -2^(n-1) and then wraps to 2^(n-1) - 1, so two slice
     copies of one descending array fill a row.  The amplitudes
-    sin(pi a) / (2^n sin(pi (t + a) / 2^n)) are then built in place on the
-    whole block, squared and each row normalised by its own pairwise sum.
-    A phase on the grid (a = 0) meets 0/0 at t = 0 in the block; its row is
-    then overwritten with unit mass on its base.
+    sin(pi a) / (2^n sin(pi (t + a) / 2^n)) are then built in place,
+    squared and each row normalised by its own pairwise sum, every step
+    element by element or on one row.
     """
     size = 1 << n
     half = size >> 1
-    descending = np.arange(half - 1, -half - 1, -1, dtype=np.float64)
-    rows = np.empty((len(phis), size))
     bases, fracs, on_grid = [], [], []
-    for row, phi in zip(rows, phis):
+    for phi in phis:
         base, rem = divmod(phi.numerator << n, phi.denominator)
         if not 0 <= base < size:  # phi outside [0, 1)
             raise ValueError(f"phase must lie in [0, 1), got {phi}")
-        cut = (base + half) % size + 1  # z = cut - 1 has t = -2^(n-1)
-        row[:cut] = descending[size - cut :]
-        row[cut:] = descending[: size - cut]
         bases.append(base)
         fracs.append(rem / phi.denominator)
         on_grid.append(rem == 0)
-    bases, on_grid = np.array(bases, dtype=np.int64), np.array(on_grid)
-    fracs = np.array(fracs)[:, None]
-    rows += fracs
-    rows *= math.pi
-    rows /= size
-    np.sin(rows, out=rows)
-    rows *= size
-    # numerator sin(pi * 2^n * delta) = sin(pi * a) for every outcome
-    with np.errstate(invalid="ignore"):  # 0/0 only on the rows of grid phases
-        np.divide(np.sin(math.pi * fracs), rows, out=rows)
-    rows *= rows
-    rows /= rows.sum(axis=1, keepdims=True)
-    hot = np.flatnonzero(on_grid)
-    rows[hot] = 0.0
-    rows[hot, bases[hot]] = 1.0
+    bases, fracs, on_grid = np.array(bases, dtype=np.int64), np.array(fracs), np.array(on_grid, dtype=bool)
+    rows = np.zeros((len(phis), size))
+    off = np.flatnonzero(~on_grid)
+    if off.size:
+        block = rows if off.size == len(phis) else np.empty((off.size, size))
+        descending = np.arange(half - 1, -half - 1, -1, dtype=np.float64)
+        for row, base in zip(block, bases[off].tolist()):
+            cut = (base + half) % size + 1  # z = cut - 1 has t = -2^(n-1)
+            row[:cut] = descending[size - cut :]
+            row[cut:] = descending[: size - cut]
+        a = fracs[off, None]
+        block += a
+        block *= math.pi
+        block /= size
+        np.sin(block, out=block)
+        block *= size
+        # numerator sin(pi * 2^n * delta) = sin(pi * a) for every outcome
+        np.divide(np.sin(math.pi * a), block, out=block)
+        block *= block
+        block /= block.sum(axis=1, keepdims=True)
+        if block is not rows:
+            rows[off] = block
+    rows[on_grid, bases[on_grid]] = 1.0
     return rows, bases, on_grid
 
 
 def qpe_distribution(phi: Fraction, n: int) -> PhaseDistribution:
-    """Exact output distribution of n-bit phase estimation on the rational
-    phase ``phi`` in [0, 1): the one-row block of ``_distribution_rows``.
+    """Output distribution of n-bit phase estimation on the rational phase
+    ``phi`` in [0, 1): the one-row block of ``_distribution_rows``.
 
     A phase on the 2^n grid gives unit mass on its own outcome; otherwise
     Pr[z] = sin^2(pi 2^n delta(z)) / (2^(2n) sin^2(pi delta(z))) with
@@ -147,8 +151,8 @@ def tail_and_success(dist: PhaseDistribution, m: int) -> tuple[float | None, flo
     tail = None
     if m < n:
         tail = _arc_sum(probs, (num << n) // den + h + 1, size - w)
-    lo, rem = divmod(num << m, den)  # one target when 2^m phi is an integer
-    success = _arc_sum(probs, lo * w - h, (2 if rem else 1) * w)
+    lo, hi = best_pair_num(num, den, m)  # one target when 2^m phi is an integer
+    success = _arc_sum(probs, lo * w - h, (2 if lo != hi else 1) * w)
     return tail, success
 
 
@@ -298,7 +302,7 @@ def rounding_lemma_scan(n_max: int) -> tuple[int, int]:
         points = np.arange(size)
         for m in range(1, n):
             images = truncate_num(round_up_num(points, n, m), n, m)
-            lo, hi = best_pair_num(points, n, m)
+            lo, hi = best_pair_num(points, size, m)
             radius = 1 << (n - m - 1)  # estimates with |z - w| mod 2^n < radius
             wrapped = np.concatenate((images[size - radius + 1 :], images, images[: radius - 1]))
             for start in range(2 * radius - 1):

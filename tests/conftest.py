@@ -6,9 +6,11 @@ another process holds a core; run BLAS single-threaded, as the benchmark
 does.
 
 Also the fixtures that count what the tm layer runs, and the big-Fraction
-oracle of the square energies that test_phase and test_cli import.
+oracles of the square energies and of the sweep's regimes that test_phase
+and test_cli import.
 """
 
+import math
 import os
 from fractions import Fraction
 from types import SimpleNamespace
@@ -89,3 +91,28 @@ def square_energy_formula(model, s, regime, marked):
         unit = Fraction(1, 4 ** (model.C * (s + ceil_root(s, 8))))
         lo, hi = lo - 3 * unit, hi - unit
     return lo, hi
+
+
+def wprime_regime(phi, stage, m):
+    """The regime of one side at precision m, from Fractions: the witness
+    halts on an m-bit word w iff 0 < w < floor(2^m stage), and runs on the
+    floor and the ceiling (mod 2^m) of 2^m phi, phi reduced mod 1."""
+    scaled = phi % 1 * 2**m
+    bound = math.floor(stage * 2**m)
+    verdicts = {0 < w < bound for w in (math.floor(scaled), math.ceil(scaled) % 2**m)}
+    return "mixed" if len(verdicts) == 2 else "halting" if True in verdicts else "nonhalting"
+
+
+def sweep_oracle(phi, stages, model, budget):
+    """The (side, regime) pairs a sweep of phi visits, from s' up to the
+    budget or the first halting side, by ``wprime_regime`` on the stage
+    values ``stages`` (stage 1 first)."""
+    from omegaphase.phase import find_s_prime
+
+    trace = []
+    for s in range(find_s_prime(model), budget + 1):
+        m = model.m_of(s)
+        trace.append((s, wprime_regime(phi, stages[m - 1], m)))
+        if trace[-1][1] == "halting":
+            break
+    return trace

@@ -11,14 +11,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import square_energy_formula
+from conftest import square_energy_formula, sweep_oracle
 
 from omegaphase import cli, clock, errors, phase
 from omegaphase.cli import (
-    EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, PARAM_KEYS, REQUIRED, ConfigError, PowerOfTwoFraction, RunConfig,
+    EXIT_CONSTRAINT, EXIT_OK, EXIT_PARSE, PARAM_KEYS, REQUIRED, ConfigError, RunConfig,
     _read, main, run,
 )
-from omegaphase.chaitin import witness_wprime
+from omegaphase.chaitin import omega_stage_values, witness_wprime
 from omegaphase.clock import ClockSpecParseError
 from omegaphase.errors import ParseError
 from omegaphase.phase import SquareEnergyModel
@@ -665,49 +665,74 @@ def test_decimal_phase_is_the_rational_it_denotes(tmp_path, argv, artifact, key,
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,phis",
     [
-        ["witness", "-p", "max_stage=50", "-p", "phi=0.11"],
-        ["witness", "-p", "max_stage=50", "-p", "phi=1/3"],
-        ["sweep", "-p", "phis=[0.5, 0.11]"],
-        ["sweep", "-p", "grid_denominator=48"],
-        ["sweep", "-p", "grid_denominator=0"],
+        (["witness", "-p", "max_stage=50", "-p", "phi=0.11"], [Fraction(11, 100)]),
+        (["witness", "-p", "max_stage=50", "-p", "phi=1/3"], [Fraction(1, 3)]),
+        (["sweep", "-p", "phis=[0.5, 0.11]"], [Fraction(1, 2), Fraction(11, 100)]),
+        (["sweep", "-p", "grid_denominator=12"], [Fraction(k, 12) for k in range(1, 13)]),
     ],
-    ids=["witness_decimal", "witness_third", "sweep_phis", "sweep_grid_48", "sweep_grid_0"],
+    ids=["witness_decimal", "witness_third", "sweep_phis", "sweep_grid_12"],
 )
-def test_non_dyadic_phase_out_of_range(tmp_path, capsys, argv):
+def test_off_grid_phase_runs(tmp_path, argv, phis):
+    # a phase with any denominator runs, and gives what the Fraction
+    # oracles give: the least stage above phi, and each phase's sweep
+    # classification at the auto budget s' + 1
     command, *params = argv
-    argv = [command, "--output-dir", str(tmp_path / "run"), "-p", "machine=zoo:omega34", *params]
-    assert main(argv) == EXIT_CONSTRAINT
-    assert repr(params[-1].partition("=")[0]) in capsys.readouterr().err
+    assert main([command, "--output-dir", str(tmp_path), "-p", "machine=zoo:omega34", *params]) == EXIT_OK
+    if command == "witness":
+        stages = omega_stage_values(walk_inputs(zoo_machine("omega34"), 50), 50)
+        want = next(s for s, value in enumerate(stages, start=1) if phis[0] < value)
+        assert want == 2  # omega34's stage 2 is 1/2
+        assert read_json(tmp_path / "witness.json")["halted_at"] == want
+        return
+    model = SquareEnergyModel()
+    s_prime = phase.find_s_prime(model)
+    stages = omega_stage_values(walk_inputs(zoo_machine("omega34"), s_prime + 1), model.m_of(s_prime + 1))
+    want = []
+    for phi in phis:
+        *_, (side, regime) = sweep_oracle(phi, stages, model, s_prime + 1)
+        want.append([str(phi), f"gapless_evidence({side})" if regime == "halting" else f"no_evidence({s_prime + 1})"])
+    with (tmp_path / "sweep.csv").open() as fh:
+        assert [row[:2] for row in csv.reader(fh)][1:] == want
+    assert [cls.startswith("gapless") for _, cls in want] == [phi < Fraction(3, 4) for phi in phis]  # omega34's value
+
+
+@pytest.mark.parametrize("den", [0, -4], ids=["sweep_grid_0", "sweep_grid_-4"])
+def test_grid_denominator_out_of_range(tmp_path, capsys, den):
+    argv = ["sweep", "--output-dir", str(tmp_path / "run"), "-p", "machine=zoo:omega34"]
+    assert main([*argv, "-p", f"grid_denominator={den}"]) == EXIT_CONSTRAINT
+    assert "'grid_denominator'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_dyadic_reader_round_trip():
-    for value, num, exp in [
-        ("3/4", 3, 2),
-        ("0.25", 1, 2),
-        (0.25, 1, 2),
-        ("-0.75", -3, 2),
-        ("1.5", 3, 1),
-        ("6/8", 3, 2),
-        ("7", 7, 0),
-        (7, 7, 0),
-        ("0", 0, 0),
+def test_phase_reader_round_trip():
+    # any rational, the decimals as the rationals they denote: 0.11 is
+    # 11/100, not binary 3/4
+    for value, want in [
+        ("3/4", Fraction(3, 4)),
+        ("0.25", Fraction(1, 4)),
+        (0.25, Fraction(1, 4)),
+        ("-0.75", Fraction(-3, 4)),
+        ("1.5", Fraction(3, 2)),
+        ("6/8", Fraction(3, 4)),
+        ("7", Fraction(7)),
+        (7, Fraction(7)),
+        ("0", Fraction(0)),
+        ("1/3", Fraction(1, 3)),
+        ("0.11", Fraction(11, 100)),
+        (0.1, Fraction(1, 10)),
+        ("5/12", Fraction(5, 12)),
     ]:
-        d = _read("phi", value, PowerOfTwoFraction)
-        assert d == Fraction(num, 2**exp)
-        assert _read("phi", str(d), PowerOfTwoFraction) == d
+        d = _read("phi", value, Fraction)
+        assert d == want
+        assert _read("phi", str(d), Fraction) == d
 
 
-def test_dyadic_reader_rejects_non_dyadic():
-    for value in ("1/3", "0.11", 0.1):  # decimals: 0.11 is 11/100, not binary 3/4
-        with pytest.raises(ValueError, match="power-of-two") as err:
-            _read("phi", value, PowerOfTwoFraction)
-        assert not isinstance(err.value, ConfigError)  # out of range: exit 3
+def test_phase_reader_rejects_unreadable():
     for value in ("abc", "1/2^3", "1/0", True, [1]):
         with pytest.raises(ConfigError):
-            _read("phi", value, PowerOfTwoFraction)
+            _read("phi", value, Fraction)
 
 
 def test_alternative_keys_refused_together(tmp_path, capsys):
@@ -774,7 +799,7 @@ def _sample(kind):
     """A value of the kind's JSON type (its range is not checked before a run)."""
     if typing.get_origin(kind) is list:
         return [_sample(typing.get_args(kind)[0])]
-    return {int: 1, float: 0.5, bool: True, str: "x", Fraction: "1/2", PowerOfTwoFraction: "1/2"}[kind]
+    return {int: 1, float: 0.5, bool: True, str: "x", Fraction: "1/2"}[kind]
 
 
 def _wrong_types(kind):

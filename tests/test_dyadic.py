@@ -1,11 +1,10 @@
 """The integer rounding core (the rounding map and the best-approximation
-intervals) and ``truncate`` on dyadic Fractions."""
+pairs) and ``truncate`` on rational Fractions."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from omegaphase import dyadic
 from omegaphase.dyadic import (
@@ -25,6 +24,8 @@ def exponent(f):
 
 # every numerator -16..16 over every exponent 0..5, duplicates included
 SMALL_GRID = [Fraction(k, 2**e) for e in range(6) for k in range(-16, 17)]
+# phases off every dyadic grid, and their denominators' multiples
+NON_DYADIC_DENOMINATORS = (3, 5, 6, 7, 12, 40, 257)
 
 
 def test_results_are_canonical_and_exact():
@@ -41,9 +42,10 @@ def test_truncate_examples():
     # halting set {"0", "11"} by hand: 2^-1 + 2^-2 = 3/4; drop to one bit
     omega_toy = Fraction(1, 2) + Fraction(1, 4)
     assert truncate(omega_toy, 1) == Fraction(1, 2)
-    for value in (Fraction(1, 3), Fraction(5, 12)):
-        with pytest.raises(ValueError, match="power-of-two denominator, not"):
-            truncate(value, 2)
+    # any rational: 4/3 and 5/3 floor to 1, -4/3 to -2
+    assert truncate(Fraction(1, 3), 2) == truncate(Fraction(5, 12), 2) == Fraction(1, 4)
+    assert truncate(Fraction(-1, 3), 2) == Fraction(-1, 2)
+    assert truncate(Fraction(11, 100), 4) == Fraction(1, 16)
 
 
 def test_truncate_bounds_and_composition():
@@ -76,23 +78,31 @@ def test_round_up_num_distance_property():
 def test_interval_examples():
     # the best m-bit approximations of phi = num/2^e, as the floor and the
     # ceiling (mod 2^m) of 2^m phi over 2^m
-    assert best_pair_num(1, 1, 1) == (1, 1)  # 1/2 lies on the 1-bit grid
-    assert best_pair_num(15, 4, 2) == (3, 0)  # {3/4, 1}: the ceiling wraps to 0
-    assert best_pair_num(5, 3, 2) == (2, 3)  # {1/2, 3/4}
-    assert best_pair_num(0, 0, 3) == (0, 0)
-    assert best_pair_num(3, 2, 5) == (24, 24)  # e < m: 3/4 is 24/32
+    assert best_pair_num(1, 2, 1) == (1, 1)  # 1/2 lies on the 1-bit grid
+    assert best_pair_num(15, 16, 2) == (3, 0)  # {3/4, 1}: the ceiling wraps to 0
+    assert best_pair_num(5, 8, 2) == (2, 3)  # {1/2, 3/4}
+    assert best_pair_num(0, 1, 3) == (0, 0)
+    assert best_pair_num(3, 4, 5) == (24, 24)  # 3/4 is 24/32
+    assert best_pair_num(1, 3, 2) == (1, 2)  # 1/3: {1/4, 1/2}
+    assert best_pair_num(5, 6, 1) == (1, 0)  # 5/6: {1/2, 1}, wrapped
+    assert best_pair_num(6, 8, 2) == (3, 3)  # a raw numerator: 6/8 is 3/4
 
 
 def test_interval_singleton_iff_on_grid():
     for m in range(1, 9):
         for z in range(1 << 6):
             phi = Fraction(z, 64)
-            pair = best_pair_num(phi.numerator, exponent(phi), m)
-            assert best_pair_num(z, 6, m) == pair  # a raw numerator gives the same pair
+            pair = best_pair_num(phi.numerator, phi.denominator, m)
+            assert best_pair_num(z, 64, m) == pair  # a raw numerator gives the same pair
             on_grid = exponent(phi) <= m  # 2^m phi is an integer
             assert (pair[0] == pair[1]) == on_grid
             for w in pair:
                 assert 0 <= w < 1 << m
+        for den in NON_DYADIC_DENOMINATORS:
+            for k in range(den):
+                lo, hi = best_pair_num(k, den, m)
+                assert (lo == hi) == ((k << m) % den == 0), (k, den, m)  # 6/12 is 1/2
+                assert 0 <= lo < 1 << m and 0 <= hi < 1 << m
 
 
 def test_rounding_lemma_small_grids():
@@ -103,7 +113,7 @@ def test_rounding_lemma_small_grids():
         for m in range(1, n):
             for w in range(size):
                 phi = Fraction(w, size)
-                members = set(best_pair_num(phi.numerator, exponent(phi), m))
+                members = set(best_pair_num(phi.numerator, phi.denominator, m))
                 radius = 1 << (n - m - 1)
                 for off in range(-radius + 1, radius):
                     z = (w + off) % size
@@ -144,9 +154,23 @@ def test_rounding_ops_exhaustive_against_fractions():
             if not 0 <= f < 1:
                 continue
             rounded, lo, hi = _core_oracle(f, m)
-            assert best_pair_num(num, e, m) == (lo, hi), (x, m)
+            assert best_pair_num(num, 1 << e, m) == (lo, hi), (x, m)
             if e > m:
                 assert Fraction(round_up_num(num, e, m), 1 << e) == rounded, (x, m)
+
+
+def test_truncate_and_best_pair_on_any_rational():
+    # every k/den with den off the dyadic grids, over [-2, 2) for the
+    # truncation and [0, 1) for the pair, against Fractions
+    for den in NON_DYADIC_DENOMINATORS:
+        for k in range(-2 * den, 2 * den):
+            x = Fraction(k, den)
+            for m in range(12):
+                assert truncate(x, m) == Fraction(math.floor(x * 2**m), 2**m), (x, m)
+                if 0 <= k < den:
+                    _, lo, hi = _core_oracle(x, m)
+                    assert best_pair_num(k, den, m) == (lo, hi), (x, m)
+                    assert best_pair_num(x.numerator, x.denominator, m) == (lo, hi), (x, m)
 
 
 def _core_oracle(f, m):
@@ -173,38 +197,41 @@ def test_rounding_core_agrees_with_fractions():
             if m < n:
                 assert round_up_num(row, n, m).tolist() == rounded, (n, m)
             assert truncate_num(row, n, m).tolist() == floors, (n, m)
-            lo, hi = best_pair_num(row, n, m)
+            lo, hi = best_pair_num(row, size, m)
             assert (lo.tolist(), hi.tolist()) == (floors, ceilings), (n, m)
             for z in range(size):
                 if m < n:
                     assert round_up_num(z, n, m) == rounded[z], (z, n, m)
                 assert truncate_num(z, n, m) == floors[z], (z, n, m)
-                assert best_pair_num(z, n, m) == (floors[z], ceilings[z]), (z, n, m)
+                assert best_pair_num(z, size, m) == (floors[z], ceilings[z]), (z, n, m)
                 x = Fraction(z, size)
                 num, e = x.numerator, exponent(x)
                 if e > m:
                     r = round_up_num(num, e, m)
                     assert Fraction(r, 1 << e) == want[z][0], (z, n, m)
                 assert truncate_num(num, e, m) == floors[z], (z, n, m)
-                assert best_pair_num(num, e, m) == (floors[z], ceilings[z]), (z, n, m)
+                assert best_pair_num(num, 1 << e, m) == (floors[z], ceilings[z]), (z, n, m)
 
 
 def _recording(module, calls, monkeypatch):
-    """Patch the core in ``module`` to log (name, e, m, numerator) per call."""
+    """Patch the core in ``module`` to log (name, n, m, numerator) per
+    call, n the exponent the round-up and the truncation read and the
+    bit length of the pair's denominator 2^n, less one."""
     for name in CORE:
         real = getattr(module, name)
 
-        def wrapper(num, e, m, name=name, real=real):
-            calls.append((name, e, m, num))
-            return real(num, e, m)
+        def wrapper(num, scale, m, name=name, real=real):
+            n = scale.bit_length() - 1 if name == "best_pair_num" else scale
+            calls.append((name, n, m, num))
+            return real(num, scale, m)
 
         monkeypatch.setattr(module, name, wrapper)
 
 
 def test_rounding_lemma_scan_goes_through_the_rounding_ops(monkeypatch):
-    # the scan, truncate, the finite-precision witness and the sweep run one
-    # core: the scan calls each core function once per (n, m) row, on the
-    # whole row 0..2^n - 1
+    # the scan, the finite-precision witness and the sweep run one core:
+    # the scan calls each core function once per (n, m) row, on the whole
+    # row 0..2^n - 1, the pair over the denominator 2^n
     from omegaphase import chaitin, phase, qpe
 
     for name in CORE:
@@ -217,14 +244,9 @@ def test_rounding_lemma_scan_goes_through_the_rounding_ops(monkeypatch):
     rows = [(n, m) for n in range(2, 13) for m in range(1, n)]
     assert len(calls) == 3 * len(rows) == 198
     for name in CORE:
-        mine = [(e, m, num) for called, e, m, num in calls if called == name]
-        assert [(e, m) for e, m, _ in mine] == rows, name
-        for e, m, num in mine:
+        mine = [(n, m, num) for called, n, m, num in calls if called == name]
+        assert [(n, m) for n, m, _ in mine] == rows, name
+        for n, m, num in mine:
             # truncate_num runs on the rounded row, a permutation of the grid
             row = np.sort(num) if name == "truncate_num" else num
-            assert np.array_equal(row, np.arange(1 << e)), (name, e, m)
-
-    calls = []
-    _recording(dyadic, calls, monkeypatch)
-    assert truncate(Fraction(0b1011, 16), 2) == Fraction(1, 2)
-    assert calls == [("truncate_num", 4, 2, 0b1011)]
+            assert np.array_equal(row, np.arange(1 << n)), (name, n, m)

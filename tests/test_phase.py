@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import square_energy_formula
+from conftest import square_energy_formula, sweep_oracle
 
 from omegaphase import phase
 from omegaphase.chaitin import omega_stage_values
@@ -431,12 +431,45 @@ def test_sweep_rejects_bad_budget_and_grid():
     assert sweep([], walk_inputs(o34, sp), DEFAULT) == []
 
 
+def assert_sweep_matches_oracle(monkeypatch, grid, walk, model):
+    """Sweep ``grid`` and check every phase's trace, side by side, against
+    the Fraction oracle's regimes; returns the results and, per phase, its
+    (side, regime) pairs."""
+    stages = omega_stage_values(walk, model.m_of(walk.budget))
+    calls, _ = record_square_energy(monkeypatch)
+    results = sweep(grid, walk, model)
+    computed = {id(interval): tuple(key) for *key, interval in calls}
+    traces = [sweep_oracle(phi, stages, model, walk.budget) for phi in grid]
+    for phi, result, want in zip(grid, results, traces):
+        assert [computed[id(interval)] for _, interval in result.trace] == want, str(phi)
+        assert result.gapless == (want[-1][1] == "halting"), str(phi)
+    return results, traces
+
+
 @pytest.mark.parametrize("phi", [Fraction(1, 3), Fraction(5, 6), Fraction(3, 40)])
-def test_sweep_refuses_non_dyadic_phases(phi):
-    # read off its denominator's bit length, 1/3 would be swept as 1/2
-    walk = walk_inputs(zoo_machine("omega34"), find_s_prime(DEFAULT))
-    with pytest.raises(ValueError, match=f"power-of-two denominator, got {phi}$"):
-        sweep([Fraction(1, 2), phi], walk, DEFAULT)
+def test_sweep_decides_non_dyadic_phases(monkeypatch, phi):
+    # a pair that read the denominator's bit length as an exponent would sweep 1/3 as 1/2
+    walk = walk_inputs(zoo_machine("omega34"), find_s_prime(DEFAULT) + 1)
+    results, _ = assert_sweep_matches_oracle(monkeypatch, [Fraction(1, 2), phi], walk, DEFAULT)
+    assert [r.gapless for r in results] == [True, phi < Fraction(3, 4)]
+
+
+@pytest.mark.parametrize("name", ["omega34", "omega58"])
+def test_sweep_locates_the_transition_off_grid(monkeypatch, name):
+    # phi = omega - 1/(3 2^k) with k = m(s') + 1 .. 3: 2^m phi sits 2^(m-k)/3
+    # below the integer 2^m omega, so the sides with m < k + 2 are mixed and
+    # the first with m = k + 2 halts, near s' + k - m(s') + 2; omega and
+    # omega + 1/(3 2^k) never halt
+    sp, omega = find_s_prime(DEFAULT), ZOO[name].omega
+    ks = [DEFAULT.m_of(sp) + j for j in (1, 2, 3)]
+    below = [omega - Fraction(1, 3 << k) for k in ks]
+    grid = [*below, omega, *(omega + Fraction(1, 3 << k) for k in ks)]
+    walk = walk_inputs(zoo_machine(name), sp + 8)
+    results, traces = assert_sweep_matches_oracle(monkeypatch, grid, walk, DEFAULT)
+    for j, (result, trace) in enumerate(zip(results, traces[:3]), start=1):
+        assert [regime for _, regime in trace] == ["mixed"] * (j + 2) + ["halting"]
+        assert result.witness_scale == trace[-1][0] == sp + j + 2
+    assert [r.classification for r in results[3:]] == [f"no_evidence({sp + 8})"] * 4
 
 
 def test_sweep_never_misclassifies_zoo():
@@ -537,16 +570,6 @@ def test_sweep_raises_where_the_phases_alone_raise(monkeypatch):
     assert calls[-1] == (143, "nonhalting")
 
 
-def brute_force_regime(phi, stage, m):
-    """The regime of one side at precision m, from Fractions: the witness
-    halts on an m-bit word w iff 0 < w < floor(2^m stage), and runs on the
-    floor and the ceiling (mod 2^m) of 2^m phi, phi reduced mod 1."""
-    scaled = phi % 1 * 2**m
-    bound = math.floor(stage * 2**m)
-    verdicts = {0 < w < bound for w in (math.floor(scaled), math.ceil(scaled) % 2**m)}
-    return "mixed" if len(verdicts) == 2 else "halting" if True in verdicts else "nonhalting"
-
-
 @pytest.mark.parametrize("name", ["omega34", "omega58"])
 def test_sweep_decides_off_grid_phases_like_fractions(monkeypatch, name):
     # phases whose exponent exceeds m = 34..133 on some or all of the sides
@@ -557,24 +580,11 @@ def test_sweep_decides_off_grid_phases_like_fractions(monkeypatch, name):
     offsets = [Fraction(1, 2**200), Fraction(3, 2**60), Fraction(1, 2**100), Fraction(5, 2**40), Fraction(1, 2**300)]
     grid = [omega + sign * d for d in offsets for sign in (-1, 1)]
     grid += [Fraction(2**200 - 1, 2**200), Fraction(1)]  # the ceiling wraps to 0; phi = 1 reduces to 0
-    walk = walk_inputs(zoo_machine(name), budget)
-    stages = omega_stage_values(walk, model.m_of(budget))
-    calls, _ = record_square_energy(monkeypatch)
-    results = sweep(grid, walk, model)
-    computed = {id(interval): tuple(key) for *key, interval in calls}
-    regimes = set()
+    results, traces = assert_sweep_matches_oracle(monkeypatch, grid, walk_inputs(zoo_machine(name), budget), model)
     for phi, result in zip(grid, results):
-        want = []
-        for s in range(find_s_prime(model), budget + 1):
-            m = model.m_of(s)
-            want.append((s, brute_force_regime(phi, stages[m - 1], m)))
-            if want[-1][1] == "halting":
-                break
-        assert [computed[id(interval)] for _, interval in result.trace] == want, str(phi)
-        regimes.update(regime for _, regime in want)
         if phi >= omega:
             assert not result.gapless, str(phi)
-    assert regimes == {"halting", "nonhalting", "mixed"}
+    assert {regime for trace in traces for _, regime in trace} == {"halting", "nonhalting", "mixed"}
 
 
 def xy_dense_oracle(L):

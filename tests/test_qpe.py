@@ -149,10 +149,12 @@ def test_estimation_memory_stays_flat(tmp_path):
     assert traced_peak_mb(lambda: rounding_lemma_scan(12)) < 1.2
     # the bound scan holds one block of at most 2^16 outcomes at a time
     # (all 256 rows at n = 14 would be 32 MB); one distribution at n = 20
-    # holds two 2^20 float arrays (16 MB) and a few small ones
+    # holds two 2^20 float arrays (16 MB) and a few small ones, and one on
+    # the grid holds its one-hot row alone (8 MB)
     phases = [Fraction(k, 257) for k in range(1, 257)]
     assert traced_peak_mb(lambda: qpe.bound_scan(phases, 14)) < 3.0
     assert traced_peak_mb(lambda: qpe_distribution(Fraction(100, 257), 20)) < 16.1
+    assert traced_peak_mb(lambda: qpe_distribution(Fraction(5, 16), 20)) < 8.5
 
 
 def test_third_at_three_bits_example():
@@ -211,7 +213,7 @@ def test_success_examples():
     _, s = tail_and_success(qpe_distribution(Fraction(1, 3), 10), 3)
     assert s >= 1 - 2**-7
     wrap = 15 * 2**10 + 1  # 15/16 + 2^-14 over 2^14: the ceiling wraps to 0
-    assert best_pair_num(wrap, 14, 2) == (3, 0)
+    assert best_pair_num(wrap, 1 << 14, 2) == (3, 0)
     _, s = tail_and_success(qpe_distribution(Fraction(wrap, 2**14), 10), 2)
     assert s >= 1 - 2**-8
 
