@@ -37,6 +37,9 @@ fixed inputs:
   grid k/64 at ``s_budget=20000`` through ``cli.main``, far past the auto
   budget s' + 1: about 13,400 distinct (side, regime) energies, each
   bound near 40,000 bits, and two 6 MB ``.dat`` tables;
+- ``phase_sweep_omega34_64_20000``: ``phase.sweep`` of that grid and
+  budget in process, on an input walk built once beforehand: the
+  witness bisections and the energies, without the walk or the tables;
 - ``clock_single_dense_T600``, ``clock_single_iterative_T200`` and
   ``clock_single_iterative_T400``: ``clock`` single mode at mu = 0.37
   through ``cli.main``, dense at T = 600 and banded at T = 200 and 400;
@@ -194,6 +197,8 @@ def main() -> None:
     points = [(T, mu) for T in t_values for mu in mu_values]
     spec = clock.case5_spec(1500, 0.37)
     phases_257 = [Fraction(k, 257) for k in range(1, 257)]
+    walk34 = walk_inputs(zoo_machine("omega34"), 20000)
+    phases_64 = [Fraction(k, 64) for k in range(1, 65)]
     micro = {
         "rounding_core_scalar_n12": timed(rounding_core_scalar),
         "rounding_lemma_scan_12": timed(lambda: qpe.rounding_lemma_scan(12), trace_memory=True),
@@ -201,6 +206,9 @@ def main() -> None:
         "qpe_distribution_csv_n18": timed(lambda: run_cli(qpe_argv), trace_memory=True),
         "sweep_omega58_256": timed(lambda: run_cli(sweep_argv)),
         "sweep_omega34_64_20000": timed(lambda: run_cli(sweep34_argv)),
+        "phase_sweep_omega34_64_20000": timed(
+            lambda: phase.sweep(phases_64, walk34, phase.SquareEnergyModel())
+        ),
         "clock_single_dense_T600": timed(
             lambda: run_cli([*clock_argv, "-p", "T=600"]), trace_memory=True
         ),

@@ -16,8 +16,8 @@ Stage values are ``Fraction``s, each a sum of powers 2^-|x|, so their
 denominators are powers of two.  The finite-precision witness reads an
 m-bit word as an int and compares it with its limit, the stage-m value
 truncated to m bits by ``dyadic.truncate_num``; ``phase.sweep`` takes
-that limit once per square side and decides the witness with the same
-predicate.
+that limit only at the square sides its bisections probe and decides the
+witness with the same predicate.
 """
 
 from __future__ import annotations

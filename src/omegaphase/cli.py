@@ -76,7 +76,7 @@ PARAM_KEYS = {
     "sweep": {
         "classify": {
             "machine": (str, REQUIRED), "phis": (list[Fraction], ABSENT),
-            "grid_denominator": (int, ABSENT), "s_budget": (typing.Literal["auto"] | int, "auto"),
+            "grid_denominator": (int, REQUIRED), "s_budget": (typing.Literal["auto"] | int, "auto"),
             **_MODEL_PARAMS,
         },
         "schedule": {"n_max": (int, 10_000), **_MODEL_PARAMS},
@@ -452,7 +452,7 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
             raise ValueError(f"parameter 'grid_denominator' must be >= 1, got {den}")
         grid = [Fraction(k, den) for k in range(1, den + 1)]
     else:
-        grid = p["phis"] or []
+        grid = p["phis"]
     machine = _load_machine_ref(p["machine"])
     s_prime = phase.find_s_prime(model)
     s_budget = s_prime + 1 if p["s_budget"] == "auto" else p["s_budget"]
@@ -474,7 +474,7 @@ def _run_sweep(p: dict, mode: str, fmt: str, out: Path) -> None:
     # phases share one interval object per (side, regime): key by identity,
     # as hashing an interval would hash its Fractions of up to 2Cs bits
     distinct = {id(i): i for _, i in trace}
-    logs = {key: (_signed_log2(i.lo), _signed_log2(i.hi)) for key, i in distinct.items()}
+    logs = {key: (_cell(_signed_log2(i.lo)), _cell(_signed_log2(i.hi))) for key, i in distinct.items()}
     _write_table(out / "s_vs_energy_lower_log2.dat", [(s, logs[id(i)][0]) for s, i in trace], sep=" ")
     _write_table(out / "s_vs_energy_upper_log2.dat", [(s, logs[id(i)][1]) for s, i in trace], sep=" ")
     _write_json(

@@ -15,9 +15,10 @@ division by xi^(2s) at the end.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -396,7 +397,7 @@ class SweepResult:
     @property
     def first_negative_s(self) -> int | None:
         for s, interval in self.trace:
-            if interval.hi < 0:
+            if interval.hi.numerator < 0:  # denominators are positive
                 return s
         return None
 
@@ -410,13 +411,27 @@ def sweep(
     for finite-precision witness halting on every best approximation; the
     budget is the walk's, and the witness reads its stage values off it.
 
-    Each phase, any rational, is reduced mod 1 once, to a numerator over
-    its denominator.  At side s the witness runs at m = m(s) against the
-    limit of the stage-m value, both computed once per side, on the floor
-    and the ceiling (mod 1) of 2^m phi, from ``dyadic.best_pair_num``; the
-    two are one word when phi lies on the m-bit grid.  Both halting is the
-    halting regime, neither the non-halting one, and one of the two the
-    mixed one.
+    Each phase, any rational, is reduced mod 1 once, to p/q.  At side s
+    the witness runs at m = m(s) against its limit T = T_m, the stage-m
+    value truncated to m bits, on the floor and the ceiling (mod 1) of
+    2^m p/q, from ``dyadic.best_pair_num``; the two are one word when p/q
+    lies on the m-bit grid.  Both halting is the halting regime, neither
+    the non-halting one, and one of the two the mixed one.
+
+    Lemma: the number of halting words does not decrease in s.  The floor
+    word floor(2^m p/q) halts iff 0 < floor < T, that is iff
+    2^-m <= p/q < T/2^m.  The ceiling word halts iff 0 < p/q <=
+    (T - 1)/2^m: a ceiling of 2^m wraps to the looping word 0, but
+    T <= 2^m, as no stage value read off a walk exceeds 1 (Kraft's
+    inequality), so every ceiling of at most T - 1 is below 2^m.  Stage
+    values do not decrease in m, nor does the m-bit truncation of a fixed
+    value, so T_m/2^m and (T_m - 1)/2^m do not decrease in m, while 2^-m
+    does not increase; and m(s) does not decrease in s.  So each word,
+    once halting at a side, halts at every larger side, on the grid or
+    off it.  A phase's sides are therefore a run of non-halting sides, a
+    run of mixed sides and then halting ones, and two bisections over the
+    sides, on the first with one and the first with two halting words,
+    find both boundaries; the sweep stops at the first halting side.
 
     Evidence is only ever emitted together with the reproducible witness
     trace and its strictly negative energy certificate; running out of
@@ -435,29 +450,27 @@ def sweep(
     sides = range(s_prime, s_budget + 1)
     ms = [model.m_of(s) for s in sides] if phi_grid else []
     stage_values = omega_stage_values(walk, ms[-1]) if ms else []
-    limits = [wprime_limit(stage_values[m - 1], m) for m in ms]
-    energies: dict[tuple[int, str], EnergyInterval] = {}
+    energy = cache(lambda s, regime: square_energy(s, regime, model))
     results: list[SweepResult] = []
     for phi in phi_grid:
         if not 0 < phi <= 1:
             raise ValueError(f"grid phases must lie in (0, 1], got {phi}")
         den = phi.denominator
         num = phi.numerator % den  # phi mod 1
-        trace: list[tuple[int, EnergyInterval]] = []
-        hit: int | None = None
-        for s, m, limit in zip(sides, ms, limits):
-            below, above = (wprime_halts(w, limit) for w in best_pair_num(num, den, m))
-            regime = "mixed" if below != above else "halting" if below else "nonhalting"
-            interval = energies.get((s, regime))
-            if interval is None:
-                interval = energies[s, regime] = square_energy(s, regime, model)
-            trace.append((s, interval))
-            if regime == "halting":
-                hit = s
-                break
-        final = trace[-1][1]
+
+        @cache
+        def count(i: int) -> int:
+            """How many of the two words halt at side index i."""
+            m = ms[i]
+            limit = wprime_limit(stage_values[m - 1], m)
+            return sum(wprime_halts(w, limit) for w in best_pair_num(num, den, m))
+
+        mixed, hit = (bisect_left(range(len(sides)), k, key=count) for k in (1, 2))
+        gapless = hit < len(sides)
+        regimes = ["nonhalting"] * mixed + ["mixed"] * (hit - mixed) + ["halting"] * gapless
+        trace = tuple((s, energy(s, regime)) for s, regime in zip(sides, regimes))
         results.append(
-            SweepResult(phi, hit is not None, hit, s_budget, final, tuple(trace))
+            SweepResult(phi, gapless, sides[hit] if gapless else None, s_budget, trace[-1][1], trace)
         )
     return results
 

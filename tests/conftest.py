@@ -5,9 +5,10 @@ matrices, which gain nothing from BLAS threads and slow down sharply when
 another process holds a core; run BLAS single-threaded, as the benchmark
 does.
 
-Also the fixtures that count what the tm layer runs, and the big-Fraction
-oracles of the square energies and of the sweep's regimes that test_phase
-and test_cli import.
+Also the fixtures that count what the tm layer runs, two machines whose
+stage values rise late, and the big-Fraction oracles of the square
+energies and of the sweep's regimes that test_chaitin, test_phase and
+test_cli import.
 """
 
 import math
@@ -60,6 +61,32 @@ def walk_lookups(monkeypatch):
 
     monkeypatch.setattr(InputWalk, "halting_steps", looked_up)
     return words
+
+
+def late_halter(delay):
+    """Halts only on the empty word, after delay + 1 steps: an input whose
+    halting time exceeds the table's first budget and its own index."""
+    from omegaphase.tm import parse_machine
+
+    lines = ["start: q0", "halt: h", "q0 _ -> c1 _ S", "q0 0 -> d 0 S", "q0 1 -> d 1 S"]
+    for j in range(1, delay):
+        lines += [f"c{j} {x} -> c{j + 1} {x} S" for x in "01_"]
+    lines += [f"c{delay} _ -> h _ S", f"c{delay} 0 -> d 0 S", f"c{delay} 1 -> d 1 S"]
+    lines += [f"d {x} -> d {x} S" for x in "01_"]
+    return parse_machine("\n".join(lines) + "\n", name=f"late_halter_{delay}")
+
+
+def zeros_then_one():
+    """Halts exactly on the words 0^k 1, on the blank after the 1, in
+    k + 2 steps: its stage values rise at every stage that reaches the
+    next such word."""
+    from omegaphase.tm import parse_machine
+
+    return parse_machine(
+        "start: a\nhalt: h\na 0 -> a 0 R\na 1 -> b 1 R\na _ -> a _ S\n"
+        "b _ -> h _ S\nb 0 -> b 0 S\nb 1 -> b 1 S",
+        name="zeros_then_one",
+    )
 
 
 def ceil_root(value: int, k: int) -> int:

@@ -17,6 +17,7 @@ from omegaphase.chaitin import (
 from omegaphase.dyadic import truncate
 from omegaphase.tm import InputWalk, enumerate_input, parse_machine, walk_inputs
 from omegaphase.zoo import ZOO, zoo_machine
+from conftest import late_halter
 from test_tm import PREFIX_FREE, assert_refused, least_nested_pair, naive_run, naive_stage_values
 
 
@@ -36,17 +37,6 @@ def staged(spec, stage):
     """``omega_approx`` off a walk at the stage's own budget, as the omega
     command makes it."""
     return omega_approx(walk_inputs(spec, stage), stage)
-
-
-def late_halter(delay):
-    """Halts only on the empty word, after delay + 1 steps: an input whose
-    halting time exceeds the table's first budget and its own index."""
-    lines = ["start: q0", "halt: h", "q0 _ -> c1 _ S", "q0 0 -> d 0 S", "q0 1 -> d 1 S"]
-    for j in range(1, delay):
-        lines += [f"c{j} {x} -> c{j + 1} {x} S" for x in "01_"]
-    lines += [f"c{delay} _ -> h _ S", f"c{delay} 0 -> d 0 S", f"c{delay} 1 -> d 1 S"]
-    lines += [f"d {x} -> d {x} S" for x in "01_"]
-    return parse_machine("\n".join(lines) + "\n", name=f"late_halter_{delay}")
 
 
 ORACLE_MACHINES = [zoo_machine(name) for name in ZOO] + [late_halter(99)]

@@ -166,6 +166,15 @@ def test_sweep_empty_grid_header_only(tmp_path):
         assert (tmp_path / "sw" / name).read_bytes() == b"\n"
 
 
+def test_sweep_without_a_grid_refused(tmp_path, capsys):
+    # neither phis nor grid_denominator: no phase to sweep is a config error,
+    # not an empty sweep; phis=[] above still names an empty grid
+    out = tmp_path / "sw"
+    assert main(["sweep", "--output-dir", str(out), "-p", "machine=zoo:omega34"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: missing required parameter(s) ['grid_denominator']\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_small_grid(tmp_path):
     cfg = RunConfig(
         command="sweep",

@@ -1,6 +1,7 @@
 """Precision schedule, per-square energy model, phase sweep, and the
 reference spectra used for the composed model."""
 
+import collections
 import math
 import random
 import tracemalloc
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import square_energy_formula, sweep_oracle
+from conftest import late_halter, square_energy_formula, sweep_oracle, zeros_then_one
 
 from omegaphase import phase
 from omegaphase.chaitin import omega_stage_values
@@ -585,6 +586,51 @@ def test_sweep_decides_off_grid_phases_like_fractions(monkeypatch, name):
         if phi >= omega:
             assert not result.gapless, str(phi)
     assert {regime for trace in traces for _, regime in trace} == {"halting", "nonhalting", "mixed"}
+
+
+# stage values that rise inside the swept precisions m(42..142) = 34..133:
+# late_halter(99)'s jumps from 0 to 1 at stage 100, so its limit reaches
+# 2^m, and zeros_then_one's gains 2^-(k+1) as each 0^k 1 is enumerated,
+# reaching 63/64 at stage 65 and 127/128 at stage 129
+LATE_RISERS = [late_halter(99), zeros_then_one()]
+LEMMA_GRID = [
+    *(Fraction(k, 64) for k in range(1, 65)),
+    *(Fraction(k, 10**6) for k in random.Random(37).sample(range(1, 10**6), 12)),
+    Fraction(1, 3), Fraction(5, 6), Fraction(2**200 - 1, 2**200), Fraction(1),
+    Fraction(63, 64) - Fraction(1, 3 << 100),  # mixed from m = 65 while 2^-m > 1/(3 2^100)
+]
+
+
+@pytest.mark.parametrize("budget", [42, 100, 142])
+@pytest.mark.parametrize("spec", LATE_RISERS, ids=lambda spec: spec.name)
+def test_sweep_matches_the_oracle_on_rising_stages(monkeypatch, spec, budget):
+    # the bisections stand on the monotone lemma of sweep's docstring: each
+    # phase's trace, side by side, is the per-side Fraction oracle's
+    walk = walk_inputs(spec, budget)
+    results, traces = assert_sweep_matches_oracle(monkeypatch, LEMMA_GRID, walk, S_PRIME_42)
+    assert len(results) == len(LEMMA_GRID)
+    if budget == 142:
+        assert {regime for trace in traces for _, regime in trace} == {"halting", "nonhalting", "mixed"}
+
+
+def test_sweep_probes_each_phase_logarithmically(monkeypatch):
+    # two bisections over the sides, sharing their probes: at most
+    # 2 ceil(log2(sides + 1)) best pairs per phase, where a per-side loop
+    # takes one per side it visits
+    real, calls = phase.best_pair_num, collections.Counter()
+
+    def recorded(num, den, m):
+        calls[num, den] += 1
+        return real(num, den, m)
+
+    monkeypatch.setattr(phase, "best_pair_num", recorded)
+    sp = find_s_prime(DEFAULT)
+    grid = [Fraction(k, 64) for k in range(1, 65)] + [Fraction(1, 3), Fraction(5, 6)]
+    sides = 41
+    results = sweep(grid, walk_inputs(zoo_machine("omega34"), sp + sides - 1), DEFAULT)
+    assert sum(len(r.trace) == sides for r in results) == 18  # the phases from 3/4 up run every side
+    assert len(calls) == len(grid)
+    assert max(calls.values()) <= 2 * math.ceil(math.log2(sides + 1))
 
 
 def xy_dense_oracle(L):
